@@ -44,6 +44,7 @@ from .perms import (
     Resolution,
     decomposition_from_resolution,
     resolution_from_decomposition,
+    resolution_length_bound,
 )
 from .resolve import gen_lower_bound_instance, gen_pp36_instance, resolve
 
@@ -56,10 +57,7 @@ def _upper_bound_10k() -> str | None:
     for i in range(10_000):
         p, q = random_instance(rng, max_items=30, max_clusters=10)
         res = resolve(p, q)
-        sizes = sorted(p.sizes(), reverse=True)
-        k1 = sizes[0]
-        k2 = sizes[1] if len(sizes) > 1 else 0
-        bound = k1 + (k2 + 1) // 2
+        bound = resolution_length_bound(p.sizes())
         if len(res.taus) > bound:
             return f"instance {i}: length {len(res.taus)} exceeds bound {bound}"
         rep = verify_certificate((p, q), res)

@@ -44,7 +44,7 @@ from .oddcover import (
     path_odd_cover_general,
 )
 from .oracles import Report, exact_diameter_bfs, verify_certificate
-from .perms import cdg
+from .perms import cdg, resolution_length_bound
 from .resolve import gen_lower_bound_instance, gen_pp36_instance, resolve
 
 __all__ = ["main"]
@@ -215,10 +215,7 @@ def _run_diameter(args) -> int:
     if args.exact:
         print(exact_diameter_bfs(shape, args.cap))
         return 0
-    sizes = sorted(shape, reverse=True)
-    k1 = sizes[0] if sizes else 0
-    k2 = sizes[1] if len(sizes) > 1 else 0
-    print(k1 + (k2 + 1) // 2)
+    print(resolution_length_bound(shape))
     return 0
 
 

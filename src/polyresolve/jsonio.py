@@ -43,13 +43,40 @@ def _require(d: Any, *keys: str) -> None:
             raise ValueError(f"missing key {k!r}")
 
 
+def _int(x: Any, what: str) -> int:
+    # bool is an int subclass, but JSON true/false is no count or label.
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {type(x).__name__}")
+    return x
+
+
+def _array(x: Any, what: str) -> list | tuple:
+    if not isinstance(x, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON array, got {type(x).__name__}")
+    return x
+
+
+def _ints(x: Any, what: str) -> tuple[int, ...]:
+    return tuple(_int(v, what) for v in _array(x, what))
+
+
+def _pairs(x: Any, what: str) -> list[tuple[int, ...]]:
+    out = []
+    for e in _array(x, what):
+        pair = _ints(e, what)
+        if len(pair) != 2:
+            raise ValueError(f"every entry of {what} must be a pair of integers")
+        out.append(pair)
+    return out
+
+
 def emit_graph(g: SimpleGraph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
 
 
 def parse_graph(d: dict) -> SimpleGraph:
     _require(d, "n", "edges")
-    return simple_graph(int(d["n"]), [(int(u), int(v)) for u, v in d["edges"]])
+    return simple_graph(_int(d["n"], "n"), _pairs(d["edges"], "edges"))
 
 
 def emit_digraph(g: Digraph) -> dict:
@@ -76,14 +103,14 @@ def emit_instance(inst: tuple[Partition, Partition] | LowerBoundInstance) -> dic
 
 def parse_instance(d: dict) -> tuple[Partition, Partition] | LowerBoundInstance:
     _require(d, "m", "n", "p", "p_prime")
-    m, n = int(d["m"]), int(d["n"])
-    p = Partition(n, tuple(int(c) for c in d["p"]))
-    q = Partition(n, tuple(int(c) for c in d["p_prime"]))
+    m, n = _int(d["m"], "m"), _int(d["n"], "n")
+    p = Partition(n, _ints(d["p"], "p"))
+    q = Partition(n, _ints(d["p_prime"], "p_prime"))
     if p.m != m or q.m != m:
         raise ValueError(f"assignments disagree with m={m}")
     if "bound" in d or "family" in d:
         _require(d, "bound", "family")
-        return LowerBoundInstance(p, q, int(d["bound"]), str(d["family"]))
+        return LowerBoundInstance(p, q, _int(d["bound"], "bound"), str(d["family"]))
     return p, q
 
 
@@ -95,7 +122,7 @@ def parse_resolution(d: dict, start: Partition) -> Resolution:
     _require(d, "type", "taus")
     if d["type"] != "resolution":
         raise ValueError(f"expected type 'resolution', got {d['type']!r}")
-    taus = tuple(CycleSeq(tuple(int(x) for x in t)) for t in d["taus"])
+    taus = tuple(CycleSeq(_ints(t, "a step")) for t in _array(d["taus"], "taus"))
     return Resolution(start, taus)
 
 
@@ -115,7 +142,8 @@ def parse_cover(d: dict) -> OddCoverCert:
     if kind not in ("path", "cycle", "linear_forest"):
         raise ValueError(f"unknown cover kind {kind!r}")
     parts = tuple(
-        frozenset(edge(int(u), int(v)) for u, v in part) for part in d["parts"]
+        frozenset(edge(u, v) for u, v in _pairs(part, "a part"))
+        for part in _array(d["parts"], "parts")
     )
     return OddCoverCert(kind, parts)
 

@@ -8,84 +8,191 @@ Products of permutations are function composition read right to left:
 transformed on the right, ``(p @ tau)(x) = p(tau(x))``, which makes a
 step-by-step replay ``p, p@t1, (p@t1)@t2, ...`` land on
 ``p @ (t1 t2 ... tk)``.
+
+Sparse representation and cost
+------------------------------
+A :class:`Permutation` holds only its moved points, as the map
+``x -> pi(x)`` over its support, and a :class:`CycleSeq` holds its one
+cycle.  Building one, ``support``, ``cycles``, ``inverse``,
+:func:`is_p_balanced`, :func:`compose` and conjugation all cost
+O(|support|) (``cycles`` sorts its leaders); only ``Permutation.image``
+spells out all m entries.
+
+Replay and verification (``Resolution.end``, :func:`check_resolution`)
+change one assignment list in place, checking each step ``tau`` for
+distinct clusters and applying it on its |tau| entries.  The two walk
+conversions keep their prefix products as arrays and update them on the
+entries a step moves.  Both sides of the prefix identity
+``t1 ... ti == si ... s1`` change only on the support of ``ti``, so
+comparing those entries after each step is as strong as comparing whole
+permutations.  Converting, replaying or verifying a walk ``t1 ... tk`` on
+m items therefore costs O(m + sum |ti|).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import InvalidResolution, NotPCycle, SizeMismatch
 from .graphs import Digraph
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """Bijection on ``0..m-1`` stored as its image tuple."""
+    """Bijection on ``0..m-1``, held by its moved points only.
 
-    image: tuple[int, ...]
+    ``Permutation(image)`` builds one from its full image tuple;
+    :meth:`from_moved` builds one from the map ``x -> pi(x)`` over its
+    support without touching the fixed points.  ``image`` rebuilds the full
+    tuple on demand.
+    """
+
+    __slots__ = ("m", "moved")
+
+    def __init__(self, image) -> None:
+        object.__setattr__(self, "m", len(image))
+        object.__setattr__(self, "moved", {x: y for x, y in enumerate(image) if x != y})
+        self.__post_init__()
+
+    @classmethod
+    def from_moved(cls, m: int, moved: dict[int, int]) -> "Permutation":
+        """The permutation sending each key of ``moved`` to its value and
+        fixing every other point; ``moved`` names moved points only."""
+        pi = cls.__new__(cls)
+        object.__setattr__(pi, "m", m)
+        object.__setattr__(pi, "moved", moved)
+        pi.__post_init__()
+        return pi
 
     def __post_init__(self):
-        if sorted(self.image) != list(range(len(self.image))):
+        # The bijection check, run by both constructors: O(|support|).
+        moved = self.moved
+        if not moved:
+            return
+        values = set(moved.values())
+        if (
+            len(values) != len(moved)
+            or values != moved.keys()
+            or min(moved) < 0
+            or max(moved) >= self.m
+            or any(x == y for x, y in moved.items())
+        ):
             raise ValueError("image is not a bijection on 0..m-1")
 
+    def __setattr__(self, name, value):
+        raise AttributeError("Permutation is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.m == other.m and self.moved == other.moved
+
+    def __hash__(self) -> int:
+        return hash((self.m, frozenset(self.moved.items())))
+
+    def __repr__(self) -> str:
+        return f"Permutation.from_moved({self.m}, {self.moved!r})"
+
     @property
-    def m(self) -> int:
-        return len(self.image)
+    def image(self) -> tuple[int, ...]:
+        """``(pi(0), ..., pi(m-1))``; the one O(m) accessor."""
+        image = list(range(self.m))
+        for x, y in self.moved.items():
+            image[x] = y
+        return tuple(image)
 
     def __call__(self, x: int) -> int:
-        return self.image[x]
+        return self.moved.get(x, x)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.m
-        for x, y in enumerate(self.image):
-            inv[y] = x
-        return Permutation(tuple(inv))
+        return Permutation.from_moved(self.m, {y: x for x, y in self.moved.items()})
 
     def support(self) -> frozenset[int]:
-        return frozenset(x for x, y in enumerate(self.image) if x != y)
+        return frozenset(self.moved)
 
     def is_identity(self) -> bool:
-        return all(x == y for x, y in enumerate(self.image))
+        return not self.moved
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Non-trivial cycles, each starting at its smallest element,
         ordered by that element."""
-        seen = [False] * self.m
+        moved = self.moved
+        seen: set[int] = set()
         out = []
-        for x in range(self.m):
-            if seen[x] or self.image[x] == x:
-                seen[x] = True
+        for x in sorted(moved):
+            if x in seen:
                 continue
             cyc = [x]
-            seen[x] = True
-            y = self.image[x]
+            seen.add(x)
+            y = moved[x]
             while y != x:
                 cyc.append(y)
-                seen[y] = True
-                y = self.image[y]
+                seen.add(y)
+                y = moved[y]
             out.append(tuple(cyc))
         return out
 
 
 def identity(m: int) -> Permutation:
-    return Permutation(tuple(range(m)))
+    return Permutation.from_moved(m, {})
 
 
 def perm_from_cycles(m: int, cycles) -> Permutation:
-    image = list(range(m))
+    moved = {}
     for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:]):
-            image[a] = b
         if len(cyc) > 1:
-            image[cyc[-1]] = cyc[0]
-    return Permutation(tuple(image))
+            for a, b in zip(cyc, (*cyc[1:], cyc[0])):
+                moved[a] = b
+    return Permutation.from_moved(m, moved)
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """``x -> a(b(x))``; the right factor acts first."""
     if a.m != b.m:
         raise SizeMismatch(f"composing permutations on {a.m} and {b.m} items")
-    return Permutation(tuple(a.image[y] for y in b.image))
+    am, bm = a.moved, b.moved
+    moved = {}
+    for x, y in bm.items():
+        z = am.get(y, y)
+        if z != x:
+            moved[x] = z
+    for x, y in am.items():
+        if x not in bm:
+            moved[x] = y
+    return Permutation.from_moved(a.m, moved)
+
+
+def permute_in_place(assign: list[int], pi: Permutation) -> None:
+    """``assign <- assign @ pi`` on a mutable assignment list: each moved
+    item ``x`` takes the old cluster of ``pi(x)``."""
+    new = [(x, assign[y]) for x, y in pi.moved.items()]
+    for x, c in new:
+        assign[x] = c
+
+
+def _is_cycle_of(assign, items: tuple[int, ...]) -> bool:
+    """True iff the exchange ``items`` is trivial or moves known items of
+    pairwise distinct clusters of ``assign``."""
+    if len(items) < 2:
+        return True
+    m = len(assign)
+    if any(not 0 <= x < m for x in items):
+        return False
+    return len({assign[x] for x in items}) == len(items)
+
+
+def _step_in_place(assign: list[int], items: tuple[int, ...]) -> bool:
+    """Apply the cyclic exchange ``items`` to ``assign`` in place if it is a
+    cycle of that assignment.  Otherwise return False and leave ``assign``
+    as it was."""
+    if not _is_cycle_of(assign, items):
+        return False
+    if len(items) >= 2:
+        # Item x_j takes the old cluster of its successor x_{j+1}.
+        clusters = [assign[x] for x in items]
+        for x, c in zip(items, (*clusters[1:], clusters[0])):
+            assign[x] = c
+    return True
 
 
 @dataclass(frozen=True)
@@ -153,7 +260,9 @@ class Partition:
             pi = pi.to_permutation(self.m)
         if pi.m != self.m:
             raise SizeMismatch(f"permutation on {pi.m} items, partition has {self.m}")
-        return Partition(self.n, tuple(self.assign[pi(x)] for x in range(self.m)))
+        assign = list(self.assign)
+        permute_in_place(assign, pi)
+        return Partition(self.n, tuple(assign))
 
 
 def is_p_balanced(pi: Permutation, p: Partition) -> bool:
@@ -161,7 +270,7 @@ def is_p_balanced(pi: Permutation, p: Partition) -> bool:
     if pi.m != p.m:
         raise SizeMismatch(f"permutation on {pi.m} items, partition has {p.m}")
     hit: set[int] = set()
-    for x in pi.support():
+    for x in pi.moved:
         c = p(x)
         if c in hit:
             return False
@@ -175,17 +284,7 @@ def is_p_cycle(sigma: Permutation, p: Partition) -> bool:
 
 
 def cycle_is_p_cycle(tau: CycleSeq, p: Partition) -> bool:
-    if tau.is_trivial:
-        return True
-    seenc: set[int] = set()
-    for x in tau.items:
-        if not 0 <= x < p.m:
-            return False
-        c = p(x)
-        if c in seenc:
-            return False
-        seenc.add(c)
-    return True
+    return _is_cycle_of(p.assign, tau.items)
 
 
 def cdg(p: Partition, q: Partition) -> Digraph:
@@ -209,15 +308,21 @@ class Resolution:
 
     def replay(self) -> list[Partition]:
         """All intermediate partitions, beginning with ``start``."""
+        assign = list(self.start.assign)
         out = [self.start]
         for i, tau in enumerate(self.taus):
-            if not cycle_is_p_cycle(tau, out[-1]):
+            if not _step_in_place(assign, tau.items):
                 raise InvalidResolution(i)
-            out.append(out[-1].apply(tau))
+            out.append(Partition(self.start.n, tuple(assign)))
         return out
 
     def end(self) -> Partition:
-        return self.replay()[-1]
+        """The last partition of the walk, replayed in place."""
+        assign = list(self.start.assign)
+        for i, tau in enumerate(self.taus):
+            if not _step_in_place(assign, tau.items):
+                raise InvalidResolution(i)
+        return Partition(self.start.n, tuple(assign))
 
 
 def resolution_from_decomposition(p: Partition, sigmas) -> Resolution:
@@ -225,42 +330,55 @@ def resolution_from_decomposition(p: Partition, sigmas) -> Resolution:
 
     Each returned step is the conjugate of the corresponding input cycle by
     the product of its predecessors, so that prefix products agree:
-    ``t1 ... ti == si ... s1`` at every ``i`` (asserted).
+    ``t1 ... ti == si ... s1`` at every ``i`` (asserted on the entries step
+    ``i`` changes, the only ones where either side can change).
     """
-    sigmas = list(sigmas)
-    acc = identity(p.m)      # s_{i-1} ... s_1
-    run = identity(p.m)      # t_1 ... t_i
+    acc = list(range(p.m))   # s_{i-1} ... s_1
+    inv = list(range(p.m))   # its inverse
+    run = list(range(p.m))   # t_1 ... t_i
     taus = []
     for i, s in enumerate(sigmas):
         if not cycle_is_p_cycle(s, p):
             raise NotPCycle(i)
-        inv = acc.inverse()
-        tau = CycleSeq(tuple(inv(x) for x in s.items))
+        # tau = acc^-1 s acc sends inv(x) to inv(s(x)); it moves exactly the
+        # items on which acc, run and (at s's items) inv change.
+        t_items = [inv[x] for x in s.items]
+        tau = CycleSeq(tuple(t_items))
         taus.append(tau)
-        acc = compose(s.to_permutation(p.m), acc)
-        run = compose(run, tau.to_permutation(p.m))
-        assert run == acc, "prefix identity violated"
+        s_next = (*s.items[1:], *s.items[:1])
+        run_next = [run[t] for t in (*t_items[1:], *t_items[:1])]
+        for t, y, r in zip(t_items, s_next, run_next):
+            acc[t] = y
+            inv[y] = t
+            run[t] = r
+        assert all(run[t] == acc[t] for t in t_items), "prefix identity violated"
     return Resolution(p, tuple(taus))
 
 
 def decomposition_from_resolution(r: Resolution) -> list[CycleSeq]:
     """Inverse of :func:`resolution_from_decomposition`: recover cycles of
     the starting partition from a replayable walk."""
-    run = identity(r.start.m)    # t_1 ... t_{i-1}
-    acc = identity(r.start.m)    # s_{i-1} ... s_1
-    cur = r.start
+    run = list(range(r.start.m))       # t_1 ... t_{i-1}
+    acc = list(range(r.start.m))       # s_{i-1} ... s_1
+    acc_inv = list(range(r.start.m))   # its inverse
+    cur = list(r.start.assign)
     sigmas = []
     for i, tau in enumerate(r.taus):
-        if not cycle_is_p_cycle(tau, cur):
+        if not _step_in_place(cur, tau.items):
             raise InvalidResolution(i)
-        sigma = CycleSeq(tuple(run(x) for x in tau.items))
+        s_items = [run[x] for x in tau.items]
+        sigma = CycleSeq(tuple(s_items))
         if not cycle_is_p_cycle(sigma, r.start):
             raise InvalidResolution(i, f"step {i} conjugates outside the start partition")
         sigmas.append(sigma)
-        cur = cur.apply(tau)
-        run = compose(run, tau.to_permutation(r.start.m))
-        acc = compose(sigma.to_permutation(r.start.m), acc)
-        assert run == acc, "prefix identity violated"
+        # run <- run tau changes on tau's items; acc <- sigma acc changes on
+        # the preimages of sigma's items under acc.
+        a_items = [acc_inv[y] for y in s_items]
+        for t, a, y in zip(tau.items, a_items, (*s_items[1:], *s_items[:1])):
+            run[t] = y
+            acc[a] = y
+            acc_inv[y] = a
+        assert all(run[x] == acc[x] for x in (*tau.items, *a_items)), "prefix identity violated"
     return sigmas
 
 
@@ -268,17 +386,29 @@ def check_resolution(p: Partition, q: Partition, taus) -> str | None:
     """None if the steps walk from ``p`` to ``q``; else the first failure."""
     if p.m != q.m or p.n != q.n:
         return "partitions live on different ground sets"
-    cur = p
+    assign = list(p.assign)
     for i, tau in enumerate(taus):
         if any(not 0 <= x < p.m for x in tau.items):
             return f"step {i} names an unknown item"
-        if not cycle_is_p_cycle(tau, cur):
+        if not _step_in_place(assign, tau.items):
             return f"step {i} revisits a cluster"
-        cur = cur.apply(tau)
-    if cur != q:
+    if tuple(assign) != q.assign:
         return "final partition differs from the target"
     return None
 
 
 def verify_resolution(p: Partition, q: Partition, taus) -> bool:
     return check_resolution(p, q, taus) is None
+
+
+def two_largest(sizes) -> tuple[int, int]:
+    """``(k1, k2)``: the two largest cluster sizes, 0 where absent."""
+    top = heapq.nlargest(2, sizes) + [0, 0]
+    return top[0], top[1]
+
+
+def resolution_length_bound(sizes) -> int:
+    """``k1 + ceil(k2/2)``, the length within which :func:`resolve` joins any
+    two partitions with these cluster sizes."""
+    k1, k2 = two_largest(sizes)
+    return k1 + (k2 + 1) // 2

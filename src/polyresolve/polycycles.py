@@ -36,6 +36,8 @@ from .perms import (
     cdg,
     cycle_is_p_cycle,
     is_p_balanced,
+    permute_in_place,
+    two_largest,
 )
 
 __all__ = [
@@ -70,14 +72,34 @@ def _hopcroft_karp(n_left: int, n_right: int, adj: list[list[int]]) -> list[int]
     match_r = [-1] * n_right
     inf = n_left + n_right + 1
 
-    def try_augment(u: int) -> bool:
-        for w in adj[u]:
-            u2 = match_r[w]
-            if u2 == -1 or (dist[u2] == dist[u] + 1 and try_augment(u2)):
-                match_l[u] = w
-                match_r[w] = u
-                return True
-        dist[u] = inf
+    def try_augment(root: int) -> bool:
+        # Depth-first search along the BFS layers with an explicit stack of
+        # [vertex, next neighbour index]; it scans adj[u] in order and marks
+        # dead ends with dist = inf exactly where the recursive form would.
+        stack = [[root, 0]]
+        while stack:
+            frame = stack[-1]
+            u, i = frame
+            nbrs = adj[u]
+            while i < len(nbrs):
+                w = nbrs[i]
+                i += 1
+                u2 = match_r[w]
+                if u2 == -1:
+                    frame[1] = i
+                    # Flip the path: each frame takes the neighbour it last tried.
+                    for v, j in reversed(stack):
+                        w = adj[v][j - 1]
+                        match_l[v] = w
+                        match_r[w] = v
+                    return True
+                if dist[u2] == dist[u] + 1:
+                    frame[1] = i
+                    stack.append([u2, 0])
+                    break
+            else:
+                dist[u] = inf
+                stack.pop()
         return False
 
     while True:
@@ -238,18 +260,22 @@ def directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecompositi
             pools.setdefault((u, u), deque()).append(next_virtual)
             next_virtual += 1
 
+    # adj[u] lists the heads w whose pool (u, w) is non-empty, ascending;
+    # a head leaves the list when its pool runs dry.
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, w in sorted(pools):
+        adj[u].append(w)
     classes: list[frozenset[int]] = []
     for _ in range(t):
-        adj: list[list[int]] = [[] for _ in range(g.n)]
-        for (u, w), pool in sorted(pools.items()):
-            if pool:
-                adj[u].append(w)
         match_l = _hopcroft_karp(g.n, g.n, adj)
         assert all(w != -1 for w in match_l), "regular bipartite graph has a perfect matching"
         cls = []
         for u in range(g.n):
             w = match_l[u]
-            a = pools[(u, w)].popleft()
+            pool = pools[(u, w)]
+            a = pool.popleft()
+            if not pool:
+                adj[u].remove(w)
             if a < g.m and u != w:
                 cls.append(a)
         classes.append(frozenset(cls))
@@ -300,12 +326,12 @@ def balanced_permutation_factorization(
     two largest cluster sizes.  Applying all factors to p (in any order,
     since they commute) yields q.
     """
-    if p.sizes() != q.sizes():
+    sizes = p.sizes()
+    if sizes != q.sizes():
         raise ShapeMismatch("p and q must have equal per-cluster sizes")
     if p == q:
         return [], []
-    shape = p.shape()
-    k2 = shape[1] if len(shape) > 1 else 0
+    _, k2 = two_largest(sizes)
     d = cdg(p, q)
     decomp = directed_polycycle_decomposition(d, t=k2)
 
@@ -315,10 +341,7 @@ def balanced_permutation_factorization(
         if not part:
             continue
         succ = {d.tails[a]: a for a in part}
-        image = list(range(p.m))
-        for a in part:
-            image[a] = succ[d.heads[a]]
-        pi = Permutation(tuple(image))
+        pi = Permutation.from_moved(p.m, {a: succ[d.heads[a]] for a in part})
         assert is_p_balanced(pi, p)
         pis.append(pi)
 
@@ -337,16 +360,16 @@ def balanced_permutation_factorization(
         assert cycle_is_p_cycle(sigma, p)
         sigmas.append(sigma)
 
-    supports = [frozenset(pi.support()) for pi in pis] + [
+    supports = [pi.support() for pi in pis] + [
         frozenset(s.items) for s in sigmas
     ]
     assert sum(len(s) for s in supports) == len(frozenset().union(*supports))
-    replay = p
+    replay = list(p.assign)
     for sigma in reversed(sigmas):
-        replay = replay.apply(sigma)
+        permute_in_place(replay, sigma.to_permutation(p.m))
     for pi in reversed(pis):
-        replay = replay.apply(pi)
-    assert replay == q
+        permute_in_place(replay, pi)
+    assert tuple(replay) == q.assign
     return sigmas, pis
 
 

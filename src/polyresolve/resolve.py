@@ -27,6 +27,7 @@ from .perms import (
     is_p_balanced,
     perm_from_cycles,
     resolution_from_decomposition,
+    resolution_length_bound,
 )
 from .polycycles import balanced_permutation_factorization
 
@@ -76,36 +77,47 @@ def _validated_matching(edges, n: int, name: str) -> list[tuple[int, int]]:
     return out
 
 
-def two_color_matchings(m1, m2, n: int) -> ColorClasses:
-    """Properly 2-color the union of two matchings on clusters 0..n-1.
+def _color_matchings(m1, m2, n: int) -> dict[int, int]:
+    """Colour 0 or 1 for every cluster an edge of either matching touches,
+    such that each edge straddles the colours.
 
     The union has maximum degree 2 and every cycle alternates between the
-    matchings, so it is bipartite.  Isolated clusters join the first class.
+    matchings, so it is bipartite.  The smallest cluster of each component
+    gets colour 0.  Clusters no edge touches are neither visited nor listed.
     """
     edges = _validated_matching(m1, n, "m1") + _validated_matching(m2, n, "m2")
-    adj: list[list[int]] = [[] for _ in range(n)]
+    adj: dict[int, list[int]] = {}
     for u, v in set(edges):
-        adj[u].append(v)
-        adj[v].append(u)
-    color = [-1] * n
-    for start in range(n):
-        if color[start] != -1:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    color: dict[int, int] = {}
+    for start in sorted(adj):
+        if start in color:
             continue
         color[start] = 0
         stack = [start]
         while stack:
             u = stack.pop()
             for w in adj[u]:
-                if color[w] == -1:
+                if w not in color:
                     color[w] = 1 - color[u]
                     stack.append(w)
                 else:
                     assert color[w] != color[u], "two matchings cannot form an odd cycle"
-    s1 = frozenset(u for u in range(n) if color[u] == 0)
-    s2 = frozenset(range(n)) - s1
     for u, v in edges:
-        assert (u in s1) != (v in s1)
-    return ColorClasses(s1, s2)
+        assert color[u] != color[v]
+    return color
+
+
+def two_color_matchings(m1, m2, n: int) -> ColorClasses:
+    """Properly 2-color the union of two matchings on clusters 0..n-1.
+
+    The union has maximum degree 2 and every cycle alternates between the
+    matchings, so it is bipartite.  Isolated clusters join the first class.
+    """
+    color = _color_matchings(m1, m2, n)
+    s1 = frozenset(u for u in range(n) if color.get(u, 0) == 0)
+    return ColorClasses(s1, frozenset(range(n)) - s1)
 
 
 def pcycles_from_balanced(p: Partition, pi: Permutation) -> tuple[CycleSeq, CycleSeq]:
@@ -141,7 +153,7 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
         if not is_p_balanced(pi, p):
             raise NotBalanced("permutation is not p-balanced")
     sup1, sup2 = pi1.support(), pi2.support()
-    if set(sup1) & set(sup2):
+    if sup1 & sup2:
         raise SupportsOverlap("permutations must have disjoint supports")
 
     composite = compose(pi2, pi1)
@@ -165,15 +177,14 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
     m1 = [tuple(sorted(p(it) for it in c)[:2]) for c in cs]
     m2 = [tuple(sorted(p(it) for it in c)[:2]) for c in ds[:-1]]
     m2.append(tuple(sorted((p(y), p(pi2(y))))))
-    colors = two_color_matchings(m1, m2, p.n)
-    side1 = colors.s1 if p(x) in colors.s1 else colors.s2
-    side2 = colors.s2 if p(x) in colors.s1 else colors.s1
-    assert p(pi2(y)) in side2
+    color = _color_matchings(m1, m2, p.n)
+    side = color.get(p(x), 0)   # x's side; the other side is 1 - side
+    assert color.get(p(pi2(y)), 0) != side
 
     xs = [_rotate(cx, x)] + [
-        _rotate(c, min(it for it in c if p(it) in side1)) for c in cs[1:]
+        _rotate(c, min(it for it in c if color.get(p(it), 0) == side)) for c in cs[1:]
     ]
-    ys = [_rotate(c, min(it for it in c if p(it) in side2)) for c in ds[:-1]]
+    ys = [_rotate(c, min(it for it in c if color.get(p(it), 0) != side)) for c in ds[:-1]]
     ys.append(_rotate(dy, pi2(y)))
     assert ys[-1][-1] == y
 
@@ -209,10 +220,7 @@ def resolve(p: Partition, q: Partition) -> Resolution:
 
     result = resolution_from_decomposition(p, parts)
     assert result.end() == q
-    shape = p.shape()
-    k1 = shape[0] if shape else 0
-    k2 = shape[1] if len(shape) > 1 else 0
-    assert len(result.taus) <= k1 + (k2 + 1) // 2
+    assert len(result.taus) <= resolution_length_bound(p.sizes())
     return result
 
 

@@ -88,6 +88,12 @@ def test_oddcover_cycle_parity_obstruction(tmp_path, capsys):
     assert main(["oddcover", "--graph", g, "--kind", "cycle"]) == 2
 
 
+@pytest.mark.parametrize("doc", [{"n": 3, "edges": 5}, {"n": 3, "edges": [[0, 1, 2]]}, {"n": "3", "edges": []}])
+def test_oddcover_mistyped_graph_is_input_error(tmp_path, capsys, doc):
+    g = write_json(tmp_path / "bad.json", doc)
+    assert main(["oddcover", "--graph", g]) == 2
+
+
 def test_arboricity(tmp_path, capsys):
     g = k5_graph(tmp_path)
     out = tmp_path / "forests.json"
@@ -160,6 +166,14 @@ def test_verify_malformed_certificate_exits_one(tmp_path, capsys):
     assert main(["verify", "--instance", inst, str(cert)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is False
+    assert "malformed" in report["detail"]
+
+
+def test_verify_non_array_steps_is_malformed(tmp_path, capsys):
+    inst = swap_instance(tmp_path)
+    cert = write_json(tmp_path / "bad.json", {"type": "resolution", "taus": 5})
+    assert main(["verify", "--instance", inst, str(cert)]) == 1
+    report = json.loads(capsys.readouterr().out)
     assert "malformed" in report["detail"]
 
 

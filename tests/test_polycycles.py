@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from polyresolve.graphs import (
 )
 from polyresolve.perms import Partition, compose, identity
 from polyresolve.polycycles import (
+    _hopcroft_karp,
     balanced_permutation_factorization,
     directed_polycycle_decomposition,
     polycycle_odd_cover,
@@ -135,3 +138,69 @@ def test_factorization_applies_back_to_the_target(pair):
     for pi in pis:
         total = compose(pi, total)
     assert p.apply(total) == q
+
+
+# --- matching ------------------------------------------------------------------
+
+
+def _recursive_hopcroft_karp(n_left, n_right, adj):
+    """Reference: Hopcroft-Karp with the textbook recursive augmentation."""
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    inf = n_left + n_right + 1
+
+    def try_augment(u):
+        for w in adj[u]:
+            u2 = match_r[w]
+            if u2 == -1 or (dist[u2] == dist[u] + 1 and try_augment(u2)):
+                match_l[u] = w
+                match_r[w] = u
+                return True
+        dist[u] = inf
+        return False
+
+    while True:
+        dist = [inf] * n_left
+        queue = deque(u for u in range(n_left) if match_l[u] == -1)
+        for u in queue:
+            dist[u] = 0
+        reachable_free = False
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                u2 = match_r[w]
+                if u2 == -1:
+                    reachable_free = True
+                elif dist[u2] == inf:
+                    dist[u2] = dist[u] + 1
+                    queue.append(u2)
+        if not reachable_free:
+            return match_l
+        for u in range(n_left):
+            if match_l[u] == -1:
+                try_augment(u)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    n_left = draw(st.integers(0, 9))
+    n_right = draw(st.integers(1, 9))
+    adj = [draw(st.lists(st.integers(0, n_right - 1), unique=True, max_size=n_right))
+           for _ in range(n_left)]
+    return n_left, n_right, adj
+
+
+@given(bipartite_graphs())
+@settings(max_examples=300, deadline=None)
+def test_matching_equals_the_recursive_augmentation(graph):
+    assert _hopcroft_karp(*graph) == _recursive_hopcroft_karp(*graph)
+
+
+def test_matching_on_a_long_chain_needs_no_recursion():
+    # Left u sees right u+1 first, then right u; the last left vertex sees
+    # only its own right vertex.  The first phase matches u to u+1 greedily
+    # and strands the last vertex, whose augmenting path then runs through
+    # all 5000 left vertices.
+    n = 5000
+    adj = [[u + 1, u] for u in range(n - 1)] + [[n - 1]]
+    assert _hopcroft_karp(n, n, adj) == list(range(n))
