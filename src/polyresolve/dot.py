@@ -58,14 +58,12 @@ def _cover_lines(cert: OddCoverCert) -> list[str]:
 
 
 def _resolution_lines(res: Resolution) -> list[str]:
-    states = res.replay()
     lines = [f'  {c} [shape=box, label="cluster {c}"];' for c in range(res.start.n)]
-    for i, tau in enumerate(res.taus):
-        before = states[i]
+    for i, (tau, before) in enumerate(res.steps()):
         items = tau.items
         for j, x in enumerate(items):
-            dst = before(items[(j + 1) % len(items)])
-            lines.append(f'  {before(x)} -> {dst} [{_style(i)}, label="{x}"];')
+            dst = before[items[(j + 1) % len(items)]]
+            lines.append(f'  {before[x]} -> {dst} [{_style(i)}, label="{x}"];')
     return lines
 
 

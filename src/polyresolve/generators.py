@@ -74,9 +74,17 @@ def random_eulerian_graph(
             return g
 
 
-def random_delta4_eulerian_graph(rng: random.Random, max_n: int = 16) -> SimpleGraph:
-    """Eulerian graph with max degree exactly 4 on at most ``max_n`` vertices."""
-    return random_eulerian_graph(rng, 2, max_n)
+def random_delta4_eulerian_graph(
+    rng: random.Random, max_n: int = 16, components: int = 1
+) -> SimpleGraph:
+    """Eulerian graph with max degree exactly 4 on at most ``max_n`` vertices,
+    or the disjoint union of ``components`` such graphs."""
+    offset, edges = 0, []
+    for _ in range(components):
+        g = random_eulerian_graph(rng, 2, max_n)
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return simple_graph(offset, edges)
 
 
 def random_graph(rng: random.Random, max_n: int = 14) -> SimpleGraph:

@@ -8,9 +8,10 @@ and may include loops and parallel arcs.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import NotEulerian
@@ -121,6 +122,10 @@ class SubgraphShape(Enum):
     OTHER = "other"
 
 
+# Shapes a linear forest (a disjoint union of paths) can classify as.
+FOREST_SHAPES = (SubgraphShape.EMPTY, SubgraphShape.PATH, SubgraphShape.LINEAR_FOREST)
+
+
 def vertices_of(edges: Iterable[Edge]) -> set[int]:
     out: set[int] = set()
     for u, v in edges:
@@ -140,35 +145,41 @@ def _adjacency(edges: Iterable[Edge]) -> dict[int, list[int]]:
 
 
 def edge_components(edges: Iterable[Edge]) -> list[frozenset[Edge]]:
-    """Connected components as edge sets, ordered by smallest vertex."""
-    edges = set(edges)
-    adj = _adjacency(edges)
+    """Connected components as edge sets, ordered by smallest vertex.
+
+    One depth-first pass: each edge joins its component when the search
+    pops its first vertex, so the cost is O(E) plus sorting the vertices.
+    """
+    incident: dict[int, list[Edge]] = defaultdict(list)
+    for e in edges:
+        incident[e[0]].append(e)
+        incident[e[1]].append(e)
     seen: set[int] = set()
-    comps: list[tuple[int, frozenset[Edge]]] = []
-    for start in sorted(adj):
+    comps: list[frozenset[Edge]] = []
+    # Starts run in increasing order, so each start is the smallest vertex
+    # of its component and the list comes out sorted.
+    for start in sorted(incident):
         if start in seen:
             continue
+        seen.add(start)
         stack = [start]
-        verts = {start}
+        comp: list[Edge] = []
         while stack:
             v = stack.pop()
-            for w in adj[v]:
-                if w not in verts:
-                    verts.add(w)
+            for e in incident[v]:
+                if e[0] == v:
+                    comp.append(e)
+                w = e[1] if e[0] == v else e[0]
+                if w not in seen:
+                    seen.add(w)
                     stack.append(w)
-        seen |= verts
-        comp = frozenset(e for e in edges if e[0] in verts)
-        comps.append((min(verts), comp))
-    comps.sort()
-    return [c for _, c in comps]
+        comps.append(frozenset(comp))
+    return comps
 
 
 def _component_shape(comp: frozenset[Edge]) -> SubgraphShape:
     """Shape of one connected edge set: PATH, CYCLE, or OTHER."""
-    deg: dict[int, int] = defaultdict(int)
-    for u, v in comp:
-        deg[u] += 1
-        deg[v] += 1
+    deg = Counter(chain.from_iterable(comp))
     if any(d > 2 for d in deg.values()):
         return SubgraphShape.OTHER
     ones = sum(1 for d in deg.values() if d == 1)

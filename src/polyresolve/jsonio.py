@@ -3,6 +3,8 @@
 Emit functions return plain dicts ready for ``json.dump``; parse functions
 rebuild the domain objects, and ``parse_*(emit_*(x)) == x`` for every
 supported type.  Vertices, items, and clusters are 0-based throughout.
+A vertex, item or cluster count above ``MAX_COUNT`` is refused with
+``ValueError`` before anything is sized by it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,18 @@ def _int(x: Any, what: str) -> int:
     return x
 
 
+# Counts size lists such as degree vectors and cluster sizes, so one
+# stray number must not decide how much memory a run takes.
+MAX_COUNT = 1_000_000
+
+
+def _count(x: Any, what: str) -> int:
+    n = _int(x, what)
+    if n > MAX_COUNT:
+        raise ValueError(f"{what}={n} exceeds the limit of {MAX_COUNT}")
+    return n
+
+
 def _array(x: Any, what: str) -> list | tuple:
     if not isinstance(x, (list, tuple)):
         raise ValueError(f"{what} must be a JSON array, got {type(x).__name__}")
@@ -76,7 +90,7 @@ def emit_graph(g: SimpleGraph) -> dict:
 
 def parse_graph(d: dict) -> SimpleGraph:
     _require(d, "n", "edges")
-    return simple_graph(_int(d["n"], "n"), _pairs(d["edges"], "edges"))
+    return simple_graph(_count(d["n"], "n"), _pairs(d["edges"], "edges"))
 
 
 def emit_digraph(g: Digraph) -> dict:
@@ -103,7 +117,7 @@ def emit_instance(inst: tuple[Partition, Partition] | LowerBoundInstance) -> dic
 
 def parse_instance(d: dict) -> tuple[Partition, Partition] | LowerBoundInstance:
     _require(d, "m", "n", "p", "p_prime")
-    m, n = _int(d["m"], "m"), _int(d["n"], "n")
+    m, n = _count(d["m"], "m"), _count(d["n"], "n")
     p = Partition(n, _ints(d["p"], "p"))
     q = Partition(n, _ints(d["p_prime"], "p_prime"))
     if p.m != m or q.m != m:

@@ -11,12 +11,23 @@ covers over a polycycle decomposition covers any Eulerian graph with
 ceil(3*Delta/4) paths or d1/2 + ceil(d2/4) cycles (d1 >= d2 the top two
 degrees), and a general graph reduces to the Eulerian case by one
 matching on its odd-degree vertices.
+
+The joins keep their endpoint state incrementally (``_Surgery``): for
+each forest the other end and smallest vertex of every path, the three
+shared-endpoint sets and the straddling paths.  A join updates them in
+O(log E), and the invariants the proof needs (two fewer shared endpoints,
+one parity for all six counts, a straddler in every forest for cycles, no
+closed cycle) are checked after every join, so the surgery costs
+O(E log E).  One from-scratch ``forest_stats`` after the last join must
+agree with the incremental state.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -31,6 +42,7 @@ from .errors import (
     TooLarge,
 )
 from .graphs import (
+    FOREST_SHAPES,
     Edge,
     SimpleGraph,
     SubgraphShape,
@@ -59,9 +71,6 @@ __all__ = [
     "path_odd_cover_general",
     "linear_forest_decomposition",
 ]
-
-_FOREST_SHAPES = (SubgraphShape.EMPTY, SubgraphShape.PATH, SubgraphShape.LINEAR_FOREST)
-
 
 @dataclass(frozen=True)
 class TransversalPair:
@@ -119,10 +128,7 @@ def _span(*edge_sets: Iterable[Edge]) -> int:
 
 def _ends(edges: Iterable[Edge]) -> set[int]:
     """Degree-1 vertices of an edge set (path endpoints in a linear forest)."""
-    deg: Counter[int] = Counter()
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
+    deg = Counter(chain.from_iterable(edges))
     return {v for v, d in deg.items() if d == 1}
 
 
@@ -141,7 +147,7 @@ def _analyze(fs: tuple[frozenset[Edge], ...]):
     """R-sets, straddling components, and parity of a linear-forest triple."""
     span = _span(*fs)
     for f in fs:
-        if classify(f, span) not in _FOREST_SHAPES:
+        if classify(f, span) not in FOREST_SHAPES:
             raise NotLinearForest("every part must be a disjoint union of paths")
     ends = [_ends(f) for f in fs]
     for v in ends[0] | ends[1] | ends[2]:
@@ -581,77 +587,176 @@ def _finish_even(
     assert v1 not in vertices_of(tp.m2) and v2 not in vertices_of(tp.m1)
 
 
-def _join_step(
-    fs: list[set[Edge]],
-    i: int,
-    j: int,
-    r_sets: dict[tuple[int, int], set[int]],
-    straddlers: dict[int, list[frozenset[Edge]]],
-    for_cycles: bool,
-) -> Edge:
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _smallest(heap: list, valid, count: int) -> list:
+    """Up to ``count`` smallest entries of a lazy min-heap that pass
+    ``valid``, left in the heap; failing entries met on the way are
+    dropped for good."""
+    out = []
+    while heap and len(out) < count:
+        top = heappop(heap)
+        if valid(top):
+            out.append(top)
+    for top in out:
+        heappush(heap, top)
+    return out
+
+
+class _Surgery:
+    """Endpoint state of a linear-forest triple, kept current under joins.
+
+    For forest f, ``other[f]`` maps each path endpoint to the other end of
+    its path and ``low[f]`` to the path's smallest vertex.  ``r`` holds the
+    shared-endpoint sets R_fg, and ``straddlers[f]`` the end pairs of the
+    paths of f whose two ends lie in its two different R sets.  A join
+    only removes endpoints, and a path keeps its straddler status while it
+    exists, so lazy heaps answer the join's "smallest such vertex" queries:
+    ``r_heap`` orders each R set, ``by_low[f]`` the straddlers of f by
+    smallest vertex, and ``anchors[(f, g)]`` (f < g) the straddler ends of
+    f in R_fg.  A join costs O(log E).
+    """
+
+    def __init__(self, forests: Iterable[frozenset[Edge]]):
+        self.fs = [set(f) for f in forests]
+        self.other: list[dict[int, int]] = [{}, {}, {}]
+        self.low: list[dict[int, int]] = [{}, {}, {}]
+        for f, forest in enumerate(self.fs):
+            for comp in edge_components(forest):
+                a, b = _ends(comp)
+                self.other[f][a], self.other[f][b] = b, a
+                self.low[f][a] = self.low[f][b] = min(u for u, _ in comp)
+        self.r = {(f, g): self.other[f].keys() & self.other[g].keys() for f, g in _PAIRS}
+        self.r_heap = {key: sorted(rs) for key, rs in self.r.items()}
+        self.straddlers: list[set[Edge]] = [set(), set(), set()]
+        self.by_low: list[list[tuple[int, int, int]]] = [[], [], []]
+        self.anchors: dict[tuple[int, int], list[int]] = {key: [] for key in _PAIRS}
+        for f in range(3):
+            for a, b in self.other[f].items():
+                if a < b:
+                    self._add_path(f, a, b)
+
+    def _side(self, f: int, x: int) -> int:
+        """The forest g != f that shares endpoint x of forest f."""
+        g, h = (y for y in range(3) if y != f)
+        return g if x in self.r[(min(f, g), max(f, g))] else h
+
+    def _add_path(self, f: int, a: int, b: int) -> None:
+        ga, gb = self._side(f, a), self._side(f, b)
+        if ga != gb:
+            self.straddlers[f].add(edge(a, b))
+            heappush(self.by_low[f], (self.low[f][a], a, b))
+            # Joins in R_fg take their anchor from forest f only when f < g.
+            for x, g in ((a, ga), (b, gb)):
+                if f < g:
+                    heappush(self.anchors[(f, g)], x)
+
+    def counts(self) -> list[int]:
+        """r12, r13, r23, t1, t2, t3."""
+        return [len(self.r[key]) for key in _PAIRS] + [len(s) for s in self.straddlers]
+
+    def triple(self) -> ForestTriple:
+        r12, r13, r23, t1, t2, t3 = self.counts()
+        return ForestTriple(*(frozenset(f) for f in self.fs), r12=r12, r13=r13, r23=r23,
+                            t1=t1, t2=t2, t3=t3, parity=r12 % 2)
+
+    def straddlers_by_low(self, f: int, count: int) -> list[tuple[int, int, int]]:
+        """The ``count`` straddlers of forest f with the smallest vertices."""
+        live = self.straddlers[f]
+        return _smallest(self.by_low[f], lambda t: edge(t[1], t[2]) in live, count)
+
+    def anchor(self, i: int, j: int) -> int | None:
+        """Smallest x in R_ij whose path in forest i ends in its other R set."""
+        rij, other, live = self.r[(i, j)], self.other[i], self.straddlers[i]
+        found = _smallest(self.anchors[(i, j)],
+                          lambda x: x in rij and edge(x, other[x]) in live, 1)
+        return found[0] if found else None
+
+    def min_shared(self, i: int, j: int, banned: set[int]) -> int:
+        """Smallest vertex of R_ij outside ``banned``."""
+        rij = self.r[(i, j)]
+        free = [w for w in _smallest(self.r_heap[(i, j)], rij.__contains__, len(banned) + 1)
+                if w not in banned]
+        assert free, "R_ij has a vertex outside the banned ones"
+        return free[0]
+
+    def join(self, i: int, j: int, u: int, v: int) -> None:
+        """Add u-v to forests i and j: drop u and v from R_ij, and in each
+        forest link the other ends of the two joined paths."""
+        e = edge(u, v)
+        for f in (i, j):
+            assert e not in self.fs[f]
+            assert self.other[f][u] != v, "a join must not close a cycle"
+        self.r[(i, j)].remove(u)
+        self.r[(i, j)].remove(v)
+        for f in (i, j):
+            other, low = self.other[f], self.low[f]
+            a, b = other.pop(u), other.pop(v)
+            self.straddlers[f].discard(edge(u, a))
+            self.straddlers[f].discard(edge(v, b))
+            other[a], other[b] = b, a
+            low[a] = low[b] = min(low.pop(u), low.pop(v))
+            self.fs[f].add(e)
+            self._add_path(f, a, b)
+
+
+def _join_step(s: _Surgery, i: int, j: int, for_cycles: bool) -> None:
     """Pick the proof's join edge u-v inside the shared endpoint set of
-    forests i and j, chosen so straddling components survive."""
-    k = 3 - i - j
-    rij = r_sets[(i, j)]
-    rik = r_sets[(min(i, k), max(i, k))]
+    forests i and j, chosen so straddling components survive, and add it.
+
+    v is an endpoint of forest j, so it lies on u's path there exactly
+    when it is the other end of that path."""
+    rij = s.r[(i, j)]
     if not for_cycles:
-        u = None
-        for cand in sorted(rij):
-            other = (_ends(_component_of(frozenset(fs[i]), cand)) - {cand}).pop()
-            if other in rik:
-                u = cand
-                break
+        u = s.anchor(i, j)
         assert u is not None, "an odd straddler count provides an anchor"
-        u_comp_j = vertices_of(_component_of(frozenset(fs[j]), u))
-        v = min(w for w in rij if w != u and w not in u_comp_j)
+        v = s.min_shared(i, j, {u, s.other[j][u]})
     else:
-        anchors = [t for t in straddlers[i]]
-        assert len(anchors) >= 2 and len(straddlers[j]) >= 2
-        u = (_ends(anchors[0]) & rij).pop()
-        x1 = (_ends(anchors[1]) & rij).pop()
+        anchors = s.straddlers_by_low(i, 2)
+        assert len(anchors) >= 2 and len(s.straddlers[j]) >= 2
+        u, x1 = (a if a in rij else b for _, a, b in anchors)
         x2 = None
-        for t in straddlers[j]:
-            cand = (_ends(t) & rij).pop()
+        for _, a, b in s.straddlers_by_low(j, 2):
+            cand = a if a in rij else b
             if cand != u:
                 x2 = cand
                 break
         assert x2 is not None
-        u_comp_j = _component_of(frozenset(fs[j]), u)
-        w = (_ends(u_comp_j) - {u}).pop()
+        w = s.other[j][u]
         banned = {u, x1, w} if w in rij else {u, x1, x2}
-        v = min(rij - banned)
-        assert v not in vertices_of(u_comp_j)
-    e = edge(u, v)
-    assert e not in fs[i] and e not in fs[j]
-    assert v not in vertices_of(_component_of(frozenset(fs[i]), u))
-    fs[i].add(e)
-    fs[j].add(e)
-    return e
+        v = s.min_shared(i, j, banned)
+        assert v != w
+    s.join(i, j, u, v)
 
 
 def _reduce_endpoints(triple: ForestTriple, for_cycles: bool) -> ForestTriple:
     """Greedily add join edges until every shared endpoint count hits its
-    floor: 1 for the path target, 2 for the cycle target."""
+    floor: 1 for the path target, 2 for the cycle target.
+
+    The endpoint state is kept incrementally and checked after every join;
+    one from-scratch ``forest_stats`` at the end must agree with it."""
     floor = 2 if for_cycles else 1
     want_parity = 0 if for_cycles else 1
     assert triple.parity == want_parity
     if for_cycles:
         assert min(triple.t1, triple.t2, triple.t3) > 0
-    fs = [set(triple.f1), set(triple.f2), set(triple.f3)]
-    cur = triple
-    while max(cur.r12, cur.r13, cur.r23) > floor:
-        total = cur.r12 + cur.r13 + cur.r23
-        by_pair = {(0, 1): cur.r12, (0, 2): cur.r13, (1, 2): cur.r23}
-        i, j = next(p for p in ((0, 1), (0, 2), (1, 2)) if by_pair[p] > floor)
-        r_sets, straddlers, _ = _analyze(tuple(frozenset(f) for f in fs))
-        _join_step(fs, i, j, r_sets, straddlers, for_cycles)
-        cur = forest_stats(*fs)
-        assert cur.r12 + cur.r13 + cur.r23 == total - 2
-        assert cur.parity == want_parity
+    state = _Surgery(triple.forests)
+    assert state.triple() == triple
+    counts = state.counts()
+    while max(counts[:3]) > floor:
+        total = sum(counts[:3])
+        i, j = next(key for key, c in zip(_PAIRS, counts) if c > floor)
+        _join_step(state, i, j, for_cycles)
+        counts = state.counts()
+        assert sum(counts[:3]) == total - 2
+        assert all(c % 2 == want_parity for c in counts), "endpoint counts must share parity"
         if for_cycles:
-            assert min(cur.t1, cur.t2, cur.t3) > 0
-    assert (cur.r12, cur.r13, cur.r23) == (floor, floor, floor)
-    return cur
+            assert min(counts[3:]) > 0
+    assert counts[:3] == [floor] * 3
+    final = forest_stats(*state.fs)
+    assert final == state.triple(), "incremental endpoint state disagrees with a fresh analysis"
+    return final
 
 
 def _close_into_cycles(triple: ForestTriple, n: int) -> list[frozenset[Edge]]:
@@ -741,27 +846,30 @@ def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     h1, h2 = undirected_polycycle_decomposition(g, 2).parts
     comps1 = edge_components(h1)
     comps2 = edge_components(h2)
-    meets = [
-        (i, j)
-        for i, c in enumerate(comps1)
-        for j, d in enumerate(comps2)
-        if vertices_of(c) & vertices_of(d)
-    ]
+    owner = {v: i for i, c in enumerate(comps1) for v in vertices_of(c)}
+    meets = sorted(
+        {(owner[v], j) for j, d in enumerate(comps2) for v in vertices_of(d) if v in owner}
+    )
+    first = {i for i, _ in meets}
+    second = {j for _, j in meets}
     crossing = None
-    for i, j in meets:
-        for i2, j2 in meets:
-            if i2 != i and j2 != j:
-                crossing = ((comps1[i], comps2[j]), (comps1[i2], comps2[j2]))
+    # A crossing exists unless all meeting pairs share one h1 component or
+    # all share one h2 component; when it exists, the search below finds
+    # it within its first two rounds.
+    if len(first) > 1 and len(second) > 1:
+        for i, j in meets:
+            for i2, j2 in meets:
+                if i2 != i and j2 != j:
+                    crossing = ((comps1[i], comps2[j]), (comps1[i2], comps2[j2]))
+                    break
+            if crossing:
                 break
-        if crossing:
-            break
+        assert crossing is not None
 
     if crossing is None:
         if not meets:
             parts = polycycle_odd_cover(h1 | h2, "cycle")
         else:
-            first = {i for i, _ in meets}
-            second = {j for _, j in meets}
             if len(first) == 1:
                 apart = comps1[first.pop()]
                 parts = polycycle_odd_cover(h2 | (h1 - apart), "cycle") + [apart]
@@ -899,7 +1007,7 @@ def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
     assert symmetric_difference(trimmed) == g.edges
     assert sum(len(f) for f in trimmed) == g.m
     for f in trimmed:
-        assert classify(f, g.n) in _FOREST_SHAPES
+        assert classify(f, g.n) in FOREST_SHAPES
     return OddCoverCert("linear_forest", trimmed)
 
 

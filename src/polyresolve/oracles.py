@@ -18,7 +18,7 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from .errors import FamilyMismatch, ShapeMismatch, TooLarge
-from .graphs import SimpleGraph, SubgraphShape, classify, symmetric_difference
+from .graphs import FOREST_SHAPES, SimpleGraph, SubgraphShape, classify, symmetric_difference
 from .oddcover import OddCoverCert, _bounded_cover_search
 from .perms import CycleSeq, Partition, Resolution, check_resolution, verify_resolution
 from .resolve import PP36_FIRST_MOVE, gen_pp36_instance
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_STATE_CAP = 100_000
-_FOREST_SHAPES = (SubgraphShape.EMPTY, SubgraphShape.PATH, SubgraphShape.LINEAR_FOREST)
 
 
 def _state_cap(cap: int | None) -> int:
@@ -416,7 +415,7 @@ def _check_forests(g: SimpleGraph, cert: OddCoverCert) -> str | None:
             shape = classify(part, g.n)
         except Exception as exc:  # noqa: BLE001 - malformed part, name it
             return f"part {i} is malformed: {exc}"
-        if shape not in _FOREST_SHAPES:
+        if shape not in FOREST_SHAPES:
             return f"part {i} not a linear forest"
     for i in range(3):
         for j in range(i + 1, 3):

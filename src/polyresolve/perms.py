@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InvalidResolution, NotPCycle, SizeMismatch
 from .graphs import Digraph
@@ -315,6 +316,16 @@ class Resolution:
                 raise InvalidResolution(i)
             out.append(Partition(self.start.n, tuple(assign)))
         return out
+
+    def steps(self) -> Iterator[tuple[CycleSeq, list[int]]]:
+        """Each step with the assignment it is applied to, in O(m) memory:
+        the one list is changed in place, and the step checked, when the
+        caller asks for the next step."""
+        assign = list(self.start.assign)
+        for i, tau in enumerate(self.taus):
+            yield tau, assign
+            if not _step_in_place(assign, tau.items):
+                raise InvalidResolution(i)
 
     def end(self) -> Partition:
         """The last partition of the walk, replayed in place."""

@@ -28,6 +28,7 @@ from .graphs import (
     edge_components,
     eulerian_orientation,
     symmetric_difference,
+    vertices_of,
 )
 from .perms import (
     CycleSeq,
@@ -310,9 +311,10 @@ def undirected_polycycle_decomposition(g: SimpleGraph, t: int) -> PolycycleDecom
     assert symmetric_difference(parts) == g.edges or not parts
     if parts and directed.cycle_suffix_len == 0:
         deg = g.degree_vector()
+        covered = [vertices_of(part) for part in parts]
         for u in range(g.n):
             if deg[u] == 2 * t:
-                assert all(any(u in e for e in part) for part in parts)
+                assert all(u in vs for vs in covered)
     return PolycycleDecomposition(parts, directed.cycle_suffix_len)
 
 

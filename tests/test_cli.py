@@ -94,6 +94,20 @@ def test_oddcover_mistyped_graph_is_input_error(tmp_path, capsys, doc):
     assert main(["oddcover", "--graph", g]) == 2
 
 
+@pytest.mark.parametrize("verb", ["oddcover", "arboricity"])
+def test_huge_vertex_count_is_input_error(tmp_path, capsys, verb):
+    # Sizing a degree vector by this count ended in MemoryError.
+    g = write_json(tmp_path / "huge.json", {"n": 10**12, "edges": []})
+    assert main([verb, "--graph", g]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_huge_cluster_count_is_input_error(tmp_path, capsys):
+    inst = write_json(tmp_path / "huge.json", {"m": 2, "n": 10**12, "p": [0, 1], "p_prime": [1, 0]})
+    assert main(["resolve", "--instance", inst]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
 def test_arboricity(tmp_path, capsys):
     g = k5_graph(tmp_path)
     out = tmp_path / "forests.json"

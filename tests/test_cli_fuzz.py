@@ -2,8 +2,9 @@
 
 Whatever the input files hold, a verb ends in exit 0 (verified output),
 1 (verification failure) or 2 (usage or input error), never in an
-uncaught exception.  Integers stay small so that a well-formed document
-describes a small instance or graph.
+uncaught exception.  Integers are small, so that a well-formed document
+describes a small instance or graph, or far above ``jsonio.MAX_COUNT``, so
+that a count drawn from them is refused before anything is sized by it.
 """
 
 from __future__ import annotations
@@ -14,15 +15,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polyresolve.cli import main
+from polyresolve.jsonio import MAX_COUNT
 
 WIRE_KEYS = ("n", "m", "edges", "p", "p_prime", "bound", "family", "type", "taus", "kind", "parts")
 WIRE_WORDS = ("resolution", "odd_cover", "path", "cycle", "linear_forest")
 
 small_ints = st.integers(-2, 8)
+huge_ints = st.integers(MAX_COUNT + 1, 10**18)
 scalars = (
     st.none()
     | st.booleans()
     | small_ints
+    | huge_ints
     | st.floats(allow_nan=False, allow_infinity=False, width=16)
     | st.text(max_size=3)
     | st.sampled_from(WIRE_WORDS)
@@ -37,7 +41,7 @@ json_values = st.recursive(
 int_rows = st.lists(st.lists(small_ints, max_size=4), max_size=8)
 wire_documents = st.dictionaries(
     st.sampled_from(WIRE_KEYS),
-    json_values | int_rows | st.lists(small_ints, max_size=10),
+    json_values | int_rows | st.lists(small_ints, max_size=10) | huge_ints,
     max_size=len(WIRE_KEYS),
 )
 documents = wire_documents | json_values

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from polyresolve import (
@@ -15,6 +18,10 @@ from polyresolve import (
     simple_graph,
 )
 from polyresolve.dot import emit_dot
+from polyresolve.errors import InvalidResolution
+from polyresolve.resolve import resolve
+
+PINNED_RESOLUTION_DOT = "6998081bc99c3cd7b8130b42f0c9f625b0b693671c802dd51d50720c36025b12"
 
 
 def test_graph_block():
@@ -86,3 +93,23 @@ def test_resolution_renders_cluster_moves():
 def test_unknown_type_rejected():
     with pytest.raises(TypeError):
         emit_dot(42)
+
+
+def test_invalid_resolution_is_not_rendered():
+    p = Partition(2, (0, 0, 1, 1))
+    with pytest.raises(InvalidResolution):
+        emit_dot(Resolution(p, (CycleSeq((0, 2)), CycleSeq((1, 2)))))
+
+
+def test_resolution_dot_text_is_pinned():
+    # Seeded walks of 6 x 40 and 30 x 3 items; the digest fixes every line.
+    rng = random.Random(20251018)
+    h = hashlib.sha256()
+    for n, k in ((6, 40), (30, 3)):
+        base = [c for c in range(n) for _ in range(k)]
+        left, right = base[:], base[:]
+        rng.shuffle(left)
+        rng.shuffle(right)
+        p, q = Partition(n, tuple(left)), Partition(n, tuple(right))
+        h.update(emit_dot(resolve(p, q)).encode())
+    assert h.hexdigest() == PINNED_RESOLUTION_DOT

@@ -37,7 +37,8 @@ from polyresolve.generators import (
     random_eulerian_graph,
     random_graph,
 )
-from polyresolve.oddcover import _bounded_cover_search
+from polyresolve import oddcover
+from polyresolve.oddcover import _analyze, _bounded_cover_search, _ends
 
 
 def cyc(*vs):
@@ -87,6 +88,57 @@ def test_linear_forests_from_disjoint_transversal():
     assert classify(t.f3, 8) is SubgraphShape.PATH
     assert t.f2 == frozenset({edge(0, 1), edge(4, 5)})
     assert t.parity == 0
+
+
+def _assert_matches_fresh_analysis(state):
+    """Compare the incremental endpoint state with a from-scratch analysis
+    of the current forests."""
+    forests = tuple(frozenset(f) for f in state.fs)
+    r_sets, straddlers, _ = _analyze(forests)
+    assert state.r == r_sets
+    for f, forest in enumerate(forests):
+        other, low = {}, {}
+        for comp in edge_components(forest):
+            a, b = sorted(_ends(comp))
+            other[a], other[b] = b, a
+            low[a] = low[b] = min(vertices_of(comp))
+        assert state.other[f] == other
+        assert state.low[f] == low
+        fresh = [tuple(sorted(_ends(comp))) for comp in straddlers[f]]
+        assert state.straddlers[f] == set(fresh)
+        # Straddlers come out in the order of their smallest vertex.
+        assert [tuple(sorted(t[1:])) for t in state.straddlers_by_low(f, len(fresh))] == fresh
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        k = 3 - i - j
+        rik = r_sets[(min(i, k), max(i, k))]
+        anchors = [x for x in sorted(r_sets[(i, j)]) if _other_end(forests[i], x) in rik]
+        assert state.anchor(i, j) == (anchors[0] if anchors else None)
+
+
+def _other_end(forest, x):
+    comp = next(c for c in edge_components(forest) if x in vertices_of(c))
+    (y,) = _ends(comp) - {x}
+    return y
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_incremental_endpoint_state_matches_fresh_analysis(seed):
+    rng = random.Random(seed)
+    g = random_delta4_eulerian_graph(rng, components=rng.randint(2, 5))
+    joins = []
+    join = oddcover._Surgery.join
+
+    def checked_join(state, i, j, u, v):
+        join(state, i, j, u, v)
+        _assert_matches_fresh_analysis(state)
+        joins.append((i, j, u, v))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oddcover._Surgery, "join", checked_join)
+        check_cover(path_odd_cover_delta4(g), g, "path", 3)
+        check_cover(cycle_odd_cover_delta4(g), g, "cycle", 3)
+    assert joins
 
 
 # --- exchange moves on a single cycle ----------------------------------------
