@@ -24,6 +24,7 @@ from .generators import (
 )
 from .graphs import SimpleGraph, degrees
 from .jsonio import (
+    MAX_COUNT,
     emit_cover,
     emit_graph,
     emit_instance,
@@ -118,6 +119,8 @@ def _parse_shape(text: str | None) -> tuple[int, ...]:
         raise _UsageError(f"--shape must be comma-separated integers, got {text!r}")
     if not shape or any(k < 0 for k in shape):
         raise _UsageError("--shape entries must be non-negative")
+    if len(shape) > MAX_COUNT or sum(shape) > MAX_COUNT:
+        raise _UsageError(f"--shape exceeds the limit of {MAX_COUNT} clusters or items")
     return shape
 
 
@@ -232,15 +235,18 @@ def _run_verify(args) -> int:
     data = _load_json(args.certificate)
     if not isinstance(data, dict) or "type" not in data:
         raise _UsageError(f"{args.certificate} is not a certificate (missing 'type')")
+    # A bad instance or graph file is an input error (exit 2); only the
+    # certificate itself is reported as malformed (exit 1).
+    kind = data["type"]
+    if kind == "resolution":
+        target = _load_instance(args.instance)
+    elif kind == "odd_cover":
+        target = _load_graph(args.graph)
+    else:
+        raise _UsageError(f"unknown certificate type {kind!r}")
     try:
-        if data["type"] == "resolution":
-            p, q = _load_instance(args.instance)
-            report = verify_certificate((p, q), parse_resolution(data, p))
-        elif data["type"] == "odd_cover":
-            g = _load_graph(args.graph)
-            report = verify_certificate(g, parse_cover(data))
-        else:
-            raise _UsageError(f"unknown certificate type {data['type']!r}")
+        cert = parse_resolution(data, target[0]) if kind == "resolution" else parse_cover(data)
+        report = verify_certificate(target, cert)
     except (ValueError, PolyresolveError) as exc:
         report = Report("certificate", False, f"malformed certificate: {exc}", 0)
     _write(emit_report(report), args.out)

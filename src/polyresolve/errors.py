@@ -1,6 +1,19 @@
-"""Exception hierarchy shared by all polyresolve modules."""
+"""Exception hierarchy shared by all polyresolve modules, and the search
+cap behind ``TooLarge``."""
 
 from __future__ import annotations
+
+import os
+
+DEFAULT_STATE_CAP = 100_000
+
+
+def state_cap(cap: int | None) -> int:
+    """The search cap: ``cap`` if given, else ``POLYRESOLVE_CAP``, else 100,000."""
+    if cap is not None:
+        return cap
+    env = os.environ.get("POLYRESOLVE_CAP")
+    return int(env) if env else DEFAULT_STATE_CAP
 
 
 class PolyresolveError(Exception):

@@ -40,6 +40,7 @@ from .errors import (
     NotTransversal,
     PreconditionViolated,
     TooLarge,
+    state_cap,
 )
 from .graphs import (
     FOREST_SHAPES,
@@ -940,7 +941,9 @@ def path_odd_cover_general(g: SimpleGraph, tight: bool = False) -> OddCoverCert:
     Pairs the odd-degree vertices into a matching M, covers the Eulerian
     graph g xor M, and adds each M edge as a one-edge path.  With
     ``tight=True`` (graphs on at most 10 vertices) an exhaustive search
-    instead guarantees max(v_odd/2, ceil((v_odd/2 + 3*Delta_e)/4)) parts.
+    instead guarantees max(v_odd/2, ceil((v_odd/2 + 3*Delta_e)/4)) parts;
+    it raises ``TooLarge`` when K_n has more paths than the state cap
+    (from 9 vertices on, at the default cap).
     """
     summary = degrees(g)
     odd = [u for u, d in enumerate(summary.degrees) if d % 2]
@@ -1011,21 +1014,45 @@ def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
     return OddCoverCert("linear_forest", trimmed)
 
 
+def _candidate_parts(n: int, kind: str, limit: int | None = None) -> int:
+    """Number of paths (of at least one edge) or cycles of K_n.
+
+    Each k-vertex part is listed by 2 (path) or 2k (cycle) of the
+    n!/(n-k)! sequences of k distinct vertices.  The sum stops once it
+    passes ``limit``.
+    """
+    total, sequences = 0, n
+    for k in range(2, n + 1):
+        sequences *= n - k + 1
+        if kind == "path":
+            total += sequences // 2
+        elif k >= 3:
+            total += sequences // (2 * k)
+        if limit is not None and total > limit:
+            break
+    return total
+
+
 def _bounded_cover_search(
-    g: SimpleGraph, kind: str, budget: int
+    g: SimpleGraph, kind: str, budget: int, cap: int | None = None
 ) -> list[frozenset[Edge]] | None:
     """Smallest odd-cover of at most ``budget`` parts by exhaustive search.
 
     Parts range over all paths (or cycles) of the complete graph on V(g),
-    precomputed as edge bitmasks.  Iterative deepening over the part count
-    with a fixed rule — the next part must contain the smallest uncovered
-    edge — so each cover is tried once; the last part is a set lookup.
+    precomputed as edge bitmasks; when there are more than the state cap
+    (``errors.state_cap(cap)``), ``TooLarge`` is raised before listing
+    them.  Iterative deepening over the part count with a fixed rule —
+    the next part must contain the smallest uncovered edge — so each
+    cover is tried once; the last part is a set lookup.
     Failed (remaining, depth) states stay memoized across budgets, which is
     sound because a solution clashing with an earlier choice would cancel
     into a smaller cover that previous budgets already ruled out.
     Exponential; meant for tiny hosts.
     """
     n = g.n
+    limit = state_cap(cap)
+    if _candidate_parts(n, kind, limit) > limit:
+        raise TooLarge(f"K_{n} has more than {limit} {kind}s to search, the cap")
     kn = [edge(u, v) for u in range(n) for v in range(u + 1, n)]
     index = {e: i for i, e in enumerate(kn)}
     vbits = [0] * n

@@ -6,20 +6,25 @@ over partition states, minimum odd-covers by exhaustive part enumeration,
 Hamiltonicity by backtracking, and a pruned move-accounting search that
 certifies the absence of short resolutions for the doubled-2-cycle family.
 A unified certificate checker reports the first violated invariant.
+
+The two BFS oracles code a state as the integer ``sum(assign[x] * n**x)``
+and share one neighbour enumerator, ``_neighbours``, which decodes a state
+once and then spends one integer addition per neighbour.  The diameter is
+a one-directional BFS from one vertex; the shortest resolution grows a
+ball from each end (bidirectional BFS), and its state cap counts the
+states stored on both sides together.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterable, Iterator
 
-from .errors import FamilyMismatch, ShapeMismatch, TooLarge
+from .errors import FamilyMismatch, ShapeMismatch, TooLarge, state_cap
 from .graphs import FOREST_SHAPES, SimpleGraph, SubgraphShape, classify, symmetric_difference
-from .oddcover import OddCoverCert, _bounded_cover_search
+from .oddcover import OddCoverCert, _bounded_cover_search, _candidate_parts
 from .perms import CycleSeq, Partition, Resolution, check_resolution, verify_resolution
 from .resolve import PP36_FIRST_MOVE, gen_pp36_instance
 
@@ -34,16 +39,6 @@ __all__ = [
     "is_hamiltonian",
     "verify_certificate",
 ]
-
-DEFAULT_STATE_CAP = 100_000
-
-
-def _state_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get("POLYRESOLVE_CAP")
-    return int(env) if env else DEFAULT_STATE_CAP
-
 
 @dataclass(frozen=True)
 class MoveAccounting:
@@ -97,16 +92,17 @@ def _iter_cycles(
     state: tuple[int, ...],
     n: int,
     by: list[list[int]],
+    gain_fn,
+    floor: int,
     *,
     full: bool = False,
-    gain_fn=None,
-    floor: int | None = None,
     forced: bool = False,
-) -> Iterator[tuple[tuple[int, ...], int | None]]:
-    """Yield (items, gain) for state-cycles, anchored at their smallest cluster.
+) -> Iterator[tuple[int, ...]]:
+    """Yield the items of state-cycles gaining at least ``floor``, each
+    anchored at its smallest cluster.
 
-    ``full`` restricts to cycles visiting every cluster; ``floor`` drops
-    cycles whose gain falls short; ``forced`` additionally requires every
+    ``gain_fn(x, c_from, c_to)`` scores one move; ``full`` restricts to
+    cycles visiting every cluster; ``forced`` additionally requires every
     single move to gain, which is sound only when the step's total gain is
     pinned to the per-step maximum.
     """
@@ -124,26 +120,83 @@ def _iter_cycles(
             c_prev, x_prev = order[-1], items[-1]
             size = len(order)
             if size >= 2 and (size == n or not full):
-                close = gain_fn(x_prev, c_prev, c0) if gain_fn else None
-                if gain_fn is None:
-                    yield items, None
-                elif (floor is None or partial + close >= floor) and not (
-                    forced and close < 1
-                ):
-                    yield items, partial + close
+                close = gain_fn(x_prev, c_prev, c0)
+                if partial + close >= floor and not (forced and close < 1):
+                    yield items
             if size == n:
                 continue
-            if floor is not None and partial + 2 * (n - size + 1) < floor:
+            if partial + 2 * (n - size + 1) < floor:
                 continue
             used = set(order)
             for c_next in range(c0 + 1, n):
                 if c_next in used or not by[c_next]:
                     continue
-                step = gain_fn(x_prev, c_prev, c_next) if gain_fn else 0
+                step = gain_fn(x_prev, c_prev, c_next)
                 if forced and step < 1:
                     continue
                 for x_next in by[c_next]:
                     stack.append((order + (c_next,), items + (x_next,), partial + step))
+
+
+def _encode(assign: tuple[int, ...], weights: list[int]) -> int:
+    return sum(c * w for c, w in zip(assign, weights))
+
+
+def _neighbours(code: int, n: int, m: int, weights: list[int]) -> list[int]:
+    """Codes of the states one cyclic exchange away from the state ``code``.
+
+    A state ``assign`` is coded as ``sum(assign[x] * n**x)``, and
+    ``weights[x]`` is ``n**x``.  The exchanges are the cycles of items in
+    distinct clusters, each walked once: anchored at its smallest cluster
+    c0, every further item taken from a later, unused cluster.  Moving an
+    item from cluster c to c' adds ``(c' - c) * n**x`` to the code, so the
+    walk carries the code change of its open chain, and closing the chain
+    back into c0 costs one addition per neighbour.
+    """
+    by: list[list[int]] = [[] for _ in range(n)]
+    rest = code
+    for x in range(m):
+        rest, c = divmod(rest, n)
+        by[c].append(weights[x])
+    occupied = [c for c in range(n) if by[c]]
+    out: list[int] = []
+    for i, c0 in enumerate(occupied[:-1]):
+        later = occupied[i + 1:]
+        full = (1 << len(later)) - 1
+        # The change each item of a later cluster makes when it closes the cycle.
+        closing = [[(c0 - c) * w for w in by[c]] for c in later]
+        # (cluster and weight of the open end, code change so far, later clusters used)
+        stack = [(c0, w0, code, 0) for w0 in by[c0]]
+        while stack:
+            c_end, w_end, base, used = stack.pop()
+            for j, c in enumerate(later):
+                bit = 1 << j
+                if used & bit:
+                    continue
+                moved = base + (c - c_end) * w_end
+                out.extend([moved + d for d in closing[j]])
+                if used | bit != full:
+                    stack.extend([(c, w, moved, used | bit) for w in by[c]])
+    return out
+
+
+def _vertex_count(sizes: tuple[int, ...], limit: int) -> int:
+    """The multinomial m! / prod(k!), built one factor at a time.
+
+    It is the product, over the clusters, of binomial(items so far, k),
+    each built by the multiplicative formula.  The partial products never
+    decrease, so ``TooLarge`` is raised as soon as one passes ``limit``,
+    after a few steps even for a huge shape.
+    """
+    count, total = 1, 0
+    for k in sizes:
+        r = min(k, total)
+        total += k
+        for i in range(1, r + 1):
+            count = count * (total - r + i) // i
+            if count > limit:
+                raise TooLarge(f"polytope has more than {limit} vertices, the cap")
+    return count
 
 
 def exact_diameter_bfs(shape: Iterable[int], cap: int | None = None) -> int:
@@ -151,67 +204,74 @@ def exact_diameter_bfs(shape: Iterable[int], cap: int | None = None) -> int:
 
     Item relabeling acts transitively on the vertices and preserves
     adjacency, so the eccentricity of one canonical vertex is the
-    diameter; a single BFS suffices.
+    diameter; a single breadth-first search over coded states suffices.
     """
     sizes = tuple(int(k) for k in shape)
     if any(k < 0 for k in sizes):
         raise ValueError("cluster sizes must be non-negative")
+    count = _vertex_count(sizes, state_cap(cap))
+    if count == 1:  # at most one non-empty cluster; m may still be huge
+        return 0
     n, m = len(sizes), sum(sizes)
-    count = factorial(m)
-    for k in sizes:
-        count //= factorial(k)
-    limit = _state_cap(cap)
-    if count > limit:
-        raise TooLarge(f"polytope has {count} vertices, cap is {limit}")
-
-    start = tuple(c for c, k in enumerate(sizes) for _ in range(k))
-    dist = {start: 0}
+    weights = [n**x for x in range(m)]
+    start = _encode(tuple(c for c, k in enumerate(sizes) for _ in range(k)), weights)
+    seen = {start}
     frontier = [start]
-    depth = 0
+    depth = -1
     while frontier:
         depth += 1
-        nxt = []
-        for st in frontier:
-            by = _cluster_items(st, n)
-            for items, _ in _iter_cycles(st, n, by):
-                ns = _apply_cycle(st, items)
-                if ns not in dist:
-                    dist[ns] = depth
-                    nxt.append(ns)
-        frontier = nxt
-    assert len(dist) == count, "the polytope graph is connected"
-    return max(dist.values(), default=0)
+        level = []
+        for code in frontier:
+            for nb in _neighbours(code, n, m, weights):
+                if nb not in seen:
+                    seen.add(nb)
+                    level.append(nb)
+        frontier = level
+    if len(seen) != count:
+        raise AssertionError(f"BFS reached {len(seen)} of {count} vertices of a connected graph")
+    return depth
 
 
 def min_resolution_length(p: Partition, q: Partition, cap: int | None = None) -> int:
-    """Length of a shortest resolution from p to q, by breadth-first search."""
+    """Length of a shortest resolution from p to q, by bidirectional BFS.
+
+    Listing an exchange's items in reverse order undoes it, so the
+    exchange graph is undirected and the search grows one ball from p and
+    one from q over coded states.  Each round expands the side with the
+    smaller frontier by one whole level.  The balls are disjoint before
+    the round, so every state of the new level that lies in the other
+    ball gives the same distance sum, the shortest length; the search
+    returns at the first one.  ``TooLarge`` counts the states stored on
+    both sides together.
+    """
     if p.sizes() != q.sizes():
         raise ShapeMismatch("p and q must have equal per-cluster sizes")
     if p.n != q.n or p.m != q.m:
         raise ShapeMismatch("p and q must share items and clusters")
-    target = q.assign
-    start = p.assign
-    if start == target:
+    if p.assign == q.assign:
         return 0
-    limit = _state_cap(cap)
-    dist = {start: 0}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for st in frontier:
-            by = _cluster_items(st, p.n)
-            for items, _ in _iter_cycles(st, p.n, by):
-                ns = _apply_cycle(st, items)
-                if ns == target:
-                    return depth
-                if ns not in dist:
-                    dist[ns] = depth
-                    nxt.append(ns)
-                    if len(dist) > limit:
-                        raise TooLarge(f"search exceeded {limit} states")
-        frontier = nxt
+    limit = state_cap(cap)
+    n, m = p.n, p.m
+    weights = [n**x for x in range(m)]
+    near = {_encode(p.assign, weights): 0}
+    far = {_encode(q.assign, weights): 0}
+    near_front, far_front = list(near), list(far)
+    while near_front and far_front:
+        if len(near_front) > len(far_front):
+            near, far, near_front, far_front = far, near, far_front, near_front
+        depth = near[near_front[0]] + 1
+        level = []
+        for code in near_front:
+            for nb in _neighbours(code, n, m, weights):
+                if nb in near:
+                    continue
+                if nb in far:
+                    return depth + far[nb]
+                near[nb] = depth
+                level.append(nb)
+                if len(near) + len(far) > limit:
+                    raise TooLarge(f"search exceeded {limit} states")
+        near_front = level
     raise AssertionError("equal shapes are always mutually reachable")
 
 
@@ -307,9 +367,7 @@ def pruned_no_short_resolution(p: Partition, q: Partition, length: int) -> bool:
         floor = remaining - (left - 1) * cap_gain
         forced = floor >= cap_gain
         by = _cluster_items(state, n)
-        for items, _ in _iter_cycles(
-            state, n, by, full=forced, gain_fn=contrib, floor=floor, forced=forced
-        ):
+        for items in _iter_cycles(state, n, by, contrib, floor, full=forced, forced=forced):
             taken.append(CycleSeq(items))
             if dfs(_apply_cycle(state, items), left - 1):
                 return True
@@ -335,12 +393,14 @@ def min_odd_cover_exhaustive(
 
     Exhaustive: parts range over all paths or cycles of the complete graph
     on V(g), so the answer is a true optimum for cross-checking bounds.
+    ``vertex_cap`` is the size guard here: the search may list as many
+    parts as K_{vertex_cap} has.
     """
     if kind not in ("path", "cycle"):
         raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
     if g.n > vertex_cap:
         raise TooLarge(f"exhaustive search supports at most {vertex_cap} vertices")
-    parts = _bounded_cover_search(g, kind, max_size)
+    parts = _bounded_cover_search(g, kind, max_size, _candidate_parts(vertex_cap, kind))
     return None if parts is None else len(parts)
 
 

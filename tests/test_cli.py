@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -83,6 +84,15 @@ def test_oddcover_exact_cycles(tmp_path, capsys):
     assert len(cert["parts"]) == 2
 
 
+def test_oddcover_exact_search_too_large(tmp_path, capsys):
+    # K_9 has 493,200 paths, above the default state cap of 100,000.
+    p9 = write_json(tmp_path / "p9.json", {"n": 9, "edges": [[i, i + 1] for i in range(8)]})
+    start = time.perf_counter()
+    assert main(["oddcover", "--graph", p9, "--exact", "--cap", "9"]) == 2
+    assert "cap" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5
+
+
 def test_oddcover_cycle_parity_obstruction(tmp_path, capsys):
     g = write_json(tmp_path / "p3.json", {"n": 3, "edges": [[0, 1], [1, 2]]})
     assert main(["oddcover", "--graph", g, "--kind", "cycle"]) == 2
@@ -154,6 +164,32 @@ def test_lowerbound_needs_four_clusters(capsys):
     assert main(["lowerbound", "--shape", "2,2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lowerbound", "--shape", "200000000,1,1,1"],
+        ["gen", "--family", "lowerbound", "--shape", "200000000,1,1,1"],
+        ["diameter", "--exact", "--shape", "3000000"],
+        ["diameter", "--shape", "999999,2"],
+    ],
+)
+def test_oversized_shape_is_usage_error(capsys, argv):
+    # The lowerbound generator sized its lists by these entries (MemoryError).
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5
+
+
+def test_diameter_exact_counts_vertices_with_early_exit(capsys):
+    start = time.perf_counter()
+    assert main(["diameter", "--exact", "--shape", "500000,500000"]) == 2
+    assert "cap" in capsys.readouterr().err
+    assert main(["diameter", "--exact", "--shape", "1000000"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+    assert time.perf_counter() - start < 5
+
+
 # --- verify ------------------------------------------------------------------------
 
 
@@ -181,6 +217,27 @@ def test_verify_malformed_certificate_exits_one(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is False
     assert "malformed" in report["detail"]
+
+
+@pytest.mark.parametrize("n", ["x", 10**12])
+def test_verify_bad_instance_file_is_input_error(tmp_path, capsys, n):
+    inst = swap_instance(tmp_path)
+    cert = tmp_path / "res.json"
+    assert main(["resolve", "--instance", inst, "--out", str(cert)]) == 0
+    doc = json.loads((tmp_path / "inst.json").read_text())
+    doc["n"] = n
+    bad = write_json(tmp_path / "bad_inst.json", doc)
+    assert main(["verify", "--instance", bad, str(cert)]) == 2
+    out, err = capsys.readouterr()
+    assert "malformed" not in out and err.startswith("error:")
+
+
+def test_verify_bad_graph_file_is_input_error(tmp_path, capsys):
+    g = k5_graph(tmp_path)
+    cert = tmp_path / "cover.json"
+    assert main(["oddcover", "--graph", g, "--kind", "cycle", "--out", str(cert)]) == 0
+    bad = write_json(tmp_path / "bad_graph.json", {"n": "x", "edges": []})
+    assert main(["verify", "--graph", bad, str(cert)]) == 2
 
 
 def test_verify_non_array_steps_is_malformed(tmp_path, capsys):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -33,6 +35,8 @@ from polyresolve import (
     simple_graph,
     verify_certificate,
 )
+from polyresolve.oddcover import _bounded_cover_search, _candidate_parts
+from polyresolve.oracles import _encode, _neighbours
 
 
 def complete(n):
@@ -90,6 +94,24 @@ def test_exact_diameter_respects_cap():
         exact_diameter_bfs((2, 2, 2, 2), cap=100)
 
 
+def test_exact_diameter_cap_is_the_vertex_count():
+    # (2,2,2,2) has 8!/2!^4 = 2520 vertices.
+    with pytest.raises(TooLarge):
+        exact_diameter_bfs((2, 2, 2, 2), cap=2519)
+    assert exact_diameter_bfs((2, 2, 2, 2), cap=2520) == 3
+
+
+def test_exact_diameter_huge_shapes_return_at_once():
+    start = time.perf_counter()
+    assert exact_diameter_bfs((3_000_000,)) == 0
+    assert exact_diameter_bfs((0, 1_000_000, 0)) == 0
+    with pytest.raises(TooLarge):
+        exact_diameter_bfs((500_000, 500_000))
+    with pytest.raises(TooLarge):
+        exact_diameter_bfs((1,) * 100_000)
+    assert time.perf_counter() - start < 5
+
+
 def test_exact_diameter_env_cap(monkeypatch):
     monkeypatch.setenv("POLYRESOLVE_CAP", "100")
     with pytest.raises(TooLarge):
@@ -120,6 +142,87 @@ def test_min_resolution_length_respects_cap():
     q = Partition(4, tuple((i // 4 + 1) % 4 for i in range(16)))
     with pytest.raises(TooLarge):
         min_resolution_length(p, q, cap=50)
+
+
+def test_min_resolution_length_env_cap(monkeypatch):
+    p = Partition(4, tuple(i // 4 for i in range(16)))
+    q = Partition(4, tuple((i // 4 + 1) % 4 for i in range(16)))
+    monkeypatch.setenv("POLYRESOLVE_CAP", "50")
+    with pytest.raises(TooLarge):
+        min_resolution_length(p, q)
+
+
+def exchanges(state, n):
+    """Every state one cyclic exchange away, from the definition: pick at
+    least two clusters, one item in each, and an order on them that starts
+    at the smallest cluster (the other rotations are the same exchange);
+    each item moves to the cluster of the next one."""
+    by = [[x for x, c in enumerate(state) if c == k] for k in range(n)]
+    occupied = [c for c in range(n) if by[c]]
+    out = set()
+    for size in range(2, len(occupied) + 1):
+        for clusters in itertools.combinations(occupied, size):
+            for rest in itertools.permutations(clusters[1:]):
+                order = (clusters[0],) + rest
+                for items in itertools.product(*(by[c] for c in order)):
+                    nxt = list(state)
+                    for i, x in enumerate(items):
+                        nxt[x] = order[(i + 1) % size]
+                    out.add(tuple(nxt))
+    return out
+
+
+def bfs_distance(p, q):
+    """Plain one-directional BFS over assignment tuples."""
+    dist = {p.assign: 0}
+    frontier = [p.assign]
+    while q.assign not in dist:
+        assert frontier, "equal shapes are mutually reachable"
+        level = []
+        for state in frontier:
+            for nxt in exchanges(state, p.n):
+                if nxt not in dist:
+                    dist[nxt] = dist[state] + 1
+                    level.append(nxt)
+        frontier = level
+    return dist[q.assign]
+
+
+def decode(code, n, m):
+    state = []
+    for _ in range(m):
+        code, c = divmod(code, n)
+        state.append(c)
+    return tuple(state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(0, 3), max_size=8))
+def test_neighbours_match_exchange_definition(n, raw):
+    state = tuple(c % n for c in raw)
+    m = len(state)
+    weights = [n**x for x in range(m)]
+    codes = _neighbours(_encode(state, weights), n, m, weights)
+    assert len(codes) == len(set(codes)), "each exchange is listed once"
+    assert {decode(c, n, m) for c in codes} == exchanges(state, n)
+
+
+@st.composite
+def equal_shape_pairs(draw):
+    n = draw(st.integers(1, 4))
+    left = draw(st.lists(st.integers(0, n - 1), max_size=8))
+    right = draw(st.permutations(left))
+    return Partition(n, tuple(left)), Partition(n, tuple(right))
+
+
+@settings(max_examples=60, deadline=None)
+@given(equal_shape_pairs())
+@example((Partition(1, (0, 0, 0)), Partition(1, (0, 0, 0))))
+@example((Partition(3, (0, 1, 2, 2)), Partition(3, (0, 1, 2, 2))))
+@example((Partition(4, (0, 0, 1, 1, 2, 2, 3, 3)), Partition(4, (1, 1, 0, 0, 3, 3, 2, 2))))
+def test_min_resolution_length_matches_plain_bfs(pair):
+    p, q = pair
+    assert min_resolution_length(p, q) == bfs_distance(p, q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,6 +300,32 @@ def test_min_odd_cover_guards():
     with pytest.raises(TooLarge):
         min_odd_cover_exhaustive(p9, "path", 3)
     assert min_odd_cover_exhaustive(p9, "path", 3, vertex_cap=9) == 1
+
+
+def test_candidate_parts_counts_paths_and_cycles():
+    for n in range(1, 7):
+        for kind, closed in (("path", False), ("cycle", True)):
+            parts = set()
+            for k in range(3 if closed else 2, n + 1):
+                for seq in itertools.permutations(range(n), k):
+                    hops = list(zip(seq, seq[1:] + seq[:1] if closed else seq[1:]))
+                    parts.add(frozenset(frozenset(h) for h in hops))
+            assert _candidate_parts(n, kind) == len(parts)
+    assert _candidate_parts(8, "path") == 54_796
+    assert _candidate_parts(9, "path") == 493_200
+
+
+def test_bounded_cover_search_guard():
+    p9 = simple_graph(9, [(i, i + 1) for i in range(8)])
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        _bounded_cover_search(p9, "path", 3)
+    with pytest.raises(TooLarge):
+        _bounded_cover_search(simple_graph(40, [(0, 1)]), "cycle", 3)
+    with pytest.raises(TooLarge):
+        _bounded_cover_search(complete(7), "path", 5, cap=6845)
+    assert time.perf_counter() - start < 5
+    assert len(_bounded_cover_search(complete(7), "path", 5, cap=6846)) == 4
 
 
 # --- Hamiltonicity ------------------------------------------------------------
