@@ -793,8 +793,10 @@ def _make_cert(kind: str, parts: Iterable[Iterable[tuple[int, int]]], g: SimpleG
             kept.append(part)
     want = SubgraphShape.PATH if kind == "path" else SubgraphShape.CYCLE
     for part in kept:
-        assert classify(part, g.n) is want
-    assert symmetric_difference(kept) == g.edges
+        if classify(part, g.n) is not want:
+            raise AssertionError(f"a part of the cover is not a {kind}")
+    if symmetric_difference(kept) != g.edges:
+        raise AssertionError("the parts of the cover do not xor to the graph")
     return OddCoverCert(kind, tuple(kept))
 
 

@@ -54,7 +54,8 @@ class MoveAccounting:
     gain: int
 
     def __post_init__(self):
-        assert self.gain == 2 * self.whole_moves + self.half_moves
+        if self.gain != 2 * self.whole_moves + self.half_moves:
+            raise AssertionError("gain must equal 2 * whole_moves + half_moves")
 
 
 def move_accounting(p: Partition, q: Partition, cur: Partition, tau: CycleSeq) -> MoveAccounting:

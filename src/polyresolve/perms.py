@@ -270,13 +270,7 @@ def is_p_balanced(pi: Permutation, p: Partition) -> bool:
     """True iff ``p`` is injective on the support of ``pi``."""
     if pi.m != p.m:
         raise SizeMismatch(f"permutation on {pi.m} items, partition has {p.m}")
-    hit: set[int] = set()
-    for x in pi.moved:
-        c = p(x)
-        if c in hit:
-            return False
-        hit.add(c)
-    return True
+    return len(set(map(p.assign.__getitem__, pi.moved))) == len(pi.moved)
 
 
 def is_p_cycle(sigma: Permutation, p: Partition) -> bool:

@@ -22,10 +22,8 @@ from .perms import (
     Partition,
     Permutation,
     Resolution,
-    compose,
     cycle_is_p_cycle,
     is_p_balanced,
-    perm_from_cycles,
     resolution_from_decomposition,
     resolution_length_bound,
 )
@@ -120,6 +118,33 @@ def two_color_matchings(m1, m2, n: int) -> ColorClasses:
     return ColorClasses(s1, frozenset(range(n)) - s1)
 
 
+def _cycle_product(*sigmas: CycleSeq) -> dict[int, int]:
+    """``x -> sigma_3(sigma_2(sigma_1(x)))`` for every item x of up to three
+    cycles (``sigma_1`` acting first), fixed points included, built from
+    their successor maps without a ``Permutation``."""
+    succs = [dict(zip(s.items, (*s.items[1:], *s.items[:1]))) for s in sigmas]
+    s1, s2, s3 = succs + [{}] * (3 - len(succs))
+    return {
+        x: s3.get(z := s2.get(y := s1.get(x, x), y), z)
+        for x in s1.keys() | s2.keys() | s3.keys()
+    }
+
+
+def _moved(images: dict[int, int]) -> dict[int, int]:
+    return {x: y for x, y in images.items() if x != y}
+
+
+def _check_pair_product(sigmas, x: int, y: int, composite: Permutation) -> None:
+    """Raise AssertionError unless ``(x y) sigma_3 sigma_2 sigma_1`` equals
+    ``composite`` and ``sigma_3 sigma_2 sigma_1`` has its support."""
+    images = _cycle_product(*sigmas)
+    swap = {x: y, y: x}
+    if {a: b for a, c in images.items() if (b := swap.get(c, c)) != a} != composite.moved:
+        raise AssertionError("the p-cycles differ from the pair by more than (x y)")
+    if _moved(images).keys() != composite.moved.keys():
+        raise AssertionError("the p-cycles and the pair have different supports")
+
+
 def pcycles_from_balanced(p: Partition, pi: Permutation) -> tuple[CycleSeq, CycleSeq]:
     """Split a p-balanced permutation into two p-cycles (second applied last).
 
@@ -133,7 +158,7 @@ def pcycles_from_balanced(p: Partition, pi: Permutation) -> tuple[CycleSeq, Cycl
     s1 = CycleSeq(tuple(x for c in cycles for x in c))
     s2 = CycleSeq(tuple(c[0] for c in reversed(cycles)))
     assert cycle_is_p_cycle(s1, p) and cycle_is_p_cycle(s2, p)
-    assert compose(s2.to_permutation(p.m), s1.to_permutation(p.m)) == pi
+    assert _moved(_cycle_product(s1, s2)) == pi.moved
     return s1, s2
 
 
@@ -152,18 +177,21 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
     for pi in (pi1, pi2):
         if not is_p_balanced(pi, p):
             raise NotBalanced("permutation is not p-balanced")
-    sup1, sup2 = pi1.support(), pi2.support()
-    if sup1 & sup2:
+    if pi1.moved.keys() & pi2.moved.keys():
         raise SupportsOverlap("permutations must have disjoint supports")
 
-    composite = compose(pi2, pi1)
+    # With disjoint supports, pi2 pi1 moves each point as its one factor does.
+    composite = Permutation.from_moved(p.m, pi1.moved | pi2.moved)
     if is_p_balanced(composite, p):
         return [s for s in pcycles_from_balanced(p, composite) if not s.is_trivial]
 
-    smallest_in_cluster: dict[int, int] = {}
-    for y in sorted(sup2):
-        smallest_in_cluster.setdefault(p(y), y)
-    x, y = min((x, smallest_in_cluster[p(x)]) for x in sup1 if p(x) in smallest_in_cluster)
+    # x is the smallest item of pi1 whose cluster pi2 also moves an item
+    # out of, and y that item, the only one since pi2 is p-balanced.
+    assign = p.assign
+    moved_out_of = {assign[it]: it for it in pi2.moved}
+    x = min(it for it in pi1.moved if assign[it] in moved_out_of)
+    y = moved_out_of[assign[x]]
+    y_next = pi2.moved[y]
 
     c_cycles = pi1.cycles()
     cx = next(c for c in c_cycles if x in c)
@@ -174,18 +202,18 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
 
     # One representative cluster pair per cycle; the pair for y's cycle is
     # pinned to {p(y), p(pi2(y))} so the coloring separates those clusters.
-    m1 = [tuple(sorted(p(it) for it in c)[:2]) for c in cs]
-    m2 = [tuple(sorted(p(it) for it in c)[:2]) for c in ds[:-1]]
-    m2.append(tuple(sorted((p(y), p(pi2(y))))))
+    m1 = [tuple(sorted(map(assign.__getitem__, c))[:2]) for c in cs]
+    m2 = [tuple(sorted(map(assign.__getitem__, c))[:2]) for c in ds[:-1]]
+    m2.append(tuple(sorted((assign[y], assign[y_next]))))
     color = _color_matchings(m1, m2, p.n)
-    side = color.get(p(x), 0)   # x's side; the other side is 1 - side
-    assert color.get(p(pi2(y)), 0) != side
+    side = color.get(assign[x], 0)   # x's side; the other side is 1 - side
+    assert color.get(assign[y_next], 0) != side
 
     xs = [_rotate(cx, x)] + [
-        _rotate(c, min(it for it in c if color.get(p(it), 0) == side)) for c in cs[1:]
+        _rotate(c, min(it for it in c if color.get(assign[it], 0) == side)) for c in cs[1:]
     ]
-    ys = [_rotate(c, min(it for it in c if color.get(p(it), 0) != side)) for c in ds[:-1]]
-    ys.append(_rotate(dy, pi2(y)))
+    ys = [_rotate(c, min(it for it in c if color.get(assign[it], 0) != side)) for c in ds[:-1]]
+    ys.append(_rotate(dy, y_next))
     assert ys[-1][-1] == y
 
     sigma1 = CycleSeq(tuple(it for c in xs for it in c))
@@ -196,12 +224,7 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
     )
     for sigma in (sigma1, sigma2, sigma3):
         assert cycle_is_p_cycle(sigma, p)
-
-    product = sigma1.to_permutation(p.m)
-    product = compose(sigma2.to_permutation(p.m), product)
-    product = compose(sigma3.to_permutation(p.m), product)
-    assert compose(perm_from_cycles(p.m, [(x, y)]), product) == composite
-    assert product.support() == composite.support()
+    _check_pair_product((sigma1, sigma2, sigma3), x, y, composite)
     return [sigma1, sigma2, sigma3]
 
 
@@ -220,7 +243,9 @@ def resolve(p: Partition, q: Partition) -> Resolution:
 
     result = resolution_from_decomposition(p, parts)
     assert result.end() == q
-    assert len(result.taus) <= resolution_length_bound(p.sizes())
+    bound = resolution_length_bound(p.sizes())
+    if len(result.taus) > bound:
+        raise AssertionError(f"{len(result.taus)} steps exceed the bound {bound}")
     return result
 
 

@@ -11,6 +11,11 @@ several runs on a 2-vCPU x86-64 VM with CPython 3.11 (1.0 s at m = 30,000,
 5.8 s at m = 100,000; both vary about 2x with the host's load).  Per-step
 work proportional to m took over seven minutes at m = 30,000.
 
+The decomposition test splits the difference digraph of 50,000 clusters
+of 2 items (m = 100,000) and pins a digest of its parts.  Its budget, 10 s,
+is over five times the slowest of several runs on the same VM (1.4 s; the
+deque pools and Counter-based checks it replaced took 2.3-2.6 s).
+
 The cover tests run the maximum-degree-4 path and cycle covers on 800
 stacked random components (E = 10,143), check them with the independent
 verifier and pin their digests.  Re-analysing all three forests after
@@ -32,7 +37,8 @@ from polyresolve.generators import random_delta4_eulerian_graph
 from polyresolve.jsonio import emit_cover, emit_resolution
 from polyresolve.oddcover import cycle_odd_cover_delta4, path_odd_cover_delta4
 from polyresolve.oracles import verify_certificate
-from polyresolve.perms import Partition, check_resolution, resolution_length_bound
+from polyresolve.perms import Partition, cdg, check_resolution, resolution_length_bound
+from polyresolve.polycycles import directed_polycycle_decomposition
 from polyresolve.resolve import resolve
 
 pytestmark = pytest.mark.large
@@ -87,6 +93,25 @@ def test_resolve_and_verify_at_scale(n, k, budget_s, digest):
     assert len(r.taus) <= resolution_length_bound(p.sizes())
     assert elapsed < budget_s, f"took {elapsed:.2f}s, budget {budget_s}s"
     assert _digest(r) == digest
+
+
+def test_polycycle_decomposition_at_scale():
+    # The difference digraph of 50,000 clusters x 2 items: m = 100,000
+    # arcs and t = 2 matching rounds on 50,000 vertices.  The digest was
+    # recorded from the tuple-keyed deque pools and Counter-based part
+    # checks that the per-tail stacks and the owner array replaced.
+    p, q = _equal_shape_pair(50000, 2, seed=1)
+    d = cdg(p, q)
+    t0 = time.perf_counter()
+    dec = directed_polycycle_decomposition(d, 2)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"took {elapsed:.2f}s, budget 10s"
+    parts = [sorted(part) for part in dec.parts]
+    blob = json.dumps({"parts": parts, "suffix": dec.cycle_suffix_len})
+    assert (
+        hashlib.sha256(blob.encode()).hexdigest()
+        == "ea6ca115c89e2b71a20f9c557437721e39756e325041aede0e0fe61be9576ab9"
+    )
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyresolve.errors import NotEulerian, NotPolycycle, ThresholdViolated
@@ -19,6 +19,9 @@ from polyresolve.graphs import (
 )
 from polyresolve.perms import Partition, compose, identity
 from polyresolve.polycycles import (
+    PolycycleDecomposition,
+    _assert_directed_part,
+    _extract_cycle_through,
     _hopcroft_karp,
     balanced_permutation_factorization,
     directed_polycycle_decomposition,
@@ -55,6 +58,108 @@ def test_directed_decomposition_enforces_single_heavy_vertex():
     g = Digraph(4, (0, 1, 0, 2, 1, 3), (1, 0, 2, 0, 3, 1))
     with pytest.raises(ThresholdViolated):
         directed_polycycle_decomposition(g, 1)
+
+
+def test_part_check_rejects_a_vertex_of_out_degree_two():
+    # 0 -> 1 -> 0 and 0 -> 2 -> 0: balanced, but vertex 0 has degree 2
+    g = Digraph(3, (0, 1, 0, 2), (1, 0, 2, 0))
+    with pytest.raises(AssertionError, match="degree 1"):
+        _assert_directed_part(g, frozenset(range(4)), single_cycle=False)
+
+
+def test_part_check_rejects_a_suffix_part_of_two_cycles():
+    # two disjoint 2-cycles: a polycycle, but not a single cycle
+    g = Digraph(4, (0, 1, 2, 3), (1, 0, 3, 2))
+    _assert_directed_part(g, frozenset(range(4)), single_cycle=False)
+    _assert_directed_part(g, frozenset({0, 1}), single_cycle=True)
+    with pytest.raises(AssertionError, match="one cycle"):
+        _assert_directed_part(g, frozenset(range(4)), single_cycle=True)
+
+
+def _reference_directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecomposition:
+    """The decomposition as it stood before its set-up was rewritten: one
+    tuple-keyed pool of arc deques and textbook matching rounds.  Kept
+    without its self-checks, which do not change the output; the cycle
+    extraction is shared with the module."""
+    out = g.out_degrees()
+    delta = max(out, default=0)
+    used = [False] * g.m
+    out_arcs: list[list[int]] = [[] for _ in range(g.n)]
+    for a in range(g.m):
+        out_arcs[g.tails[a]].append(a)
+    cycles = []
+    if t < delta:
+        high = [u for u in range(g.n) if out[u] > t]
+        if len(high) > 1:
+            raise ThresholdViolated("more than one vertex above the threshold")
+        for _ in range(delta - t):
+            cycles.append(_extract_cycle_through(g, high[0], out_arcs, used))
+    remaining = [a for a in range(g.m) if not used[a]]
+    res_out = [0] * g.n
+    for a in remaining:
+        res_out[g.tails[a]] += 1
+    pools: dict[tuple[int, int], deque[int]] = {}
+    for a in remaining:
+        pools.setdefault((g.tails[a], g.heads[a]), deque()).append(a)
+    next_virtual = g.m
+    for u in range(g.n):
+        for _ in range(t - res_out[u]):
+            pools.setdefault((u, u), deque()).append(next_virtual)
+            next_virtual += 1
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, w in sorted(pools):
+        adj[u].append(w)
+    classes = []
+    for _ in range(t):
+        match_l = _recursive_hopcroft_karp(g.n, g.n, adj)
+        cls = []
+        for u in range(g.n):
+            w = match_l[u]
+            pool = pools[(u, w)]
+            a = pool.popleft()
+            if not pool:
+                adj[u].remove(w)
+            if a < g.m and u != w:
+                cls.append(a)
+        classes.append(frozenset(cls))
+    return PolycycleDecomposition(tuple(classes) + tuple(cycles), delta - t)
+
+
+@st.composite
+def eulerian_multidigraphs(draw):
+    """Unions of closed walks, with loops, parallel arcs, isolated vertices
+    and shuffled arc ids.  With ``hub`` set every walk passes vertex 0, so
+    that one vertex lies above most thresholds."""
+    n = draw(st.integers(1, 8))
+    hub = draw(st.booleans())
+    arcs = []
+    for _ in range(draw(st.integers(0, 6))):
+        walk = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+        if hub:
+            walk[0] = 0
+        arcs += zip(walk, walk[1:] + walk[:1])
+    arcs = draw(st.permutations(arcs))
+    return Digraph(n, tuple(u for u, _ in arcs), tuple(w for _, w in arcs))
+
+
+@given(eulerian_multidigraphs())
+# a hub of out-degree 4 with a loop on it, and an isolated vertex 4
+@example(Digraph(5, (0, 1, 0, 2, 0, 3, 0), (1, 0, 2, 0, 3, 0, 0)))
+@settings(max_examples=300, deadline=None)
+def test_decomposition_equals_the_frozen_reference(g):
+    degrees = sorted(g.out_degrees())
+    second = degrees[-2] if len(degrees) > 1 else 0
+    for t in range(degrees[-1] + 1):
+        if second > t:   # two vertices lie above the threshold
+            with pytest.raises(ThresholdViolated):
+                directed_polycycle_decomposition(g, t)
+            with pytest.raises(ThresholdViolated):
+                _reference_directed_polycycle_decomposition(g, t)
+            continue
+        got = directed_polycycle_decomposition(g, t)
+        want = _reference_directed_polycycle_decomposition(g, t)
+        assert got.parts == want.parts
+        assert got.cycle_suffix_len == want.cycle_suffix_len
 
 
 def test_undirected_decomposition_covers_a_four_regular_graph():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 
 from hypothesis import given, settings
@@ -35,6 +36,10 @@ from polyresolve import (
     two_color_matchings,
     verify_resolution,
 )
+from polyresolve.perms import perm_from_cycles
+
+# The package re-exports the function ``resolve`` under the module's name.
+resolve_module = importlib.import_module("polyresolve.resolve")
 
 
 def _random_shape_pair(rng: random.Random) -> tuple[Partition, Partition]:
@@ -183,6 +188,27 @@ def test_pcycles_from_pair_balanced_composite():
     got = resolution_from_decomposition(p, parts).end()
     want = resolution_from_decomposition(p, _cycle_seqs(pi1) + _cycle_seqs(pi2)).end()
     assert got == want
+
+
+def test_pcycles_from_pair_product_check_rejects_a_swapped_sigma2(monkeypatch):
+    # Two 3-cycles over the same three clusters: the product is not
+    # balanced, and sigma2 = (0 4 5) has three items, so swapping two of
+    # them changes the cycle.
+    p = Partition(3, (0, 1, 2, 0, 1, 2, 0, 1, 2))
+    pi1 = perm_from_cycles(9, [(0, 1, 2)])
+    pi2 = perm_from_cycles(9, [(3, 4, 5)])
+    assert [s.items for s in pcycles_from_pair(p, pi1, pi2)] == [(0, 1, 2), (0, 4, 5), (3, 4)]
+
+    check = resolve_module._check_pair_product
+
+    def with_swapped_sigma2(sigmas, x, y, composite):
+        sigma1, sigma2, sigma3 = sigmas
+        a, b, *rest = sigma2.items
+        check((sigma1, CycleSeq((b, a, *rest)), sigma3), x, y, composite)
+
+    monkeypatch.setattr(resolve_module, "_check_pair_product", with_swapped_sigma2)
+    with pytest.raises(AssertionError, match="more than"):
+        pcycles_from_pair(p, pi1, pi2)
 
 
 def test_pcycles_from_pair_rejects_shared_support():
