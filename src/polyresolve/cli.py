@@ -178,7 +178,8 @@ def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) ->
             raise _UsageError(f"--exact supports at most {limit} vertices (override with --cap)")
         fallback = _construct_cover(g, kind, False, None)
         parts = _bounded_cover_search(g, kind, len(fallback.parts))
-        assert parts is not None, "constructive cover bounds the optimum"
+        if parts is None:
+            raise AssertionError("the exact search found no cover; the construction bounds it")
         return OddCoverCert(kind, tuple(parts))
     if eulerian and d.delta <= 4:
         return path_odd_cover_delta4(g) if kind == "path" else cycle_odd_cover_delta4(g)

@@ -8,7 +8,7 @@ and may include loops and parallel arcs.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -127,21 +127,7 @@ FOREST_SHAPES = (SubgraphShape.EMPTY, SubgraphShape.PATH, SubgraphShape.LINEAR_F
 
 
 def vertices_of(edges: Iterable[Edge]) -> set[int]:
-    out: set[int] = set()
-    for u, v in edges:
-        out.add(u)
-        out.add(v)
-    return out
-
-
-def _adjacency(edges: Iterable[Edge]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = defaultdict(list)
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for nbrs in adj.values():
-        nbrs.sort()
-    return adj
+    return set(chain.from_iterable(edges))
 
 
 def edge_components(edges: Iterable[Edge]) -> list[frozenset[Edge]]:
@@ -177,24 +163,60 @@ def edge_components(edges: Iterable[Edge]) -> list[frozenset[Edge]]:
     return comps
 
 
-def _component_shape(comp: frozenset[Edge]) -> SubgraphShape:
-    """Shape of one connected edge set: PATH, CYCLE, or OTHER."""
-    deg = Counter(chain.from_iterable(comp))
-    if any(d > 2 for d in deg.values()):
-        return SubgraphShape.OTHER
-    ones = sum(1 for d in deg.values() if d == 1)
-    if ones == 2:
-        return SubgraphShape.PATH
-    if ones == 0:
-        return SubgraphShape.CYCLE
-    return SubgraphShape.OTHER
+def _links(edges: Iterable[Edge]) -> dict[int, list[int]]:
+    """Neighbour lists of an edge set, in no particular order."""
+    adj: dict[int, list[int]] = defaultdict(list)
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _walk(adj: dict[int, list[int]], start: int) -> tuple[int, int, int]:
+    """Follow a graph of maximum degree 2 from ``start`` (a path end, or any
+    cycle vertex) to the path's other end or back round to ``start``:
+    (last vertex, smallest vertex, edges walked)."""
+    prev, cur, low, steps = start, adj[start][0], start, 1
+    while cur != start and len(nxt := adj[cur]) == 2:
+        if cur < low:
+            low = cur
+        # Step to the neighbour we did not come from.
+        prev, cur = cur, nxt[nxt[0] == prev]
+        steps += 1
+    return cur, min(low, cur), steps
+
+
+def _paths(adj: dict[int, list[int]]) -> tuple[list[tuple[int, int, int]], int]:
+    """``(smallest vertex, smaller end, larger end)`` of each path of a graph
+    of maximum degree 2, in order of smallest vertex, and the edges on them."""
+    paths, walked, done = [], 0, set()
+    for a, nbrs in adj.items():
+        if len(nbrs) == 1 and a not in done:
+            b, low, steps = _walk(adj, a)
+            done.add(b)
+            walked += steps
+            paths.append((low, min(a, b), max(a, b)))
+    return sorted(paths), walked
+
+
+def linear_forest_paths(edges: Iterable[Edge]) -> list[tuple[int, int, int]] | None:
+    """The paths of a linear forest as ``_paths`` gives them, or None when
+    the edge set has a vertex of degree above 2 or a cycle."""
+    edges = frozenset(edges)
+    adj = _links(edges)
+    if adj and max(map(len, adj.values())) > 2:
+        return None
+    paths, walked = _paths(adj)
+    return paths if walked == len(edges) else None
 
 
 def classify(edges: Iterable[Edge], n: int) -> SubgraphShape:
     """Most specific shape tag of an edge set over vertices ``0..n-1``.
 
     A single path/cycle gets its own tag; otherwise an all-cycle edge set
-    is a POLYCYCLE, an all-path edge set a LINEAR_FOREST.
+    is a POLYCYCLE, an all-path edge set a LINEAR_FOREST.  One walk decides
+    it: along the paths if any (they must take every edge), else round one
+    cycle (it is alone when it takes every edge).
     """
     edges = frozenset(edges)
     for u, v in edges:
@@ -202,16 +224,16 @@ def classify(edges: Iterable[Edge], n: int) -> SubgraphShape:
             raise ValueError(f"edge ({u},{v}) invalid for n={n}")
     if not edges:
         return SubgraphShape.EMPTY
-    shapes = [_component_shape(c) for c in edge_components(edges)]
-    if any(s is SubgraphShape.OTHER for s in shapes):
+    adj = _links(edges)
+    if max(map(len, adj.values())) > 2:
         return SubgraphShape.OTHER
-    if len(shapes) == 1:
-        return shapes[0]
-    if all(s is SubgraphShape.CYCLE for s in shapes):
-        return SubgraphShape.POLYCYCLE
-    if all(s is SubgraphShape.PATH for s in shapes):
-        return SubgraphShape.LINEAR_FOREST
-    return SubgraphShape.OTHER
+    paths, walked = _paths(adj)
+    if paths:
+        if walked < len(edges):
+            return SubgraphShape.OTHER
+        return SubgraphShape.PATH if len(paths) == 1 else SubgraphShape.LINEAR_FOREST
+    alone = _walk(adj, next(iter(adj)))[2] == len(edges)
+    return SubgraphShape.CYCLE if alone else SubgraphShape.POLYCYCLE
 
 
 def symmetric_difference(parts: Iterable[Iterable[Edge]]) -> frozenset[Edge]:
@@ -266,34 +288,16 @@ def cycle_order(comp: Iterable[Edge], start: int | None = None,
     Starts at ``start`` (default: smallest vertex) and moves toward
     ``second`` (default: its smaller neighbor).
     """
-    adj = _adjacency(comp)
+    adj = _links(comp)
     if any(len(nbrs) != 2 for nbrs in adj.values()):
         raise ValueError("component is not a single cycle")
     first = min(adj) if start is None else start
-    nxt = adj[first][0] if second is None else second
-    order = [first]
-    prev = first
+    nxt = min(adj[first]) if second is None else second
+    order, prev = [first], first
     while nxt != first:
         order.append(nxt)
-        a, b = adj[nxt]
-        prev, nxt = nxt, (b if a == prev else a)
+        nbrs = adj[nxt]
+        prev, nxt = nxt, nbrs[nbrs[0] == prev]
     if len(order) != len(adj):
         raise ValueError("component is not a single cycle")
-    return order
-
-
-def path_order(comp: Iterable[Edge]) -> list[int]:
-    """Vertices of a path-shaped component from one endpoint to the other,
-    starting at the smaller endpoint."""
-    adj = _adjacency(comp)
-    ends = sorted(v for v, nbrs in adj.items() if len(nbrs) == 1)
-    if len(ends) != 2 or any(len(nbrs) > 2 for nbrs in adj.values()):
-        raise ValueError("component is not a single path")
-    order = [ends[0]]
-    prev, cur = -1, ends[0]
-    while cur != ends[1]:
-        nbrs = adj[cur]
-        nxt = nbrs[0] if len(nbrs) == 1 or nbrs[1] == prev else nbrs[1]
-        order.append(nxt)
-        prev, cur = cur, nxt
     return order

@@ -12,14 +12,19 @@ ceil(3*Delta/4) paths or d1/2 + ceil(d2/4) cycles (d1 >= d2 the top two
 degrees), and a general graph reduces to the Eulerian case by one
 matching on its odd-degree vertices.
 
-The joins keep their endpoint state incrementally (``_Surgery``): for
-each forest the other end and smallest vertex of every path, the three
-shared-endpoint sets and the straddling paths.  A join updates them in
-O(log E), and the invariants the proof needs (two fewer shared endpoints,
-one parity for all six counts, a straddler in every forest for cycles, no
-closed cycle) are checked after every join, so the surgery costs
-O(E log E).  One from-scratch ``forest_stats`` after the last join must
-agree with the incremental state.
+The split analyses each forest in one walk (each path's ends and
+smallest vertex, ``graphs.linear_forest_paths``), and the joins keep that
+endpoint state incrementally (``_Surgery``): for each forest the other end
+and smallest vertex of every path, the three shared-endpoint sets and the
+straddling paths.  A join updates them in O(log E), and the invariants the
+proof needs (two fewer shared endpoints, one parity for all six counts, a
+straddler in every forest for cycles, no closed cycle) are checked after
+every join, so the surgery costs O(E log E).  One from-scratch analysis
+after the last join must agree with the incremental state; the cycle
+closing reads its shared-endpoint sets.  The public steps check their
+inputs (``NotPolycycle``, ``NotTransversal``, ``NotLinearForest``); the
+covers pass the split parts that the decomposition and the transversal
+constructions have checked, and check each finished cover once.
 """
 
 from __future__ import annotations
@@ -27,8 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 from .errors import (
     CrossingPairMissing,
@@ -52,6 +56,7 @@ from .graphs import (
     degrees,
     edge,
     edge_components,
+    linear_forest_paths,
     symmetric_difference,
     vertices_of,
 )
@@ -118,6 +123,9 @@ class OddCoverCert:
         return len(self.parts)
 
 
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
 def _canon(edges: Iterable[tuple[int, int]]) -> frozenset[Edge]:
     return frozenset(edge(u, v) for u, v in edges)
 
@@ -127,56 +135,55 @@ def _span(*edge_sets: Iterable[Edge]) -> int:
     return top + 1
 
 
-def _ends(edges: Iterable[Edge]) -> set[int]:
-    """Degree-1 vertices of an edge set (path endpoints in a linear forest)."""
-    deg = Counter(chain.from_iterable(edges))
-    return {v for v, d in deg.items() if d == 1}
-
-
 def _neighbors(comp: Iterable[Edge], u: int) -> list[int]:
     return sorted(w for e in comp for w in e if u in e and w != u)
 
 
-def _component_of(edges: frozenset[Edge], v: int) -> frozenset[Edge]:
-    for comp in edge_components(edges):
-        if v in vertices_of(comp):
-            return comp
-    raise ValueError(f"vertex {v} touches no edge")
+def _holding(comps: Iterable[frozenset[Edge]], v: int) -> frozenset[Edge]:
+    """The component with vertex v on one of its edges."""
+    return next(comp for comp in comps if any(v in e for e in comp))
 
 
-def _analyze(fs: tuple[frozenset[Edge], ...]):
-    """R-sets, straddling components, and parity of a linear-forest triple."""
-    span = _span(*fs)
-    for f in fs:
-        if classify(f, span) not in FOREST_SHAPES:
-            raise NotLinearForest("every part must be a disjoint union of paths")
-    ends = [_ends(f) for f in fs]
+class _Analysis(NamedTuple):
+    """Shape facts of a linear-forest triple.  Per forest: the ``(smallest
+    vertex, smaller end, larger end)`` of each path, in order of smallest
+    vertex; the set of path ends; and the straddlers, the paths whose ends
+    lie in the forest's two different R sets."""
+
+    paths: list[list[tuple[int, int, int]]]
+    ends: list[set[int]]
+    r_sets: dict[tuple[int, int], set[int]]
+    straddlers: list[list[tuple[int, int, int]]]
+    parity: int
+
+    def triple(self, fs: tuple[frozenset[Edge], ...]) -> ForestTriple:
+        counts = [*map(len, self.r_sets.values()), *map(len, self.straddlers)]
+        return ForestTriple(*fs, *counts, self.parity)
+
+
+def _analyze(fs: tuple[frozenset[Edge], ...]) -> _Analysis:
+    """R-sets, straddling paths, and parity of a linear-forest triple, from
+    one walk per forest."""
+    paths = [linear_forest_paths(f) for f in fs]
+    if None in paths:
+        raise NotLinearForest("every part must be a disjoint union of paths")
+    ends = [{x for _, a, b in found for x in (a, b)} for found in paths]
     for v in ends[0] | ends[1] | ends[2]:
         hits = sum(v in e for e in ends)
         if hits != 2:
             raise PreconditionViolated(
                 f"endpoint {v} lies in {hits} end sets; the union is not Eulerian"
             )
-    r_sets = {
-        (0, 1): ends[0] & ends[1],
-        (0, 2): ends[0] & ends[2],
-        (1, 2): ends[1] & ends[2],
-    }
-    straddlers: dict[int, list[frozenset[Edge]]] = {}
-    for i in range(3):
-        j, k = (x for x in range(3) if x != i)
-        a = r_sets[(min(i, j), max(i, j))]
-        b = r_sets[(min(i, k), max(i, k))]
-        straddlers[i] = [
-            comp
-            for comp in edge_components(fs[i])
-            if len(_ends(comp) & a) == 1 and len(_ends(comp) & b) == 1
-        ]
+    r_sets = {(i, j): ends[i] & ends[j] for i, j in _PAIRS}
+    # Each end of a forest lies in exactly one of its two R sets (checked
+    # above), so a path straddles them when one end lies in the first.
+    firsts = (r_sets[(0, 1)], r_sets[(0, 1)], r_sets[(0, 2)])
+    straddlers = [[p for p in found if (p[1] in r) != (p[2] in r)]
+                  for found, r in zip(paths, firsts)]
     parity = len(r_sets[(0, 1)]) % 2
-    counts = [len(r_sets[key]) for key in ((0, 1), (0, 2), (1, 2))]
-    counts += [len(straddlers[i]) for i in range(3)]
+    counts = [*map(len, r_sets.values()), *map(len, straddlers)]
     assert all(c % 2 == parity for c in counts), "endpoint counts must share parity"
-    return r_sets, straddlers, parity
+    return _Analysis(paths, ends, r_sets, straddlers, parity)
 
 
 def forest_stats(f1: Iterable[tuple[int, int]], f2: Iterable[tuple[int, int]],
@@ -187,17 +194,7 @@ def forest_stats(f1: Iterable[tuple[int, int]], f2: Iterable[tuple[int, int]],
     t1/t2/t3, all congruent mod 2 to the returned parity bit.
     """
     fs = tuple(_canon(f) for f in (f1, f2, f3))
-    r_sets, straddlers, parity = _analyze(fs)
-    return ForestTriple(
-        *fs,
-        r12=len(r_sets[(0, 1)]),
-        r13=len(r_sets[(0, 2)]),
-        r23=len(r_sets[(1, 2)]),
-        t1=len(straddlers[0]),
-        t2=len(straddlers[1]),
-        t3=len(straddlers[2]),
-        parity=parity,
-    )
+    return _analyze(fs).triple(fs)
 
 
 def _check_polycycle(h: frozenset[Edge], span: int, name: str) -> None:
@@ -205,10 +202,11 @@ def _check_polycycle(h: frozenset[Edge], span: int, name: str) -> None:
         raise NotPolycycle(f"{name} is not a disjoint union of cycles")
 
 
-def _check_transversal(m: frozenset[Edge], h: frozenset[Edge], name: str) -> None:
+def _check_transversal(m: frozenset[Edge], h: frozenset[Edge],
+                       comps: list[frozenset[Edge]], name: str) -> None:
+    """m picks exactly one edge of each component ``comps`` of h."""
     if not m <= h:
         raise NotTransversal(f"{name} has edges outside its polycycle")
-    comps = edge_components(h)
     for comp in comps:
         if len(m & comp) != 1:
             raise NotTransversal(f"{name} must pick exactly one edge per component")
@@ -216,14 +214,14 @@ def _check_transversal(m: frozenset[Edge], h: frozenset[Edge], name: str) -> Non
         raise NotTransversal(f"{name} has stray edges")
 
 
-def _transversal(h: frozenset[Edge], avoid: tuple[int, ...] = ()) -> set[Edge]:
-    """Smallest transversal edge per component, skipping given vertices."""
+def _transversal(comps: Iterable[frozenset[Edge]], avoid: tuple[int, ...] = ()) -> frozenset[Edge]:
+    """Smallest edge of each component that misses the given vertices."""
     out: set[Edge] = set()
-    for comp in edge_components(h):
-        cands = sorted(e for e in comp if not set(e) & set(avoid))
-        assert cands, "a cycle always has an edge missing the avoided vertices"
-        out.add(cands[0])
-    return out
+    for comp in comps:
+        e = min((e for e in comp if e[0] not in avoid and e[1] not in avoid), default=None)
+        assert e is not None, "a cycle always has an edge missing the avoided vertices"
+        out.add(e)
+    return frozenset(out)
 
 
 def linear_forests_from_transversal(
@@ -233,7 +231,9 @@ def linear_forests_from_transversal(
 
     The forests are (h1 - m1) + m', m1 + (m2 - m'), and h2 - m2, where m'
     holds the smallest m2-edge of every cycle component of m1 + m2.  Their
-    endpoint parity equals |V(m1) & V(m2)| mod 2.
+    endpoint parity equals |V(m1) & V(m2)| mod 2.  Checks its inputs
+    (``NotEdgeDisjoint``, ``NotPolycycle``, ``NotTransversal``) before the
+    split; the covers call the split directly on inputs they checked.
     """
     h1 = _canon(h1)
     h2 = _canon(h2)
@@ -250,14 +250,26 @@ def linear_forests_from_transversal(
         raise NotTransversal("exactly one side is empty; no transversal pair exists")
     m1 = _canon(tp.m1)
     m2 = _canon(tp.m2)
-    _check_transversal(m1, h1, "m1")
-    _check_transversal(m2, h2, "m2")
+    _check_transversal(m1, h1, edge_components(h1), "m1")
+    _check_transversal(m2, h2, edge_components(h2), "m2")
+    forests, facts = _split_forests(h1, h2, m1, m2)
+    return facts.triple(forests)
 
+
+def _split_forests(
+    h1: frozenset[Edge], h2: frozenset[Edge], m1: frozenset[Edge], m2: frozenset[Edge]
+) -> tuple[tuple[frozenset[Edge], ...], _Analysis]:
+    """The split of ``linear_forests_from_transversal`` on inputs already
+    checked: two non-empty edge-disjoint polycycles and a transversal pair
+    of them.  Returns the forests with their analysis."""
+    v1, v2 = vertices_of(m1), vertices_of(m2)
+    # One edge per vertex-disjoint cycle makes m1 and m2 matchings, so each
+    # component of m1 + m2 alternates between them: a path, or an even
+    # cycle, which has as many vertices as edges.
+    assert len(v1) == 2 * len(m1) and len(v2) == 2 * len(m2)
     m_prime: set[Edge] = set()
     for comp in edge_components(m1 | m2):
-        shape = classify(comp, span)
-        assert shape in (SubgraphShape.PATH, SubgraphShape.CYCLE)
-        if shape is SubgraphShape.CYCLE:
+        if len(vertices_of(comp)) == len(comp):
             assert len(comp) % 2 == 0, "matching-union cycles alternate sides"
             m_prime.add(min(comp & m2))
 
@@ -267,13 +279,13 @@ def linear_forests_from_transversal(
     assert not (f1 & f2) and not (f1 & f3) and not (f2 & f3)
     assert symmetric_difference([f1, f2, f3]) == h1 | h2
 
-    v1, v2 = vertices_of(m1), vertices_of(m2)
-    assert _ends(f1) == v1 ^ vertices_of(m2 & f1)
-    assert _ends(f2) == v1 ^ vertices_of(m2 & f2)
-    assert _ends(f3) == v2
-    triple = forest_stats(f1, f2, f3)
-    assert triple.parity == len(v1 & v2) % 2
-    return triple
+    forests = (f1, f2, f3)
+    facts = _analyze(forests)
+    assert facts.ends[0] == v1 ^ vertices_of(m2 & f1)
+    assert facts.ends[1] == v1 ^ vertices_of(m2 & f2)
+    assert facts.ends[2] == v2
+    assert facts.parity == len(v1 & v2) % 2
+    return forests, facts
 
 
 def flexible_exchange(
@@ -344,25 +356,26 @@ def transversal_odd_intersection(
     if not shared:
         raise NoCommonVertex("the polycycles have no vertex in common")
 
+    comps1, comps2 = edge_components(h1), edge_components(h2)
     x1 = min(shared)
-    c = _component_of(h1, x1)
-    d = _component_of(h2, x1)
+    c = _holding(comps1, x1)
+    d = _holding(comps2, x1)
     order = cycle_order(c, start=x1)
     x2, x3 = order[1], order[2]
 
-    m1_rest = _transversal(h1 - c)
+    m1_rest = _transversal(comp for comp in comps1 if comp is not c)
     base = vertices_of(m1_rest) | {x1, x2}
     chosen, e0, e1 = flexible_exchange(d, base, x1, x3)
     e = edge(x1, x2) if chosen == base else edge(x2, x3)
     m1 = frozenset(m1_rest | {e})
     assert vertices_of(m1) == chosen
 
-    m2_rest = _transversal(h2 - d)
+    m2_rest = _transversal(comp for comp in comps2 if comp is not d)
     even_so_far = len(vertices_of(m1) & vertices_of(m2_rest)) % 2 == 0
     m2 = frozenset(m2_rest | ({e1} if even_so_far else {e0}))
 
-    _check_transversal(m1, h1, "m1")
-    _check_transversal(m2, h2, "m2")
+    _check_transversal(m1, h1, comps1, "m1")
+    _check_transversal(m2, h2, comps2, "m2")
     assert len(vertices_of(m1) & vertices_of(m2)) % 2 == 1
     return TransversalPair(m1, m2)
 
@@ -394,10 +407,8 @@ def _even_case_direct(
                 x = min(vap & vbp)
                 walk = cycle_order(ap, start=x)
                 y, z = walk[1], walk[2]
-                m1_rest: set[Edge] = {edge(u, v1)}
-                for comp in side1:
-                    if comp not in (a, ap):
-                        m1_rest |= _transversal(comp, avoid=(v2,))
+                m1_rest = {edge(u, v1)} | _transversal(
+                    (comp for comp in side1 if comp not in (a, ap)), avoid=(v2,))
                 base = vertices_of(m1_rest) | {x, y}
                 chosen, e0, e1 = flexible_exchange(bp, base, x, z)
                 m1 = frozenset(m1_rest | {edge(x, y) if chosen == base else edge(y, z)})
@@ -419,20 +430,15 @@ def _even_case_direct(
                 (x,) = set(e2) & vbp
                 (y,) = set(e2) - {x}
                 v2 = min(w for w in nbrs if w != y)
-                m1_set: set[Edge] = {edge(u, v1), e2}
-                for comp in side1:
-                    if comp not in (a, ap):
-                        m1_set |= _transversal(comp, avoid=(v2,))
-                m1 = frozenset(m1_set)
+                m1 = frozenset({edge(u, v1), e2} | _transversal(
+                    (comp for comp in side1 if comp not in (a, ap)), avoid=(v2,)))
                 assert vertices_of(m1) & vbp == {x}
                 e1 = min(e3 for e3 in bp if x in e3)
                 e0 = min(e3 for e3 in bp if x not in e3)
             assert v2 not in vertices_of(m1)
 
-            m2_rest: set[Edge] = {edge(u, v2)}
-            for comp in side2:
-                if comp not in (b, bp):
-                    m2_rest |= _transversal(comp, avoid=(v1,))
+            m2_rest = {edge(u, v2)} | _transversal(
+                (comp for comp in side2 if comp not in (b, bp)), avoid=(v1,))
             assert v1 not in vertices_of(m2_rest)
             even_so_far = len(vertices_of(m1) & vertices_of(m2_rest)) % 2 == 0
             m2 = frozenset(m2_rest | ({e0} if even_so_far else {e1}))
@@ -545,7 +551,6 @@ def transversal_even_intersection(
 
     for swapped in (False, True):
         side1, side2 = (comps2, comps1) if swapped else (comps1, comps2)
-        host1 = h2 if swapped else h1
         for a in side1:
             for b in side2:
                 if not vertices_of(a) & vertices_of(b):
@@ -560,35 +565,32 @@ def transversal_even_intersection(
                         if found is None:
                             continue
                         ma, mb, u, v1, v2 = found
-                        _check_transversal(ma, host1, "m1")
                         if swapped:
                             tp = TransversalPair(mb, ma)
                             witness = (u, v2, v1)
                         else:
                             tp = TransversalPair(ma, mb)
                             witness = (u, v1, v2)
-                        _finish_even(tp, witness, h1, h2)
+                        _finish_even(tp, witness, h1, h2, comps1, comps2)
                         return tp, witness
 
     m1, m2, u, v1, v2 = _even_case_rigid(h1, h2, comps1, comps2, c1, c2, c1p, c2p)
     tp = TransversalPair(m1, m2)
     witness = (u, v1, v2)
-    _finish_even(tp, witness, h1, h2)
+    _finish_even(tp, witness, h1, h2, comps1, comps2)
     return tp, witness
 
 
 def _finish_even(
-    tp: TransversalPair, witness: tuple[int, int, int], h1: frozenset[Edge], h2: frozenset[Edge]
+    tp: TransversalPair, witness: tuple[int, int, int], h1: frozenset[Edge], h2: frozenset[Edge],
+    comps1: list[frozenset[Edge]], comps2: list[frozenset[Edge]],
 ) -> None:
     u, v1, v2 = witness
-    _check_transversal(tp.m1, h1, "m1")
-    _check_transversal(tp.m2, h2, "m2")
+    _check_transversal(tp.m1, h1, comps1, "m1")
+    _check_transversal(tp.m2, h2, comps2, "m2")
     assert len(vertices_of(tp.m1) & vertices_of(tp.m2)) % 2 == 0
     assert edge(u, v1) in tp.m1 and edge(u, v2) in tp.m2
     assert v1 not in vertices_of(tp.m2) and v2 not in vertices_of(tp.m1)
-
-
-_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def _smallest(heap: list, valid, count: int) -> list:
@@ -616,27 +618,27 @@ class _Surgery:
     exists, so lazy heaps answer the join's "smallest such vertex" queries:
     ``r_heap`` orders each R set, ``by_low[f]`` the straddlers of f by
     smallest vertex, and ``anchors[(f, g)]`` (f < g) the straddler ends of
-    f in R_fg.  A join costs O(log E).
+    f in R_fg.  A join costs O(log E).  The state starts from the path
+    records of the triple's analysis.
     """
 
-    def __init__(self, forests: Iterable[frozenset[Edge]]):
+    def __init__(self, forests: Iterable[frozenset[Edge]],
+                 paths: list[list[tuple[int, int, int]]]):
         self.fs = [set(f) for f in forests]
         self.other: list[dict[int, int]] = [{}, {}, {}]
         self.low: list[dict[int, int]] = [{}, {}, {}]
-        for f, forest in enumerate(self.fs):
-            for comp in edge_components(forest):
-                a, b = _ends(comp)
-                self.other[f][a], self.other[f][b] = b, a
-                self.low[f][a] = self.low[f][b] = min(u for u, _ in comp)
+        for other, low, found in zip(self.other, self.low, paths):
+            for lo, a, b in found:
+                other[a], other[b] = b, a
+                low[a] = low[b] = lo
         self.r = {(f, g): self.other[f].keys() & self.other[g].keys() for f, g in _PAIRS}
         self.r_heap = {key: sorted(rs) for key, rs in self.r.items()}
         self.straddlers: list[set[Edge]] = [set(), set(), set()]
         self.by_low: list[list[tuple[int, int, int]]] = [[], [], []]
         self.anchors: dict[tuple[int, int], list[int]] = {key: [] for key in _PAIRS}
-        for f in range(3):
-            for a, b in self.other[f].items():
-                if a < b:
-                    self._add_path(f, a, b)
+        for f, found in enumerate(paths):
+            for _, a, b in found:
+                self._add_path(f, a, b)
 
     def _side(self, f: int, x: int) -> int:
         """The forest g != f that shares endpoint x of forest f."""
@@ -658,9 +660,8 @@ class _Surgery:
         return [len(self.r[key]) for key in _PAIRS] + [len(s) for s in self.straddlers]
 
     def triple(self) -> ForestTriple:
-        r12, r13, r23, t1, t2, t3 = self.counts()
-        return ForestTriple(*(frozenset(f) for f in self.fs), r12=r12, r13=r13, r23=r23,
-                            t1=t1, t2=t2, t3=t3, parity=r12 % 2)
+        counts = self.counts()
+        return ForestTriple(*map(frozenset, self.fs), *counts, counts[0] % 2)
 
     def straddlers_by_low(self, f: int, count: int) -> list[tuple[int, int, int]]:
         """The ``count`` straddlers of forest f with the smallest vertices."""
@@ -731,20 +732,24 @@ def _join_step(s: _Surgery, i: int, j: int, for_cycles: bool) -> None:
     s.join(i, j, u, v)
 
 
-def _reduce_endpoints(triple: ForestTriple, for_cycles: bool) -> ForestTriple:
+def _reduce_endpoints(
+    forests: tuple[frozenset[Edge], ...], facts: _Analysis, for_cycles: bool
+) -> tuple[tuple[frozenset[Edge], ...], _Analysis]:
     """Greedily add join edges until every shared endpoint count hits its
     floor: 1 for the path target, 2 for the cycle target.
 
-    The endpoint state is kept incrementally and checked after every join;
-    one from-scratch ``forest_stats`` at the end must agree with it."""
+    The endpoint state starts from the triple's analysis, is kept
+    incrementally and is checked after every join; one from-scratch
+    analysis at the end must agree with it, and is returned with the
+    joined forests."""
     floor = 2 if for_cycles else 1
     want_parity = 0 if for_cycles else 1
-    assert triple.parity == want_parity
-    if for_cycles:
-        assert min(triple.t1, triple.t2, triple.t3) > 0
-    state = _Surgery(triple.forests)
-    assert state.triple() == triple
+    assert facts.parity == want_parity
+    state = _Surgery(forests, facts.paths)
+    assert state.triple() == facts.triple(forests)
     counts = state.counts()
+    if for_cycles:
+        assert min(counts[3:]) > 0
     while max(counts[:3]) > floor:
         total = sum(counts[:3])
         i, j = next(key for key, c in zip(_PAIRS, counts) if c > floor)
@@ -755,42 +760,32 @@ def _reduce_endpoints(triple: ForestTriple, for_cycles: bool) -> ForestTriple:
         if for_cycles:
             assert min(counts[3:]) > 0
     assert counts[:3] == [floor] * 3
-    final = forest_stats(*state.fs)
-    assert final == state.triple(), "incremental endpoint state disagrees with a fresh analysis"
-    return final
+    final = tuple(frozenset(f) for f in state.fs)
+    fresh = _analyze(final)
+    assert fresh.triple(final) == state.triple(), \
+        "incremental endpoint state disagrees with a fresh analysis"
+    return final, fresh
 
 
-def _close_into_cycles(triple: ForestTriple, n: int) -> list[frozenset[Edge]]:
+def _close_into_cycles(
+    forests: tuple[frozenset[Edge], ...], r_sets: dict[tuple[int, int], set[int]]
+) -> list[frozenset[Edge]]:
     """Close a (2,2,2)-endpoint triple into three cycles by adding each
-    shared endpoint pair's edge to both of its forests."""
-    r_sets, _, _ = _analyze(triple.forests)
-    joins = {key: edge(*sorted(r_sets[key])) for key in ((0, 1), (0, 2), (1, 2))}
+    shared endpoint pair's edge to both of its forests.  ``_make_cert``
+    checks that each part is a cycle."""
+    joins = {key: edge(*sorted(r_sets[key])) for key in _PAIRS}
     for (i, j), e in joins.items():
-        assert e not in triple.forests[i] and e not in triple.forests[j]
-    parts = [
-        frozenset(triple.f1 | {joins[(0, 1)], joins[(0, 2)]}),
-        frozenset(triple.f2 | {joins[(0, 1)], joins[(1, 2)]}),
-        frozenset(triple.f3 | {joins[(0, 2)], joins[(1, 2)]}),
-    ]
-    for part in parts:
-        assert classify(part, n) is SubgraphShape.CYCLE
-    return parts
+        assert e not in forests[i] and e not in forests[j]
+    # Forest i takes the join edges of the two pairs it belongs to.
+    return [f | {e for key, e in joins.items() if i in key} for i, f in enumerate(forests)]
 
 
 def _make_cert(kind: str, parts: Iterable[Iterable[tuple[int, int]]], g: SimpleGraph) -> OddCoverCert:
     """Normalize parts (drop empties, cancel duplicate pairs), then check
     the cover: right shapes, right span, xor equal to the graph."""
     assert kind in ("path", "cycle")
-    norm = [_canon(p) for p in parts]
-    counts = Counter(norm)
-    kept: list[frozenset[Edge]] = []
-    seen: set[frozenset[Edge]] = set()
-    for part in norm:
-        if not part or part in seen:
-            continue
-        seen.add(part)
-        if counts[part] % 2:
-            kept.append(part)
+    # A Counter keeps its keys in order of first occurrence.
+    kept = [part for part, count in Counter(map(_canon, parts)).items() if part and count % 2]
     want = SubgraphShape.PATH if kind == "path" else SubgraphShape.CYCLE
     for part in kept:
         if classify(part, g.n) is not want:
@@ -800,6 +795,17 @@ def _make_cert(kind: str, parts: Iterable[Iterable[tuple[int, int]]], g: SimpleG
     return OddCoverCert(kind, tuple(kept))
 
 
+def _max_degree_up_to_4(g: SimpleGraph) -> int:
+    """The maximum degree of g, once g is checked to be Eulerian with
+    maximum degree at most 4."""
+    summary = degrees(g)
+    if summary.v_odd:
+        raise NotEulerian("graph has a vertex of odd degree")
+    if summary.delta > 4:
+        raise PreconditionViolated(f"maximum degree must be at most 4, got {summary.delta}")
+    return summary.delta
+
+
 def path_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     """Cover an Eulerian graph of maximum degree 4 with at most 3 paths.
 
@@ -807,22 +813,15 @@ def path_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     odd vertex intersection, and joins the resulting forests' endpoints
     until each forest is a single path.
     """
-    summary = degrees(g)
-    if summary.v_odd:
-        raise NotEulerian("graph has a vertex of odd degree")
-    if summary.delta > 4:
-        raise PreconditionViolated(f"maximum degree must be at most 4, got {summary.delta}")
-    if not g.edges:
-        return OddCoverCert("path", ())
-    if summary.delta <= 2:
+    if _max_degree_up_to_4(g) <= 2:
         return _make_cert("path", polycycle_odd_cover(g.edges, "path"), g)
 
     h1, h2 = undirected_polycycle_decomposition(g, 2).parts
     tp = transversal_odd_intersection(h1, h2)
-    triple = linear_forests_from_transversal(h1, h2, tp)
-    assert triple.parity == 1
-    final = _reduce_endpoints(triple, for_cycles=False)
-    cert = _make_cert("path", final.forests, g)
+    forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
+    assert facts.parity == 1
+    final, _ = _reduce_endpoints(forests, facts, for_cycles=False)
+    cert = _make_cert("path", final, g)
     assert len(cert.parts) <= 3
     return cert
 
@@ -836,14 +835,7 @@ def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     one component of one half avoid the other half, and the leftover
     polycycle covers with two cycles.
     """
-    summary = degrees(g)
-    if summary.v_odd:
-        raise NotEulerian("graph has a vertex of odd degree")
-    if summary.delta > 4:
-        raise PreconditionViolated(f"maximum degree must be at most 4, got {summary.delta}")
-    if not g.edges:
-        return OddCoverCert("cycle", ())
-    if summary.delta <= 2:
+    if _max_degree_up_to_4(g) <= 2:
         return _make_cert("cycle", polycycle_odd_cover(g.edges, "cycle"), g)
 
     h1, h2 = undirected_polycycle_decomposition(g, 2).parts
@@ -860,13 +852,8 @@ def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     # all share one h2 component; when it exists, the search below finds
     # it within its first two rounds.
     if len(first) > 1 and len(second) > 1:
-        for i, j in meets:
-            for i2, j2 in meets:
-                if i2 != i and j2 != j:
-                    crossing = ((comps1[i], comps2[j]), (comps1[i2], comps2[j2]))
-                    break
-            if crossing:
-                break
+        crossing = next((((comps1[i], comps2[j]), (comps1[i2], comps2[j2]))
+                         for i, j in meets for i2, j2 in meets if i2 != i and j2 != j), None)
         assert crossing is not None
 
     if crossing is None:
@@ -885,11 +872,10 @@ def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
         return cert
 
     tp, _witness = transversal_even_intersection(h1, h2, crossing)
-    triple = linear_forests_from_transversal(h1, h2, tp)
-    assert triple.parity == 0
-    assert min(triple.t1, triple.t2, triple.t3) > 0
-    final = _reduce_endpoints(triple, for_cycles=True)
-    cert = _make_cert("cycle", _close_into_cycles(final, g.n), g)
+    forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
+    assert facts.parity == 0
+    final, fresh = _reduce_endpoints(forests, facts, for_cycles=True)
+    cert = _make_cert("cycle", _close_into_cycles(final, fresh.r_sets), g)
     assert len(cert.parts) <= 3
     return cert
 
@@ -1001,12 +987,14 @@ def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
     assert delta in (2, 4) and not degrees(host).v_odd
 
     if delta == 2:
-        m = frozenset(_transversal(host.edges))
+        m = _transversal(edge_components(host.edges))
         forests = (host.edges - m, m, empty)
     else:
+        # The decomposition checks that its parts are polycycles, and the
+        # smallest edge of each component is a transversal of them.
         h1, h2 = undirected_polycycle_decomposition(host, 2).parts
-        tp = TransversalPair(frozenset(_transversal(h1)), frozenset(_transversal(h2)))
-        forests = linear_forests_from_transversal(h1, h2, tp).forests
+        m1, m2 = _transversal(edge_components(h1)), _transversal(edge_components(h2))
+        forests, _ = _split_forests(h1, h2, m1, m2)
 
     trimmed = tuple(f & g.edges for f in forests)
     assert symmetric_difference(trimmed) == g.edges

@@ -342,12 +342,12 @@ def undirected_polycycle_decomposition(g: SimpleGraph, t: int) -> PolycycleDecom
     edge_list = sorted(g.edges)
     parts = tuple(frozenset(edge_list[a] for a in part) for part in directed.parts)
 
+    # Explicit raises: the covers rely on these shapes, also under ``python -O``.
+    polycycle = (SubgraphShape.EMPTY, SubgraphShape.CYCLE, SubgraphShape.POLYCYCLE)
     for i, part in enumerate(parts):
-        shape = classify(part, g.n)
-        if i >= len(parts) - directed.cycle_suffix_len:
-            assert shape is SubgraphShape.CYCLE
-        else:
-            assert shape in (SubgraphShape.EMPTY, SubgraphShape.CYCLE, SubgraphShape.POLYCYCLE)
+        want = (SubgraphShape.CYCLE,) if i >= len(parts) - directed.cycle_suffix_len else polycycle
+        if (shape := classify(part, g.n)) not in want:
+            raise AssertionError(f"part {i} of the decomposition is a {shape.value}")
     assert symmetric_difference(parts) == g.edges or not parts
     if parts and directed.cycle_suffix_len == 0:
         deg = g.degree_vector()
@@ -371,6 +371,11 @@ def balanced_permutation_factorization(
     sizes = p.sizes()
     if sizes != q.sizes():
         raise ShapeMismatch("p and q must have equal per-cluster sizes")
+    return _factorize(p, q, sizes)
+
+
+def _factorize(p: Partition, q: Partition, sizes) -> tuple[list[CycleSeq], list[Permutation]]:
+    """The factorization of a pair whose common cluster ``sizes`` are checked."""
     if p == q:
         return [], []
     _, k2 = two_largest(sizes)

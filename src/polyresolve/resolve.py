@@ -27,7 +27,7 @@ from .perms import (
     resolution_from_decomposition,
     resolution_length_bound,
 )
-from .polycycles import balanced_permutation_factorization
+from .polycycles import _factorize
 
 __all__ = [
     "ColorClasses",
@@ -230,9 +230,10 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
 
 def resolve(p: Partition, q: Partition) -> Resolution:
     """Build a verified resolution from p to q of length <= k1 + ceil(k2/2)."""
-    if p.sizes() != q.sizes():
+    sizes = p.sizes()
+    if sizes != q.sizes():
         raise ShapeMismatch("p and q must have equal per-cluster sizes")
-    sigmas, pis = balanced_permutation_factorization(p, q)
+    sigmas, pis = _factorize(p, q, sizes)
     parts: list[CycleSeq] = []
     for i in range(0, len(pis) - 1, 2):
         parts.extend(pcycles_from_pair(p, pis[i], pis[i + 1]))
@@ -243,7 +244,7 @@ def resolve(p: Partition, q: Partition) -> Resolution:
 
     result = resolution_from_decomposition(p, parts)
     assert result.end() == q
-    bound = resolution_length_bound(p.sizes())
+    bound = resolution_length_bound(sizes)
     if len(result.taus) > bound:
         raise AssertionError(f"{len(result.taus)} steps exceed the bound {bound}")
     return result

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from itertools import chain
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyresolve.errors import NotEulerian
@@ -16,7 +19,7 @@ from polyresolve.graphs import (
     edge,
     edge_components,
     eulerian_orientation,
-    path_order,
+    linear_forest_paths,
     simple_graph,
     symmetric_difference,
     vertices_of,
@@ -69,6 +72,114 @@ def test_classify_distinguishes_the_known_shapes():
     assert classify(figure_eight, 5) is SubgraphShape.OTHER
 
 
+def _frozen_classify(edges, n):
+    """``classify`` as it was before the one-walk rewrite: a depth-first
+    component split, then one degree count per component."""
+    edges = frozenset(edges)
+    for u, v in edges:
+        if not (0 <= u < v < n):
+            raise ValueError(f"edge ({u},{v}) invalid for n={n}")
+    if not edges:
+        return SubgraphShape.EMPTY
+    incident = defaultdict(list)
+    for e in edges:
+        incident[e[0]].append(e)
+        incident[e[1]].append(e)
+    seen, comps = set(), []
+    for start in sorted(incident):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            v = stack.pop()
+            for e in incident[v]:
+                if e[0] == v:
+                    comp.append(e)
+                w = e[1] if e[0] == v else e[0]
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    shapes = []
+    for comp in comps:
+        deg = Counter(chain.from_iterable(comp))
+        ones = sum(1 for d in deg.values() if d == 1)
+        if any(d > 2 for d in deg.values()) or ones not in (0, 2):
+            shapes.append(SubgraphShape.OTHER)
+        else:
+            shapes.append(SubgraphShape.PATH if ones == 2 else SubgraphShape.CYCLE)
+    if SubgraphShape.OTHER in shapes:
+        return SubgraphShape.OTHER
+    if len(shapes) == 1:
+        return shapes[0]
+    if all(s is SubgraphShape.CYCLE for s in shapes):
+        return SubgraphShape.POLYCYCLE
+    if all(s is SubgraphShape.PATH for s in shapes):
+        return SubgraphShape.LINEAR_FOREST
+    return SubgraphShape.OTHER
+
+
+@st.composite
+def shaped_edge_lists(draw):
+    """Vertex-disjoint paths and cycles cut from a shuffled vertex list, so
+    mixtures of both are common, plus stray pairs that may raise a degree
+    to 3 or more, repeat a pair, or (rarely) reverse one or leave
+    ``0..n-1``."""
+    chunks = draw(st.lists(st.tuples(st.integers(2, 5), st.booleans()), max_size=4))
+    n = sum(k for k, _ in chunks) + draw(st.integers(1, 3))
+    order = draw(st.permutations(range(n)))
+    pairs = []
+    i = 0
+    for k, closed in chunks:
+        chunk = order[i:i + k]
+        i += k
+        pairs += [(chunk[j], chunk[j + 1]) for j in range(k - 1)]
+        if closed and k >= 3:
+            pairs.append((chunk[-1], chunk[0]))
+    pairs = [(min(u, v), max(u, v)) for u, v in pairs]
+    inside = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    if draw(st.booleans()):
+        pairs += draw(st.lists(inside.filter(lambda e: e[0] < e[1]), max_size=2))
+    if draw(st.integers(0, 15)) == 0:
+        outside = st.tuples(st.integers(-1, n), st.integers(-1, n))
+        pairs += draw(st.lists(outside, min_size=1, max_size=2))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return n, draw(st.permutations(pairs))
+
+
+def _outcome(fn, pairs, n):
+    try:
+        return fn(pairs, n)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(shaped_edge_lists())
+@example((4, [(0, 1), (0, 1), (1, 2)]))
+@example((7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+@example((7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]))
+@example((5, [(0, 1), (0, 2), (0, 3), (3, 4)]))
+@example((5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]))
+@example((3, [(0, 1), (1, 3)]))
+@example((3, [(1, 0)]))
+def test_classify_matches_the_component_split(case):
+    n, pairs = case
+    assert _outcome(classify, pairs, n) == _outcome(_frozen_classify, pairs, n)
+
+
+def test_linear_forest_paths_walks_each_path():
+    forest = [edge(5, 6), edge(0, 4), edge(4, 2), edge(7, 1)]
+    assert linear_forest_paths(forest) == [(0, 0, 2), (1, 1, 7), (5, 5, 6)]
+    assert linear_forest_paths([]) == []
+    assert linear_forest_paths([edge(0, 1), edge(1, 2), edge(0, 2)]) is None
+    assert linear_forest_paths([edge(0, 1), edge(0, 2), edge(0, 3)]) is None
+    # A path plus a cycle is no linear forest either.
+    assert linear_forest_paths([edge(0, 1), edge(2, 3), edge(3, 4), edge(2, 4)]) is None
+
+
 def test_edge_components_split_and_sort():
     parts = edge_components([edge(4, 5), edge(0, 1), edge(1, 2)])
     assert parts == [frozenset({edge(0, 1), edge(1, 2)}), frozenset({edge(4, 5)})]
@@ -84,12 +195,6 @@ def test_cycle_order_walks_the_cycle():
     comp = [edge(0, 1), edge(1, 2), edge(2, 3), edge(0, 3)]
     assert cycle_order(comp) == [0, 1, 2, 3]
     assert cycle_order(comp, start=2, second=3) == [2, 3, 0, 1]
-
-
-def test_path_order_walks_the_path():
-    comp = [edge(2, 3), edge(1, 2), edge(0, 1)]
-    order = path_order(comp)
-    assert order in ([0, 1, 2, 3], [3, 2, 1, 0])
 
 
 def test_digraph_checks_lengths_and_range():

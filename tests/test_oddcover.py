@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,8 +38,18 @@ from polyresolve.generators import (
     random_eulerian_graph,
     random_graph,
 )
-from polyresolve import oddcover
-from polyresolve.oddcover import _analyze, _bounded_cover_search, _ends
+from polyresolve import graphs, oddcover
+from polyresolve.errors import NotLinearForest, NotPolycycle, NotTransversal
+from polyresolve.oddcover import _analyze, _bounded_cover_search
+
+
+def _ends(edges):
+    """Degree-1 vertices of an edge set (path endpoints in a linear forest)."""
+    deg = {}
+    for u, v in edges:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    return {v for v, d in deg.items() if d == 1}
 
 
 def cyc(*vs):
@@ -81,6 +92,34 @@ def test_forest_stats_empty():
     assert (t.r12, t.r13, t.r23, t.t1, t.t2, t.t3, t.parity) == (0,) * 7
 
 
+def test_public_splits_check_their_inputs():
+    # The covers call the split core on inputs they checked; the public
+    # functions still refuse bad ones.
+    square, other = cyc(0, 1, 2, 3), cyc(4, 5, 6, 7)
+    good = TransversalPair(frozenset({edge(0, 1)}), frozenset({edge(4, 5)}))
+    path = [(4, 5), (5, 6)]
+    star = [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (4, 6)]
+    with pytest.raises(NotPolycycle):
+        linear_forests_from_transversal(square, path, good)
+    with pytest.raises(NotPolycycle):
+        linear_forests_from_transversal(star, cyc(7, 8, 9), good)
+    # Two edges of one cycle; an edge outside the polycycle; none at all.
+    for m1 in ({edge(0, 1), edge(2, 3)}, {edge(0, 2)}, set()):
+        with pytest.raises(NotTransversal):
+            linear_forests_from_transversal(square, other, TransversalPair(frozenset(m1), good.m2))
+    with pytest.raises(NotPolycycle):
+        transversal_odd_intersection(cyc(0, 1, 2), [(0, 3), (3, 4)])
+    with pytest.raises(NotPolycycle):
+        transversal_odd_intersection([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)], cyc(0, 5, 6))
+    with pytest.raises(NotLinearForest):
+        forest_stats(cyc(0, 1, 2), [(0, 3)], [(1, 3)])
+    with pytest.raises(NotLinearForest):
+        forest_stats([(0, 1), (0, 2), (0, 3)], [(1, 2)], [(3, 4)])
+    # A path plus a cycle is no linear forest.
+    with pytest.raises(NotLinearForest):
+        forest_stats([(0, 1)] + cyc(2, 3, 4), [(0, 5)], [(1, 5)])
+
+
 def test_linear_forests_from_disjoint_transversal():
     h1, h2 = cyc(0, 1, 2, 3), cyc(4, 5, 6, 7)
     tp = TransversalPair(frozenset({edge(0, 1)}), frozenset({edge(4, 5)}))
@@ -94,7 +133,8 @@ def _assert_matches_fresh_analysis(state):
     """Compare the incremental endpoint state with a from-scratch analysis
     of the current forests."""
     forests = tuple(frozenset(f) for f in state.fs)
-    r_sets, straddlers, _ = _analyze(forests)
+    facts = _analyze(forests)
+    r_sets = facts.r_sets
     assert state.r == r_sets
     for f, forest in enumerate(forests):
         other, low = {}, {}
@@ -104,7 +144,10 @@ def _assert_matches_fresh_analysis(state):
             low[a] = low[b] = min(vertices_of(comp))
         assert state.other[f] == other
         assert state.low[f] == low
-        fresh = [tuple(sorted(_ends(comp))) for comp in straddlers[f]]
+        # The analysis records each path's smallest vertex and ends, in
+        # order of smallest vertex.
+        assert facts.paths[f] == sorted((low[a], a, b) for a, b in other.items() if a < b)
+        fresh = [(a, b) for _, a, b in facts.straddlers[f]]
         assert state.straddlers[f] == set(fresh)
         # Straddlers come out in the order of their smallest vertex.
         assert [tuple(sorted(t[1:])) for t in state.straddlers_by_low(f, len(fresh))] == fresh
@@ -348,3 +391,30 @@ def test_bounded_search_parts_are_valid(seed):
     assert symmetric_difference(found) == g.edges
     # The constructive covers can never beat the exhaustive minimum.
     assert len(found) <= len(path_odd_cover_general(g, tight=True).parts)
+
+
+# --- shape passes per cover ----------------------------------------------------
+
+
+@pytest.mark.parametrize("cover", [path_odd_cover_delta4, cycle_odd_cover_delta4])
+def test_shape_passes_per_cover_stay_few(cover, monkeypatch):
+    # Each fact of the surgery is established once: on this graph the
+    # covers made 36 and 43 classify calls and 54 and 90 component splits
+    # when every stage re-derived them; now 8 and 8, and 3 and 5.
+    calls = {"classify": 0, "edge_components": 0}
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "polyresolve"]
+    for name in calls:
+        original = getattr(graphs, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    g = random_delta4_eulerian_graph(random.Random(1), components=12)
+    check_cover(cover(g), g, cover.__name__.split("_")[0], 3)
+    assert calls["classify"] <= 10
+    assert calls["edge_components"] <= 8

@@ -13,6 +13,7 @@ import polyresolve
 # Each line prints whether one check raised AssertionError.
 SCRIPT = """
 import importlib
+from polyresolve import cli, polycycles
 from polyresolve.graphs import simple_graph
 from polyresolve.oddcover import _make_cert
 from polyresolve.oracles import MoveAccounting
@@ -37,6 +38,19 @@ rs = importlib.import_module("polyresolve.resolve")
 convert = rs.resolution_from_decomposition
 rs.resolution_from_decomposition = lambda p, parts: rs.Resolution(p, convert(p, parts).taus * 3)
 print("length bound:", fires(lambda: rs.resolve(Partition(2, (0, 1)), Partition(2, (1, 0)))))
+
+# A decomposition that returns the whole bowtie (degree 4 at vertex 2) as
+# its one part, which is no polycycle.
+bowtie = simple_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+split = polycycles.directed_polycycle_decomposition
+polycycles.directed_polycycle_decomposition = (
+    lambda d, t: polycycles.PolycycleDecomposition((tuple(range(d.m)),), 0))
+print("polycycle parts:", fires(lambda: polycycles.undirected_polycycle_decomposition(bowtie, 2)))
+polycycles.directed_polycycle_decomposition = split
+
+# An exact search that finds nothing, although the construction bounds it.
+cli._bounded_cover_search = lambda *args: None
+print("exact cover found:", fires(lambda: cli._construct_cover(g, "path", True, None)))
 """
 
 
@@ -54,4 +68,6 @@ def test_output_guards_fire_under_python_O():
         "cover shape: True",
         "cover xor: True",
         "length bound: True",
+        "polycycle parts: True",
+        "exact cover found: True",
     ]
