@@ -18,6 +18,7 @@ from polyresolve import (
     simple_graph,
     verify_certificate,
 )
+from polyresolve.oracles import tight_path_odd_cover
 
 
 def complete(n):
@@ -53,7 +54,7 @@ print("K7 exact minima:", min_odd_cover_exhaustive(k7, "path", 5), "paths /",
 # paths, then cover the remaining Eulerian graph.
 star = simple_graph(4, [(0, 1), (0, 2), (0, 3)])
 weak = path_odd_cover_general(star)
-tight = path_odd_cover_general(star, tight=True)
+tight = tight_path_odd_cover(star)
 print("3-star:", len(weak.parts), "paths weak,", len(tight.parts), "tight,",
       min_odd_cover_exhaustive(star, "path", 4), "optimal")
 

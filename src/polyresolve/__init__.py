@@ -3,198 +3,32 @@ certified small path/cycle odd-covers of graphs.
 
 Constructions always emit replayable certificates; independent brute-force
 oracles (`polyresolve.oracles`) re-derive the small cases so every bound
-can be cross-checked.  See the README for the command-line surface.
+can be cross-checked.  The package root holds the names the README and the
+demos use; everything else is imported from its module.  See the README
+for the command-line surface.
 """
 
-from .errors import (
-    BadShape,
-    CrossingPairMissing,
-    FamilyMismatch,
-    InvalidResolution,
-    NoCommonVertex,
-    NotAMatching,
-    NotBalanced,
-    NotEdgeDisjoint,
-    NotEulerian,
-    NotLinearForest,
-    NotPCycle,
-    NotPolycycle,
-    NotTransversal,
-    PolyresolveError,
-    PreconditionViolated,
-    ShapeMismatch,
-    SizeMismatch,
-    SupportsOverlap,
-    ThresholdViolated,
-    TooLarge,
-)
-from .graphs import (
-    DegreeSummary,
-    Digraph,
-    Edge,
-    SimpleGraph,
-    SubgraphShape,
-    classify,
-    degrees,
-    edge,
-    edge_components,
-    simple_graph,
-    symmetric_difference,
-    vertices_of,
-)
-from .perms import (
-    CycleSeq,
-    Partition,
-    Permutation,
-    Resolution,
-    cdg,
-    check_resolution,
-    compose,
-    cycle_is_p_cycle,
-    decomposition_from_resolution,
-    is_p_balanced,
-    resolution_from_decomposition,
-    verify_resolution,
-)
-from .polycycles import (
-    PolycycleDecomposition,
-    balanced_permutation_factorization,
-    directed_polycycle_decomposition,
-    polycycle_odd_cover,
-    undirected_polycycle_decomposition,
-)
-from .resolve import (
-    PP36_FIRST_MOVE,
-    ColorClasses,
-    LowerBoundInstance,
-    gen_lower_bound_instance,
-    gen_pp36_instance,
-    pcycles_from_balanced,
-    pcycles_from_pair,
-    progress_lower_bound,
-    resolve,
-    two_color_matchings,
-)
+from .graphs import SubgraphShape, classify, degrees, simple_graph
 from .oddcover import (
-    ForestTriple,
-    OddCoverCert,
-    TransversalPair,
     cycle_odd_cover_delta4,
-    flexible_exchange,
-    forest_stats,
     linear_forest_decomposition,
-    linear_forests_from_transversal,
     odd_cover_eulerian,
     path_odd_cover_delta4,
     path_odd_cover_general,
-    transversal_even_intersection,
-    transversal_odd_intersection,
 )
 from .oracles import (
     MoveAccounting,
-    Report,
     exact_diameter_bfs,
-    is_hamiltonian,
     min_odd_cover_exhaustive,
     min_resolution_length,
     move_accounting,
-    pruned_no_short_resolution,
     verify_certificate,
 )
-from .acceptance import run_acceptance
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # errors
-    "PolyresolveError",
-    "BadShape",
-    "CrossingPairMissing",
-    "FamilyMismatch",
-    "InvalidResolution",
-    "NoCommonVertex",
-    "NotAMatching",
-    "NotBalanced",
-    "NotEdgeDisjoint",
-    "NotEulerian",
-    "NotLinearForest",
-    "NotPCycle",
-    "NotPolycycle",
-    "NotTransversal",
-    "PreconditionViolated",
-    "ShapeMismatch",
-    "SizeMismatch",
-    "SupportsOverlap",
-    "ThresholdViolated",
-    "TooLarge",
-    # graphs
-    "DegreeSummary",
-    "Digraph",
-    "Edge",
-    "SimpleGraph",
-    "SubgraphShape",
-    "classify",
-    "degrees",
-    "edge",
-    "edge_components",
-    "simple_graph",
-    "symmetric_difference",
-    "vertices_of",
-    # permutations and partitions
-    "CycleSeq",
-    "Partition",
-    "Permutation",
-    "Resolution",
-    "cdg",
-    "check_resolution",
-    "compose",
-    "cycle_is_p_cycle",
-    "decomposition_from_resolution",
-    "is_p_balanced",
-    "resolution_from_decomposition",
-    "verify_resolution",
-    # polycycles
-    "PolycycleDecomposition",
-    "balanced_permutation_factorization",
-    "directed_polycycle_decomposition",
-    "polycycle_odd_cover",
-    "undirected_polycycle_decomposition",
-    # resolutions
-    "PP36_FIRST_MOVE",
-    "ColorClasses",
-    "LowerBoundInstance",
-    "gen_lower_bound_instance",
-    "gen_pp36_instance",
-    "pcycles_from_balanced",
-    "pcycles_from_pair",
-    "progress_lower_bound",
-    "resolve",
-    "two_color_matchings",
-    # odd covers
-    "ForestTriple",
-    "OddCoverCert",
-    "TransversalPair",
-    "cycle_odd_cover_delta4",
-    "flexible_exchange",
-    "forest_stats",
-    "linear_forest_decomposition",
-    "linear_forests_from_transversal",
-    "odd_cover_eulerian",
-    "path_odd_cover_delta4",
-    "path_odd_cover_general",
-    "transversal_even_intersection",
-    "transversal_odd_intersection",
-    # oracles
-    "MoveAccounting",
-    "Report",
-    "exact_diameter_bfs",
-    "is_hamiltonian",
-    "min_odd_cover_exhaustive",
-    "min_resolution_length",
-    "move_accounting",
-    "pruned_no_short_resolution",
-    "verify_certificate",
-    # acceptance
-    "run_acceptance",
-]
+from .perms import verify_resolution
+from .resolve import (
+    PP36_FIRST_MOVE,
+    gen_lower_bound_instance,
+    gen_pp36_instance,
+    progress_lower_bound,
+    resolve,
+)

@@ -8,6 +8,7 @@ before reporting success.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -37,14 +38,13 @@ from .jsonio import (
 )
 from .oddcover import (
     OddCoverCert,
-    _bounded_cover_search,
     cycle_odd_cover_delta4,
     linear_forest_decomposition,
     odd_cover_eulerian,
     path_odd_cover_delta4,
     path_odd_cover_general,
 )
-from .oracles import Report, exact_diameter_bfs, verify_certificate
+from .oracles import Report, exact_diameter_bfs, exact_odd_cover, verify_certificate
 from .perms import cdg, resolution_length_bound
 from .resolve import gen_lower_bound_instance, gen_pp36_instance, resolve
 
@@ -57,7 +57,10 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process: ``parse_args``
+    leaves it unchanged, so each ``main`` call reuses it."""
     top = argparse.ArgumentParser(
         prog="polyresolve",
         description="Certified short resolutions between partitions and small odd-covers of graphs.",
@@ -177,7 +180,7 @@ def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) ->
         if g.n > limit:
             raise _UsageError(f"--exact supports at most {limit} vertices (override with --cap)")
         fallback = _construct_cover(g, kind, False, None)
-        parts = _bounded_cover_search(g, kind, len(fallback.parts))
+        parts = exact_odd_cover(g, kind, len(fallback.parts))
         if parts is None:
             raise AssertionError("the exact search found no cover; the construction bounds it")
         return OddCoverCert(kind, tuple(parts))

@@ -11,29 +11,23 @@ from __future__ import annotations
 
 from typing import Any
 
-from .graphs import Digraph, SimpleGraph, edge, simple_graph
+from .graphs import SimpleGraph, edge, simple_graph
 from .oddcover import OddCoverCert
 from .oracles import Report
 from .perms import CycleSeq, Partition, Resolution
-from .polycycles import PolycycleDecomposition
 from .resolve import LowerBoundInstance
 
 __all__ = [
     "emit_graph",
     "parse_graph",
-    "emit_digraph",
-    "parse_digraph",
     "emit_instance",
     "parse_instance",
     "emit_resolution",
     "parse_resolution",
     "emit_cover",
     "parse_cover",
-    "emit_decomposition",
-    "parse_decomposition",
     "emit_report",
     "parse_report",
-    "emit",
 ]
 
 
@@ -91,16 +85,6 @@ def emit_graph(g: SimpleGraph) -> dict:
 def parse_graph(d: dict) -> SimpleGraph:
     _require(d, "n", "edges")
     return simple_graph(_count(d["n"], "n"), _pairs(d["edges"], "edges"))
-
-
-def emit_digraph(g: Digraph) -> dict:
-    return {"n": g.n, "arcs": [[t, h] for t, h in zip(g.tails, g.heads)]}
-
-
-def parse_digraph(d: dict) -> Digraph:
-    _require(d, "n", "arcs")
-    arcs = [(int(t), int(h)) for t, h in d["arcs"]]
-    return Digraph(int(d["n"]), tuple(t for t, _ in arcs), tuple(h for _, h in arcs))
 
 
 def emit_instance(inst: tuple[Partition, Partition] | LowerBoundInstance) -> dict:
@@ -162,27 +146,6 @@ def parse_cover(d: dict) -> OddCoverCert:
     return OddCoverCert(kind, parts)
 
 
-def emit_decomposition(dec: PolycycleDecomposition) -> dict:
-    parts = []
-    for part in dec.parts:
-        if all(isinstance(x, int) for x in part):
-            parts.append(sorted(part))
-        else:
-            parts.append([list(e) for e in sorted(part)])
-    return {"parts": parts, "cycle_suffix_len": dec.cycle_suffix_len}
-
-
-def parse_decomposition(d: dict) -> PolycycleDecomposition:
-    _require(d, "parts", "cycle_suffix_len")
-    parts = []
-    for part in d["parts"]:
-        if all(isinstance(x, int) for x in part):
-            parts.append(frozenset(part))
-        else:
-            parts.append(frozenset(edge(int(u), int(v)) for u, v in part))
-    return PolycycleDecomposition(tuple(parts), int(d["cycle_suffix_len"]))
-
-
 def emit_report(r: Report) -> dict:
     return {"check": r.check, "pass": r.passed, "detail": r.detail, "elapsed_ms": r.elapsed_ms}
 
@@ -190,24 +153,3 @@ def emit_report(r: Report) -> dict:
 def parse_report(d: dict) -> Report:
     _require(d, "check", "pass", "detail", "elapsed_ms")
     return Report(str(d["check"]), bool(d["pass"]), str(d["detail"]), int(d["elapsed_ms"]))
-
-
-def emit(x: Any) -> dict:
-    """Emit any supported object by type dispatch."""
-    if isinstance(x, SimpleGraph):
-        return emit_graph(x)
-    if isinstance(x, Digraph):
-        return emit_digraph(x)
-    if isinstance(x, Resolution):
-        return emit_resolution(x)
-    if isinstance(x, OddCoverCert):
-        return emit_cover(x)
-    if isinstance(x, PolycycleDecomposition):
-        return emit_decomposition(x)
-    if isinstance(x, Report):
-        return emit_report(x)
-    if isinstance(x, LowerBoundInstance) or (
-        isinstance(x, tuple) and len(x) == 2 and all(isinstance(p, Partition) for p in x)
-    ):
-        return emit_instance(x)
-    raise TypeError(f"no JSON form for {type(x).__name__}")

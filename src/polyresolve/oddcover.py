@@ -24,7 +24,10 @@ after the last join must agree with the incremental state; the cycle
 closing reads its shared-endpoint sets.  The public steps check their
 inputs (``NotPolycycle``, ``NotTransversal``, ``NotLinearForest``); the
 covers pass the split parts that the decomposition and the transversal
-constructions have checked, and check each finished cover once.
+constructions have checked, and check each finished cover once: its
+part shapes, its xor and its part count, by explicit raises that hold
+under ``python -O``.  The exhaustive cover search, and the tight path
+cover built on it, live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ from .errors import (
     NotPolycycle,
     NotTransversal,
     PreconditionViolated,
-    TooLarge,
-    state_cap,
 )
 from .graphs import (
     FOREST_SHAPES,
@@ -795,6 +796,13 @@ def _make_cert(kind: str, parts: Iterable[Iterable[tuple[int, int]]], g: SimpleG
     return OddCoverCert(kind, tuple(kept))
 
 
+def _within(kind: str, cert: OddCoverCert, bound: int) -> OddCoverCert:
+    """The cover, once it is checked to have at most ``bound`` parts."""
+    if len(cert.parts) > bound:
+        raise AssertionError(f"{len(cert.parts)} {kind}s exceed the bound {bound}")
+    return cert
+
+
 def _max_degree_up_to_4(g: SimpleGraph) -> int:
     """The maximum degree of g, once g is checked to be Eulerian with
     maximum degree at most 4."""
@@ -821,9 +829,7 @@ def path_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
     assert facts.parity == 1
     final, _ = _reduce_endpoints(forests, facts, for_cycles=False)
-    cert = _make_cert("path", final, g)
-    assert len(cert.parts) <= 3
-    return cert
+    return _within("path", _make_cert("path", final, g), 3)
 
 
 def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
@@ -867,17 +873,14 @@ def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
                 assert len(second) == 1
                 apart = comps2[second.pop()]
                 parts = polycycle_odd_cover(h1 | (h2 - apart), "cycle") + [apart]
-        cert = _make_cert("cycle", parts, g)
-        assert len(cert.parts) <= 3
-        return cert
+        return _within("cycle", _make_cert("cycle", parts, g), 3)
 
     tp, _witness = transversal_even_intersection(h1, h2, crossing)
     forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
     assert facts.parity == 0
     final, fresh = _reduce_endpoints(forests, facts, for_cycles=True)
-    cert = _make_cert("cycle", _close_into_cycles(final, fresh.r_sets), g)
-    assert len(cert.parts) <= 3
-    return cert
+    parts = _close_into_cycles(final, fresh.r_sets)
+    return _within("cycle", _make_cert("cycle", parts, g), 3)
 
 
 def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:
@@ -918,20 +921,16 @@ def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:
     if len(classes) % 2:
         parts.extend(polycycle_odd_cover(classes[-1], kind))
 
-    cert = _make_cert(kind, parts, g)
-    assert len(cert.parts) <= bound
-    return cert
+    return _within(kind, _make_cert(kind, parts, g), bound)
 
 
-def path_odd_cover_general(g: SimpleGraph, tight: bool = False) -> OddCoverCert:
+def path_odd_cover_general(g: SimpleGraph) -> OddCoverCert:
     """Cover any graph with at most v_odd/2 + ceil(3*Delta_e/4) paths.
 
     Pairs the odd-degree vertices into a matching M, covers the Eulerian
-    graph g xor M, and adds each M edge as a one-edge path.  With
-    ``tight=True`` (graphs on at most 10 vertices) an exhaustive search
-    instead guarantees max(v_odd/2, ceil((v_odd/2 + 3*Delta_e)/4)) parts;
-    it raises ``TooLarge`` when K_n has more paths than the state cap
-    (from 9 vertices on, at the default cap).
+    graph g xor M, and adds each M edge as a one-edge path.
+    ``oracles.tight_path_odd_cover`` meets the tighter bound on small
+    graphs by exhaustive search.
     """
     summary = degrees(g)
     odd = [u for u, d in enumerate(summary.degrees) if d % 2]
@@ -940,20 +939,8 @@ def path_odd_cover_general(g: SimpleGraph, tight: bool = False) -> OddCoverCert:
     assert degrees(flipped).delta <= summary.delta_e
     base = odd_cover_eulerian(flipped, "path")
     parts = list(base.parts) + [frozenset({e}) for e in matching]
-    cert = _make_cert("path", parts, g)
     weak = len(matching) + (3 * summary.delta_e + 3) // 4
-    assert len(cert.parts) <= weak
-    if not tight:
-        return cert
-
-    if g.n > 10:
-        raise TooLarge(f"tight search supports at most 10 vertices, got {g.n}")
-    goal = max(len(matching), -(-(len(matching) + 3 * summary.delta_e) // 4))
-    if len(cert.parts) <= goal:
-        return cert
-    found = _bounded_cover_search(g, "path", goal)
-    assert found is not None, "the tight bound is always attainable"
-    return _make_cert("path", found, g)
+    return _within("path", _make_cert("path", parts, g), weak)
 
 
 def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
@@ -997,141 +984,10 @@ def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
         forests, _ = _split_forests(h1, h2, m1, m2)
 
     trimmed = tuple(f & g.edges for f in forests)
-    assert symmetric_difference(trimmed) == g.edges
-    assert sum(len(f) for f in trimmed) == g.m
-    for f in trimmed:
-        assert classify(f, g.n) in FOREST_SHAPES
+    if symmetric_difference(trimmed) != g.edges:
+        raise AssertionError("the forests do not xor to the graph")
+    if sum(len(f) for f in trimmed) != g.m:
+        raise AssertionError("the forests share an edge")
+    if any(classify(f, g.n) not in FOREST_SHAPES for f in trimmed):
+        raise AssertionError("a part of the decomposition is not a linear forest")
     return OddCoverCert("linear_forest", trimmed)
-
-
-def _candidate_parts(n: int, kind: str, limit: int | None = None) -> int:
-    """Number of paths (of at least one edge) or cycles of K_n.
-
-    Each k-vertex part is listed by 2 (path) or 2k (cycle) of the
-    n!/(n-k)! sequences of k distinct vertices.  The sum stops once it
-    passes ``limit``.
-    """
-    total, sequences = 0, n
-    for k in range(2, n + 1):
-        sequences *= n - k + 1
-        if kind == "path":
-            total += sequences // 2
-        elif k >= 3:
-            total += sequences // (2 * k)
-        if limit is not None and total > limit:
-            break
-    return total
-
-
-def _bounded_cover_search(
-    g: SimpleGraph, kind: str, budget: int, cap: int | None = None
-) -> list[frozenset[Edge]] | None:
-    """Smallest odd-cover of at most ``budget`` parts by exhaustive search.
-
-    Parts range over all paths (or cycles) of the complete graph on V(g),
-    precomputed as edge bitmasks; when there are more than the state cap
-    (``errors.state_cap(cap)``), ``TooLarge`` is raised before listing
-    them.  Iterative deepening over the part count with a fixed rule —
-    the next part must contain the smallest uncovered edge — so each
-    cover is tried once; the last part is a set lookup.
-    Failed (remaining, depth) states stay memoized across budgets, which is
-    sound because a solution clashing with an earlier choice would cancel
-    into a smaller cover that previous budgets already ruled out.
-    Exponential; meant for tiny hosts.
-    """
-    n = g.n
-    limit = state_cap(cap)
-    if _candidate_parts(n, kind, limit) > limit:
-        raise TooLarge(f"K_{n} has more than {limit} {kind}s to search, the cap")
-    kn = [edge(u, v) for u in range(n) for v in range(u + 1, n)]
-    index = {e: i for i, e in enumerate(kn)}
-    vbits = [0] * n
-    for i, (u, v) in enumerate(kn):
-        vbits[u] |= 1 << i
-        vbits[v] |= 1 << i
-    target = 0
-    for e in g.edges:
-        target |= 1 << index[e]
-
-    def decode(mask: int) -> list[Edge]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(kn[low.bit_length() - 1])
-            mask ^= low
-        return out
-
-    def odd_vertices(mask: int) -> int:
-        return sum(1 for w in range(n) if (mask & vbits[w]).bit_count() % 2)
-
-    masks: set[int] = set()
-    if kind == "path":
-        for start in range(n):
-            stack = [(start, 1 << start, 0)]
-            while stack:
-                last, used, mask = stack.pop()
-                if start < last:
-                    masks.add(mask)
-                for w in range(n):
-                    if not used >> w & 1:
-                        stack.append((w, used | 1 << w, mask | 1 << index[edge(last, w)]))
-        max_part = n - 1
-    else:
-        for v0 in range(n):
-            stack = [
-                (w, 1 << v0 | 1 << w, 1 << index[edge(v0, w)], w)
-                for w in range(v0 + 1, n)
-            ]
-            while stack:
-                last, used, mask, second = stack.pop()
-                if used.bit_count() >= 3 and second < last:
-                    masks.add(mask | 1 << index[edge(last, v0)])
-                for w in range(v0 + 1, n):
-                    if not used >> w & 1:
-                        stack.append((w, used | 1 << w, mask | 1 << index[edge(last, w)], second))
-        max_part = n
-
-    by_edge: list[list[int]] = [[] for _ in kn]
-    for mask in sorted(masks):
-        for e in decode(mask):
-            by_edge[index[e]].append(mask)
-
-    dead: set[tuple[int, int]] = set()
-
-    def search(remaining: int, depth: int, acc: list[int]) -> bool:
-        if not remaining:
-            return True
-        if depth == 0:
-            return False
-        if remaining.bit_count() > depth * max_part:
-            return False
-        stray = odd_vertices(remaining)
-        if kind == "path" and stray > 2 * depth:
-            return False
-        if kind == "cycle" and stray:
-            return False
-        if depth == 1:
-            if remaining in masks and remaining not in acc:
-                acc.append(remaining)
-                return True
-            return False
-        if (remaining, depth) in dead:
-            return False
-        low = remaining & -remaining
-        for mask in by_edge[low.bit_length() - 1]:
-            if mask in acc:
-                continue
-            acc.append(mask)
-            if search(remaining ^ mask, depth - 1, acc):
-                return True
-            acc.pop()
-        dead.add((remaining, depth))
-        return False
-
-    if kind == "cycle" and odd_vertices(target):
-        return None
-    for depth in range(budget + 1):
-        acc: list[int] = []
-        if search(target, depth, acc):
-            return [frozenset(decode(mask)) for mask in acc]
-    return None

@@ -2,10 +2,13 @@
 
 Everything here answers by explicit state-space search, independent of the
 constructive modules: polytope diameters and shortest resolutions by BFS
-over partition states, minimum odd-covers by exhaustive part enumeration,
-Hamiltonicity by backtracking, and a pruned move-accounting search that
-certifies the absence of short resolutions for the doubled-2-cycle family.
-A unified certificate checker reports the first violated invariant.
+over partition states, smallest odd-covers by exhaustive part enumeration
+(``exact_odd_cover``), Hamiltonicity by backtracking, and a pruned
+move-accounting search that certifies the absence of short resolutions for
+the doubled-2-cycle family.  A unified certificate checker reports the
+first violated invariant.  The one cover built here, ``tight_path_odd_cover``,
+falls back on the exhaustive search where the constructive path cover
+misses the tight bound.
 
 The two BFS oracles code a state as the integer ``sum(assign[x] * n**x)``
 and share one neighbour enumerator, ``_neighbours``, which decodes a state
@@ -23,8 +26,17 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import FamilyMismatch, ShapeMismatch, TooLarge, state_cap
-from .graphs import FOREST_SHAPES, SimpleGraph, SubgraphShape, classify, symmetric_difference
-from .oddcover import OddCoverCert, _bounded_cover_search, _candidate_parts
+from .graphs import (
+    FOREST_SHAPES,
+    Edge,
+    SimpleGraph,
+    SubgraphShape,
+    classify,
+    degrees,
+    edge,
+    symmetric_difference,
+)
+from .oddcover import OddCoverCert, path_odd_cover_general
 from .perms import CycleSeq, Partition, Resolution, check_resolution, verify_resolution
 from .resolve import PP36_FIRST_MOVE, gen_pp36_instance
 
@@ -35,7 +47,9 @@ __all__ = [
     "exact_diameter_bfs",
     "min_resolution_length",
     "pruned_no_short_resolution",
+    "exact_odd_cover",
     "min_odd_cover_exhaustive",
+    "tight_path_odd_cover",
     "is_hamiltonian",
     "verify_certificate",
 ]
@@ -387,22 +401,181 @@ def pruned_no_short_resolution(p: Partition, q: Partition, length: int) -> bool:
     return True
 
 
+def _candidate_parts(n: int, kind: str, limit: int | None = None) -> int:
+    """Number of paths (of at least one edge) or cycles of K_n.
+
+    Each k-vertex part is listed by 2 (path) or 2k (cycle) of the
+    n!/(n-k)! sequences of k distinct vertices.  The sum stops once it
+    passes ``limit``.
+    """
+    total, sequences = 0, n
+    for k in range(2, n + 1):
+        sequences *= n - k + 1
+        if kind == "path":
+            total += sequences // 2
+        elif k >= 3:
+            total += sequences // (2 * k)
+        if limit is not None and total > limit:
+            break
+    return total
+
+
+def exact_odd_cover(
+    g: SimpleGraph, kind: str, budget: int, cap: int | None = None
+) -> list[frozenset[Edge]] | None:
+    """Smallest odd-cover of at most ``budget`` parts by exhaustive search.
+
+    Parts range over all paths (or cycles) of the complete graph on V(g),
+    precomputed as edge bitmasks; when there are more than the state cap
+    (``errors.state_cap(cap)``), ``TooLarge`` is raised before listing
+    them.  Iterative deepening over the part count with a fixed rule —
+    the next part must contain the smallest uncovered edge — so each
+    cover is tried once; the last part is a set lookup.
+    Failed (remaining, depth) states stay memoized across budgets, which is
+    sound because a solution clashing with an earlier choice would cancel
+    into a smaller cover that previous budgets already ruled out.
+    Exponential; meant for tiny hosts.
+    """
+    n = g.n
+    limit = state_cap(cap)
+    if _candidate_parts(n, kind, limit) > limit:
+        raise TooLarge(f"K_{n} has more than {limit} {kind}s to search, the cap")
+    kn = [edge(u, v) for u in range(n) for v in range(u + 1, n)]
+    index = {e: i for i, e in enumerate(kn)}
+    vbits = [0] * n
+    for i, (u, v) in enumerate(kn):
+        vbits[u] |= 1 << i
+        vbits[v] |= 1 << i
+    target = 0
+    for e in g.edges:
+        target |= 1 << index[e]
+
+    def decode(mask: int) -> list[Edge]:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(kn[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def odd_vertices(mask: int) -> int:
+        return sum(1 for w in range(n) if (mask & vbits[w]).bit_count() % 2)
+
+    masks: set[int] = set()
+    if kind == "path":
+        for start in range(n):
+            stack = [(start, 1 << start, 0)]
+            while stack:
+                last, used, mask = stack.pop()
+                if start < last:
+                    masks.add(mask)
+                for w in range(n):
+                    if not used >> w & 1:
+                        stack.append((w, used | 1 << w, mask | 1 << index[edge(last, w)]))
+        max_part = n - 1
+    else:
+        for v0 in range(n):
+            stack = [
+                (w, 1 << v0 | 1 << w, 1 << index[edge(v0, w)], w)
+                for w in range(v0 + 1, n)
+            ]
+            while stack:
+                last, used, mask, second = stack.pop()
+                if used.bit_count() >= 3 and second < last:
+                    masks.add(mask | 1 << index[edge(last, v0)])
+                for w in range(v0 + 1, n):
+                    if not used >> w & 1:
+                        stack.append((w, used | 1 << w, mask | 1 << index[edge(last, w)], second))
+        max_part = n
+
+    by_edge: list[list[int]] = [[] for _ in kn]
+    for mask in sorted(masks):
+        for e in decode(mask):
+            by_edge[index[e]].append(mask)
+
+    dead: set[tuple[int, int]] = set()
+
+    def search(remaining: int, depth: int, acc: list[int]) -> bool:
+        if not remaining:
+            return True
+        if depth == 0:
+            return False
+        if remaining.bit_count() > depth * max_part:
+            return False
+        stray = odd_vertices(remaining)
+        if kind == "path" and stray > 2 * depth:
+            return False
+        if kind == "cycle" and stray:
+            return False
+        if depth == 1:
+            if remaining in masks and remaining not in acc:
+                acc.append(remaining)
+                return True
+            return False
+        if (remaining, depth) in dead:
+            return False
+        low = remaining & -remaining
+        for mask in by_edge[low.bit_length() - 1]:
+            if mask in acc:
+                continue
+            acc.append(mask)
+            if search(remaining ^ mask, depth - 1, acc):
+                return True
+            acc.pop()
+        dead.add((remaining, depth))
+        return False
+
+    if kind == "cycle" and odd_vertices(target):
+        return None
+    for depth in range(budget + 1):
+        acc: list[int] = []
+        if search(target, depth, acc):
+            return [frozenset(decode(mask)) for mask in acc]
+    return None
+
+
 def min_odd_cover_exhaustive(
     g: SimpleGraph, kind: str, max_size: int, vertex_cap: int = 8
 ) -> int | None:
     """Smallest odd-cover size within ``max_size``, or None if none exists.
 
-    Exhaustive: parts range over all paths or cycles of the complete graph
-    on V(g), so the answer is a true optimum for cross-checking bounds.
-    ``vertex_cap`` is the size guard here: the search may list as many
-    parts as K_{vertex_cap} has.
+    ``exact_odd_cover`` finds it, so the answer is a true optimum for
+    cross-checking bounds.  ``vertex_cap`` is the size guard here: the
+    search may list as many parts as K_{vertex_cap} has.
     """
     if kind not in ("path", "cycle"):
         raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
     if g.n > vertex_cap:
         raise TooLarge(f"exhaustive search supports at most {vertex_cap} vertices")
-    parts = _bounded_cover_search(g, kind, max_size, _candidate_parts(vertex_cap, kind))
+    parts = exact_odd_cover(g, kind, max_size, _candidate_parts(vertex_cap, kind))
     return None if parts is None else len(parts)
+
+
+def tight_path_odd_cover(g: SimpleGraph) -> OddCoverCert:
+    """Cover a graph on at most 10 vertices with at most
+    max(v_odd/2, ceil((v_odd/2 + 3*Delta_e)/4)) paths.
+
+    Returns ``oddcover.path_odd_cover_general``'s cover when it meets that
+    bound, and otherwise the smallest cover ``exact_odd_cover`` finds within
+    it.  Raises ``TooLarge`` when K_n has more paths than the state cap
+    (from 9 vertices on, at the default cap).
+    """
+    if g.n > 10:
+        raise TooLarge(f"tight search supports at most 10 vertices, got {g.n}")
+    cert = path_odd_cover_general(g)
+    summary = degrees(g)
+    half = summary.v_odd // 2
+    goal = max(half, -(-(half + 3 * summary.delta_e) // 4))
+    if len(cert.parts) <= goal:
+        return cert
+    found = exact_odd_cover(g, "path", goal)
+    if found is None:
+        raise AssertionError("the tight bound is always attainable")
+    cert = OddCoverCert("path", tuple(found))
+    detail = _check_cover(g, cert)
+    if detail is not None:
+        raise AssertionError(f"the exact search returned a bad cover: {detail}")
+    return cert
 
 
 def is_hamiltonian(g: SimpleGraph) -> bool:

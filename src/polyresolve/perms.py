@@ -111,9 +111,6 @@ class Permutation:
     def support(self) -> frozenset[int]:
         return frozenset(self.moved)
 
-    def is_identity(self) -> bool:
-        return not self.moved
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Non-trivial cycles, each starting at its smallest element,
         ordered by that element."""
@@ -271,11 +268,6 @@ def is_p_balanced(pi: Permutation, p: Partition) -> bool:
     if pi.m != p.m:
         raise SizeMismatch(f"permutation on {pi.m} items, partition has {p.m}")
     return len(set(map(p.assign.__getitem__, pi.moved))) == len(pi.moved)
-
-
-def is_p_cycle(sigma: Permutation, p: Partition) -> bool:
-    """True iff ``sigma`` is a single cycle (or the identity) and balanced."""
-    return len(sigma.cycles()) <= 1 and is_p_balanced(sigma, p)
 
 
 def cycle_is_p_cycle(tau: CycleSeq, p: Partition) -> bool:

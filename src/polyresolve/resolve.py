@@ -30,10 +30,8 @@ from .perms import (
 from .polycycles import _factorize
 
 __all__ = [
-    "ColorClasses",
     "LowerBoundInstance",
     "PP36_FIRST_MOVE",
-    "two_color_matchings",
     "pcycles_from_balanced",
     "pcycles_from_pair",
     "resolve",
@@ -41,14 +39,6 @@ __all__ = [
     "progress_lower_bound",
     "gen_pp36_instance",
 ]
-
-
-@dataclass(frozen=True)
-class ColorClasses:
-    """A split of clusters such that every input matching edge straddles it."""
-
-    s1: frozenset[int]
-    s2: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -105,17 +95,6 @@ def _color_matchings(m1, m2, n: int) -> dict[int, int]:
     for u, v in edges:
         assert color[u] != color[v]
     return color
-
-
-def two_color_matchings(m1, m2, n: int) -> ColorClasses:
-    """Properly 2-color the union of two matchings on clusters 0..n-1.
-
-    The union has maximum degree 2 and every cycle alternates between the
-    matchings, so it is bipartite.  Isolated clusters join the first class.
-    """
-    color = _color_matchings(m1, m2, n)
-    s1 = frozenset(u for u in range(n) if color.get(u, 0) == 0)
-    return ColorClasses(s1, frozenset(range(n)) - s1)
 
 
 def _cycle_product(*sigmas: CycleSeq) -> dict[int, int]:

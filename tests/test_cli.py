@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import time
 
 import pytest
 
-from polyresolve import Partition, simple_graph
 from polyresolve.cli import main
+from polyresolve.graphs import simple_graph
 from polyresolve.jsonio import emit_graph, emit_instance
+from polyresolve.perms import Partition
 
 
 def write_json(path, payload):
@@ -309,3 +311,18 @@ def test_selftest_passes(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) == 11
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    assert main(["diameter", "--shape", "2,2"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["diameter", "--shape", "3,1"]) == 0
+    assert built == []
+    assert capsys.readouterr().out.split() == ["3", "4"]

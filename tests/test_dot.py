@@ -7,18 +7,11 @@ import random
 
 import pytest
 
-from polyresolve import (
-    CycleSeq,
-    Digraph,
-    OddCoverCert,
-    Partition,
-    Resolution,
-    cdg,
-    edge,
-    simple_graph,
-)
 from polyresolve.dot import emit_dot
 from polyresolve.errors import InvalidResolution
+from polyresolve.graphs import Digraph, edge, simple_graph
+from polyresolve.oddcover import OddCoverCert
+from polyresolve.perms import CycleSeq, Partition, Resolution, cdg
 from polyresolve.resolve import resolve
 
 PINNED_RESOLUTION_DOT = "6998081bc99c3cd7b8130b42f0c9f625b0b693671c802dd51d50720c36025b12"

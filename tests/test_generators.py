@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyresolve import degrees
+from polyresolve.graphs import degrees
 from polyresolve.generators import (
     random_delta4_eulerian_graph,
     random_delta4_graph,

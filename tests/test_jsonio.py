@@ -10,39 +10,24 @@ from hypothesis import strategies as st
 
 import pytest
 
-from polyresolve import (
-    CycleSeq,
-    Digraph,
-    LowerBoundInstance,
-    OddCoverCert,
-    Partition,
-    PolycycleDecomposition,
-    Report,
-    Resolution,
-    edge,
-    gen_lower_bound_instance,
-    path_odd_cover_general,
-    resolve,
-    simple_graph,
-)
 from polyresolve.generators import random_graph, random_instance
+from polyresolve.graphs import edge, simple_graph
 from polyresolve.jsonio import (
-    emit,
     emit_cover,
-    emit_decomposition,
-    emit_digraph,
     emit_graph,
     emit_instance,
     emit_report,
     emit_resolution,
     parse_cover,
-    parse_decomposition,
-    parse_digraph,
     parse_graph,
     parse_instance,
     parse_report,
     parse_resolution,
 )
+from polyresolve.oddcover import OddCoverCert, path_odd_cover_general
+from polyresolve.oracles import Report
+from polyresolve.perms import CycleSeq, Partition, Resolution
+from polyresolve.resolve import LowerBoundInstance, gen_lower_bound_instance, resolve
 
 
 def through_json(d: dict) -> dict:
@@ -64,13 +49,6 @@ def test_graph_wire_format():
 def test_graph_round_trip(seed):
     g = random_graph(random.Random(seed))
     assert parse_graph(through_json(emit_graph(g))) == g
-
-
-def test_digraph_wire_format():
-    d0 = Digraph(3, (0, 1, 2), (1, 2, 2))
-    d = emit_digraph(d0)
-    assert d == {"n": 3, "arcs": [[0, 1], [1, 2], [2, 2]]}
-    assert parse_digraph(through_json(d)) == d0
 
 
 # --- instances ----------------------------------------------------------------
@@ -157,21 +135,6 @@ def test_cover_rejects_unknown_kind():
         parse_cover({"type": "odd_cover", "kind": "tree", "parts": []})
 
 
-# --- decompositions --------------------------------------------------------------
-
-
-def test_decomposition_round_trip_arc_ids():
-    dec = PolycycleDecomposition((frozenset({0, 1, 2}), frozenset({3, 4})), 1)
-    assert parse_decomposition(through_json(emit_decomposition(dec))) == dec
-
-
-def test_decomposition_round_trip_edges():
-    dec = PolycycleDecomposition(
-        (frozenset({edge(0, 1), edge(1, 2)}), frozenset({edge(0, 2)})), 0
-    )
-    assert parse_decomposition(through_json(emit_decomposition(dec))) == dec
-
-
 # --- reports ----------------------------------------------------------------------
 
 
@@ -182,16 +145,7 @@ def test_report_round_trip():
     assert parse_report(through_json(d)) == r
 
 
-# --- generic dispatch and errors ---------------------------------------------------
-
-
-def test_emit_dispatch():
-    g = simple_graph(2, [(0, 1)])
-    assert emit(g) == emit_graph(g)
-    p = Partition(1, (0, 0))
-    assert emit((p, p)) == emit_instance((p, p))
-    with pytest.raises(TypeError):
-        emit("not a domain object")
+# --- errors ---------------------------------------------------
 
 
 def test_parse_reports_missing_keys():

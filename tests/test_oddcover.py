@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 
 import pytest
 
-from polyresolve import (
-    SimpleGraph,
+from polyresolve.graphs import (
     SubgraphShape,
-    TransversalPair,
     classify,
-    cycle_odd_cover_delta4,
     degrees,
     edge,
     edge_components,
+    simple_graph,
+    symmetric_difference,
+    vertices_of,
+)
+from polyresolve.oddcover import (
+    TransversalPair,
+    cycle_odd_cover_delta4,
     flexible_exchange,
     forest_stats,
     linear_forest_decomposition,
@@ -26,11 +30,8 @@ from polyresolve import (
     odd_cover_eulerian,
     path_odd_cover_delta4,
     path_odd_cover_general,
-    simple_graph,
-    symmetric_difference,
     transversal_even_intersection,
     transversal_odd_intersection,
-    vertices_of,
 )
 from polyresolve.generators import (
     random_delta4_eulerian_graph,
@@ -40,7 +41,8 @@ from polyresolve.generators import (
 )
 from polyresolve import graphs, oddcover
 from polyresolve.errors import NotLinearForest, NotPolycycle, NotTransversal
-from polyresolve.oddcover import _analyze, _bounded_cover_search
+from polyresolve.oddcover import _analyze
+from polyresolve.oracles import exact_odd_cover, tight_path_odd_cover
 
 
 def _ends(edges):
@@ -266,7 +268,7 @@ def test_k7_eulerian_covers():
 def test_star_paths():
     star = simple_graph(4, [(0, 1), (0, 2), (0, 3)])
     check_cover(path_odd_cover_general(star), star, "path", 5)
-    check_cover(path_odd_cover_general(star, tight=True), star, "path", 4)
+    check_cover(tight_path_odd_cover(star), star, "path", 4)
 
 
 def test_single_edge_is_one_path():
@@ -323,7 +325,7 @@ def test_general_path_cover_bounds(seed):
     check_cover(path_odd_cover_general(g), g, "path", weak)
     if g.n <= 6 and g.edges:
         tight = max(summ.v_odd // 2, -(-(summ.v_odd // 2 + 3 * summ.delta_e) // 4))
-        check_cover(path_odd_cover_general(g, tight=True), g, "path", tight)
+        check_cover(tight_path_odd_cover(g), g, "path", tight)
 
 
 @settings(max_examples=80, deadline=None)
@@ -349,30 +351,30 @@ def test_linear_forest_decomposition_random(seed):
 
 def test_bounded_search_known_minima():
     c5 = simple_graph(5, cyc(0, 1, 2, 3, 4))
-    assert len(_bounded_cover_search(c5, "cycle", 3)) == 1
+    assert len(exact_odd_cover(c5, "cycle", 3)) == 1
     k3 = complete(3)
-    assert len(_bounded_cover_search(k3, "cycle", 2)) == 1
-    assert len(_bounded_cover_search(k3, "path", 3)) == 2
+    assert len(exact_odd_cover(k3, "cycle", 2)) == 1
+    assert len(exact_odd_cover(k3, "path", 3)) == 2
     star = simple_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert len(_bounded_cover_search(star, "path", 3)) == 2
+    assert len(exact_odd_cover(star, "path", 3)) == 2
 
 
 def test_bounded_search_k7_optima():
     k7 = complete(7)
-    assert len(_bounded_cover_search(k7, "path", 5)) == 4
-    assert len(_bounded_cover_search(k7, "cycle", 5)) == 3
+    assert len(exact_odd_cover(k7, "path", 5)) == 4
+    assert len(exact_odd_cover(k7, "cycle", 5)) == 3
 
 
 def test_bounded_search_parity_obstructions():
     p3 = simple_graph(3, [(0, 1), (1, 2)])
-    assert _bounded_cover_search(p3, "cycle", 4) is None
-    assert len(_bounded_cover_search(p3, "path", 2)) == 1
-    assert _bounded_cover_search(simple_graph(2, [(0, 1)]), "cycle", 4) is None
+    assert exact_odd_cover(p3, "cycle", 4) is None
+    assert len(exact_odd_cover(p3, "path", 2)) == 1
+    assert exact_odd_cover(simple_graph(2, [(0, 1)]), "cycle", 4) is None
 
 
 def test_bounded_search_respects_budget():
     k3 = complete(3)
-    assert _bounded_cover_search(k3, "path", 1) is None
+    assert exact_odd_cover(k3, "path", 1) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -380,7 +382,7 @@ def test_bounded_search_respects_budget():
 def test_bounded_search_parts_are_valid(seed):
     rng = random.Random(seed)
     g = random_graph(rng, max_n=6)
-    found = _bounded_cover_search(g, "path", 5)
+    found = exact_odd_cover(g, "path", 5)
     if not g.edges:
         assert found == []
         return
@@ -390,7 +392,7 @@ def test_bounded_search_parts_are_valid(seed):
         assert classify(part, g.n) is want
     assert symmetric_difference(found) == g.edges
     # The constructive covers can never beat the exhaustive minimum.
-    assert len(found) <= len(path_odd_cover_general(g, tight=True).parts)
+    assert len(found) <= len(tight_path_odd_cover(g).parts)
 
 
 # --- shape passes per cover ----------------------------------------------------

@@ -11,32 +11,25 @@ from hypothesis import strategies as st
 
 import pytest
 
-from polyresolve import (
-    CycleSeq,
-    FamilyMismatch,
+from polyresolve.errors import FamilyMismatch, ShapeMismatch, TooLarge
+from polyresolve.graphs import edge, simple_graph
+from polyresolve.oddcover import OddCoverCert, cycle_odd_cover_delta4, path_odd_cover_general
+from polyresolve.oracles import (
     MoveAccounting,
-    OddCoverCert,
-    Partition,
-    Resolution,
-    ShapeMismatch,
-    TooLarge,
-    cycle_odd_cover_delta4,
-    edge,
+    _candidate_parts,
+    _encode,
+    _neighbours,
     exact_diameter_bfs,
-    gen_lower_bound_instance,
-    gen_pp36_instance,
+    exact_odd_cover,
     is_hamiltonian,
     min_odd_cover_exhaustive,
     min_resolution_length,
     move_accounting,
-    path_odd_cover_general,
     pruned_no_short_resolution,
-    resolve,
-    simple_graph,
     verify_certificate,
 )
-from polyresolve.oddcover import _bounded_cover_search, _candidate_parts
-from polyresolve.oracles import _encode, _neighbours
+from polyresolve.perms import CycleSeq, Partition, Resolution
+from polyresolve.resolve import gen_lower_bound_instance, gen_pp36_instance, resolve
 
 
 def complete(n):
@@ -319,13 +312,13 @@ def test_bounded_cover_search_guard():
     p9 = simple_graph(9, [(i, i + 1) for i in range(8)])
     start = time.perf_counter()
     with pytest.raises(TooLarge):
-        _bounded_cover_search(p9, "path", 3)
+        exact_odd_cover(p9, "path", 3)
     with pytest.raises(TooLarge):
-        _bounded_cover_search(simple_graph(40, [(0, 1)]), "cycle", 3)
+        exact_odd_cover(simple_graph(40, [(0, 1)]), "cycle", 3)
     with pytest.raises(TooLarge):
-        _bounded_cover_search(complete(7), "path", 5, cap=6845)
+        exact_odd_cover(complete(7), "path", 5, cap=6845)
     assert time.perf_counter() - start < 5
-    assert len(_bounded_cover_search(complete(7), "path", 5, cap=6846)) == 4
+    assert len(exact_odd_cover(complete(7), "path", 5, cap=6846)) == 4
 
 
 # --- Hamiltonicity ------------------------------------------------------------

@@ -15,7 +15,8 @@ import json
 import random
 
 from polyresolve.graphs import edge, simple_graph
-from polyresolve.oddcover import _bounded_cover_search, path_odd_cover_general
+from polyresolve.oddcover import path_odd_cover_general
+from polyresolve.oracles import exact_odd_cover, tight_path_odd_cover
 
 PINNED = "e71cbe1f61af8a4333bc957599eda25a16a3f2ee21c435242a2bb18c561ee140"
 
@@ -45,13 +46,13 @@ def pinned_searches():
     rng = random.Random(20261018)
     graphs = [_graph(rng) for _ in range(36)] + [_eulerian(rng) for _ in range(24)]
     for g in graphs:
-        tight = path_odd_cover_general(g, tight=True)
+        tight = tight_path_odd_cover(g)
         budget = len(path_odd_cover_general(g).parts)
         yield {
             "graph": sorted(g.edges),
             "tight": _parts(tight.parts),
-            "path": _parts(_bounded_cover_search(g, "path", budget)),
-            "cycle": _parts(_bounded_cover_search(g, "cycle", 3)),
+            "path": _parts(exact_odd_cover(g, "path", budget)),
+            "cycle": _parts(exact_odd_cover(g, "cycle", 3)),
         }
 
 

@@ -10,33 +10,35 @@ from hypothesis import strategies as st
 
 import pytest
 
-from polyresolve import (
+from polyresolve.errors import (
     BadShape,
-    CycleSeq,
-    MoveAccounting,
     NotAMatching,
     NotBalanced,
-    Partition,
-    Permutation,
     ShapeMismatch,
     SupportsOverlap,
-    PP36_FIRST_MOVE,
-    compose,
+)
+from polyresolve.oracles import MoveAccounting, min_resolution_length, move_accounting
+from polyresolve.perms import (
+    CycleSeq,
+    Partition,
+    Permutation,
     cdg,
+    compose,
     cycle_is_p_cycle,
+    perm_from_cycles,
+    resolution_from_decomposition,
+    verify_resolution,
+)
+from polyresolve.resolve import (
+    PP36_FIRST_MOVE,
+    _color_matchings,
     gen_lower_bound_instance,
     gen_pp36_instance,
-    min_resolution_length,
-    move_accounting,
     pcycles_from_balanced,
     pcycles_from_pair,
     progress_lower_bound,
-    resolution_from_decomposition,
     resolve,
-    two_color_matchings,
-    verify_resolution,
 )
-from polyresolve.perms import perm_from_cycles
 
 # The package re-exports the function ``resolve`` under the module's name.
 resolve_module = importlib.import_module("polyresolve.resolve")
@@ -224,16 +226,17 @@ def test_pcycles_from_pair_rejects_shared_support():
 def test_two_color_matchings_straddles_every_edge():
     m1 = [(0, 1), (2, 3)]
     m2 = [(1, 2), (3, 4)]
-    classes = two_color_matchings(m1, m2, 6)
-    assert classes.s1 | classes.s2 == frozenset(range(6))
-    assert not classes.s1 & classes.s2
+    color = _color_matchings(m1, m2, 6)
+    # Cluster 5 is on no edge, so it gets no colour.
+    assert set(color) == {0, 1, 2, 3, 4}
+    assert set(color.values()) <= {0, 1}
     for u, v in m1 + m2:
-        assert (u in classes.s1) != (v in classes.s1)
+        assert color[u] != color[v]
 
 
 def test_two_color_matchings_rejects_overlap():
     with pytest.raises(NotAMatching):
-        two_color_matchings([(0, 1), (1, 2)], [], 3)
+        _color_matchings([(0, 1), (1, 2)], [], 3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -248,9 +251,9 @@ def test_two_color_matchings_random(seed):
     rng.shuffle(verts)
     m2 = [tuple(sorted(verts[i : i + 2])) for i in range(0, n - 1, 2)]
     m2 = [e for e in m2 if rng.random() < 0.7]
-    classes = two_color_matchings(m1, m2, n)
+    color = _color_matchings(m1, m2, n)
     for u, v in m1 + m2:
-        assert (u in classes.s1) != (v in classes.s1)
+        assert color[u] != color[v]
 
 
 # --- hard instances and lower bounds ----------------------------------------
