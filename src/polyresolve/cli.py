@@ -1,8 +1,9 @@
 """Command-line surface: generate, construct, verify, and render.
 
-One verb per invocation.  Constructions re-verify their own certificates
-before reporting success.  Exit codes: 0 success, 1 verification failure,
-2 usage or input error.
+One verb per invocation.  Each construction checks its certificate once,
+with the checker ``verify`` also runs (promised bound included); a failed
+check prints the verification report and exits 1.  Exit codes: 0 success,
+1 verification failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .jsonio import (
 )
 from .oddcover import (
     OddCoverCert,
+    _make_cert,
     cycle_odd_cover_delta4,
     linear_forest_decomposition,
     odd_cover_eulerian,
@@ -157,17 +159,25 @@ def _write(payload: dict | str, path: str | None) -> None:
         print(text)
 
 
+def _emit_checked(check: str, emit, args, build) -> int:
+    """Write the certificate ``build()`` returns, and its DOT rendering.
+    The construction checks it once and raises AssertionError when the
+    check fails; that is reported as ``verify`` reports it, with exit 1."""
+    try:
+        cert = build()
+    except AssertionError as exc:
+        detail = str(exc) or "a construction check failed"
+        _write(emit_report(Report(check, False, detail, 0)), None)
+        return 1
+    _write(emit(cert), args.out)
+    if args.dot:
+        _write(emit_dot(cert), args.dot)
+    return 0
+
+
 def _run_resolve(args) -> int:
     p, q = _load_instance(args.instance)
-    res = resolve(p, q)
-    report = verify_certificate((p, q), res)
-    if not report.passed:
-        _write(emit_report(report), None)
-        return 1
-    _write(emit_resolution(res), args.out)
-    if args.dot:
-        _write(emit_dot(res), args.dot)
-    return 0
+    return _emit_checked("resolution", emit_resolution, args, lambda: resolve(p, q))
 
 
 def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) -> OddCoverCert:
@@ -180,10 +190,10 @@ def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) ->
         if g.n > limit:
             raise _UsageError(f"--exact supports at most {limit} vertices (override with --cap)")
         fallback = _construct_cover(g, kind, False, None)
-        parts = exact_odd_cover(g, kind, len(fallback.parts))
+        parts = exact_odd_cover(g, kind, len(fallback.parts), cap)
         if parts is None:
             raise AssertionError("the exact search found no cover; the construction bounds it")
-        return OddCoverCert(kind, tuple(parts))
+        return _make_cert(kind, parts, g)
     if eulerian and d.delta <= 4:
         return path_odd_cover_delta4(g) if kind == "path" else cycle_odd_cover_delta4(g)
     if eulerian:
@@ -193,28 +203,13 @@ def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) ->
 
 def _run_oddcover(args) -> int:
     g = _load_graph(args.graph)
-    cert = _construct_cover(g, args.kind, args.exact, args.cap)
-    report = verify_certificate(g, cert)
-    if not report.passed:
-        _write(emit_report(report), None)
-        return 1
-    _write(emit_cover(cert), args.out)
-    if args.dot:
-        _write(emit_dot(cert), args.dot)
-    return 0
+    return _emit_checked(f"odd_cover[{args.kind}]", emit_cover, args,
+                         lambda: _construct_cover(g, args.kind, args.exact, args.cap))
 
 
 def _run_arboricity(args) -> int:
     g = _load_graph(args.graph)
-    cert = linear_forest_decomposition(g)
-    report = verify_certificate(g, cert)
-    if not report.passed:
-        _write(emit_report(report), None)
-        return 1
-    _write(emit_cover(cert), args.out)
-    if args.dot:
-        _write(emit_dot(cert), args.dot)
-    return 0
+    return _emit_checked("linear_forest", emit_cover, args, lambda: linear_forest_decomposition(g))
 
 
 def _run_diameter(args) -> int:

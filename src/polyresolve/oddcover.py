@@ -24,10 +24,15 @@ after the last join must agree with the incremental state; the cycle
 closing reads its shared-endpoint sets.  The public steps check their
 inputs (``NotPolycycle``, ``NotTransversal``, ``NotLinearForest``); the
 covers pass the split parts that the decomposition and the transversal
-constructions have checked, and check each finished cover once: its
-part shapes, its xor and its part count, by explicit raises that hold
-under ``python -O``.  The exhaustive cover search, and the tight path
-cover built on it, live in ``oracles``.
+constructions have checked.
+
+``check_cover`` is the one checker of a finished cover, and
+``oracles.verify_certificate`` calls it too: the part shapes, the xor (or,
+for linear forests, disjointness and union) and the part count against
+``odd_cover_bound``, which it works out from the graph alone.  Every cover
+construction checks its output once with it, by an explicit raise that
+holds under ``python -O``.  The exhaustive cover search, and the tight
+path cover built on it, live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -61,12 +66,15 @@ from .graphs import (
     symmetric_difference,
     vertices_of,
 )
+from .perms import two_largest
 from .polycycles import polycycle_odd_cover, undirected_polycycle_decomposition
 
 __all__ = [
     "TransversalPair",
     "ForestTriple",
     "OddCoverCert",
+    "odd_cover_bound",
+    "check_cover",
     "forest_stats",
     "linear_forests_from_transversal",
     "flexible_exchange",
@@ -125,6 +133,67 @@ class OddCoverCert:
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
+_PART_SHAPES = {
+    "path": (SubgraphShape.PATH,),
+    "cycle": (SubgraphShape.CYCLE,),
+    "linear_forest": FOREST_SHAPES,
+}
+
+
+def odd_cover_bound(g: SimpleGraph, kind: str) -> int:
+    """The most parts a cover of g of this kind is promised to have:
+    v_odd/2 + ceil(3*Delta_e/4) paths (ceil(3*Delta/4), at most 3 for
+    Delta <= 4, on an Eulerian graph), d1/2 + ceil(d2/4) cycles (d1 >= d2
+    the two largest degrees, 0 where absent) and exactly 3 linear forests."""
+    if kind == "linear_forest":
+        return 3
+    summary = degrees(g)
+    if kind == "path":
+        return summary.v_odd // 2 + (3 * summary.delta_e + 3) // 4
+    d1, d2 = two_largest(summary.degrees)
+    return d1 // 2 + (d2 + 3) // 4
+
+
+def check_cover(g: SimpleGraph, cert: OddCoverCert) -> str | None:
+    """None if ``cert`` covers g within ``odd_cover_bound``; else the first
+    failure.  Path and cycle covers need pairwise distinct parts of their
+    kind whose xor is g; a linear-forest decomposition needs three pairwise
+    edge-disjoint linear forests whose union is g."""
+    want = _PART_SHAPES.get(cert.kind)
+    if want is None:
+        return f"unknown kind {cert.kind!r}"
+    parts, bound = cert.parts, odd_cover_bound(g, cert.kind)
+    forests = cert.kind == "linear_forest"
+    if forests and len(parts) != bound:
+        return f"expected {bound} parts, got {len(parts)}"
+    for i, part in enumerate(parts):
+        try:
+            shape = classify(part, g.n)
+        except Exception as exc:  # noqa: BLE001 - malformed part, name it
+            return f"part {i} is malformed: {exc}"
+        if shape not in want:
+            return f"part {i} not a {cert.kind.replace('_', ' ')}"
+    if forests:
+        for i, j in _PAIRS:
+            if parts[i] & parts[j]:
+                return f"parts {i} and {j} share an edge"
+        return None if frozenset().union(*parts) == g.edges else "union differs from the graph"
+    if len(set(parts)) != len(parts):
+        return "parts are not pairwise distinct"
+    if symmetric_difference(parts) != g.edges:
+        return "symmetric difference differs from the graph"
+    if len(parts) > bound:
+        return f"{len(parts)} {cert.kind}s exceed the bound {bound}"
+    return None
+
+
+def _checked(g: SimpleGraph, cert: OddCoverCert) -> OddCoverCert:
+    """``cert``, once ``check_cover`` passes it; an explicit raise, so the
+    check holds under ``python -O``."""
+    detail = check_cover(g, cert)
+    if detail is not None:
+        raise AssertionError(detail)
+    return cert
 
 
 def _canon(edges: Iterable[tuple[int, int]]) -> frozenset[Edge]:
@@ -782,25 +851,11 @@ def _close_into_cycles(
 
 
 def _make_cert(kind: str, parts: Iterable[Iterable[tuple[int, int]]], g: SimpleGraph) -> OddCoverCert:
-    """Normalize parts (drop empties, cancel duplicate pairs), then check
-    the cover: right shapes, right span, xor equal to the graph."""
-    assert kind in ("path", "cycle")
+    """Normalize parts (drop empties, cancel duplicate pairs) into a path
+    or cycle cover of g, checked once by ``check_cover``."""
     # A Counter keeps its keys in order of first occurrence.
     kept = [part for part, count in Counter(map(_canon, parts)).items() if part and count % 2]
-    want = SubgraphShape.PATH if kind == "path" else SubgraphShape.CYCLE
-    for part in kept:
-        if classify(part, g.n) is not want:
-            raise AssertionError(f"a part of the cover is not a {kind}")
-    if symmetric_difference(kept) != g.edges:
-        raise AssertionError("the parts of the cover do not xor to the graph")
-    return OddCoverCert(kind, tuple(kept))
-
-
-def _within(kind: str, cert: OddCoverCert, bound: int) -> OddCoverCert:
-    """The cover, once it is checked to have at most ``bound`` parts."""
-    if len(cert.parts) > bound:
-        raise AssertionError(f"{len(cert.parts)} {kind}s exceed the bound {bound}")
-    return cert
+    return _checked(g, OddCoverCert(kind, tuple(kept)))
 
 
 def _max_degree_up_to_4(g: SimpleGraph) -> int:
@@ -829,7 +884,7 @@ def path_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
     assert facts.parity == 1
     final, _ = _reduce_endpoints(forests, facts, for_cycles=False)
-    return _within("path", _make_cert("path", final, g), 3)
+    return _make_cert("path", final, g)
 
 
 def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
@@ -873,14 +928,14 @@ def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
                 assert len(second) == 1
                 apart = comps2[second.pop()]
                 parts = polycycle_odd_cover(h1 | (h2 - apart), "cycle") + [apart]
-        return _within("cycle", _make_cert("cycle", parts, g), 3)
+        return _make_cert("cycle", parts, g)
 
     tp, _witness = transversal_even_intersection(h1, h2, crossing)
     forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
     assert facts.parity == 0
     final, fresh = _reduce_endpoints(forests, facts, for_cycles=True)
     parts = _close_into_cycles(final, fresh.r_sets)
-    return _within("cycle", _make_cert("cycle", parts, g), 3)
+    return _make_cert("cycle", parts, g)
 
 
 def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:
@@ -904,15 +959,12 @@ def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:
         dec = undirected_polycycle_decomposition(g, summary.delta // 2)
         assert dec.cycle_suffix_len == 0
         classes = list(dec.parts)
-        bound = (3 * summary.delta + 3) // 4
     else:
-        top = sorted(summary.degrees, reverse=True)
-        d1, d2 = top[0], top[1]
+        _, d2 = two_largest(summary.degrees)
         dec = undirected_polycycle_decomposition(g, d2 // 2)
         split = len(dec.parts) - dec.cycle_suffix_len
         classes = list(dec.parts[:split])
         parts.extend(dec.parts[split:])
-        bound = d1 // 2 + (d2 + 3) // 4
 
     cover_pair = path_odd_cover_delta4 if kind == "path" else cycle_odd_cover_delta4
     for i in range(0, len(classes) - 1, 2):
@@ -921,7 +973,7 @@ def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:
     if len(classes) % 2:
         parts.extend(polycycle_odd_cover(classes[-1], kind))
 
-    return _within(kind, _make_cert(kind, parts, g), bound)
+    return _make_cert(kind, parts, g)
 
 
 def path_odd_cover_general(g: SimpleGraph) -> OddCoverCert:
@@ -939,8 +991,7 @@ def path_odd_cover_general(g: SimpleGraph) -> OddCoverCert:
     assert degrees(flipped).delta <= summary.delta_e
     base = odd_cover_eulerian(flipped, "path")
     parts = list(base.parts) + [frozenset({e}) for e in matching]
-    weak = len(matching) + (3 * summary.delta_e + 3) // 4
-    return _within("path", _make_cert("path", parts, g), weak)
+    return _make_cert("path", parts, g)
 
 
 def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
@@ -983,11 +1034,4 @@ def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
         m1, m2 = _transversal(edge_components(h1)), _transversal(edge_components(h2))
         forests, _ = _split_forests(h1, h2, m1, m2)
 
-    trimmed = tuple(f & g.edges for f in forests)
-    if symmetric_difference(trimmed) != g.edges:
-        raise AssertionError("the forests do not xor to the graph")
-    if sum(len(f) for f in trimmed) != g.m:
-        raise AssertionError("the forests share an edge")
-    if any(classify(f, g.n) not in FOREST_SHAPES for f in trimmed):
-        raise AssertionError("a part of the decomposition is not a linear forest")
-    return OddCoverCert("linear_forest", trimmed)
+    return _checked(g, OddCoverCert("linear_forest", tuple(f & g.edges for f in forests)))

@@ -5,10 +5,13 @@ constructive modules: polytope diameters and shortest resolutions by BFS
 over partition states, smallest odd-covers by exhaustive part enumeration
 (``exact_odd_cover``), Hamiltonicity by backtracking, and a pruned
 move-accounting search that certifies the absence of short resolutions for
-the doubled-2-cycle family.  A unified certificate checker reports the
-first violated invariant.  The one cover built here, ``tight_path_odd_cover``,
-falls back on the exhaustive search where the constructive path cover
-misses the tight bound.
+the doubled-2-cycle family.  ``verify_certificate`` reports a
+certificate's first violated invariant, promised bound included: it
+dispatches to the one checker of each kind, ``perms.check_resolution`` and
+``oddcover.check_cover``, which the constructions also call on their
+output.  The one cover built here, ``tight_path_odd_cover``, falls back on
+the exhaustive search where the constructive path cover misses the tight
+bound.
 
 The two BFS oracles code a state as the integer ``sum(assign[x] * n**x)``
 and share one neighbour enumerator, ``_neighbours``, which decodes a state
@@ -26,18 +29,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import FamilyMismatch, ShapeMismatch, TooLarge, state_cap
-from .graphs import (
-    FOREST_SHAPES,
-    Edge,
-    SimpleGraph,
-    SubgraphShape,
-    classify,
-    degrees,
-    edge,
-    symmetric_difference,
-)
-from .oddcover import OddCoverCert, path_odd_cover_general
-from .perms import CycleSeq, Partition, Resolution, check_resolution, verify_resolution
+from .graphs import Edge, SimpleGraph, degrees, edge
+from .oddcover import OddCoverCert, _make_cert, check_cover, path_odd_cover_general
+from .perms import CycleSeq, Partition, Resolution, check_resolution
 from .resolve import PP36_FIRST_MOVE, gen_pp36_instance
 
 __all__ = [
@@ -396,7 +390,7 @@ def pruned_no_short_resolution(p: Partition, q: Partition, length: int) -> bool:
         state0 = _apply_cycle(p0, PP36_FIRST_MOVE.items)
         depth = length - 1
     if dfs(state0, depth):
-        assert verify_resolution(p, q, taken)
+        assert Resolution(p, tuple(taken)).end() == q
         return False
     return True
 
@@ -571,11 +565,7 @@ def tight_path_odd_cover(g: SimpleGraph) -> OddCoverCert:
     found = exact_odd_cover(g, "path", goal)
     if found is None:
         raise AssertionError("the tight bound is always attainable")
-    cert = OddCoverCert("path", tuple(found))
-    detail = _check_cover(g, cert)
-    if detail is not None:
-        raise AssertionError(f"the exact search returned a bad cover: {detail}")
-    return cert
+    return _make_cert("path", found, g)
 
 
 def is_hamiltonian(g: SimpleGraph) -> bool:
@@ -625,47 +615,14 @@ class Report:
     elapsed_ms: int
 
 
-def _check_cover(g: SimpleGraph, cert: OddCoverCert) -> str | None:
-    want = SubgraphShape.PATH if cert.kind == "path" else SubgraphShape.CYCLE
-    for i, part in enumerate(cert.parts):
-        try:
-            shape = classify(part, g.n)
-        except Exception as exc:  # noqa: BLE001 - malformed part, name it
-            return f"part {i} is malformed: {exc}"
-        if shape is not want:
-            return f"part {i} not a {cert.kind}"
-    if len(set(cert.parts)) != len(cert.parts):
-        return "parts are not pairwise distinct"
-    if symmetric_difference(cert.parts) != g.edges:
-        return "symmetric difference differs from the graph"
-    return None
-
-
-def _check_forests(g: SimpleGraph, cert: OddCoverCert) -> str | None:
-    if len(cert.parts) != 3:
-        return f"expected 3 parts, got {len(cert.parts)}"
-    for i, part in enumerate(cert.parts):
-        try:
-            shape = classify(part, g.n)
-        except Exception as exc:  # noqa: BLE001 - malformed part, name it
-            return f"part {i} is malformed: {exc}"
-        if shape not in FOREST_SHAPES:
-            return f"part {i} not a linear forest"
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if cert.parts[i] & cert.parts[j]:
-                return f"parts {i} and {j} share an edge"
-    if frozenset().union(*cert.parts) != g.edges:
-        return "union differs from the graph"
-    return None
-
-
 def verify_certificate(target, cert) -> Report:
     """Re-check a certificate against its target; never raises.
 
-    Resolutions are replayed against a (p, q) pair; path and cycle
-    odd-covers are checked part-by-part and xored against the graph;
-    linear-forest decompositions additionally require disjointness.
+    Resolutions are replayed against a (p, q) pair by
+    ``perms.check_resolution``, and covers checked against the graph by
+    ``oddcover.check_cover``.  Each works out the promised bound from the
+    target alone and refuses a certificate past it: k1 + ceil(k2/2) steps,
+    or ``oddcover.odd_cover_bound`` parts.
     """
     t0 = time.perf_counter()
     try:
@@ -679,13 +636,9 @@ def verify_certificate(target, cert) -> Report:
         elif isinstance(cert, OddCoverCert):
             if cert.kind in ("path", "cycle"):
                 name = f"odd_cover[{cert.kind}]"
-                detail = _check_cover(target, cert)
-            elif cert.kind == "linear_forest":
-                name = "linear_forest"
-                detail = _check_forests(target, cert)
             else:
-                name = "odd_cover"
-                detail = f"unknown kind {cert.kind!r}"
+                name = "linear_forest" if cert.kind == "linear_forest" else "odd_cover"
+            detail = check_cover(target, cert)
         else:
             name = "certificate"
             detail = f"unsupported certificate type {type(cert).__name__}"

@@ -380,7 +380,9 @@ def decomposition_from_resolution(r: Resolution) -> list[CycleSeq]:
 
 
 def check_resolution(p: Partition, q: Partition, taus) -> str | None:
-    """None if the steps walk from ``p`` to ``q``; else the first failure."""
+    """None if the steps walk from ``p`` to ``q`` within the promised
+    :func:`resolution_length_bound` of ``p``'s cluster sizes; else the
+    first failure."""
     if p.m != q.m or p.n != q.n:
         return "partitions live on different ground sets"
     assign = list(p.assign)
@@ -391,6 +393,9 @@ def check_resolution(p: Partition, q: Partition, taus) -> str | None:
             return f"step {i} revisits a cluster"
     if tuple(assign) != q.assign:
         return "final partition differs from the target"
+    bound = resolution_length_bound(p.sizes())
+    if len(taus) > bound:
+        return f"{len(taus)} steps exceed the bound {bound}"
     return None
 
 

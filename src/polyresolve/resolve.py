@@ -22,10 +22,10 @@ from .perms import (
     Partition,
     Permutation,
     Resolution,
+    check_resolution,
     cycle_is_p_cycle,
     is_p_balanced,
     resolution_from_decomposition,
-    resolution_length_bound,
 )
 from .polycycles import _factorize
 
@@ -208,7 +208,8 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
 
 
 def resolve(p: Partition, q: Partition) -> Resolution:
-    """Build a verified resolution from p to q of length <= k1 + ceil(k2/2)."""
+    """Build a resolution from p to q of length <= k1 + ceil(k2/2), checked
+    once by ``perms.check_resolution``."""
     sizes = p.sizes()
     if sizes != q.sizes():
         raise ShapeMismatch("p and q must have equal per-cluster sizes")
@@ -222,10 +223,9 @@ def resolve(p: Partition, q: Partition) -> Resolution:
     parts = [s for s in parts if not s.is_trivial]
 
     result = resolution_from_decomposition(p, parts)
-    assert result.end() == q
-    bound = resolution_length_bound(sizes)
-    if len(result.taus) > bound:
-        raise AssertionError(f"{len(result.taus)} steps exceed the bound {bound}")
+    detail = check_resolution(p, q, result.taus)
+    if detail is not None:
+        raise AssertionError(detail)
     return result
 
 

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from polyresolve import oddcover
 from polyresolve.cli import main
 from polyresolve.graphs import simple_graph
 from polyresolve.jsonio import emit_graph, emit_instance
@@ -93,6 +94,25 @@ def test_oddcover_exact_search_too_large(tmp_path, capsys):
     assert main(["oddcover", "--graph", p9, "--exact", "--cap", "9"]) == 2
     assert "cap" in capsys.readouterr().err
     assert time.perf_counter() - start < 5
+
+
+def test_oddcover_exact_cap_raises_the_state_cap(tmp_path, capsys, monkeypatch):
+    # K_6 has 975 paths: past a state cap of 500, within one of 100,000.
+    monkeypatch.setenv("POLYRESOLVE_CAP", "500")
+    p6 = write_json(tmp_path / "p6.json", {"n": 6, "edges": [[i, i + 1] for i in range(5)]})
+    assert main(["oddcover", "--graph", p6, "--exact", "--cap", "100000"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["parts"]) == 1
+
+
+def test_oddcover_failed_construction_check_exits_one(tmp_path, capsys, monkeypatch):
+    # A polycycle step that hands back the 5-cycle whole: no path cover.
+    monkeypatch.setattr(oddcover, "polycycle_odd_cover", lambda h, kind: [frozenset(h)])
+    c5 = write_json(tmp_path / "c5.json", {"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]})
+    assert main(["oddcover", "--graph", c5, "--kind", "path"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False
+    assert report["check"] == "odd_cover[path]"
+    assert report["detail"] == "part 0 not a path"
 
 
 def test_oddcover_cycle_parity_obstruction(tmp_path, capsys):
@@ -255,6 +275,24 @@ def test_verify_cover_against_graph(tmp_path, capsys):
     cert = tmp_path / "cover.json"
     assert main(["oddcover", "--graph", g, "--kind", "cycle", "--out", str(cert)]) == 0
     assert main(["verify", "--graph", g, str(cert)]) == 0
+
+
+def test_verify_refuses_a_walk_past_its_bound(tmp_path, capsys):
+    # Three swaps walk (0, 1) to (1, 0), one step past the bound 2 of (1, 1).
+    inst = write_json(tmp_path / "inst.json",
+                      emit_instance((Partition(2, (0, 1)), Partition(2, (1, 0)))))
+    cert = write_json(tmp_path / "walk.json", {"type": "resolution", "taus": [[0, 1]] * 3})
+    assert main(["verify", "--instance", inst, cert]) == 1
+    assert json.loads(capsys.readouterr().out)["detail"] == "3 steps exceed the bound 2"
+
+
+def test_verify_refuses_a_cover_past_its_bound(tmp_path, capsys):
+    # K_3 as its three one-edge paths, one past its bound ceil(3*2/4) = 2.
+    k3 = write_json(tmp_path / "k3.json", {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]})
+    parts = [[[0, 1]], [[0, 2]], [[1, 2]]]
+    cert = write_json(tmp_path / "cover.json", {"type": "odd_cover", "kind": "path", "parts": parts})
+    assert main(["verify", "--graph", k3, cert]) == 1
+    assert json.loads(capsys.readouterr().out)["detail"] == "3 paths exceed the bound 2"
 
 
 def test_verify_unreadable_certificate_exits_two(tmp_path, capsys):

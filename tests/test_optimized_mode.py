@@ -18,8 +18,8 @@ import importlib
 from polyresolve import cli, polycycles
 from polyresolve.graphs import simple_graph
 from polyresolve.oddcover import _make_cert
-from polyresolve.oracles import MoveAccounting
-from polyresolve.perms import Partition
+from polyresolve.oracles import MoveAccounting, verify_certificate
+from polyresolve.perms import CycleSeq, Partition, Resolution
 
 def fires(check):
     try:
@@ -40,6 +40,10 @@ rs = importlib.import_module("polyresolve.resolve")
 convert = rs.resolution_from_decomposition
 rs.resolution_from_decomposition = lambda p, parts: rs.Resolution(p, convert(p, parts).taus * 3)
 print("length bound:", fires(lambda: rs.resolve(Partition(2, (0, 1)), Partition(2, (1, 0)))))
+
+# A valid walk of three swaps, one step past the bound 2 of the shape (1, 1).
+walk = Resolution(Partition(2, (0, 1)), (CycleSeq((0, 1)),) * 3)
+print("walk bound:", verify_certificate((walk.start, Partition(2, (1, 0))), walk).detail)
 
 # A decomposition that returns the whole bowtie (degree 4 at vertex 2) as
 # its one part, which is no polycycle.
@@ -70,80 +74,109 @@ def test_output_guards_fire_under_python_O():
         "cover shape: True",
         "cover xor: True",
         "length bound: True",
+        "walk bound: 3 steps exceed the bound 2",
         "polycycle parts: True",
         "exact cover found: True",
     ]
 
 
-# Each line prints whether one part-count or output guard raised
-# AssertionError when a stub hands the construction one part too many, bad
-# forests, or no cover at all.
+# Each line prints the AssertionError one part-count or output guard
+# raised, or "passed", when a stub hands the construction a valid cover
+# with one part more than its bound, bad forests, or no cover at all.  The
+# stubs sit before the cover's one check, so that check has to refuse them.
 BOUNDS_SCRIPT = """
+from collections import Counter
 from polyresolve import oddcover, oracles
-from polyresolve.graphs import edge, simple_graph
+from polyresolve.graphs import cycle_order, edge, simple_graph
 from polyresolve.oddcover import OddCoverCert
 
-def fires(check):
+def refusal(check):
     try:
         check()
-    except AssertionError:
-        return True
-    except Exception:
-        return False
-    return False
+    except AssertionError as exc:
+        return str(exc)
+    return "passed"
 
 def complete(n):
     return simple_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
-make_cert, split = oddcover._make_cert, oddcover._split_forests
+def one_more(kind, parts):
+    # The same xor from one more part: a path gives up an end edge, and a
+    # cycle splits along a chord into two cycles.
+    parts = [frozenset(part) for part in parts]
+    for k, part in enumerate(parts):
+        if kind == "path" and len(part) >= 2:
+            ends = Counter(v for e in part for v in e)
+            e = next(e for e in sorted(part) if 1 in (ends[e[0]], ends[e[1]]))
+            split = [part - {e}, frozenset({e})]
+        elif kind == "cycle" and len(part) >= 4:
+            a, b, c = cycle_order(part)[:3]
+            arc = {edge(a, b), edge(b, c)}
+            split = [frozenset(arc | {edge(a, c)}), (part - arc) | {edge(a, c)}]
+        else:
+            continue
+        return parts[:k] + split + parts[k + 1:]
 
-def too_many(target, count):
-    # The real cover for every graph but ``target``, which gets ``count`` parts.
-    def stub(kind, parts, g):
-        if g is target:
-            return OddCoverCert(kind, (frozenset(),) * count)
-        return make_cert(kind, parts, g)
+def bounded(name, step, stub, cover, g):
+    real = getattr(oddcover, step)
+    setattr(oddcover, step, stub(real))
+    print(name + ":", refusal(lambda: cover(g)))
+    setattr(oddcover, step, real)
+
+def split_forests(real):
+    def stub(*args, **kw):
+        final, facts = real(*args, **kw)
+        return one_more("path", final), facts
     return stub
 
-def bounded(name, cover, g, bound):
-    oddcover._make_cert = too_many(g, bound + 1)
-    print(name + ":", fires(lambda: cover(g)))
-    oddcover._make_cert = make_cert
+def split_parts(kind):
+    def wrap(real):
+        return lambda *args: one_more(kind, real(*args))
+    return wrap
 
 k5, k7 = complete(5), complete(7)
+# Two disjoint K5s take the crossing route to three closed cycles.
+two_k5 = simple_graph(10, [e for u, v in k5.edges for e in ((u, v), (u + 5, v + 5))])
 fork = simple_graph(3, [(0, 1), (0, 2)])
-bounded("delta4 paths", oddcover.path_odd_cover_delta4, k5, 3)
-bounded("delta4 cycles", oddcover.cycle_odd_cover_delta4, k5, 3)
-bounded("eulerian paths", lambda g: oddcover.odd_cover_eulerian(g, "path"), k7, 5)
-# One odd-vertex pair, and Delta_e = 2: the bound is 1 + 2.
-bounded("general paths", oddcover.path_odd_cover_general, fork, 3)
+bounded("delta4 paths", "_reduce_endpoints", split_forests, oddcover.path_odd_cover_delta4, k5)
+bounded("delta4 cycles", "_close_into_cycles", split_parts("cycle"),
+        oddcover.cycle_odd_cover_delta4, two_k5)
+# The last of the three polycycles of K7 gets its own two-path cover.
+bounded("eulerian paths", "polycycle_odd_cover", split_parts("path"),
+        lambda g: oddcover.odd_cover_eulerian(g, "path"), k7)
+# The fork plus its matching edge (1, 2) is a triangle; a three-path cover
+# of it that avoids (1, 2) gives the fork four paths, one past 1 + 2.
+triangle = OddCoverCert("path", tuple(map(frozenset, (
+    {edge(0, 1)}, {edge(0, 1), edge(0, 2)}, {edge(0, 1), edge(1, 2)}))))
+bounded("general paths", "odd_cover_eulerian", lambda real: lambda *args: triangle,
+        oddcover.path_odd_cover_general, fork)
 
 def forests(name, triple):
-    oddcover._split_forests = lambda *args: (triple, None)
-    print(name + ":", fires(lambda: oddcover.linear_forest_decomposition(k5)))
-    oddcover._split_forests = split
+    bounded(name, "_split_forests", lambda real: lambda *args: (triple, None),
+            oddcover.linear_forest_decomposition, k5)
 
+# Forests that miss edges of K5, share one, or are no forest.
 one = frozenset({edge(0, 1)})
-forests("forests xor", (k5.edges, k5.edges, frozenset()))
-forests("forests disjoint", (k5.edges, one, one))
+forests("forests xor", (one, frozenset(), frozenset()))
+forests("forests disjoint", (one, one, frozenset()))
 forests("forests shape", (k5.edges, frozenset(), frozenset()))
 
 # The fork's constructive cover has 3 paths, past the tight bound of 2, so
 # the tight cover falls back on the exact search, here stubbed to find nothing.
 oracles.exact_odd_cover = lambda *args: None
-print("tight attainable:", fires(lambda: oracles.tight_path_odd_cover(fork)))
+print("tight attainable:", refusal(lambda: oracles.tight_path_odd_cover(fork)))
 """
 
-BOUND_CHECKS = (
-    "delta4 paths",
-    "delta4 cycles",
-    "eulerian paths",
-    "general paths",
-    "forests xor",
-    "forests disjoint",
-    "forests shape",
-    "tight attainable",
-)
+BOUND_CHECKS = {
+    "delta4 paths": "4 paths exceed the bound 3",
+    "delta4 cycles": "4 cycles exceed the bound 3",
+    "eulerian paths": "6 paths exceed the bound 5",
+    "general paths": "4 paths exceed the bound 3",
+    "forests xor": "union differs from the graph",
+    "forests disjoint": "parts 0 and 1 share an edge",
+    "forests shape": "part 0 not a linear forest",
+    "tight attainable": "the tight bound is always attainable",
+}
 
 
 @pytest.fixture(scope="module")
@@ -156,9 +189,9 @@ def bound_guards():
         timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    return dict(line.split(": ") for line in run.stdout.splitlines())
+    return dict(line.split(": ", 1) for line in run.stdout.splitlines())
 
 
 @pytest.mark.parametrize("check", BOUND_CHECKS)
 def test_part_count_guards_fire_under_python_O(bound_guards, check):
-    assert bound_guards[check] == "True"
+    assert bound_guards[check] == BOUND_CHECKS[check]

@@ -409,6 +409,23 @@ def test_verify_certificate_forest_details():
     assert verify_certificate(k3, partial).detail == "union differs from the graph"
 
 
+def test_verify_certificate_refuses_a_walk_past_its_bound():
+    # Three swaps are a valid walk from (0, 1) to (1, 0), whose bound is 2.
+    p, q = Partition(2, (0, 1)), Partition(2, (1, 0))
+    report = verify_certificate((p, q), Resolution(p, (CycleSeq((0, 1)),) * 3))
+    assert not report.passed
+    assert report.detail == "3 steps exceed the bound 2"
+
+
+def test_verify_certificate_refuses_a_cover_past_its_bound():
+    # K3 xors from its three one-edge paths; its bound is ceil(3*2/4) = 2.
+    k3 = complete(3)
+    singles = OddCoverCert("path", tuple(frozenset({e}) for e in sorted(k3.edges)))
+    report = verify_certificate(k3, singles)
+    assert not report.passed
+    assert report.detail == "3 paths exceed the bound 2"
+
+
 def test_verify_certificate_unknown_type():
     report = verify_certificate(None, object())
     assert not report.passed
