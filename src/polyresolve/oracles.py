@@ -19,14 +19,25 @@ once and then spends one integer addition per neighbour.  The diameter is
 a one-directional BFS from one vertex; the shortest resolution grows a
 ball from each end (bidirectional BFS), and its state cap counts the
 states stored on both sides together.
+
+The exhaustive cover search codes a part as an edge bitmask of K_n.  Its
+table of every path or cycle of K_n, ``_part_table``, depends only on
+(n, kind), so it is built once per process and kept; the state cap is
+checked before each lookup, so the tables kept are those the cap allows
+(about 16 MB at the default cap).  A search node costs one pass over the n
+vertices and one set lookup; the last two parts of a cover are one scan
+over the parts through the smallest uncovered edge, with one xor and one
+set lookup each.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import FamilyMismatch, ShapeMismatch, TooLarge, state_cap
 from .graphs import Edge, SimpleGraph, degrees, edge
@@ -414,47 +425,36 @@ def _candidate_parts(n: int, kind: str, limit: int | None = None) -> int:
     return total
 
 
-def exact_odd_cover(
-    g: SimpleGraph, kind: str, budget: int, cap: int | None = None
-) -> list[frozenset[Edge]] | None:
-    """Smallest odd-cover of at most ``budget`` parts by exhaustive search.
+class _PartTable(NamedTuple):
+    """Every path (of at least one edge) or cycle of K_n as an edge bitmask.
 
-    Parts range over all paths (or cycles) of the complete graph on V(g),
-    precomputed as edge bitmasks; when there are more than the state cap
-    (``errors.state_cap(cap)``), ``TooLarge`` is raised before listing
-    them.  Iterative deepening over the part count with a fixed rule —
-    the next part must contain the smallest uncovered edge — so each
-    cover is tried once; the last part is a set lookup.
-    Failed (remaining, depth) states stay memoized across budgets, which is
-    sound because a solution clashing with an earlier choice would cancel
-    into a smaller cover that previous budgets already ruled out.
-    Exponential; meant for tiny hosts.
+    Bit i of a mask stands for ``edges[i]``; ``vbits[v]`` holds the edges at
+    v, and ``by_edge[i]`` the parts through ``edges[i]`` in ascending order.
     """
-    n = g.n
-    limit = state_cap(cap)
-    if _candidate_parts(n, kind, limit) > limit:
-        raise TooLarge(f"K_{n} has more than {limit} {kind}s to search, the cap")
-    kn = [edge(u, v) for u in range(n) for v in range(u + 1, n)]
-    index = {e: i for i, e in enumerate(kn)}
+
+    edges: tuple[Edge, ...]
+    index: Mapping[Edge, int]
+    vbits: tuple[int, ...]
+    parts: frozenset[int]
+    by_edge: tuple[tuple[int, ...], ...]
+
+
+@functools.cache
+def _part_table(n: int, kind: str) -> _PartTable:
+    """The part table of K_n for ``kind``, built once per process.
+
+    Every field is immutable, so no caller can change the cached table.
+    Parts are grown one vertex at a time from ``bit[u][w]``, the mask of
+    edge uw; a path is kept from its smaller end, a cycle from its smallest
+    vertex and in the direction of its smaller neighbour.
+    """
+    edges = tuple(edge(u, v) for u in range(n) for v in range(u + 1, n))
+    bit = [[0] * n for _ in range(n)]
     vbits = [0] * n
-    for i, (u, v) in enumerate(kn):
+    for i, (u, v) in enumerate(edges):
+        bit[u][v] = bit[v][u] = 1 << i
         vbits[u] |= 1 << i
         vbits[v] |= 1 << i
-    target = 0
-    for e in g.edges:
-        target |= 1 << index[e]
-
-    def decode(mask: int) -> list[Edge]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(kn[low.bit_length() - 1])
-            mask ^= low
-        return out
-
-    def odd_vertices(mask: int) -> int:
-        return sum(1 for w in range(n) if (mask & vbits[w]).bit_count() % 2)
-
     masks: set[int] = set()
     if kind == "path":
         for start in range(n):
@@ -463,29 +463,80 @@ def exact_odd_cover(
                 last, used, mask = stack.pop()
                 if start < last:
                     masks.add(mask)
+                row = bit[last]
                 for w in range(n):
                     if not used >> w & 1:
-                        stack.append((w, used | 1 << w, mask | 1 << index[edge(last, w)]))
-        max_part = n - 1
+                        stack.append((w, used | 1 << w, mask | row[w]))
     else:
         for v0 in range(n):
-            stack = [
-                (w, 1 << v0 | 1 << w, 1 << index[edge(v0, w)], w)
-                for w in range(v0 + 1, n)
-            ]
+            close = bit[v0]
+            stack = [(w, 1 << v0 | 1 << w, close[w], w) for w in range(v0 + 1, n)]
             while stack:
                 last, used, mask, second = stack.pop()
                 if used.bit_count() >= 3 and second < last:
-                    masks.add(mask | 1 << index[edge(last, v0)])
+                    masks.add(mask | close[last])
+                row = bit[last]
                 for w in range(v0 + 1, n):
                     if not used >> w & 1:
-                        stack.append((w, used | 1 << w, mask | 1 << index[edge(last, w)], second))
-        max_part = n
-
-    by_edge: list[list[int]] = [[] for _ in kn]
+                        stack.append((w, used | 1 << w, mask | row[w], second))
+    by_edge: list[list[int]] = [[] for _ in edges]
     for mask in sorted(masks):
-        for e in decode(mask):
-            by_edge[index[e]].append(mask)
+        rest = mask
+        while rest:
+            low = rest & -rest
+            by_edge[low.bit_length() - 1].append(mask)
+            rest ^= low
+    return _PartTable(
+        edges,
+        MappingProxyType({e: i for i, e in enumerate(edges)}),
+        tuple(vbits),
+        frozenset(masks),
+        tuple(map(tuple, by_edge)),
+    )
+
+
+def exact_odd_cover(
+    g: SimpleGraph, kind: str, budget: int, cap: int | None = None
+) -> list[frozenset[Edge]] | None:
+    """Smallest odd-cover of at most ``budget`` parts by exhaustive search.
+
+    Parts range over all paths (or cycles) of the complete graph on V(g),
+    as edge bitmasks from ``_part_table``, which builds the table once per
+    (n, kind) in a process; when there are more than the state cap
+    (``errors.state_cap(cap)``), ``TooLarge`` is raised before the table is
+    looked up, cached or not.  Iterative deepening over the part count
+    with a fixed rule -- the next part must contain the smallest uncovered
+    edge -- so each cover is tried once.  A search node costs one pass over
+    the n vertices (the odd-degree count) and one set lookup; the last two
+    parts are one scan over the parts through the smallest uncovered edge,
+    with one xor and one set lookup per part for the rest.
+    Failed (remaining, depth) states stay memoized across budgets, which is
+    sound because a solution clashing with an earlier choice would cancel
+    into a smaller cover that previous budgets already ruled out.
+    Exponential; meant for tiny hosts.
+    """
+    if kind not in ("path", "cycle"):
+        raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
+    n = g.n
+    limit = state_cap(cap)
+    if _candidate_parts(n, kind, limit) > limit:
+        raise TooLarge(f"K_{n} has more than {limit} {kind}s to search, the cap")
+    edges, index, vbits, parts, by_edge = _part_table(n, kind)
+    max_part = n - 1 if kind == "path" else n
+    target = 0
+    for e in g.edges:
+        target |= 1 << index[e]
+
+    def decode(mask: int) -> frozenset[Edge]:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(edges[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
+    def odd_vertices(mask: int) -> int:
+        return sum(1 for w in range(n) if (mask & vbits[w]).bit_count() % 2)
 
     dead: set[tuple[int, int]] = set()
 
@@ -502,20 +553,35 @@ def exact_odd_cover(
         if kind == "cycle" and stray:
             return False
         if depth == 1:
-            if remaining in masks and remaining not in acc:
+            if remaining in parts and remaining not in acc:
                 acc.append(remaining)
                 return True
             return False
         if (remaining, depth) in dead:
             return False
         low = remaining & -remaining
-        for mask in by_edge[low.bit_length() - 1]:
-            if mask in acc:
-                continue
-            acc.append(mask)
-            if search(remaining ^ mask, depth - 1, acc):
-                return True
-            acc.pop()
+        candidates = by_edge[low.bit_length() - 1]
+        if depth == 2:
+            # The last two parts: every part passes the one-part checks
+            # above, so the rest after a part needs only a lookup.
+            for mask in candidates:
+                if mask in acc:
+                    continue
+                rest = remaining ^ mask
+                if not rest:
+                    acc.append(mask)
+                    return True
+                if rest in parts and rest not in acc:
+                    acc += (mask, rest)
+                    return True
+        else:
+            for mask in candidates:
+                if mask in acc:
+                    continue
+                acc.append(mask)
+                if search(remaining ^ mask, depth - 1, acc):
+                    return True
+                acc.pop()
         dead.add((remaining, depth))
         return False
 
@@ -524,7 +590,7 @@ def exact_odd_cover(
     for depth in range(budget + 1):
         acc: list[int] = []
         if search(target, depth, acc):
-            return [frozenset(decode(mask)) for mask in acc]
+            return [decode(mask) for mask in acc]
     return None
 
 
@@ -537,8 +603,6 @@ def min_odd_cover_exhaustive(
     cross-checking bounds.  ``vertex_cap`` is the size guard here: the
     search may list as many parts as K_{vertex_cap} has.
     """
-    if kind not in ("path", "cycle"):
-        raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
     if g.n > vertex_cap:
         raise TooLarge(f"exhaustive search supports at most {vertex_cap} vertices")
     parts = exact_odd_cover(g, kind, max_size, _candidate_parts(vertex_cap, kind))

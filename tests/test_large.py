@@ -21,7 +21,13 @@ stacked random components (E = 10,143), check them with the independent
 verifier and pin their digests.  Re-analysing all three forests after
 every endpoint join did not finish one such cover in 28 minutes; the
 incremental surgery takes 0.5-1.2 s on the same VM, and the budget is
-10 s.  Run the tier alone with ``pytest -m large``.
+10 s.
+
+The exact cover test clears the cached part tables and runs ``oddcover
+--exact --kind path`` on an 8-vertex graph whose optimum is 2 paths, so
+the cold build of K_8's table (54,796 paths) is most of its time: 0.14 to
+0.29 s on the same VM.  Its budget is 3 s.  Run the tier alone with
+``pytest -m large``.
 """
 
 from __future__ import annotations
@@ -33,10 +39,12 @@ import time
 
 import pytest
 
+from polyresolve.cli import main
 from polyresolve.generators import random_delta4_eulerian_graph
-from polyresolve.jsonio import emit_cover, emit_resolution
+from polyresolve.graphs import simple_graph
+from polyresolve.jsonio import emit_cover, emit_graph, emit_resolution
 from polyresolve.oddcover import cycle_odd_cover_delta4, path_odd_cover_delta4
-from polyresolve.oracles import verify_certificate
+from polyresolve.oracles import _part_table, verify_certificate
 from polyresolve.perms import Partition, cdg, check_resolution, resolution_length_bound
 from polyresolve.polycycles import directed_polycycle_decomposition
 from polyresolve.resolve import resolve
@@ -131,3 +139,19 @@ def test_delta4_cover_at_scale(cover, digest):
     assert len(cert.parts) <= 3
     assert elapsed < 10.0, f"took {elapsed:.2f}s, budget 10s"
     assert hashlib.sha256(json.dumps(emit_cover(cert)).encode()).hexdigest() == digest
+
+
+def test_exact_path_cover_builds_the_k8_table_cold(tmp_path, capsys):
+    g = simple_graph(8, [(0, 1), (0, 3), (0, 6), (0, 7), (1, 3), (1, 4), (1, 6),
+                         (2, 3), (2, 5), (3, 7), (4, 7), (5, 6), (6, 7)])
+    path = tmp_path / "g8.json"
+    path.write_text(json.dumps(emit_graph(g)))
+    _part_table.cache_clear()
+    t0 = time.perf_counter()
+    rc = main(["oddcover", "--graph", str(path), "--exact", "--kind", "path"])
+    elapsed = time.perf_counter() - t0
+    assert rc == 0
+    assert len(json.loads(capsys.readouterr().out)["parts"]) == 2
+    assert _part_table.cache_info().misses == 1
+    assert len(_part_table(8, "path").parts) == 54_796
+    assert elapsed < 3.0, f"took {elapsed:.2f}s, budget 3s"

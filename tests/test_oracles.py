@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from polyresolve.errors import FamilyMismatch, ShapeMismatch, TooLarge
+from polyresolve.errors import FamilyMismatch, ShapeMismatch, TooLarge, state_cap
 from polyresolve.graphs import edge, simple_graph
 from polyresolve.oddcover import OddCoverCert, cycle_odd_cover_delta4, path_odd_cover_general
 from polyresolve.oracles import (
@@ -19,6 +19,7 @@ from polyresolve.oracles import (
     _candidate_parts,
     _encode,
     _neighbours,
+    _part_table,
     exact_diameter_bfs,
     exact_odd_cover,
     is_hamiltonian,
@@ -295,17 +296,180 @@ def test_min_odd_cover_guards():
     assert min_odd_cover_exhaustive(p9, "path", 3, vertex_cap=9) == 1
 
 
+def listed_parts(n, kind):
+    """Every path or cycle of K_n as a set of edges, from vertex sequences."""
+    closed = kind == "cycle"
+    parts = set()
+    for k in range(3 if closed else 2, n + 1):
+        for seq in itertools.permutations(range(n), k):
+            hops = zip(seq, seq[1:] + seq[:1] if closed else seq[1:])
+            parts.add(frozenset(edge(u, v) for u, v in hops))
+    return parts
+
+
 def test_candidate_parts_counts_paths_and_cycles():
     for n in range(1, 7):
-        for kind, closed in (("path", False), ("cycle", True)):
-            parts = set()
-            for k in range(3 if closed else 2, n + 1):
-                for seq in itertools.permutations(range(n), k):
-                    hops = list(zip(seq, seq[1:] + seq[:1] if closed else seq[1:]))
-                    parts.add(frozenset(frozenset(h) for h in hops))
-            assert _candidate_parts(n, kind) == len(parts)
+        for kind in ("path", "cycle"):
+            assert _candidate_parts(n, kind) == len(listed_parts(n, kind))
     assert _candidate_parts(8, "path") == 54_796
     assert _candidate_parts(9, "path") == 493_200
+
+
+def test_cover_search_rejects_unknown_kinds():
+    for search in (exact_odd_cover, min_odd_cover_exhaustive):
+        with pytest.raises(ValueError, match="kind must be 'path' or 'cycle', got 'forest'"):
+            search(complete(3), "forest", 3)
+
+
+def test_cover_cap_is_checked_before_the_cached_table(monkeypatch):
+    # K_7 has 6,846 paths.  Once its table is cached, a lower cap must still
+    # refuse it, whether passed in or read from the environment.
+    assert len(exact_odd_cover(complete(7), "path", 5, cap=6846)) == 4
+    with pytest.raises(TooLarge):
+        exact_odd_cover(complete(7), "path", 5, cap=6845)
+    monkeypatch.setenv("POLYRESOLVE_CAP", "6845")
+    with pytest.raises(TooLarge):
+        exact_odd_cover(complete(7), "path", 5)
+
+
+def test_part_table_lists_every_part_once():
+    for n in range(1, 7):
+        for kind in ("path", "cycle"):
+            table = _part_table(n, kind)
+            assert table.edges == tuple(sorted(table.index))
+            decoded = {
+                frozenset(e for i, e in enumerate(table.edges) if mask >> i & 1)
+                for mask in table.parts
+            }
+            assert decoded == listed_parts(n, kind)
+            for i, through in enumerate(table.by_edge):
+                assert list(through) == sorted(m for m in table.parts if m >> i & 1)
+
+
+def frozen_exact_odd_cover(g, kind, budget, cap=None):
+    """``exact_odd_cover`` as it was before its part tables were cached:
+    the table is rebuilt on every call and the last part is a recursive
+    call.  Kept as the reference the cached search must match."""
+    n = g.n
+    limit = state_cap(cap)
+    if _candidate_parts(n, kind, limit) > limit:
+        raise TooLarge(f"K_{n} has more than {limit} {kind}s to search, the cap")
+    kn = [edge(u, v) for u in range(n) for v in range(u + 1, n)]
+    index = {e: i for i, e in enumerate(kn)}
+    vbits = [0] * n
+    for i, (u, v) in enumerate(kn):
+        vbits[u] |= 1 << i
+        vbits[v] |= 1 << i
+    target = 0
+    for e in g.edges:
+        target |= 1 << index[e]
+
+    def decode(mask):
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(kn[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def odd_vertices(mask):
+        return sum(1 for w in range(n) if (mask & vbits[w]).bit_count() % 2)
+
+    masks = set()
+    if kind == "path":
+        for start in range(n):
+            stack = [(start, 1 << start, 0)]
+            while stack:
+                last, used, mask = stack.pop()
+                if start < last:
+                    masks.add(mask)
+                for w in range(n):
+                    if not used >> w & 1:
+                        stack.append((w, used | 1 << w, mask | 1 << index[edge(last, w)]))
+        max_part = n - 1
+    else:
+        for v0 in range(n):
+            stack = [
+                (w, 1 << v0 | 1 << w, 1 << index[edge(v0, w)], w)
+                for w in range(v0 + 1, n)
+            ]
+            while stack:
+                last, used, mask, second = stack.pop()
+                if used.bit_count() >= 3 and second < last:
+                    masks.add(mask | 1 << index[edge(last, v0)])
+                for w in range(v0 + 1, n):
+                    if not used >> w & 1:
+                        stack.append((w, used | 1 << w, mask | 1 << index[edge(last, w)], second))
+        max_part = n
+
+    by_edge = [[] for _ in kn]
+    for mask in sorted(masks):
+        for e in decode(mask):
+            by_edge[index[e]].append(mask)
+
+    dead = set()
+
+    def search(remaining, depth, acc):
+        if not remaining:
+            return True
+        if depth == 0:
+            return False
+        if remaining.bit_count() > depth * max_part:
+            return False
+        stray = odd_vertices(remaining)
+        if kind == "path" and stray > 2 * depth:
+            return False
+        if kind == "cycle" and stray:
+            return False
+        if depth == 1:
+            if remaining in masks and remaining not in acc:
+                acc.append(remaining)
+                return True
+            return False
+        if (remaining, depth) in dead:
+            return False
+        low = remaining & -remaining
+        for mask in by_edge[low.bit_length() - 1]:
+            if mask in acc:
+                continue
+            acc.append(mask)
+            if search(remaining ^ mask, depth - 1, acc):
+                return True
+            acc.pop()
+        dead.add((remaining, depth))
+        return False
+
+    if kind == "cycle" and odd_vertices(target):
+        return None
+    for depth in range(budget + 1):
+        acc = []
+        if search(target, depth, acc):
+            return [frozenset(decode(mask)) for mask in acc]
+    return None
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 6))
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return simple_graph(n, draw(st.lists(st.sampled_from(pool), unique=True)) if pool else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.sampled_from(["path", "cycle"]), st.integers(0, 4))
+def test_cached_cover_search_matches_the_frozen_search(g, kind, budget):
+    # All draws run in one process, so later draws reuse cached tables.
+    assert exact_odd_cover(g, kind, budget) == frozen_exact_odd_cover(g, kind, budget)
+
+
+def test_part_table_built_once_per_order_and_kind():
+    rng = random.Random(7)
+    _part_table.cache_clear()
+    for _ in range(20):
+        g = simple_graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)
+                             if rng.random() < 0.5])
+        min_odd_cover_exhaustive(g, "path", 4)
+    assert _part_table.cache_info().misses == 1
 
 
 def test_bounded_cover_search_guard():
