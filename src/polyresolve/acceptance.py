@@ -83,7 +83,7 @@ def _k2_bound_2k() -> str | None:
 
 
 def _exact_diameters() -> str | None:
-    for shape, want in (((1, 1, 1, 1), 2), ((2, 2, 2, 2), 3)):
+    for shape, want in (((1, 1, 1, 1), 2), ((2, 2, 2, 2), 3), ((4, 4, 4), 4), ((5, 3, 2), 5)):
         t0 = time.perf_counter()
         got = exact_diameter_bfs(shape)
         elapsed = time.perf_counter() - t0

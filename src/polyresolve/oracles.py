@@ -2,7 +2,7 @@
 
 Everything here answers by explicit state-space search, independent of the
 constructive modules: polytope diameters and shortest resolutions by BFS
-over partition states, smallest odd-covers by exhaustive part enumeration
+over contingency tables, smallest odd-covers by exhaustive part enumeration
 (``exact_odd_cover``), Hamiltonicity by backtracking, and a pruned
 move-accounting search that certifies the absence of short resolutions for
 the doubled-2-cycle family.  ``verify_certificate`` reports a
@@ -13,26 +13,36 @@ output.  The one cover built here, ``tight_path_odd_cover``, falls back on
 the exhaustive search where the constructive path cover misses the tight
 bound.
 
-The two BFS oracles code a state as the integer ``sum(assign[x] * n**x)``
-and share one neighbour enumerator, ``_neighbours``, which decodes a state
-once and then spends one integer addition per neighbour.  The diameter is
-a one-directional BFS from one vertex; the shortest resolution grows a
-ball from each end (bidirectional BFS), and its state cap counts the
-states stored on both sides together.
+The BFS oracles search contingency tables: the table of a state s against
+a fixed state q is N[i][j] = #{x : s(x) = i, q(x) = j}.  Relabeling items
+within q's clusters acts by automorphisms of the exchange graph that fix
+q, its orbits are the tables, and an edge between two orbits lifts from
+every member of the first, so BFS over tables gives exact distances to q.
+An exchange picks distinct rows in cyclic order and a non-zero cell in
+each, and moves one unit of each cell to the next row.  A table is one
+integer: cell (i, j) is a field of b = K.bit_length() bits at offset
+b*(i*n + j), K the largest cluster.  ``_neighbours`` decodes a table in
+one step per non-zero cell, then walks the exchanges carrying the code
+change of the open chain: one multiply-add per neighbour.  The shortest
+resolution grows a ball from N(p, q) and one from the diagonal; its cap
+counts the tables stored on both sides.  The diameter is one BFS from the
+diagonal; its cap counts the polytope's vertices, with an early exit, and
+the orbit sizes of the tables reached must add up to that count.
 
 The exhaustive cover search codes a part as an edge bitmask of K_n.  Its
 table of every path or cycle of K_n, ``_part_table``, depends only on
 (n, kind), so it is built once per process and kept; the state cap is
 checked before each lookup, so the tables kept are those the cap allows
 (about 16 MB at the default cap).  A search node costs one pass over the n
-vertices and one set lookup; the last two parts of a cover are one scan
-over the parts through the smallest uncovered edge, with one xor and one
-set lookup each.
+vertices, which also cuts nodes past the degree bound, and one set lookup;
+the last two parts of a cover are one scan over the parts through the
+smallest uncovered edge, with one xor and one set lookup each.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -91,13 +101,6 @@ def move_accounting(p: Partition, q: Partition, cur: Partition, tau: CycleSeq) -
     return MoveAccounting(whole, half, 2 * whole + half)
 
 
-def _cluster_items(state: tuple[int, ...], n: int) -> list[list[int]]:
-    by: list[list[int]] = [[] for _ in range(n)]
-    for x, c in enumerate(state):
-        by[c].append(x)
-    return by
-
-
 def _apply_cycle(state: tuple[int, ...], items: tuple[int, ...]) -> tuple[int, ...]:
     """Right action of the cycle: each listed item lands in the current
     cluster of its successor."""
@@ -109,14 +112,7 @@ def _apply_cycle(state: tuple[int, ...], items: tuple[int, ...]) -> tuple[int, .
 
 
 def _iter_cycles(
-    state: tuple[int, ...],
-    n: int,
-    by: list[list[int]],
-    gain_fn,
-    floor: int,
-    *,
-    full: bool = False,
-    forced: bool = False,
+    state: tuple[int, ...], n: int, gain_fn, floor: int, *, full: bool = False, forced: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """Yield the items of state-cycles gaining at least ``floor``, each
     anchored at its smallest cluster.
@@ -126,15 +122,14 @@ def _iter_cycles(
     single move to gain, which is sound only when the step's total gain is
     pinned to the per-step maximum.
     """
+    by: list[list[int]] = [[] for _ in range(n)]
+    for x, c in enumerate(state):
+        by[c].append(x)
     occupied = [c for c in range(n) if by[c]]
     if full and len(occupied) < n:
         return
-    anchors = occupied[:1] if full else occupied
-
-    for c0 in anchors:
-        stack: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-        for x0 in by[c0]:
-            stack.append(((c0,), (x0,), 0))
+    for c0 in occupied[:1] if full else occupied:
+        stack = [((c0,), (x0,), 0) for x0 in by[c0]]
         while stack:
             order, items, partial = stack.pop()
             c_prev, x_prev = order[-1], items[-1]
@@ -158,45 +153,52 @@ def _iter_cycles(
                     stack.append((order + (c_next,), items + (x_next,), partial + step))
 
 
-def _encode(assign: tuple[int, ...], weights: list[int]) -> int:
-    return sum(c * w for c, w in zip(assign, weights))
+def _table_coding(sizes: list[int]) -> tuple[int, list[int], list[int], int]:
+    """Field width, column and row weights, and the diagonal's code of the
+    tables over ``sizes``, a shape without empty clusters."""
+    n, b = len(sizes), max(sizes).bit_length()
+    colw = [1 << b * j for j in range(n)]
+    roww = [1 << b * n * i for i in range(n)]
+    return b, colw, roww, sum(k * roww[c] * colw[c] for c, k in enumerate(sizes))
 
 
-def _neighbours(code: int, n: int, m: int, weights: list[int]) -> list[int]:
-    """Codes of the states one cyclic exchange away from the state ``code``.
-
-    A state ``assign`` is coded as ``sum(assign[x] * n**x)``, and
-    ``weights[x]`` is ``n**x``.  The exchanges are the cycles of items in
-    distinct clusters, each walked once: anchored at its smallest cluster
-    c0, every further item taken from a later, unused cluster.  Moving an
-    item from cluster c to c' adds ``(c' - c) * n**x`` to the code, so the
-    walk carries the code change of its open chain, and closing the chain
-    back into c0 costs one addition per neighbour.
-    """
+def _neighbours(code: int, n: int, b: int, colw: list[int], roww: list[int]) -> list[int]:
+    """Codes of the tables one exchange away from ``code``, each exchange
+    walked once from its smallest row c0.  An exchange in which a row gets
+    the column it gives is skipped: it equals the one without that row, or
+    changes nothing."""
     by: list[list[int]] = [[] for _ in range(n)]
-    rest = code
-    for x in range(m):
-        rest, c = divmod(rest, n)
-        by[c].append(weights[x])
+    rest, cell = code, 0
+    while rest:
+        skip = ((rest & -rest).bit_length() - 1) // b
+        cell += skip
+        by[cell // n].append(colw[cell % n])
+        rest >>= (skip + 1) * b
+        cell += 1
     occupied = [c for c in range(n) if by[c]]
     out: list[int] = []
+    append = out.append
     for i, c0 in enumerate(occupied[:-1]):
-        later = occupied[i + 1:]
+        r0 = roww[c0]
+        later = [(1 << j, roww[c], by[c]) for j, c in enumerate(occupied[i + 1:])]
         full = (1 << len(later)) - 1
-        # The change each item of a later cluster makes when it closes the cycle.
-        closing = [[(c0 - c) * w for w in by[c]] for c in later]
-        # (cluster and weight of the open end, code change so far, later clusters used)
-        stack = [(c0, w0, code, 0) for w0 in by[c0]]
-        while stack:
-            c_end, w_end, base, used = stack.pop()
-            for j, c in enumerate(later):
-                bit = 1 << j
-                if used & bit:
-                    continue
-                moved = base + (c - c_end) * w_end
-                out.extend([moved + d for d in closing[j]])
-                if used | bit != full:
-                    stack.extend([(c, w, moved, used | bit) for w in by[c]])
+        for w0 in by[c0]:
+            # (row and column weight of the open end, code change so far, later rows used)
+            stack = [(r0, w0, code, 0)]
+            while stack:
+                r_end, w_end, base, used = stack.pop()
+                for bit, r, cols in later:
+                    if used & bit:
+                        continue
+                    moved = base + (r - r_end) * w_end
+                    close = r0 - r
+                    more = used | bit != full
+                    for w in cols:
+                        if w != w_end:
+                            if w != w0:
+                                append(moved + close * w)
+                            if more:
+                                stack.append((r, w, moved, used | bit))
     return out
 
 
@@ -220,11 +222,9 @@ def _vertex_count(sizes: tuple[int, ...], limit: int) -> int:
 
 
 def exact_diameter_bfs(shape: Iterable[int], cap: int | None = None) -> int:
-    """Combinatorial diameter of the partition polytope of the given shape.
-
-    Item relabeling acts transitively on the vertices and preserves
-    adjacency, so the eccentricity of one canonical vertex is the
-    diameter; a single breadth-first search over coded states suffices.
+    """Combinatorial diameter of the partition polytope of the given shape:
+    the eccentricity of one vertex, by BFS over tables from the diagonal.
+    ``TooLarge`` is raised when the polytope has more vertices than the cap.
     """
     sizes = tuple(int(k) for k in shape)
     if any(k < 0 for k in sizes):
@@ -232,49 +232,52 @@ def exact_diameter_bfs(shape: Iterable[int], cap: int | None = None) -> int:
     count = _vertex_count(sizes, state_cap(cap))
     if count == 1:  # at most one non-empty cluster; m may still be huge
         return 0
-    n, m = len(sizes), sum(sizes)
-    weights = [n**x for x in range(m)]
-    start = _encode(tuple(c for c, k in enumerate(sizes) for _ in range(k)), weights)
-    seen = {start}
-    frontier = [start]
-    depth = -1
+    live = [k for k in sizes if k]
+    n = len(live)
+    b, colw, roww, start = _table_coding(live)
+    seen, frontier, depth = {start}, [start], -1
     while frontier:
         depth += 1
         level = []
         for code in frontier:
-            for nb in _neighbours(code, n, m, weights):
+            for nb in _neighbours(code, n, b, colw, roww):
                 if nb not in seen:
                     seen.add(nb)
                     level.append(nb)
         frontier = level
-    if len(seen) != count:
-        raise AssertionError(f"BFS reached {len(seen)} of {count} vertices of a connected graph")
+    # A table's orbit holds prod_j k_j! / prod_ij N[i][j]! states: a product
+    # of binomials down each column.
+    mask, reached = (1 << b) - 1, 0
+    for code in seen:
+        cells = [code >> b * c & mask for c in range(n * n)]
+        reached += math.prod(math.comb(sum(cells[c % n:c + 1:n]), k) for c, k in enumerate(cells))
+    if reached != count:
+        raise AssertionError(f"BFS reached {reached} of {count} vertices of a connected graph")
     return depth
 
 
 def min_resolution_length(p: Partition, q: Partition, cap: int | None = None) -> int:
-    """Length of a shortest resolution from p to q, by bidirectional BFS.
+    """Length of a shortest resolution from p to q, by bidirectional BFS
+    over tables against q, from p's table to the diagonal.
 
-    Listing an exchange's items in reverse order undoes it, so the
-    exchange graph is undirected and the search grows one ball from p and
-    one from q over coded states.  Each round expands the side with the
-    smaller frontier by one whole level.  The balls are disjoint before
-    the round, so every state of the new level that lies in the other
-    ball gives the same distance sum, the shortest length; the search
-    returns at the first one.  ``TooLarge`` counts the states stored on
-    both sides together.
+    Each round expands the side with the smaller frontier by one whole
+    level.  The balls are disjoint before the round, so every table of the
+    new level that lies in the other ball gives the same distance sum, the
+    shortest length; the search returns at the first one.  ``TooLarge``
+    counts the tables stored on both sides together.
     """
-    if p.sizes() != q.sizes():
+    sizes = p.sizes()
+    if sizes != q.sizes():  # equal sizes hold n and m equal too
         raise ShapeMismatch("p and q must have equal per-cluster sizes")
-    if p.n != q.n or p.m != q.m:
-        raise ShapeMismatch("p and q must share items and clusters")
     if p.assign == q.assign:
         return 0
     limit = state_cap(cap)
-    n, m = p.n, p.m
-    weights = [n**x for x in range(m)]
-    near = {_encode(p.assign, weights): 0}
-    far = {_encode(q.assign, weights): 0}
+    live = [c for c, k in enumerate(sizes) if k]
+    row = {c: i for i, c in enumerate(live)}
+    n = len(live)
+    b, colw, roww, goal = _table_coding([sizes[c] for c in live])
+    near = {sum(roww[row[a]] * colw[row[c]] for a, c in zip(p.assign, q.assign)): 0}
+    far = {goal: 0}
     near_front, far_front = list(near), list(far)
     while near_front and far_front:
         if len(near_front) > len(far_front):
@@ -282,7 +285,7 @@ def min_resolution_length(p: Partition, q: Partition, cap: int | None = None) ->
         depth = near[near_front[0]] + 1
         level = []
         for code in near_front:
-            for nb in _neighbours(code, n, m, weights):
+            for nb in _neighbours(code, n, b, colw, roww):
                 if nb in near:
                     continue
                 if nb in far:
@@ -368,10 +371,7 @@ def pruned_no_short_resolution(p: Partition, q: Partition, length: int) -> bool:
             return True
         if left == 0:
             return False
-        s_cur = sum(
-            (1 if state[x] != p0[x] else 0) + (1 if state[x] == q0[x] else 0)
-            for x in displaced
-        )
+        s_cur = sum((state[x] != p0[x]) + (state[x] == q0[x]) for x in displaced)
         remaining = s_target - s_cur
         if remaining > left * cap_gain:
             return False
@@ -386,8 +386,7 @@ def pruned_no_short_resolution(p: Partition, q: Partition, length: int) -> bool:
             return False
         floor = remaining - (left - 1) * cap_gain
         forced = floor >= cap_gain
-        by = _cluster_items(state, n)
-        for items in _iter_cycles(state, n, by, contrib, floor, full=forced, forced=forced):
+        for items in _iter_cycles(state, n, contrib, floor, full=forced, forced=forced):
             taken.append(CycleSeq(items))
             if dfs(_apply_cycle(state, items), left - 1):
                 return True
@@ -506,10 +505,12 @@ def exact_odd_cover(
     (``errors.state_cap(cap)``), ``TooLarge`` is raised before the table is
     looked up, cached or not.  Iterative deepening over the part count
     with a fixed rule -- the next part must contain the smallest uncovered
-    edge -- so each cover is tried once.  A search node costs one pass over
-    the n vertices (the odd-degree count) and one set lookup; the last two
-    parts are one scan over the parts through the smallest uncovered edge,
-    with one xor and one set lookup per part for the rest.
+    edge -- so each cover is tried once.  A search node costs one set
+    lookup and one pass over the n vertices for the odd-degree count and
+    the largest degree, which cuts nodes that must fail (d parts have
+    degree at most 2d at a vertex) without changing the search order.  The
+    last two parts are one scan over the parts through the smallest
+    uncovered edge, with one xor and one set lookup per part for the rest.
     Failed (remaining, depth) states stay memoized across budgets, which is
     sound because a solution clashing with an earlier choice would cancel
     into a smaller cover that previous budgets already ruled out.
@@ -528,15 +529,12 @@ def exact_odd_cover(
         target |= 1 << index[e]
 
     def decode(mask: int) -> frozenset[Edge]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(edges[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
+        return frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
 
-    def odd_vertices(mask: int) -> int:
-        return sum(1 for w in range(n) if (mask & vbits[w]).bit_count() % 2)
+    def odd_and_top(mask: int) -> tuple[int, int]:
+        """The number of odd-degree vertices and the largest degree."""
+        degs = [(mask & bits).bit_count() for bits in vbits]
+        return sum(d & 1 for d in degs), max(degs)
 
     dead: set[tuple[int, int]] = set()
 
@@ -547,7 +545,9 @@ def exact_odd_cover(
             return False
         if remaining.bit_count() > depth * max_part:
             return False
-        stray = odd_vertices(remaining)
+        stray, top = odd_and_top(remaining)
+        if top > 2 * depth:  # each part has degree at most 2 at a vertex
+            return False
         if kind == "path" and stray > 2 * depth:
             return False
         if kind == "cycle" and stray:
@@ -585,7 +585,7 @@ def exact_odd_cover(
         dead.add((remaining, depth))
         return False
 
-    if kind == "cycle" and odd_vertices(target):
+    if kind == "cycle" and odd_and_top(target)[0]:
         return None
     for depth in range(budget + 1):
         acc: list[int] = []

@@ -212,6 +212,14 @@ def test_diameter_exact_counts_vertices_with_early_exit(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_diameter_exact_many_items_few_vertices_is_quick(capsys):
+    # 10,000 vertices pass the cap; the search runs over their two tables.
+    start = time.perf_counter()
+    assert main(["diameter", "--exact", "--shape", "9999,1"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert time.perf_counter() - start < 1
+
+
 # --- verify ------------------------------------------------------------------------
 
 

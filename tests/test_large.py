@@ -23,6 +23,12 @@ every endpoint join did not finish one such cover in 28 minutes; the
 incremental surgery takes 0.5-1.2 s on the same VM, and the budget is
 10 s.
 
+The diameter test checks the exact diameters of (4, 4, 4) and (5, 3, 2)
+that ``selftest`` asserts against a frozen copy of the item-coded BFS the
+table search replaced (``test_oracles.item_diameter_bfs``).  The item
+search takes most of its time: 3.8 to 4.1 s for (4, 4, 4) and 0.2 s for
+(5, 3, 2) on the same VM.  Its budget is 30 s.
+
 The exact cover test clears the cached part tables and runs ``oddcover
 --exact --kind path`` on an 8-vertex graph whose optimum is 2 paths, so
 the cold build of K_8's table (54,796 paths) is most of its time: 0.14 to
@@ -44,10 +50,11 @@ from polyresolve.generators import random_delta4_eulerian_graph
 from polyresolve.graphs import simple_graph
 from polyresolve.jsonio import emit_cover, emit_graph, emit_resolution
 from polyresolve.oddcover import cycle_odd_cover_delta4, path_odd_cover_delta4
-from polyresolve.oracles import _part_table, verify_certificate
+from polyresolve.oracles import _part_table, exact_diameter_bfs, verify_certificate
 from polyresolve.perms import Partition, cdg, check_resolution, resolution_length_bound
 from polyresolve.polycycles import directed_polycycle_decomposition
 from polyresolve.resolve import resolve
+from test_oracles import item_diameter_bfs
 
 pytestmark = pytest.mark.large
 
@@ -155,3 +162,12 @@ def test_exact_path_cover_builds_the_k8_table_cold(tmp_path, capsys):
     assert _part_table.cache_info().misses == 1
     assert len(_part_table(8, "path").parts) == 54_796
     assert elapsed < 3.0, f"took {elapsed:.2f}s, budget 3s"
+
+
+def test_table_diameters_match_the_item_bfs():
+    t0 = time.perf_counter()
+    for shape, diameter in (((4, 4, 4), 4), ((5, 3, 2), 5)):
+        assert exact_diameter_bfs(shape) == diameter
+        assert item_diameter_bfs(shape) == diameter
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0, f"took {elapsed:.2f}s, budget 30s"

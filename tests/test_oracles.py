@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 
@@ -12,14 +13,16 @@ from hypothesis import strategies as st
 import pytest
 
 from polyresolve.errors import FamilyMismatch, ShapeMismatch, TooLarge, state_cap
+from polyresolve.generators import random_instance
 from polyresolve.graphs import edge, simple_graph
 from polyresolve.oddcover import OddCoverCert, cycle_odd_cover_delta4, path_odd_cover_general
 from polyresolve.oracles import (
     MoveAccounting,
     _candidate_parts,
-    _encode,
-    _neighbours,
+    _neighbours as table_neighbours,
     _part_table,
+    _table_coding,
+    _vertex_count,
     exact_diameter_bfs,
     exact_odd_cover,
     is_hamiltonian,
@@ -112,6 +115,123 @@ def test_exact_diameter_env_cap(monkeypatch):
         exact_diameter_bfs((2, 2, 2, 2))
     monkeypatch.setenv("POLYRESOLVE_CAP", "5000")
     assert exact_diameter_bfs((2, 2, 2)) == 2
+
+
+def test_exact_diameter_many_items_few_vertices_is_quick():
+    # 3,000 vertices, each with about 3,000 neighbours, but two tables.
+    start = time.perf_counter()
+    assert exact_diameter_bfs((2999, 1)) == 1
+    assert time.perf_counter() - start < 1
+
+
+# --- the item-coded BFS, frozen as the reference ------------------------------
+#
+# Both BFS oracles searched item assignments before they searched contingency
+# tables.  These are copies of that search, kept as the reference the table
+# search must match.
+
+
+def _encode(assign: tuple[int, ...], weights: list[int]) -> int:
+    return sum(c * w for c, w in zip(assign, weights))
+
+
+def _neighbours(code: int, n: int, m: int, weights: list[int]) -> list[int]:
+    """Codes of the states one cyclic exchange away from the state ``code``.
+
+    A state ``assign`` is coded as ``sum(assign[x] * n**x)``, and
+    ``weights[x]`` is ``n**x``.  The exchanges are the cycles of items in
+    distinct clusters, each walked once: anchored at its smallest cluster
+    c0, every further item taken from a later, unused cluster.  Moving an
+    item from cluster c to c' adds ``(c' - c) * n**x`` to the code, so the
+    walk carries the code change of its open chain, and closing the chain
+    back into c0 costs one addition per neighbour.
+    """
+    by: list[list[int]] = [[] for _ in range(n)]
+    rest = code
+    for x in range(m):
+        rest, c = divmod(rest, n)
+        by[c].append(weights[x])
+    occupied = [c for c in range(n) if by[c]]
+    out: list[int] = []
+    for i, c0 in enumerate(occupied[:-1]):
+        later = occupied[i + 1:]
+        full = (1 << len(later)) - 1
+        # The change each item of a later cluster makes when it closes the cycle.
+        closing = [[(c0 - c) * w for w in by[c]] for c in later]
+        # (cluster and weight of the open end, code change so far, later clusters used)
+        stack = [(c0, w0, code, 0) for w0 in by[c0]]
+        while stack:
+            c_end, w_end, base, used = stack.pop()
+            for j, c in enumerate(later):
+                bit = 1 << j
+                if used & bit:
+                    continue
+                moved = base + (c - c_end) * w_end
+                out.extend([moved + d for d in closing[j]])
+                if used | bit != full:
+                    stack.extend([(c, w, moved, used | bit) for w in by[c]])
+    return out
+
+
+def item_diameter_bfs(shape, cap=None):
+    """``exact_diameter_bfs`` over coded item assignments."""
+    sizes = tuple(int(k) for k in shape)
+    if any(k < 0 for k in sizes):
+        raise ValueError("cluster sizes must be non-negative")
+    count = _vertex_count(sizes, state_cap(cap))
+    if count == 1:
+        return 0
+    n, m = len(sizes), sum(sizes)
+    weights = [n**x for x in range(m)]
+    start = _encode(tuple(c for c, k in enumerate(sizes) for _ in range(k)), weights)
+    seen = {start}
+    frontier = [start]
+    depth = -1
+    while frontier:
+        depth += 1
+        level = []
+        for code in frontier:
+            for nb in _neighbours(code, n, m, weights):
+                if nb not in seen:
+                    seen.add(nb)
+                    level.append(nb)
+        frontier = level
+    if len(seen) != count:
+        raise AssertionError(f"BFS reached {len(seen)} of {count} vertices of a connected graph")
+    return depth
+
+
+def item_min_resolution_length(p, q, cap=None):
+    """``min_resolution_length`` over coded item assignments."""
+    if p.sizes() != q.sizes():
+        raise ShapeMismatch("p and q must have equal per-cluster sizes")
+    if p.n != q.n or p.m != q.m:
+        raise ShapeMismatch("p and q must share items and clusters")
+    if p.assign == q.assign:
+        return 0
+    limit = state_cap(cap)
+    n, m = p.n, p.m
+    weights = [n**x for x in range(m)]
+    near = {_encode(p.assign, weights): 0}
+    far = {_encode(q.assign, weights): 0}
+    near_front, far_front = list(near), list(far)
+    while near_front and far_front:
+        if len(near_front) > len(far_front):
+            near, far, near_front, far_front = far, near, far_front, near_front
+        depth = near[near_front[0]] + 1
+        level = []
+        for code in near_front:
+            for nb in _neighbours(code, n, m, weights):
+                if nb in near:
+                    continue
+                if nb in far:
+                    return depth + far[nb]
+                near[nb] = depth
+                level.append(nb)
+                if len(near) + len(far) > limit:
+                    raise TooLarge(f"search exceeded {limit} states")
+        near_front = level
+    raise AssertionError("equal shapes are always mutually reachable")
 
 
 # --- shortest resolutions by BFS ---------------------------------------------
@@ -217,6 +337,85 @@ def equal_shape_pairs(draw):
 def test_min_resolution_length_matches_plain_bfs(pair):
     p, q = pair
     assert min_resolution_length(p, q) == bfs_distance(p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(equal_shape_pairs())
+@example((Partition(4, (0, 0, 2, 2, 3)), Partition(4, (2, 3, 0, 2, 0))))
+def test_table_neighbours_are_the_tables_of_the_exchanges(pair):
+    # The tables one exchange away, less the table itself: an exchange that
+    # keeps the table (two items of one q-cluster swapped) is skipped.
+    p, q = pair
+    if not p.m:
+        return
+    sizes = p.sizes()
+    live = [c for c, k in enumerate(sizes) if k]
+    n = len(live)
+    b, colw, roww, _ = _table_coding([sizes[c] for c in live])
+
+    def table(state):
+        cells = [0] * (n * n)
+        for a, c in zip(state, q.assign):
+            cells[live.index(a) * n + live.index(c)] += 1
+        return tuple(cells)
+
+    code = sum(k << b * i for i, k in enumerate(table(p.assign)))
+    listed = {
+        tuple(nb >> b * i & (1 << b) - 1 for i in range(n * n))
+        for nb in table_neighbours(code, n, b, colw, roww)
+    }
+    assert listed == {table(s) for s in exchanges(p.assign, p.n)} - {table(p.assign)}
+
+
+CROSSCHECK_SHAPES = ((3, 3, 1, 1), (3, 2, 2, 1), (2, 2, 2, 2))
+
+
+def test_table_min_resolution_length_matches_item_bfs():
+    # Random pairs of the benchmark's cross-check shapes, then random
+    # instances small enough for the item search's default cap.
+    rng = random.Random(11)
+    pairs = []
+    for shape in CROSSCHECK_SHAPES:
+        base = [c for c, k in enumerate(shape) for _ in range(k)]
+        for _ in range(30):
+            left, right = base[:], base[:]
+            rng.shuffle(left)
+            rng.shuffle(right)
+            pairs.append((Partition(len(shape), tuple(left)), Partition(len(shape), tuple(right))))
+    pairs += [random_instance(rng, max_items=8, max_clusters=5) for _ in range(60)]
+    for p, q in pairs:
+        assert min_resolution_length(p, q) == item_min_resolution_length(p, q)
+
+
+def vertices(shape):
+    return math.factorial(sum(shape)) // math.prod(map(math.factorial, shape))
+
+
+# Shapes of at most four clusters whose polytope has at most 10**4 vertices.
+SMALL_SHAPES = [
+    shape
+    for size in range(1, 5)
+    for shape in itertools.combinations_with_replacement(range(1, 13), size)
+    if vertices(shape) <= 10**4
+]
+
+
+@st.composite
+def small_polytope_shapes(draw):
+    shape = draw(st.sampled_from(SMALL_SHAPES))
+    return tuple(draw(st.permutations(shape + (0,) * draw(st.integers(0, 2)))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_polytope_shapes())
+@example((1, 1, 1, 1, 1))
+@example((0, 2, 1, 1, 0, 1, 1))
+@example((1,) * 6)
+def test_table_diameter_matches_item_bfs(shape):
+    # The draws keep to four clusters: with five or more the item search
+    # takes seconds a shape (15 s for (3, 1, 1, 1, 1, 1)).  The examples
+    # add three quick shapes of five and six clusters.
+    assert exact_diameter_bfs(shape) == item_diameter_bfs(shape)
 
 
 @settings(max_examples=40, deadline=None)
@@ -470,6 +669,25 @@ def test_part_table_built_once_per_order_and_kind():
                              if rng.random() < 0.5])
         min_odd_cover_exhaustive(g, "path", 4)
     assert _part_table.cache_info().misses == 1
+
+
+def test_cover_search_cuts_nodes_past_the_degree_bound():
+    # d parts have degree at most 2d at a vertex.  This graph's optimum is 4
+    # paths; without the degree bound, refusing budget 3 took 6.5 s and
+    # budget 7 (its constructive cover's size) 42.7 s more.
+    g = simple_graph(8, [(0, 1), (0, 4), (0, 5), (0, 6), (1, 3), (1, 4), (1, 6), (2, 3),
+                         (2, 4), (2, 6), (3, 5), (3, 6), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)])
+    start = time.perf_counter()
+    assert exact_odd_cover(g, "path", 3) is None
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    found = exact_odd_cover(g, "path", 7)
+    assert time.perf_counter() - start < 1
+    assert len(found) == 4
+    xor = frozenset()
+    for part in found:
+        xor ^= part
+    assert xor == g.edges
 
 
 def test_bounded_cover_search_guard():
