@@ -81,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--kind", choices=("path", "cycle"), default="path")
         if flags.get("exact"):
             p.add_argument("--exact", action="store_true")
-        if flags.get("bound"):
-            p.add_argument("--bound", type=int, metavar="L")
         if flags.get("seed"):
             p.add_argument("--seed", type=int, default=0, metavar="N")
         if flags.get("out"):
@@ -151,7 +149,7 @@ def _load_graph(path: str | None) -> SimpleGraph:
 
 
 def _write(payload: dict | str, path: str | None) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+    text = payload if isinstance(payload, str) else json.dumps(payload)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -309,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "cap", None) is not None and args.cap < 1:
+            raise _UsageError(f"--cap must be a positive integer, got {args.cap}")
         return _DISPATCH[args.verb](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,11 +9,21 @@ DEFAULT_STATE_CAP = 100_000
 
 
 def state_cap(cap: int | None) -> int:
-    """The search cap: ``cap`` if given, else ``POLYRESOLVE_CAP``, else 100,000."""
+    """The search cap: ``cap`` if given, else ``POLYRESOLVE_CAP``, else
+    100,000.  ``ValueError`` if ``POLYRESOLVE_CAP`` is not an integer of at
+    least 1."""
     if cap is not None:
         return cap
     env = os.environ.get("POLYRESOLVE_CAP")
-    return int(env) if env else DEFAULT_STATE_CAP
+    if not env:
+        return DEFAULT_STATE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"POLYRESOLVE_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 class PolyresolveError(Exception):

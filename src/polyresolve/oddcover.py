@@ -29,10 +29,12 @@ constructions have checked.
 ``check_cover`` is the one checker of a finished cover, and
 ``oracles.verify_certificate`` calls it too: the part shapes, the xor (or,
 for linear forests, disjointness and union) and the part count against
-``odd_cover_bound``, which it works out from the graph alone.  Every cover
-construction checks its output once with it, by an explicit raise that
-holds under ``python -O``.  The exhaustive cover search, and the tight
-path cover built on it, live in ``oracles``.
+``odd_cover_bound``, which it works out from the graph alone.  Each public
+cover checks its output once with it, by an explicit raise that holds under
+``python -O``, and nests the unchecked cores (``_eulerian_cover`` and the two
+``_*_cover_delta4``).  Crash guards raise explicitly too; the asserts left
+are the proof's parity, count and transversal facts.  The exhaustive cover
+search, and the tight path cover built on it, live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -289,7 +291,8 @@ def _transversal(comps: Iterable[frozenset[Edge]], avoid: tuple[int, ...] = ()) 
     out: set[Edge] = set()
     for comp in comps:
         e = min((e for e in comp if e[0] not in avoid and e[1] not in avoid), default=None)
-        assert e is not None, "a cycle always has an edge missing the avoided vertices"
+        if e is None:
+            raise AssertionError("a cycle always has an edge missing the avoided vertices")
         out.add(e)
     return frozenset(out)
 
@@ -346,9 +349,6 @@ def _split_forests(
     f1 = (h1 - m1) | m_prime
     f2 = m1 | (m2 - m_prime)
     f3 = h2 - m2
-    assert not (f1 & f2) and not (f1 & f3) and not (f2 & f3)
-    assert symmetric_difference([f1, f2, f3]) == h1 | h2
-
     forests = (f1, f2, f3)
     facts = _analyze(forests)
     assert facts.ends[0] == v1 ^ vertices_of(m2 & f1)
@@ -392,7 +392,8 @@ def flexible_exchange(
         # length.  Dropping x frees one edge at x and keeps one odd edge
         # at the next in-vertex along the cycle.
         order = cycle_order(cedges, start=x)
-        assert len(order) % 2 == 0, "an all-odd cycle alternates, hence is even"
+        if len(order) % 2:
+            raise AssertionError("an all-odd cycle alternates, hence is even")
         ins, outs = order[0::2], order[1::2]
         assert all(u in vset for u in ins) and all(u not in vset for u in outs)
         y = outs[-1] if outs[-1] != z else outs[0]
@@ -495,7 +496,8 @@ def _even_case_direct(
                 boundary = sorted(
                     e2 for e2 in ap if len(set(e2) & vbp) == 1
                 )
-                assert boundary, "ap meets bp but also has vertices outside it"
+                if not boundary:
+                    raise AssertionError("ap meets bp but also has vertices outside it")
                 e2 = boundary[0]
                 (x,) = set(e2) & vbp
                 (y,) = set(e2) - {x}
@@ -505,14 +507,11 @@ def _even_case_direct(
                 assert vertices_of(m1) & vbp == {x}
                 e1 = min(e3 for e3 in bp if x in e3)
                 e0 = min(e3 for e3 in bp if x not in e3)
-            assert v2 not in vertices_of(m1)
 
             m2_rest = {edge(u, v2)} | _transversal(
                 (comp for comp in side2 if comp not in (b, bp)), avoid=(v1,))
-            assert v1 not in vertices_of(m2_rest)
             even_so_far = len(vertices_of(m1) & vertices_of(m2_rest)) % 2 == 0
             m2 = frozenset(m2_rest | ({e0} if even_so_far else {e1}))
-            assert v1 not in vertices_of(m2)
             return m1, m2, u, v1, v2
     return None
 
@@ -750,7 +749,8 @@ class _Surgery:
         rij = self.r[(i, j)]
         free = [w for w in _smallest(self.r_heap[(i, j)], rij.__contains__, len(banned) + 1)
                 if w not in banned]
-        assert free, "R_ij has a vertex outside the banned ones"
+        if not free:
+            raise AssertionError("R_ij has a vertex outside the banned ones")
         return free[0]
 
     def join(self, i: int, j: int, u: int, v: int) -> None:
@@ -758,7 +758,6 @@ class _Surgery:
         forest link the other ends of the two joined paths."""
         e = edge(u, v)
         for f in (i, j):
-            assert e not in self.fs[f]
             assert self.other[f][u] != v, "a join must not close a cycle"
         self.r[(i, j)].remove(u)
         self.r[(i, j)].remove(v)
@@ -782,11 +781,13 @@ def _join_step(s: _Surgery, i: int, j: int, for_cycles: bool) -> None:
     rij = s.r[(i, j)]
     if not for_cycles:
         u = s.anchor(i, j)
-        assert u is not None, "an odd straddler count provides an anchor"
+        if u is None:
+            raise AssertionError("an odd straddler count provides an anchor")
         v = s.min_shared(i, j, {u, s.other[j][u]})
     else:
         anchors = s.straddlers_by_low(i, 2)
-        assert len(anchors) >= 2 and len(s.straddlers[j]) >= 2
+        if len(anchors) < 2 or len(s.straddlers[j]) < 2:
+            raise AssertionError("a cycle join needs two straddlers in each forest")
         u, x1 = (a if a in rij else b for _, a, b in anchors)
         x2 = None
         for _, a, b in s.straddlers_by_low(j, 2):
@@ -798,7 +799,6 @@ def _join_step(s: _Surgery, i: int, j: int, for_cycles: bool) -> None:
         w = s.other[j][u]
         banned = {u, x1, w} if w in rij else {u, x1, x2}
         v = s.min_shared(i, j, banned)
-        assert v != w
     s.join(i, j, u, v)
 
 
@@ -829,11 +829,13 @@ def _reduce_endpoints(
         assert all(c % 2 == want_parity for c in counts), "endpoint counts must share parity"
         if for_cycles:
             assert min(counts[3:]) > 0
-    assert counts[:3] == [floor] * 3
+    # Explicit raises: the cycle closing takes two vertices of each fresh R set.
+    if counts[:3] != [floor] * 3:
+        raise AssertionError("every shared endpoint count must end at its floor")
     final = tuple(frozenset(f) for f in state.fs)
     fresh = _analyze(final)
-    assert fresh.triple(final) == state.triple(), \
-        "incremental endpoint state disagrees with a fresh analysis"
+    if fresh.triple(final) != state.triple():
+        raise AssertionError("incremental endpoint state disagrees with a fresh analysis")
     return final, fresh
 
 
@@ -841,21 +843,24 @@ def _close_into_cycles(
     forests: tuple[frozenset[Edge], ...], r_sets: dict[tuple[int, int], set[int]]
 ) -> list[frozenset[Edge]]:
     """Close a (2,2,2)-endpoint triple into three cycles by adding each
-    shared endpoint pair's edge to both of its forests.  ``_make_cert``
-    checks that each part is a cycle."""
+    shared endpoint pair's edge to both of its forests.  ``check_cover``
+    shows each part a cycle and their xor the graph, so a join edge that a
+    forest already held would not pass."""
     joins = {key: edge(*sorted(r_sets[key])) for key in _PAIRS}
-    for (i, j), e in joins.items():
-        assert e not in forests[i] and e not in forests[j]
     # Forest i takes the join edges of the two pairs it belongs to.
     return [f | {e for key, e in joins.items() if i in key} for i, f in enumerate(forests)]
 
 
+def _normalized(parts: Iterable[Iterable[tuple[int, int]]]) -> tuple[frozenset[Edge], ...]:
+    """Parts with empties dropped and duplicate pairs cancelled, in order of
+    first occurrence (a Counter keeps its keys in that order)."""
+    return tuple(part for part, count in Counter(map(_canon, parts)).items() if part and count % 2)
+
+
 def _make_cert(kind: str, parts: Iterable[Iterable[tuple[int, int]]], g: SimpleGraph) -> OddCoverCert:
-    """Normalize parts (drop empties, cancel duplicate pairs) into a path
-    or cycle cover of g, checked once by ``check_cover``."""
-    # A Counter keeps its keys in order of first occurrence.
-    kept = [part for part, count in Counter(map(_canon, parts)).items() if part and count % 2]
-    return _checked(g, OddCoverCert(kind, tuple(kept)))
+    """The normalized parts as a path or cycle cover of g, checked once by
+    ``check_cover``."""
+    return _checked(g, OddCoverCert(kind, _normalized(parts)))
 
 
 def _max_degree_up_to_4(g: SimpleGraph) -> int:
@@ -876,15 +881,19 @@ def path_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     odd vertex intersection, and joins the resulting forests' endpoints
     until each forest is a single path.
     """
+    return _make_cert("path", _path_cover_delta4(g), g)
+
+
+def _path_cover_delta4(g: SimpleGraph) -> tuple[frozenset[Edge], ...]:
+    """The parts of ``path_odd_cover_delta4``, normalized and unchecked."""
     if _max_degree_up_to_4(g) <= 2:
-        return _make_cert("path", polycycle_odd_cover(g.edges, "path"), g)
+        return _normalized(polycycle_odd_cover(g.edges, "path"))
 
     h1, h2 = undirected_polycycle_decomposition(g, 2).parts
     tp = transversal_odd_intersection(h1, h2)
     forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
-    assert facts.parity == 1
     final, _ = _reduce_endpoints(forests, facts, for_cycles=False)
-    return _make_cert("path", final, g)
+    return _normalized(final)
 
 
 def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
@@ -896,8 +905,13 @@ def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     one component of one half avoid the other half, and the leftover
     polycycle covers with two cycles.
     """
+    return _make_cert("cycle", _cycle_cover_delta4(g), g)
+
+
+def _cycle_cover_delta4(g: SimpleGraph) -> tuple[frozenset[Edge], ...]:
+    """The parts of ``cycle_odd_cover_delta4``, normalized and unchecked."""
     if _max_degree_up_to_4(g) <= 2:
-        return _make_cert("cycle", polycycle_odd_cover(g.edges, "cycle"), g)
+        return _normalized(polycycle_odd_cover(g.edges, "cycle"))
 
     h1, h2 = undirected_polycycle_decomposition(g, 2).parts
     comps1 = edge_components(h1)
@@ -915,27 +929,24 @@ def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     if len(first) > 1 and len(second) > 1:
         crossing = next((((comps1[i], comps2[j]), (comps1[i2], comps2[j2]))
                          for i, j in meets for i2, j2 in meets if i2 != i and j2 != j), None)
-        assert crossing is not None
+        if crossing is None:
+            raise AssertionError("two meeting pairs apart on both sides form a crossing")
 
     if crossing is None:
         if not meets:
             parts = polycycle_odd_cover(h1 | h2, "cycle")
+        elif len(first) == 1:
+            apart = comps1[first.pop()]
+            parts = polycycle_odd_cover(h2 | (h1 - apart), "cycle") + [apart]
         else:
-            if len(first) == 1:
-                apart = comps1[first.pop()]
-                parts = polycycle_odd_cover(h2 | (h1 - apart), "cycle") + [apart]
-            else:
-                assert len(second) == 1
-                apart = comps2[second.pop()]
-                parts = polycycle_odd_cover(h1 | (h2 - apart), "cycle") + [apart]
-        return _make_cert("cycle", parts, g)
+            apart = comps2[second.pop()]
+            parts = polycycle_odd_cover(h1 | (h2 - apart), "cycle") + [apart]
+        return _normalized(parts)
 
     tp, _witness = transversal_even_intersection(h1, h2, crossing)
     forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
-    assert facts.parity == 0
     final, fresh = _reduce_endpoints(forests, facts, for_cycles=True)
-    parts = _close_into_cycles(final, fresh.r_sets)
-    return _make_cert("cycle", parts, g)
+    return _normalized(_close_into_cycles(final, fresh.r_sets))
 
 
 def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:
@@ -946,19 +957,25 @@ def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:
     with the degree-4 routines; for cycles the decomposition threshold is
     d2/2 so the trailing parts are single cycles costing one part each.
     """
+    return _make_cert(kind, _eulerian_cover(g, kind), g)
+
+
+def _eulerian_cover(g: SimpleGraph, kind: str) -> tuple[frozenset[Edge], ...]:
+    """The parts of ``odd_cover_eulerian``, normalized and unchecked; each
+    pair of polycycles goes through the unchecked degree-4 cores."""
     if kind not in ("path", "cycle"):
         raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
     summary = degrees(g)
     if summary.v_odd:
         raise NotEulerian("graph has a vertex of odd degree")
     if not g.edges:
-        return OddCoverCert(kind, ())
+        return ()
 
     parts: list[frozenset[Edge]] = []
     if kind == "path":
-        dec = undirected_polycycle_decomposition(g, summary.delta // 2)
-        assert dec.cycle_suffix_len == 0
-        classes = list(dec.parts)
+        # The orientation has maximum out-degree delta/2, so no part is in
+        # the cycle suffix.
+        classes = list(undirected_polycycle_decomposition(g, summary.delta // 2).parts)
     else:
         _, d2 = two_largest(summary.degrees)
         dec = undirected_polycycle_decomposition(g, d2 // 2)
@@ -966,14 +983,12 @@ def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:
         classes = list(dec.parts[:split])
         parts.extend(dec.parts[split:])
 
-    cover_pair = path_odd_cover_delta4 if kind == "path" else cycle_odd_cover_delta4
+    cover_pair = _path_cover_delta4 if kind == "path" else _cycle_cover_delta4
     for i in range(0, len(classes) - 1, 2):
-        sub = SimpleGraph(g.n, classes[i] | classes[i + 1])
-        parts.extend(cover_pair(sub).parts)
+        parts.extend(cover_pair(SimpleGraph(g.n, classes[i] | classes[i + 1])))
     if len(classes) % 2:
         parts.extend(polycycle_odd_cover(classes[-1], kind))
-
-    return _make_cert(kind, parts, g)
+    return _normalized(parts)
 
 
 def path_odd_cover_general(g: SimpleGraph) -> OddCoverCert:
@@ -989,8 +1004,7 @@ def path_odd_cover_general(g: SimpleGraph) -> OddCoverCert:
     matching = [edge(odd[i], odd[i + 1]) for i in range(0, len(odd), 2)]
     flipped = SimpleGraph(g.n, g.edges ^ frozenset(matching))
     assert degrees(flipped).delta <= summary.delta_e
-    base = odd_cover_eulerian(flipped, "path")
-    parts = list(base.parts) + [frozenset({e}) for e in matching]
+    parts = [*_eulerian_cover(flipped, "path"), *(frozenset({e}) for e in matching)]
     return _make_cert("path", parts, g)
 
 

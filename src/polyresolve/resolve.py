@@ -4,7 +4,9 @@
 k1 + ceil(k2/2) moves apart (k1 >= k2 the two largest cluster sizes): the
 cluster difference digraph factors into balanced permutations and p-cycles,
 balanced permutations split pairwise into at most three p-cycles each, and
-the cycle list converts into an explicit edge walk.
+the cycle list converts into an explicit edge walk, which ``resolve`` checks
+once with ``perms.check_resolution``.  The pair splits check their inputs and
+product; the asserts left are the proof's colouring and p-cycle facts.
 
 The module also builds the matching lower-bound family: instances whose
 difference digraph is a disjoint union of doubled 2-cycles (plus one tripled
@@ -92,8 +94,6 @@ def _color_matchings(m1, m2, n: int) -> dict[int, int]:
                     stack.append(w)
                 else:
                     assert color[w] != color[u], "two matchings cannot form an odd cycle"
-    for u, v in edges:
-        assert color[u] != color[v]
     return color
 
 
@@ -136,7 +136,6 @@ def pcycles_from_balanced(p: Partition, pi: Permutation) -> tuple[CycleSeq, Cycl
     cycles = pi.cycles()
     s1 = CycleSeq(tuple(x for c in cycles for x in c))
     s2 = CycleSeq(tuple(c[0] for c in reversed(cycles)))
-    assert cycle_is_p_cycle(s1, p) and cycle_is_p_cycle(s2, p)
     assert _moved(_cycle_product(s1, s2)) == pi.moved
     return s1, s2
 

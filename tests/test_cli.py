@@ -170,6 +170,23 @@ def test_diameter_exact_cap(capsys):
     assert main(["diameter", "--shape", "4,4,4,4", "--exact", "--cap", "100"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["diameter", "--exact", "--shape", "2,2", "--cap", "-5"],
+    ["oddcover", "--exact", "--cap", "0"],
+])
+def test_cap_below_one_is_usage_error(capsys, argv):
+    # They said "more than -5 vertices, the cap" and "at most 0 vertices".
+    assert main(argv) == 2
+    assert "--cap must be a positive integer" in capsys.readouterr().err
+
+
+def test_env_cap_not_an_integer_is_usage_error(capsys, monkeypatch):
+    # It said "invalid literal for int() with base 10: 'abc'".
+    monkeypatch.setenv("POLYRESOLVE_CAP", "abc")
+    assert main(["diameter", "--exact", "--shape", "2,2"]) == 2
+    assert "POLYRESOLVE_CAP must be a positive integer, got 'abc'" in capsys.readouterr().err
+
+
 def test_diameter_bad_shape(capsys):
     assert main(["diameter", "--shape", "2,x"]) == 2
 

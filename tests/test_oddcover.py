@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 import pytest
 
 from polyresolve.graphs import (
+    SimpleGraph,
     SubgraphShape,
     classify,
+    cycle_order,
     degrees,
     edge,
     edge_components,
@@ -27,6 +30,7 @@ from polyresolve.oddcover import (
     forest_stats,
     linear_forest_decomposition,
     linear_forests_from_transversal,
+    odd_cover_bound,
     odd_cover_eulerian,
     path_odd_cover_delta4,
     path_odd_cover_general,
@@ -395,7 +399,26 @@ def test_bounded_search_parts_are_valid(seed):
     assert len(found) <= len(tight_path_odd_cover(g).parts)
 
 
-# --- shape passes per cover ----------------------------------------------------
+# --- shape passes and checks per cover ----------------------------------------
+
+
+def _count_calls(monkeypatch, module, names):
+    """Live call counts of ``module``'s functions ``names``, counted under
+    every name that a polyresolve module holds them by."""
+    calls = dict.fromkeys(names, 0)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "polyresolve"]
+    for name in names:
+        original = getattr(module, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        for m in modules:
+            for key, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, key, counting)
+    return calls
 
 
 @pytest.mark.parametrize("cover", [path_odd_cover_delta4, cycle_odd_cover_delta4])
@@ -403,20 +426,64 @@ def test_shape_passes_per_cover_stay_few(cover, monkeypatch):
     # Each fact of the surgery is established once: on this graph the
     # covers made 36 and 43 classify calls and 54 and 90 component splits
     # when every stage re-derived them; now 8 and 8, and 3 and 5.
-    calls = {"classify": 0, "edge_components": 0}
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "polyresolve"]
-    for name in calls:
-        original = getattr(graphs, name)
-
-        def counting(*args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(*args)
-
-        for module in modules:
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counting)
+    calls = _count_calls(monkeypatch, graphs, ["classify", "edge_components"])
     g = random_delta4_eulerian_graph(random.Random(1), components=12)
     check_cover(cover(g), g, cover.__name__.split("_")[0], 3)
     assert calls["classify"] <= 10
     assert calls["edge_components"] <= 8
+
+
+def test_nested_covers_are_checked_once(monkeypatch):
+    # A maximum degree of 8, so the covers nest: general over Eulerian over
+    # two degree-4 covers.  When every level checked its whole output, the
+    # general cover made 4 check_cover and 33 classify calls, and the
+    # Eulerian one 3 and 26.
+    g = random_eulerian_graph(random.Random(3), layers=4, max_n=12)
+    minus = SimpleGraph(g.n, g.edges - {min(g.edges)})
+    checks = _count_calls(monkeypatch, oddcover, ["check_cover"])
+    shapes = _count_calls(monkeypatch, graphs, ["classify"])
+    for cover, h, most in ((path_odd_cover_general, minus, 21),
+                           (lambda h: odd_cover_eulerian(h, "path"), g, 20)):
+        checks["check_cover"] = shapes["classify"] = 0
+        cert = cover(h)
+        assert checks["check_cover"] == 1
+        assert shapes["classify"] <= most
+        check_cover(cert, h, "path", odd_cover_bound(h, "path"))
+
+
+def _one_more(kind, parts):
+    """The same xor from one more part: a path gives up an end edge, and a
+    cycle splits along a chord into two cycles."""
+    parts = list(parts)
+    for k, part in enumerate(parts):
+        if kind == "path" and len(part) >= 2:
+            ends = Counter(v for e in part for v in e)
+            e = next(e for e in sorted(part) if 1 in (ends[e[0]], ends[e[1]]))
+            split = [part - {e}, frozenset({e})]
+        elif kind == "cycle" and len(part) >= 4:
+            a, b, c = cycle_order(part)[:3]
+            arc = {edge(a, b), edge(b, c)}
+            split = [frozenset(arc | {edge(a, c)}), (part - arc) | {edge(a, c)}]
+        else:
+            continue
+        return parts[:k] + split + parts[k + 1:]
+
+
+K5 = complete(5)
+TWO_K5 = simple_graph(10, [e for u, v in K5.edges for e in ((u, v), (u + 5, v + 5))])
+K5_MINUS_EDGE = SimpleGraph(5, K5.edges - {(0, 1)})
+
+
+@pytest.mark.parametrize("cover, core, kind, g, refusal", [
+    (path_odd_cover_delta4, "_path_cover_delta4", "path", K5, "4 paths exceed the bound 3"),
+    (cycle_odd_cover_delta4, "_cycle_cover_delta4", "cycle", TWO_K5, "4 cycles exceed the bound 3"),
+    (lambda g: odd_cover_eulerian(g, "path"), "_eulerian_cover", "path", complete(7),
+     "6 paths exceed the bound 5"),
+    (path_odd_cover_general, "_eulerian_cover", "path", K5_MINUS_EDGE,
+     "5 paths exceed the bound 4"),
+], ids=["delta4 paths", "delta4 cycles", "eulerian paths", "general paths"])
+def test_public_covers_refuse_a_core_past_the_bound(monkeypatch, cover, core, kind, g, refusal):
+    real = getattr(oddcover, core)
+    monkeypatch.setattr(oddcover, core, lambda *args: _one_more(kind, real(*args)))
+    with pytest.raises(AssertionError, match=refusal):
+        cover(g)

@@ -3,6 +3,7 @@ still fire under ``python -O``, which strips ``assert`` statements."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -14,9 +15,10 @@ import polyresolve
 
 # Each line prints whether one check raised AssertionError.
 SCRIPT = """
-import importlib
-from polyresolve import cli, polycycles
+import contextlib, importlib, io, json, os, tempfile
+from polyresolve import cli, oddcover, polycycles
 from polyresolve.graphs import simple_graph
+from polyresolve.jsonio import emit_graph, emit_instance
 from polyresolve.oddcover import _make_cert
 from polyresolve.oracles import MoveAccounting, verify_certificate
 from polyresolve.perms import CycleSeq, Partition, Resolution
@@ -57,6 +59,30 @@ polycycles.directed_polycycle_decomposition = split
 # An exact search that finds nothing, although the construction bounds it.
 cli.exact_odd_cover = lambda *args: None
 print("exact cover found:", fires(lambda: cli._construct_cover(g, "path", True, None)))
+
+def cli_run(argv, payload):
+    # The exit code, and whether stdout holds a failed report.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([*argv, path])
+    return code, '"pass": false' in out.getvalue()
+
+# Crash guards: with asserts they would let a later line crash (a KeyError
+# on the unmatched vertex's -1, on the missing anchor's None).
+swap = (Partition(2, (0, 0, 1, 1)), Partition(2, (1, 1, 0, 0)))
+matcher = polycycles._hopcroft_karp
+polycycles._hopcroft_karp = lambda n_left, n_right, adj: [-1] * n_left
+print("unmatched vertex:", *cli_run(["resolve", "--instance"], emit_instance(swap)))
+polycycles._hopcroft_karp = matcher
+# The path cover of two disjoint K5s makes two joins.
+k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+two_k5 = simple_graph(10, [e for u, v in k5 for e in ((u, v), (u + 5, v + 5))])
+oddcover._Surgery.anchor = lambda self, i, j: None
+print("missing anchor:", *cli_run(["oddcover", "--graph"], emit_graph(two_k5)))
 """
 
 
@@ -77,6 +103,8 @@ def test_output_guards_fire_under_python_O():
         "walk bound: 3 steps exceed the bound 2",
         "polycycle parts: True",
         "exact cover found: True",
+        "unmatched vertex: 1 True",
+        "missing anchor: 1 True",
     ]
 
 
@@ -88,7 +116,6 @@ BOUNDS_SCRIPT = """
 from collections import Counter
 from polyresolve import oddcover, oracles
 from polyresolve.graphs import cycle_order, edge, simple_graph
-from polyresolve.oddcover import OddCoverCert
 
 def refusal(check):
     try:
@@ -146,9 +173,9 @@ bounded("eulerian paths", "polycycle_odd_cover", split_parts("path"),
         lambda g: oddcover.odd_cover_eulerian(g, "path"), k7)
 # The fork plus its matching edge (1, 2) is a triangle; a three-path cover
 # of it that avoids (1, 2) gives the fork four paths, one past 1 + 2.
-triangle = OddCoverCert("path", tuple(map(frozenset, (
-    {edge(0, 1)}, {edge(0, 1), edge(0, 2)}, {edge(0, 1), edge(1, 2)}))))
-bounded("general paths", "odd_cover_eulerian", lambda real: lambda *args: triangle,
+triangle = tuple(map(frozenset, (
+    {edge(0, 1)}, {edge(0, 1), edge(0, 2)}, {edge(0, 1), edge(1, 2)})))
+bounded("general paths", "_eulerian_cover", lambda real: lambda *args: triangle,
         oddcover.path_odd_cover_general, fork)
 
 def forests(name, triple):
@@ -195,3 +222,16 @@ def bound_guards():
 @pytest.mark.parametrize("check", BOUND_CHECKS)
 def test_part_count_guards_fire_under_python_O(bound_guards, check):
     assert bound_guards[check] == BOUND_CHECKS[check]
+
+
+# The asserts left in the package are proof invariants: every output still
+# passes its checker by an explicit raise, and every crash guard is one.
+ASSERTS_LEFT = 41
+
+
+def test_no_new_asserts_in_the_package():
+    # A new guard written as an assert would vanish under python -O.
+    package = Path(polyresolve.__file__).resolve().parent
+    count = sum(isinstance(node, ast.Assert)
+                for path in package.glob("*.py") for node in ast.walk(ast.parse(path.read_text())))
+    assert count <= ASSERTS_LEFT
