@@ -23,11 +23,18 @@ each, and moves one unit of each cell to the next row.  A table is one
 integer: cell (i, j) is a field of b = K.bit_length() bits at offset
 b*(i*n + j), K the largest cluster.  ``_neighbours`` decodes a table in
 one step per non-zero cell, then walks the exchanges carrying the code
-change of the open chain: one multiply-add per neighbour.  The shortest
-resolution grows a ball from N(p, q) and one from the diagonal; its cap
-counts the tables stored on both sides.  The diameter is one BFS from the
-diagonal; its cap counts the polytope's vertices, with an early exit, and
-the orbit sizes of the tables reached must add up to that count.
+change of the open chain: one multiply-add per neighbour.  One BFS from
+the diagonal, ``_distance_map``, gives the distance of every table of a
+shape; it stops once the orbit sizes of the tables reached add up to the
+polytope's vertex count, and fails if they never do.  The maps are kept per process, keyed by the non-empty
+cluster sizes in label order, and the least recently used are dropped once
+those kept hold more than ``errors.DEFAULT_STATE_CAP`` tables.  The
+diameter is the depth of the shape's map; its cap counts the polytope's
+vertices, with an early exit.  The shortest resolution looks up N(p, q) in
+the map when the shape has at most four non-empty clusters, and at most
+as many vertices as the cap and the map bound; otherwise it grows a ball from
+N(p, q) and one from the diagonal, and its cap counts the tables stored on
+both sides.  Both paths give the same answers and refuse the same inputs.
 
 The exhaustive cover search codes a part as an edge bitmask of K_n.  Its
 table of every path or cycle of K_n, ``_part_table``, depends only on
@@ -44,12 +51,12 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import FamilyMismatch, ShapeMismatch, TooLarge, state_cap
+from .errors import DEFAULT_STATE_CAP, FamilyMismatch, ShapeMismatch, TooLarge, state_cap
 from .graphs import Edge, SimpleGraph, degrees, edge
 from .oddcover import OddCoverCert, _make_cert, check_cover, path_odd_cover_general
 from .perms import CycleSeq, Partition, Resolution, check_resolution
@@ -153,7 +160,7 @@ def _iter_cycles(
                     stack.append((order + (c_next,), items + (x_next,), partial + step))
 
 
-def _table_coding(sizes: list[int]) -> tuple[int, list[int], list[int], int]:
+def _table_coding(sizes: tuple[int, ...]) -> tuple[int, list[int], list[int], int]:
     """Field width, column and row weights, and the diagonal's code of the
     tables over ``sizes``, a shape without empty clusters."""
     n, b = len(sizes), max(sizes).bit_length()
@@ -221,9 +228,73 @@ def _vertex_count(sizes: tuple[int, ...], limit: int) -> int:
     return count
 
 
+# The distance maps kept, least recently used first.
+_MAPS: OrderedDict[tuple[int, ...], dict[int, int]] = OrderedDict()
+# The most tables the maps kept may hold together.
+_MAP_TABLES = DEFAULT_STATE_CAP
+# Shortest resolutions read a map only for shapes of at most this many
+# clusters.  A table of n rows has up to sum_k C(n, k) (k-1)! row cycles to
+# exchange along: 20 for 4 rows, 84 for 5, 2,365 for 7.  Under the default
+# cap, the costliest map of 4 clusters, (4,3,2,2), builds in 0.05 s, one of
+# 5 in up to 0.4 s and (2,2,1,1,1,1,1) in 12 s, where one search of any of
+# them takes about 1 ms.
+_MAP_ROWS = 4
+
+
+def _distance_map(live: tuple[int, ...], count: int) -> dict[int, int]:
+    """The distance from the diagonal of every table over ``live``, a shape
+    without empty clusters whose polytope has ``count`` vertices, by one BFS;
+    the last entry is a farthest table.
+
+    The orbit sizes of the tables reached must add up to ``count``, and the
+    BFS stops as soon as they do.  Maps are kept per process, keyed by
+    ``live``; once those kept hold more than ``_MAP_TABLES`` tables, the
+    least recently used are dropped.  A map larger than that is returned,
+    not kept, and drops none.  Callers only read a map.
+    """
+    dist = _MAPS.get(live)
+    if dist is not None:
+        _MAPS.move_to_end(live)
+        return dist
+    n = len(live)
+    b, colw, roww, start = _table_coding(live)
+    mask = (1 << b) - 1
+
+    def orbit(code: int) -> int:
+        # A table's orbit holds prod_j k_j! / prod_ij N[i][j]! states: a
+        # product of binomials down each column.
+        cells = [code >> b * c & mask for c in range(n * n)]
+        return math.prod(math.comb(sum(cells[c % n:c + 1:n]), k) for c, k in enumerate(cells))
+
+    # The orbits are disjoint, so once those reached hold every vertex, no
+    # table is left to find and the search stops.  The diagonal's orbit is
+    # one vertex.
+    dist, frontier, depth, reached = {start: 0}, [start], 0, 1
+    while frontier and reached < count:
+        depth += 1
+        level = []
+        for code in frontier:
+            for nb in _neighbours(code, n, b, colw, roww):
+                if nb not in dist:
+                    dist[nb] = depth
+                    level.append(nb)
+                    reached += orbit(nb)
+            if reached >= count:
+                break
+        frontier = level
+    if reached != count:
+        raise AssertionError(f"BFS reached {reached} of {count} vertices of a connected graph")
+    if len(dist) <= _MAP_TABLES:
+        _MAPS[live] = dist
+        held = sum(map(len, _MAPS.values()))
+        while held > _MAP_TABLES:
+            held -= len(_MAPS.popitem(last=False)[1])
+    return dist
+
+
 def exact_diameter_bfs(shape: Iterable[int], cap: int | None = None) -> int:
     """Combinatorial diameter of the partition polytope of the given shape:
-    the eccentricity of one vertex, by BFS over tables from the diagonal.
+    the eccentricity of one vertex, the depth of the shape's distance map.
     ``TooLarge`` is raised when the polytope has more vertices than the cap.
     """
     sizes = tuple(int(k) for k in shape)
@@ -232,51 +303,59 @@ def exact_diameter_bfs(shape: Iterable[int], cap: int | None = None) -> int:
     count = _vertex_count(sizes, state_cap(cap))
     if count == 1:  # at most one non-empty cluster; m may still be huge
         return 0
-    live = [k for k in sizes if k]
-    n = len(live)
-    b, colw, roww, start = _table_coding(live)
-    seen, frontier, depth = {start}, [start], -1
-    while frontier:
-        depth += 1
-        level = []
-        for code in frontier:
-            for nb in _neighbours(code, n, b, colw, roww):
-                if nb not in seen:
-                    seen.add(nb)
-                    level.append(nb)
-        frontier = level
-    # A table's orbit holds prod_j k_j! / prod_ij N[i][j]! states: a product
-    # of binomials down each column.
-    mask, reached = (1 << b) - 1, 0
-    for code in seen:
-        cells = [code >> b * c & mask for c in range(n * n)]
-        reached += math.prod(math.comb(sum(cells[c % n:c + 1:n]), k) for c, k in enumerate(cells))
-    if reached != count:
-        raise AssertionError(f"BFS reached {reached} of {count} vertices of a connected graph")
-    return depth
+    return next(reversed(_distance_map(tuple(k for k in sizes if k), count).values()))
+
+
+def _table_of(p: Partition, q: Partition) -> tuple[tuple[int, ...], int]:
+    """The non-empty cluster sizes in label order, and the code of p's table
+    against q over them.  ``p`` and ``q`` have equal sizes."""
+    sizes = p.sizes()
+    live = [c for c, k in enumerate(sizes) if k]
+    row = {c: i for i, c in enumerate(live)}
+    shape = tuple(sizes[c] for c in live)
+    _, colw, roww, _ = _table_coding(shape)
+    return shape, sum(roww[row[a]] * colw[row[c]] for a, c in zip(p.assign, q.assign))
 
 
 def min_resolution_length(p: Partition, q: Partition, cap: int | None = None) -> int:
-    """Length of a shortest resolution from p to q, by bidirectional BFS
-    over tables against q, from p's table to the diagonal.
+    """Length of a shortest resolution from p to q: the distance of p's
+    table against q from the diagonal.
+
+    A shape of at most ``_MAP_ROWS`` non-empty clusters whose polytope has
+    at most the cap's vertices, and at most ``_MAP_TABLES``, reads it from
+    the shape's distance map, built on first use.  That map holds no more
+    tables than the cap, so the search below would not have refused it.
+    Any other pair runs that search.
+    """
+    if p.sizes() != q.sizes():  # equal sizes hold n and m equal too
+        raise ShapeMismatch("p and q must have equal per-cluster sizes")
+    limit = state_cap(cap)
+    if p.assign == q.assign:
+        return 0
+    shape, code = _table_of(p, q)
+    if len(shape) <= _MAP_ROWS:
+        try:
+            count = _vertex_count(shape, min(limit, _MAP_TABLES))
+        except TooLarge:
+            pass
+        else:
+            return _distance_map(shape, count)[code]
+    return _search_to_diagonal(shape, code, limit)
+
+
+def _search_to_diagonal(shape: tuple[int, ...], code: int, limit: int) -> int:
+    """Distance of the table ``code`` over ``shape`` from the diagonal, by
+    bidirectional BFS; ``code`` is not the diagonal.
 
     Each round expands the side with the smaller frontier by one whole
     level.  The balls are disjoint before the round, so every table of the
     new level that lies in the other ball gives the same distance sum, the
     shortest length; the search returns at the first one.  ``TooLarge``
-    counts the tables stored on both sides together.
+    counts the tables stored on both sides together against ``limit``.
     """
-    sizes = p.sizes()
-    if sizes != q.sizes():  # equal sizes hold n and m equal too
-        raise ShapeMismatch("p and q must have equal per-cluster sizes")
-    if p.assign == q.assign:
-        return 0
-    limit = state_cap(cap)
-    live = [c for c, k in enumerate(sizes) if k]
-    row = {c: i for i, c in enumerate(live)}
-    n = len(live)
-    b, colw, roww, goal = _table_coding([sizes[c] for c in live])
-    near = {sum(roww[row[a]] * colw[row[c]] for a, c in zip(p.assign, q.assign)): 0}
+    n = len(shape)
+    b, colw, roww, goal = _table_coding(shape)
+    near = {code: 0}
     far = {goal: 0}
     near_front, far_front = list(near), list(far)
     while near_front and far_front:
@@ -605,7 +684,7 @@ def min_odd_cover_exhaustive(
     """
     if g.n > vertex_cap:
         raise TooLarge(f"exhaustive search supports at most {vertex_cap} vertices")
-    parts = exact_odd_cover(g, kind, max_size, _candidate_parts(vertex_cap, kind))
+    parts = exact_odd_cover(g, kind, max_size, max(1, _candidate_parts(vertex_cap, kind)))
     return None if parts is None else len(parts)
 
 

@@ -179,18 +179,27 @@ def _is_cycle_of(assign, items: tuple[int, ...]) -> bool:
     return len({assign[x] for x in items}) == len(items)
 
 
+def _exchange_in_place(assign: list[int], items: tuple[int, ...]) -> bool:
+    """Apply the cyclic exchange ``items``, all known items, to ``assign``
+    in place if they lie in pairwise distinct clusters.  Otherwise return
+    False and leave ``assign`` as it was."""
+    if len(items) >= 2:
+        clusters = [assign[x] for x in items]
+        if len(set(clusters)) != len(items):
+            return False
+        # Item x_j takes the old cluster of its successor x_{j+1}.
+        for x, c in zip(items, (*clusters[1:], clusters[0])):
+            assign[x] = c
+    return True
+
+
 def _step_in_place(assign: list[int], items: tuple[int, ...]) -> bool:
     """Apply the cyclic exchange ``items`` to ``assign`` in place if it is a
     cycle of that assignment.  Otherwise return False and leave ``assign``
     as it was."""
-    if not _is_cycle_of(assign, items):
+    if len(items) >= 2 and (min(items) < 0 or max(items) >= len(assign)):
         return False
-    if len(items) >= 2:
-        # Item x_j takes the old cluster of its successor x_{j+1}.
-        clusters = [assign[x] for x in items]
-        for x, c in zip(items, (*clusters[1:], clusters[0])):
-            assign[x] = c
-    return True
+    return _exchange_in_place(assign, items)
 
 
 @dataclass(frozen=True)
@@ -385,11 +394,12 @@ def check_resolution(p: Partition, q: Partition, taus) -> str | None:
     first failure."""
     if p.m != q.m or p.n != q.n:
         return "partitions live on different ground sets"
-    assign = list(p.assign)
+    m, assign = p.m, list(p.assign)
     for i, tau in enumerate(taus):
-        if any(not 0 <= x < p.m for x in tau.items):
+        items = tau.items
+        if items and (min(items) < 0 or max(items) >= m):
             return f"step {i} names an unknown item"
-        if not _step_in_place(assign, tau.items):
+        if not _exchange_in_place(assign, items):
             return f"step {i} revisits a cluster"
     if tuple(assign) != q.assign:
         return "final partition differs from the target"

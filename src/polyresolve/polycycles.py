@@ -276,13 +276,11 @@ def directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecompositi
     # top; a head leaves pools[u] when its stack runs dry.
     pools: list[dict[int, list[int]]] = [{} for _ in range(n)]
     res_out = [0] * n
-    res_in = [0] * n
     for a in range(m - 1, -1, -1):
         if used[a]:
             continue
         u, w = tails[a], heads[a]
         res_out[u] += 1
-        res_in[w] += 1
         stack = pools[u].get(w)
         if stack is None:
             pools[u][w] = [a]

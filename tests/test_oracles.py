@@ -6,12 +6,14 @@ import itertools
 import math
 import random
 import time
+from collections import OrderedDict
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
+from polyresolve import oracles
 from polyresolve.errors import FamilyMismatch, ShapeMismatch, TooLarge, state_cap
 from polyresolve.generators import random_instance
 from polyresolve.graphs import edge, simple_graph
@@ -21,7 +23,9 @@ from polyresolve.oracles import (
     _candidate_parts,
     _neighbours as table_neighbours,
     _part_table,
+    _search_to_diagonal,
     _table_coding,
+    _table_of,
     _vertex_count,
     exact_diameter_bfs,
     exact_odd_cover,
@@ -115,6 +119,21 @@ def test_exact_diameter_env_cap(monkeypatch):
         exact_diameter_bfs((2, 2, 2, 2))
     monkeypatch.setenv("POLYRESOLVE_CAP", "5000")
     assert exact_diameter_bfs((2, 2, 2)) == 2
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_cap_below_one_is_refused(cap):
+    p, q = Partition(2, (0, 0, 1, 1)), Partition(2, (1, 1, 0, 0))
+    message = f"cap must be a positive integer, got {cap}"
+    with pytest.raises(ValueError, match=message):
+        exact_diameter_bfs((2, 2), cap=cap)
+    for target in (q, p):
+        with pytest.raises(ValueError, match=message):
+            min_resolution_length(p, target, cap=cap)
+    with pytest.raises(ValueError, match=message):
+        exact_odd_cover(complete(3), "path", 2, cap=cap)
+    # K_2 has no cycle, so its count of cycles is no cap to pass on.
+    assert min_odd_cover_exhaustive(complete(2), "cycle", 1, vertex_cap=2) is None
 
 
 def test_exact_diameter_many_items_few_vertices_is_quick():
@@ -370,21 +389,92 @@ def test_table_neighbours_are_the_tables_of_the_exchanges(pair):
 CROSSCHECK_SHAPES = ((3, 3, 1, 1), (3, 2, 2, 1), (2, 2, 2, 2))
 
 
-def test_table_min_resolution_length_matches_item_bfs():
-    # Random pairs of the benchmark's cross-check shapes, then random
-    # instances small enough for the item search's default cap.
+def test_table_min_resolution_length_matches_item_bfs(monkeypatch):
+    # Random pairs of the benchmark's cross-check shapes, the shapes in turn,
+    # then random instances small enough for the item search's default cap:
+    # once from no kept map, so each shape's first pair builds its map, and
+    # once more with every map kept.
+    monkeypatch.setattr(oracles, "_MAPS", OrderedDict())
     rng = random.Random(11)
     pairs = []
-    for shape in CROSSCHECK_SHAPES:
-        base = [c for c, k in enumerate(shape) for _ in range(k)]
-        for _ in range(30):
+    for _ in range(30):
+        for shape in CROSSCHECK_SHAPES:
+            base = [c for c, k in enumerate(shape) for _ in range(k)]
             left, right = base[:], base[:]
             rng.shuffle(left)
             rng.shuffle(right)
             pairs.append((Partition(len(shape), tuple(left)), Partition(len(shape), tuple(right))))
     pairs += [random_instance(rng, max_items=8, max_clusters=5) for _ in range(60)]
-    for p, q in pairs:
-        assert min_resolution_length(p, q) == item_min_resolution_length(p, q)
+    expected = [item_min_resolution_length(p, q) for p, q in pairs]
+    for _ in range(2):
+        assert [min_resolution_length(p, q) for p, q in pairs] == expected
+    kept = {shape: len(oracles._MAPS[shape]) for shape in CROSSCHECK_SHAPES}
+    assert kept == {(3, 3, 1, 1): 92, (3, 2, 2, 1): 154, (2, 2, 2, 2): 282}
+
+
+@settings(max_examples=200, deadline=None)
+@given(equal_shape_pairs(), st.integers(1, 3000))
+@example((Partition(4, (0, 0, 1, 1, 2, 2, 3, 3)), Partition(4, (1, 1, 0, 0, 3, 3, 2, 2))), 2520)
+@example((Partition(4, (0, 0, 1, 1, 2, 2, 3, 3)), Partition(4, (1, 1, 0, 0, 3, 3, 2, 2))), 2519)
+@example((Partition(4, (0, 0, 1, 1, 2, 2, 3, 3)), Partition(4, (1, 1, 0, 0, 3, 3, 2, 2))), 40)
+def test_distance_map_and_search_agree_under_any_cap(pair, cap):
+    # A shape with at most the cap's vertices reads its map; the search then
+    # would have answered too, with the same length.  Past the cap both run
+    # the search, and refuse together.
+    p, q = pair
+    if p.assign == q.assign:
+        return
+    shape, code = _table_of(p, q)
+
+    def outcome(search, *args):
+        try:
+            return search(*args)
+        except TooLarge:
+            return "too large"
+
+    assert outcome(min_resolution_length, p, q, cap) == outcome(_search_to_diagonal, shape, code, cap)
+    if vertices(shape) <= cap:
+        assert shape in oracles._MAPS
+
+
+def test_distance_maps_keep_to_their_bound(monkeypatch):
+    # Room for 250 tables: the maps of many shapes come and go, least
+    # recently used first, and every diameter stays the same.
+    shapes = [shape for shape in SMALL_SHAPES if 2 <= len(shape) <= 3 and vertices(shape) <= 3000]
+    expected = [exact_diameter_bfs(shape) for shape in shapes]
+    monkeypatch.setattr(oracles, "_MAPS", OrderedDict())
+    monkeypatch.setattr(oracles, "_MAP_TABLES", 250)
+    for _ in range(2):
+        for shape, diameter in zip(shapes, expected):
+            assert exact_diameter_bfs(shape) == diameter
+            assert sum(map(len, oracles._MAPS.values())) <= 250
+            assert next(reversed(oracles._MAPS)) == shape
+    assert len(oracles._MAPS) < len(shapes)
+
+    # A kept map is used, not rebuilt, and a use makes it the most recently
+    # used: (3, 3, 1, 1) stays and (3, 2, 2, 1), used before it, goes.
+    oracles._MAPS.clear()
+    exact_diameter_bfs((3, 3, 1, 1))  # 92 tables
+    built = oracles._MAPS[(3, 3, 1, 1)]
+    exact_diameter_bfs((3, 2, 2, 1))  # 154
+    exact_diameter_bfs((3, 3, 1, 1))
+    exact_diameter_bfs((2, 2, 1))  # 7 more tables make 253
+    assert list(oracles._MAPS) == [(3, 3, 1, 1), (2, 2, 1)]
+    assert oracles._MAPS[(3, 3, 1, 1)] is built
+
+    # A map larger than the room is answered, and drops no kept map.
+    assert exact_diameter_bfs((2, 2, 2, 2)) == 3  # 282 tables
+    assert list(oracles._MAPS) == [(3, 3, 1, 1), (2, 2, 1)]
+
+
+def test_distance_map_refuses_a_search_that_misses_vertices(monkeypatch):
+    # The orbits of the tables reached must hold every vertex; a map that
+    # fails the check is not kept.
+    monkeypatch.setattr(oracles, "_MAPS", OrderedDict())
+    monkeypatch.setattr(oracles, "_neighbours", lambda *args: [])
+    with pytest.raises(AssertionError, match="BFS reached 1 of 6 vertices"):
+        exact_diameter_bfs((2, 2))
+    assert not oracles._MAPS
 
 
 def vertices(shape):
