@@ -37,9 +37,10 @@ acc = move_accounting(p, q, p, PP36_FIRST_MOVE)
 assert acc == MoveAccounting(whole_moves=3, half_moves=3, gain=9)
 print("opening move", PP36_FIRST_MOVE.items, "->", acc)
 
-# A pruned search over all gain-9-capped walks shows no 4-move resolution
-# exists (that is the expensive certified fact behind the "5"); here we just
-# build the 5-move walk the constructive bound guarantees.
+# A breadth-first search over the contingency tables of the instance shows
+# no 4-move resolution exists (that is the expensive certified fact behind
+# the "5", checked by `polyresolve selftest`); here we just build the 5-move
+# walk the constructive bound guarantees.
 res = resolve(p, q)
 print(f"constructed resolution with {len(res.taus)} moves:")
 for i, tau in enumerate(res.taus):

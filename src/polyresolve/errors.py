@@ -92,10 +92,6 @@ class CrossingPairMissing(PolyresolveError):
     """No two disjoint pairs of intersecting components exist."""
 
 
-class FamilyMismatch(PolyresolveError):
-    """Instance is outside the structured family an oracle requires."""
-
-
 class TooLarge(PolyresolveError):
     """Input exceeds the configured search cap."""
 

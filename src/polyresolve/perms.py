@@ -13,10 +13,9 @@ Sparse representation and cost
 ------------------------------
 A :class:`Permutation` holds only its moved points, as the map
 ``x -> pi(x)`` over its support, and a :class:`CycleSeq` holds its one
-cycle.  Building one, ``support``, ``cycles``, ``inverse``,
-:func:`is_p_balanced`, :func:`compose` and conjugation all cost
-O(|support|) (``cycles`` sorts its leaders); only ``Permutation.image``
-spells out all m entries.
+cycle.  Building one, ``cycles``, :func:`is_p_balanced` and
+:func:`compose` all cost O(|support|) (``cycles`` sorts its leaders); only
+``Permutation.image`` spells out all m entries.
 
 Replay and verification (``Resolution.end``, :func:`check_resolution`)
 change one assignment list in place, checking each step ``tau`` for
@@ -104,12 +103,6 @@ class Permutation:
 
     def __call__(self, x: int) -> int:
         return self.moved.get(x, x)
-
-    def inverse(self) -> "Permutation":
-        return Permutation.from_moved(self.m, {y: x for x, y in self.moved.items()})
-
-    def support(self) -> frozenset[int]:
-        return frozenset(self.moved)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Non-trivial cycles, each starting at its smallest element,

@@ -312,6 +312,6 @@ def gen_pp36_instance() -> tuple[Partition, Partition]:
 
 # A best-possible first move for the instance above: one item from each
 # cluster, alternating sides, realizing the maximum per-step progress of 9.
-# Fixing it is sound when searching for short resolutions because relabeling
-# items within start/target clusters acts transitively on such moves.
+# It explains the progress bound of 4; that no 4 moves suffice is the
+# oracles' shortest-resolution search.
 PP36_FIRST_MOVE = CycleSeq((0, 9, 3, 12, 6, 15))

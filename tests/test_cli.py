@@ -8,10 +8,11 @@ import time
 
 import pytest
 
-from polyresolve import oddcover
+from polyresolve import cli, oddcover
 from polyresolve.cli import main
 from polyresolve.graphs import simple_graph
 from polyresolve.jsonio import emit_graph, emit_instance
+from polyresolve.oracles import Report
 from polyresolve.perms import Partition
 
 
@@ -368,12 +369,33 @@ def test_unknown_verb_exits_two(capsys):
     assert err.value.code == 2
 
 
-def test_selftest_passes(capsys):
+# The criteria themselves run once each in test_acceptance.py; these tests
+# check the verb's wiring over stubbed reports.
+
+
+def _stub_acceptance(monkeypatch, verdicts):
+    reports = [Report(f"check-{i}", ok, "ok" if ok else "it broke", i) for i, ok in enumerate(verdicts)]
+    monkeypatch.setattr(cli, "run_acceptance", lambda: reports)
+
+
+def test_selftest_passes(monkeypatch, capsys):
+    _stub_acceptance(monkeypatch, [True] * 11)
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 11
-    assert all(ln.startswith("PASS") for ln in lines)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"PASS check-{i}: ok ({i} ms)" for i in range(11)]
+    assert lines[-1] == "11/11 checks passed"
+
+
+def test_selftest_fails_on_one_failing_report(monkeypatch, capsys):
+    _stub_acceptance(monkeypatch, [True, False, True])
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "PASS check-0: ok (0 ms)",
+        "FAIL check-1: it broke (1 ms)",
+        "PASS check-2: ok (2 ms)",
+        "2/3 checks passed",
+    ]
 
 
 def test_parser_is_built_once(monkeypatch, capsys):

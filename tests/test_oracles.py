@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import pytest
 
 from polyresolve import oracles
-from polyresolve.errors import FamilyMismatch, ShapeMismatch, TooLarge, state_cap
+from polyresolve.errors import ShapeMismatch, TooLarge, state_cap
 from polyresolve.generators import random_instance
 from polyresolve.graphs import edge, simple_graph
 from polyresolve.oddcover import OddCoverCert, cycle_odd_cover_delta4, path_odd_cover_general
@@ -33,7 +33,6 @@ from polyresolve.oracles import (
     min_odd_cover_exhaustive,
     min_resolution_length,
     move_accounting,
-    pruned_no_short_resolution,
     verify_certificate,
 )
 from polyresolve.perms import CycleSeq, Partition, Resolution
@@ -263,6 +262,12 @@ def test_min_resolution_length_known_values():
     assert min_resolution_length(p, q) == 2
     r = Partition(2, (1, 0, 0, 1))
     assert min_resolution_length(p, r) == 1
+    square = gen_lower_bound_instance((2, 2, 2, 2))
+    assert min_resolution_length(square.p, square.q) == 3
+    # Listing the items in reverse relabels them, which changes no table.
+    p_rev, q_rev = (Partition(s.n, s.assign[::-1]) for s in (square.p, square.q))
+    assert p_rev != square.p
+    assert min_resolution_length(p_rev, q_rev) == 3
 
 
 def test_min_resolution_length_rejects_mismatch():
@@ -522,34 +527,6 @@ def test_min_resolution_length_within_diameter(seed):
     q = Partition(n, tuple(right))
     dist = min_resolution_length(p, q)
     assert dist <= exact_diameter_bfs(p.shape())
-
-
-# --- pruned no-short-resolution search ----------------------------------------
-
-
-def test_pruned_search_matches_bfs_on_square():
-    inst = gen_lower_bound_instance((2, 2, 2, 2))
-    assert min_resolution_length(inst.p, inst.q) == 3
-    assert pruned_no_short_resolution(inst.p, inst.q, 2)
-    assert not pruned_no_short_resolution(inst.p, inst.q, 3)
-
-
-def test_pruned_search_rejects_other_families():
-    # A tripled 3-cycle is not a union of doubled 2-cycles.
-    inst = gen_lower_bound_instance((1, 1, 1, 1, 1))
-    with pytest.raises(FamilyMismatch):
-        pruned_no_short_resolution(inst.p, inst.q, 2)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 10**9))
-def test_pruned_search_agrees_with_bfs(seed):
-    rng = random.Random(seed)
-    shape = sorted((rng.randint(1, 2) for _ in range(4)), reverse=True)
-    inst = gen_lower_bound_instance(shape)
-    exact = min_resolution_length(inst.p, inst.q)
-    for length in range(1, exact + 1):
-        assert pruned_no_short_resolution(inst.p, inst.q, length) == (length < exact)
 
 
 # --- exhaustive odd-cover minima ----------------------------------------------
