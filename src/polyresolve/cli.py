@@ -40,10 +40,8 @@ from .jsonio import (
 from .oddcover import (
     OddCoverCert,
     _make_cert,
-    cycle_odd_cover_delta4,
     linear_forest_decomposition,
     odd_cover_eulerian,
-    path_odd_cover_delta4,
     path_odd_cover_general,
 )
 from .oracles import Report, exact_diameter_bfs, exact_odd_cover, verify_certificate
@@ -179,8 +177,7 @@ def _run_resolve(args) -> int:
 
 
 def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) -> OddCoverCert:
-    d = degrees(g)
-    eulerian = d.v_odd == 0
+    eulerian = degrees(g).v_odd == 0
     if kind == "cycle" and not eulerian:
         raise _UsageError("cycle odd-covers need every degree even")
     if exact:
@@ -192,8 +189,6 @@ def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) ->
         if parts is None:
             raise AssertionError("the exact search found no cover; the construction bounds it")
         return _make_cert(kind, parts, g)
-    if eulerian and d.delta <= 4:
-        return path_odd_cover_delta4(g) if kind == "path" else cycle_odd_cover_delta4(g)
     if eulerian:
         return odd_cover_eulerian(g, kind)
     return path_odd_cover_general(g)

@@ -31,9 +31,11 @@ constructions have checked.
 for linear forests, disjointness and union) and the part count against
 ``odd_cover_bound``, which it works out from the graph alone.  Each public
 cover checks its output once with it, by an explicit raise that holds under
-``python -O``, and nests the unchecked cores (``_eulerian_cover`` and the two
-``_*_cover_delta4``).  Crash guards raise explicitly too; the asserts left
-are the proof's parity, count and transversal facts.  The exhaustive cover
+``python -O``.  Every path or cycle cover of an Eulerian graph runs the
+unchecked ``_eulerian_cover``: one decomposition, whose consecutive
+polycycles go as they are to the pair cores ``_path_pair`` and
+``_cycle_pair``.  Crash guards raise explicitly too; the asserts left are
+the proof's parity, count and transversal facts.  The exhaustive cover
 search, and the tight path cover built on it, live in ``oracles``.
 """
 
@@ -863,57 +865,50 @@ def _make_cert(kind: str, parts: Iterable[Iterable[tuple[int, int]]], g: SimpleG
     return _checked(g, OddCoverCert(kind, _normalized(parts)))
 
 
-def _max_degree_up_to_4(g: SimpleGraph) -> int:
-    """The maximum degree of g, once g is checked to be Eulerian with
-    maximum degree at most 4."""
+def _max_degree_up_to_4(g: SimpleGraph) -> None:
+    """Check that g is Eulerian with maximum degree at most 4."""
     summary = degrees(g)
     if summary.v_odd:
         raise NotEulerian("graph has a vertex of odd degree")
     if summary.delta > 4:
         raise PreconditionViolated(f"maximum degree must be at most 4, got {summary.delta}")
-    return summary.delta
 
 
 def path_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
-    """Cover an Eulerian graph of maximum degree 4 with at most 3 paths.
-
-    Splits the graph into two polycycles, picks a transversal pair with
-    odd vertex intersection, and joins the resulting forests' endpoints
-    until each forest is a single path.
-    """
-    return _make_cert("path", _path_cover_delta4(g), g)
-
-
-def _path_cover_delta4(g: SimpleGraph) -> tuple[frozenset[Edge], ...]:
-    """The parts of ``path_odd_cover_delta4``, normalized and unchecked."""
-    if _max_degree_up_to_4(g) <= 2:
-        return _normalized(polycycle_odd_cover(g.edges, "path"))
-
-    h1, h2 = undirected_polycycle_decomposition(g, 2).parts
-    tp = transversal_odd_intersection(h1, h2)
-    forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
-    final, _ = _reduce_endpoints(forests, facts, for_cycles=False)
-    return _normalized(final)
+    """Cover an Eulerian graph of maximum degree 4 with at most 3 paths:
+    the Eulerian path cover on its domain.  Its two polycycles (one, covered
+    by two paths, when no degree is 4) split into three linear forests,
+    joined into one path each."""
+    _max_degree_up_to_4(g)
+    return _make_cert("path", _eulerian_cover(g, "path"), g)
 
 
 def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
-    """Cover an Eulerian graph of maximum degree 4 with at most 3 cycles.
+    """Cover an Eulerian graph of maximum degree 4 with at most 3 cycles:
+    the Eulerian cycle cover on its domain.  With a single degree-4 vertex
+    the decomposition splits off one cycle through it, and the cover is
+    that cycle plus at most two cycles of the polycycle left."""
+    _max_degree_up_to_4(g)
+    return _make_cert("cycle", _eulerian_cover(g, "cycle"), g)
 
-    When the two polycycle halves cross in two disjoint component pairs,
-    an even-parity transversal pair with a crossing witness yields three
-    straddled forests that close into three cycles; otherwise all but
-    one component of one half avoid the other half, and the leftover
-    polycycle covers with two cycles.
+
+def _path_pair(h1: frozenset[Edge], h2: frozenset[Edge]) -> tuple[frozenset[Edge], ...]:
+    """Three paths whose xor is h1 | h2, two polycycles that share a vertex:
+    a transversal pair with odd intersection splits them into three linear
+    forests, joined into one path each."""
+    tp = transversal_odd_intersection(h1, h2)
+    forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
+    return _reduce_endpoints(forests, facts, for_cycles=False)[0]
+
+
+def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge]) -> list[frozenset[Edge]]:
+    """At most three cycles whose xor is h1 | h2, two polycycles.
+
+    When the two cross in two disjoint component pairs, an even-parity
+    transversal pair with a crossing witness yields three straddled
+    forests that close into three cycles; otherwise all but one component
+    of one polycycle avoid the other, and the rest covers with two cycles.
     """
-    return _make_cert("cycle", _cycle_cover_delta4(g), g)
-
-
-def _cycle_cover_delta4(g: SimpleGraph) -> tuple[frozenset[Edge], ...]:
-    """The parts of ``cycle_odd_cover_delta4``, normalized and unchecked."""
-    if _max_degree_up_to_4(g) <= 2:
-        return _normalized(polycycle_odd_cover(g.edges, "cycle"))
-
-    h1, h2 = undirected_polycycle_decomposition(g, 2).parts
     comps1 = edge_components(h1)
     comps2 = edge_components(h2)
     owner = {v: i for i, c in enumerate(comps1) for v in vertices_of(c)}
@@ -934,35 +929,35 @@ def _cycle_cover_delta4(g: SimpleGraph) -> tuple[frozenset[Edge], ...]:
 
     if crossing is None:
         if not meets:
-            parts = polycycle_odd_cover(h1 | h2, "cycle")
-        elif len(first) == 1:
+            return polycycle_odd_cover(h1 | h2, "cycle")
+        if len(first) == 1:
             apart = comps1[first.pop()]
-            parts = polycycle_odd_cover(h2 | (h1 - apart), "cycle") + [apart]
-        else:
-            apart = comps2[second.pop()]
-            parts = polycycle_odd_cover(h1 | (h2 - apart), "cycle") + [apart]
-        return _normalized(parts)
+            return polycycle_odd_cover(h2 | (h1 - apart), "cycle") + [apart]
+        apart = comps2[second.pop()]
+        return polycycle_odd_cover(h1 | (h2 - apart), "cycle") + [apart]
 
     tp, _witness = transversal_even_intersection(h1, h2, crossing)
     forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
     final, fresh = _reduce_endpoints(forests, facts, for_cycles=True)
-    return _normalized(_close_into_cycles(final, fresh.r_sets))
+    return _close_into_cycles(final, fresh.r_sets)
 
 
 def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:
     """Cover an Eulerian graph with ceil(3*Delta/4) paths or with
     d1/2 + ceil(d2/4) cycles, d1 >= d2 the two largest degrees.
 
-    Pairs up the polycycles of a full decomposition and covers each pair
-    with the degree-4 routines; for cycles the decomposition threshold is
-    d2/2 so the trailing parts are single cycles costing one part each.
+    Pairs up the polycycles of one decomposition and covers each pair with
+    three paths or cycles; for cycles the decomposition threshold is d2/2
+    so the trailing parts are single cycles costing one part each.
     """
     return _make_cert(kind, _eulerian_cover(g, kind), g)
 
 
 def _eulerian_cover(g: SimpleGraph, kind: str) -> tuple[frozenset[Edge], ...]:
-    """The parts of ``odd_cover_eulerian``, normalized and unchecked; each
-    pair of polycycles goes through the unchecked degree-4 cores."""
+    """The parts of ``odd_cover_eulerian``, normalized and unchecked.  Each
+    polycycle of the one decomposition holds an out-arc of a top-degree
+    vertex, so consecutive ones share a vertex and go to the pair cores as
+    they are."""
     if kind not in ("path", "cycle"):
         raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
     summary = degrees(g)
@@ -975,17 +970,17 @@ def _eulerian_cover(g: SimpleGraph, kind: str) -> tuple[frozenset[Edge], ...]:
     if kind == "path":
         # The orientation has maximum out-degree delta/2, so no part is in
         # the cycle suffix.
-        classes = list(undirected_polycycle_decomposition(g, summary.delta // 2).parts)
+        classes = undirected_polycycle_decomposition(g, summary.delta // 2).parts
     else:
         _, d2 = two_largest(summary.degrees)
         dec = undirected_polycycle_decomposition(g, d2 // 2)
         split = len(dec.parts) - dec.cycle_suffix_len
-        classes = list(dec.parts[:split])
+        classes = dec.parts[:split]
         parts.extend(dec.parts[split:])
 
-    cover_pair = _path_cover_delta4 if kind == "path" else _cycle_cover_delta4
+    cover_pair = _path_pair if kind == "path" else _cycle_pair
     for i in range(0, len(classes) - 1, 2):
-        parts.extend(cover_pair(SimpleGraph(g.n, classes[i] | classes[i + 1])))
+        parts.extend(cover_pair(classes[i], classes[i + 1]))
     if len(classes) % 2:
         parts.extend(polycycle_odd_cover(classes[-1], kind))
     return _normalized(parts)

@@ -435,7 +435,7 @@ def test_shape_passes_per_cover_stay_few(cover, monkeypatch):
 
 def test_nested_covers_are_checked_once(monkeypatch):
     # A maximum degree of 8, so the covers nest: general over Eulerian over
-    # two degree-4 covers.  When every level checked its whole output, the
+    # two pairs of polycycles.  When every level checked its whole output, the
     # general cover made 4 check_cover and 33 classify calls, and the
     # Eulerian one 3 and 26.
     g = random_eulerian_graph(random.Random(3), layers=4, max_n=12)
@@ -449,6 +449,22 @@ def test_nested_covers_are_checked_once(monkeypatch):
         assert checks["check_cover"] == 1
         assert shapes["classify"] <= most
         check_cover(cert, h, "path", odd_cover_bound(h, "path"))
+
+
+@pytest.mark.parametrize("cover, g", [
+    (lambda g: odd_cover_eulerian(g, "path"), complete(9)),
+    (lambda g: odd_cover_eulerian(g, "cycle"), complete(9)),
+    (path_odd_cover_general, complete(8)),
+], ids=["eulerian paths K9", "eulerian cycles K9", "general paths K8"])
+def test_each_cover_decomposes_once(cover, g, monkeypatch):
+    # The pairs are covered as the decomposition gives them.  When each
+    # pair's union was decomposed again, K9 took 3 decompositions for
+    # either kind, and K8's general cover 2.
+    calls = _count_calls(monkeypatch, oddcover, ["undirected_polycycle_decomposition"])
+    cert = cover(g)
+    assert calls["undirected_polycycle_decomposition"] == 1
+    kind = cert.kind
+    check_cover(cert, g, kind, odd_cover_bound(g, kind))
 
 
 def _one_more(kind, parts):
@@ -475,8 +491,8 @@ K5_MINUS_EDGE = SimpleGraph(5, K5.edges - {(0, 1)})
 
 
 @pytest.mark.parametrize("cover, core, kind, g, refusal", [
-    (path_odd_cover_delta4, "_path_cover_delta4", "path", K5, "4 paths exceed the bound 3"),
-    (cycle_odd_cover_delta4, "_cycle_cover_delta4", "cycle", TWO_K5, "4 cycles exceed the bound 3"),
+    (path_odd_cover_delta4, "_path_pair", "path", K5, "4 paths exceed the bound 3"),
+    (cycle_odd_cover_delta4, "_cycle_pair", "cycle", TWO_K5, "4 cycles exceed the bound 3"),
     (lambda g: odd_cover_eulerian(g, "path"), "_eulerian_cover", "path", complete(7),
      "6 paths exceed the bound 5"),
     (path_odd_cover_general, "_eulerian_cover", "path", K5_MINUS_EDGE,

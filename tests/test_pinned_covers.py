@@ -29,7 +29,7 @@ from polyresolve.oddcover import (
     path_odd_cover_general,
 )
 
-PINNED = "c2504113fa60f6d3bc20e2f7adf308b82919db631d2315c1aba4632b2ba34d42"
+PINNED = "41a99692959dd3958401a6efef9676df12b0e1f7509b95e2d56cfc55d8019078"
 
 
 def pinned_covers():
