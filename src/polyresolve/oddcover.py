@@ -898,7 +898,8 @@ def _path_pair(h1: frozenset[Edge], h2: frozenset[Edge]) -> tuple[frozenset[Edge
     forests, joined into one path each."""
     tp = transversal_odd_intersection(h1, h2)
     forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
-    return _reduce_endpoints(forests, facts, for_cycles=False)[0]
+    final, _ = _reduce_endpoints(forests, facts, for_cycles=False)
+    return final
 
 
 def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge]) -> list[frozenset[Edge]]:

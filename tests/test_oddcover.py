@@ -463,8 +463,7 @@ def test_each_cover_decomposes_once(cover, g, monkeypatch):
     calls = _count_calls(monkeypatch, oddcover, ["undirected_polycycle_decomposition"])
     cert = cover(g)
     assert calls["undirected_polycycle_decomposition"] == 1
-    kind = cert.kind
-    check_cover(cert, g, kind, odd_cover_bound(g, kind))
+    check_cover(cert, g, cert.kind, odd_cover_bound(g, cert.kind))
 
 
 def _one_more(kind, parts):
