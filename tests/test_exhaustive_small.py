@@ -6,6 +6,12 @@ Covers run on every graph with an edge in ``networkx.graph_atlas_g()``:
 passes ``verify_certificate`` and is no smaller than ``exact_odd_cover``'s
 optimum; the parts past that optimum are summed per construction.
 
+The same covers, Eulerian and Delta-4 ones included, run on every even
+graph on 8 vertices.  Joining a new vertex to exactly the odd-degree
+vertices of each 7-vertex atlas graph yields each of them, and an
+isomorphism test within buckets of equal degree sequence and triangle
+count leaves 243 classes, 242 with an edge.
+
 Resolutions run on one pair per contingency table: for every shape of at
 most 7 items, with sizes in non-increasing label order, q puts the items
 into its clusters in order and p puts N[i][c] of q's cluster c into
@@ -17,8 +23,8 @@ shape's map, the map ``min_resolution_length`` reads.  Up to 6 items,
 
 The pinned totals are the quality of today's constructions.  A change
 that shortens certificates lowers them in one diff; a change that
-lengthens one fails here.  Each test takes about 3 s on a 2-vCPU x86-64
-VM with CPython 3.11.
+lengthens one fails here.  Each test takes about 3 to 6 s on a 2-vCPU
+x86-64 VM with CPython 3.11.
 """
 
 from __future__ import annotations
@@ -55,6 +61,17 @@ COVER_EXCESS = {
     "eulerian cycle": 12,
     "delta4 path": 31,
     "delta4 cycle": 7,
+}
+
+# The same on the even graphs on 8 vertices, where all three path covers
+# are measured against one path optimum.
+EVEN8_EXCESS = {
+    "general": 327,
+    "tight": 327,
+    "eulerian path": 327,
+    "eulerian cycle": 124,
+    "delta4 path": 78,
+    "delta4 cycle": 52,
 }
 
 # Tables where resolve is longer than the distance, the excess summed over
@@ -99,6 +116,46 @@ def test_covers_on_every_atlas_graph():
                 totals[f"delta4 {kind}"] += _checked(g, delta4(g), optimum)
     assert seen == {"graphs": 1245, "delta <= 4": 677, "eulerian": 77, "eulerian, delta <= 4": 61}
     assert totals == COVER_EXCESS
+
+
+def _even_graphs_on_8():
+    """One graph per isomorphism class of even graphs on 8 vertices."""
+    buckets: dict[tuple, list] = {}
+    for atlas in nx.graph_atlas_g():
+        if atlas.number_of_nodes() != 7:
+            continue
+        h = nx.Graph(atlas)
+        h.add_node(7)
+        h.add_edges_from((v, 7) for v, d in atlas.degree() if d % 2)
+        key = (tuple(sorted(d for _, d in h.degree())), sum(nx.triangles(h).values()))
+        bucket = buckets.setdefault(key, [])
+        if not any(nx.is_isomorphic(h, other) for other in bucket):
+            bucket.append(h)
+            yield h
+
+
+def test_covers_on_every_even_graph_on_8_vertices():
+    totals = dict.fromkeys(EVEN8_EXCESS, 0)
+    seen = {"classes": 0, "graphs": 0, "delta <= 4": 0}
+    for h in _even_graphs_on_8():
+        seen["classes"] += 1
+        if not h.number_of_edges():
+            continue
+        g = simple_graph(8, h.edges())
+        summary = degrees(g)
+        seen["graphs"] += 1
+        seen["delta <= 4"] += summary.delta <= 4
+        for kind, delta4 in (("path", path_odd_cover_delta4), ("cycle", cycle_odd_cover_delta4)):
+            cover = odd_cover_eulerian(g, kind)
+            optimum = len(exact_odd_cover(g, kind, len(cover.parts)))
+            totals[f"eulerian {kind}"] += _checked(g, cover, optimum)
+            if summary.delta <= 4:
+                totals[f"delta4 {kind}"] += _checked(g, delta4(g), optimum)
+            if kind == "path":
+                totals["general"] += _checked(g, path_odd_cover_general(g), optimum)
+                totals["tight"] += _checked(g, tight_path_odd_cover(g), optimum)
+    assert seen == {"classes": 243, "graphs": 242, "delta <= 4": 114}
+    assert totals == EVEN8_EXCESS
 
 
 def _shapes(m: int, top: int):
