@@ -69,9 +69,11 @@ class Digraph:
     def __post_init__(self):
         if len(self.tails) != len(self.heads):
             raise ValueError("tails and heads must have equal length")
-        for v in (*self.tails, *self.heads):
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} out of range for n={self.n}")
+        tails, heads = self.tails, self.heads
+        if tails and not 0 <= min(min(tails), min(heads)) <= max(max(tails), max(heads)) < self.n:
+            for v in (*tails, *heads):   # names the first offender
+                if not 0 <= v < self.n:
+                    raise ValueError(f"vertex {v} out of range for n={self.n}")
 
     @property
     def m(self) -> int:

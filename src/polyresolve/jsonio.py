@@ -65,7 +65,10 @@ def _array(x: Any, what: str) -> list | tuple:
 
 
 def _ints(x: Any, what: str) -> tuple[int, ...]:
-    return tuple(_int(v, what) for v in _array(x, what))
+    values = _array(x, what)
+    if set(map(type, values)) <= {int}:
+        return tuple(values)
+    return tuple(_int(v, what) for v in values)   # names the first offender
 
 
 def _pairs(x: Any, what: str) -> list[tuple[int, ...]]:

@@ -232,9 +232,11 @@ class Partition:
     assign: tuple[int, ...]
 
     def __post_init__(self):
-        for c in self.assign:
-            if not 0 <= c < self.n:
-                raise ValueError(f"cluster {c} out of range for n={self.n}")
+        assign = self.assign
+        if assign and not 0 <= min(assign) <= max(assign) < self.n:
+            for c in assign:   # names the first offender
+                if not 0 <= c < self.n:
+                    raise ValueError(f"cluster {c} out of range for n={self.n}")
 
     @property
     def m(self) -> int:

@@ -13,24 +13,31 @@ and p-cycles with pairwise disjoint supports.
 
 Cost
 ----
-The directed decomposition keeps, for each tail u, a map from each head w
-to a stack of the unused arcs u -> w, and lists those heads in order for
-the matcher.  Building them, popping one arc per vertex in each of the t
-matching rounds and the self-checks are near-linear in m + n t on m arcs
-and n vertices: one arc-owner array shows the parts disjoint and holding
+The directed decomposition runs the matcher only while the residual
+degree is 3 or more.  For t >= 3 it keeps, for each tail u, a map from
+each head w to a stack of the unused arcs u -> w, lists those heads in
+order for the matcher, and peels t - 2 perfect matchings with
+Hopcroft-Karp, O(m sqrt(n)) each with a greedy first phase.  The last two
+matchings come from flat arrays, two slots (arc, head) per tail: a
+residual of degree 2 is a union of even tail-head cycles, and one walk
+per cycle puts alternate slots into the two matchings, the halving step
+of Gabow's Euler partitions (Gabow 1976).  So t <= 2, which covers every
+pair of partitions into clusters of at most two items and every cover of
+maximum degree 4, runs no matcher at all.  The set-up, the pops, the
+split and the self-checks are near-linear in m + n t on m arcs and n
+vertices: one arc-owner array shows the parts disjoint and holding
 exactly the non-loop arcs, and a successor map with a head set shows
-in = out = 1 in each part.  The t Hopcroft-Karp rounds, O(m sqrt(n)) each
-with a greedy first phase, are what is left.  Within ``resolve`` on CPython 3.11 the
-decomposition takes about 40% of the time at m = 3000 (1500 clusters of 2;
-its matching about 15%) and about 55% at m = 10^5 (20,000 clusters of 5;
-its matching about 35%).
+in = out = 1 in each part.  Within ``resolve`` on CPython 3.11 the
+decomposition takes about 25% of the time at m = 3000 (1500 clusters of
+2), where it took 45% with t matching rounds, and about 55% at m = 10^5
+(20,000 clusters of 5; its three matching rounds about 30%).
 
 Checks
 ------
 The in = out = 1 test, the undirected polycycle shape, a failed matching
-round and a stalled cycle walk are explicit raises.  The factorization
-checks nothing more; ``resolve`` checks its walk once, with
-``perms.check_resolution``.
+round, a walk on the residual of degree 2 that does not close and a
+stalled cycle walk are explicit raises.  The factorization checks nothing
+more; ``resolve`` checks its walk once, with ``perms.check_resolution``.
 """
 
 from __future__ import annotations
@@ -241,6 +248,53 @@ def _assert_directed_part(g: Digraph, arcs: frozenset[int], single_cycle: bool) 
             raise AssertionError("suffix part must be one cycle")
 
 
+def _split_residual(
+    k: int, slot_arcs: list[int], slot_heads: list[int], loop: int
+) -> list[frozenset[int]]:
+    """The last k <= 2 matchings of a k-regular residual, as arc-id sets.
+
+    Tail u owns slots k u .. k u + k - 1, each an arc and its head; a loop,
+    real or virtual, holds its slot under the arc id ``loop`` and enters no
+    part.  With k = 1 the slots are the one matching.  With k = 2 the
+    residual is a union of even tail-head cycles: the two slots into each
+    head are paired, and one walk per cycle alternates between a tail's
+    other slot (first matching) and the slot paired with it at its head
+    (second matching) until it is back at its start.  This is the halving
+    step of Gabow's Euler partitions (Gabow 1976).
+    """
+    if k < 2:
+        return [frozenset(slot_arcs) - {loop}] * k
+    n = len(slot_heads) // 2
+    mate = [-1] * (2 * n)
+    pending = [-1] * n
+    for s, w in enumerate(slot_heads):
+        r = pending[w]
+        if r < 0:
+            pending[w] = s
+        else:
+            mate[r] = s
+            mate[s] = r
+            pending[w] = -1
+    first: list[int] = []
+    second: list[int] = []
+    placed = [False] * n
+    for u in range(n):
+        if placed[u]:
+            continue
+        start = s = 2 * u
+        while True:
+            placed[s >> 1] = True
+            first.append(slot_arcs[s])
+            r = mate[s]
+            if r < 0:
+                raise AssertionError("the walk on the degree-2 residual must close at its start")
+            second.append(slot_arcs[r])
+            s = r ^ 1
+            if s == start:
+                break
+    return [frozenset(first) - {loop}, frozenset(second) - {loop}]
+
+
 def directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecomposition:
     """Split an Eulerian digraph into max-out-degree many directed polycycles.
 
@@ -272,46 +326,70 @@ def directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecompositi
         for _ in range(delta - t):
             cycles.append(_extract_cycle_through(g, v, out_arcs, used))
 
-    # pools[u][w] is a stack of the unused arcs u -> w, lowest arc id on
-    # top; a head leaves pools[u] when its stack runs dry.
-    pools: list[dict[int, list[int]]] = [{} for _ in range(n)]
-    res_out = [0] * n
-    for a in range(m - 1, -1, -1):
-        if used[a]:
-            continue
-        u, w = tails[a], heads[a]
-        res_out[u] += 1
-        stack = pools[u].get(w)
-        if stack is None:
-            pools[u][w] = [a]
-        else:
-            stack.append(a)
-
-    # Pad every vertex to out-degree t with virtual loops (arc id m, which
-    # no owner slot below accepts), then peel t perfect matchings of the
-    # tail/head bipartite multigraph.  No loop, real or virtual, enters a
-    # part, so their order in a stack does not matter.
-    for u in range(n):
-        if res_out[u] < t:
-            pools[u].setdefault(u, []).extend([m] * (t - res_out[u]))
-
-    # adj[u] lists the heads w with a non-empty pools[u][w], ascending.
-    adj = [sorted(pu) for pu in pools]
     classes: list[frozenset[int]] = []
-    for _ in range(t):
-        match_l = _hopcroft_karp(n, n, adj)
-        if -1 in match_l:
-            raise AssertionError("regular bipartite graph has a perfect matching")
-        cls = []
-        for u, w in enumerate(match_l):
-            stack = pools[u][w]
-            a = stack.pop()
-            if not stack:
-                del pools[u][w]
-                adj[u].remove(w)
-            if u != w:
-                cls.append(a)
-        classes.append(frozenset(cls))
+    if t >= 3:
+        # pools[u][w] is a stack of the unused arcs u -> w, lowest arc id on
+        # top; a head leaves pools[u] when its stack runs dry.
+        pools: list[dict[int, list[int]]] = [{} for _ in range(n)]
+        res_out = [0] * n
+        for a in range(m - 1, -1, -1):
+            if used[a]:
+                continue
+            u, w = tails[a], heads[a]
+            res_out[u] += 1
+            stack = pools[u].get(w)
+            if stack is None:
+                pools[u][w] = [a]
+            else:
+                stack.append(a)
+
+        # Pad every vertex to out-degree t with virtual loops (arc id m, which
+        # no owner slot below accepts), then peel t - 2 perfect matchings of
+        # the tail/head bipartite multigraph.  No loop, real or virtual,
+        # enters a part, so their order in a stack does not matter.
+        for u in range(n):
+            if res_out[u] < t:
+                pools[u].setdefault(u, []).extend([m] * (t - res_out[u]))
+
+        # adj[u] lists the heads w with a non-empty pools[u][w], ascending.
+        adj = [sorted(pu) for pu in pools]
+        for _ in range(t - 2):
+            match_l = _hopcroft_karp(n, n, adj)
+            if -1 in match_l:
+                raise AssertionError("regular bipartite graph has a perfect matching")
+            cls = []
+            for u, w in enumerate(match_l):
+                stack = pools[u][w]
+                a = stack.pop()
+                if not stack:
+                    del pools[u][w]
+                    adj[u].remove(w)
+                if u != w:
+                    cls.append(a)
+            classes.append(frozenset(cls))
+        # The two arcs left at each tail, real loops as m.
+        slot_arcs: list[int] = []
+        slot_heads: list[int] = []
+        for u, pu in enumerate(pools):
+            for w, stack in pu.items():
+                slot_arcs += stack if w != u else [m] * len(stack)
+                slot_heads += [w] * len(stack)
+    else:
+        # The residual's arcs by tail, t slots each, lowest arc id first,
+        # padded with virtual loops.  Every loop, real or virtual, holds
+        # its slot as arc id m with the tail as its head.
+        slot_arcs = [m] * (t * n)
+        slot_heads = [u for u in range(n) for _ in range(t)]
+        filled = [t * u for u in range(n)]
+        for a in range(m):
+            if not used[a]:
+                u, w = tails[a], heads[a]
+                s = filled[u]
+                filled[u] = s + 1
+                if u != w:
+                    slot_arcs[s] = a
+                    slot_heads[s] = w
+    classes.extend(_split_residual(min(t, 2), slot_arcs, slot_heads, m))
 
     # owner[a] is the part holding arc a, or -1.  The parts are disjoint
     # when the arcs written number the sum of the part sizes (no write

@@ -5,8 +5,10 @@ k1 + ceil(k2/2) moves apart (k1 >= k2 the two largest cluster sizes): the
 cluster difference digraph factors into balanced permutations and p-cycles,
 balanced permutations split pairwise into at most three p-cycles each, and
 the cycle list converts into an explicit edge walk, which ``resolve`` checks
-once with ``perms.check_resolution``.  The pair splits check their inputs and
-product; the asserts left are the proof's colouring and p-cycle facts.
+once with ``perms.check_resolution``.  The pair split checks its inputs,
+and its product in one pass that builds the product's image and preimage
+maps together; the asserts left are the proof's colouring and p-cycle
+facts.
 
 The module also builds the matching lower-bound family: instances whose
 difference digraph is a disjoint union of doubled 2-cycles (plus one tripled
@@ -97,16 +99,22 @@ def _color_matchings(m1, m2, n: int) -> dict[int, int]:
     return color
 
 
-def _cycle_product(*sigmas: CycleSeq) -> dict[int, int]:
-    """``x -> sigma_3(sigma_2(sigma_1(x)))`` for every item x of up to three
-    cycles (``sigma_1`` acting first), fixed points included, built from
-    their successor maps without a ``Permutation``."""
-    succs = [dict(zip(s.items, (*s.items[1:], *s.items[:1]))) for s in sigmas]
-    s1, s2, s3 = succs + [{}] * (3 - len(succs))
-    return {
-        x: s3.get(z := s2.get(y := s1.get(x, x), y), z)
-        for x in s1.keys() | s2.keys() | s3.keys()
-    }
+def _product(*sigmas: CycleSeq) -> tuple[dict[int, int], dict[int, int]]:
+    """``x -> sigma_k(...sigma_1(x))`` for every item x the cycles touch
+    (``sigma_1`` acting first), fixed points included, and its inverse.
+
+    Both maps are built in one pass over the cycles: each cycle sends the
+    item now mapped to ``a`` on to the successor of ``a``.
+    """
+    images: dict[int, int] = {}
+    pre: dict[int, int] = {}
+    for sigma in sigmas:
+        items = sigma.items
+        succ = items[1:] + items[:1]
+        sources = [pre.get(a, a) for a in items]
+        images.update(zip(sources, succ))
+        pre.update(zip(succ, sources))
+    return images, pre
 
 
 def _moved(images: dict[int, int]) -> dict[int, int]:
@@ -116,11 +124,18 @@ def _moved(images: dict[int, int]) -> dict[int, int]:
 def _check_pair_product(sigmas, x: int, y: int, composite: Permutation) -> None:
     """Raise AssertionError unless ``(x y) sigma_3 sigma_2 sigma_1`` equals
     ``composite`` and ``sigma_3 sigma_2 sigma_1`` has its support."""
-    images = _cycle_product(*sigmas)
-    swap = {x: y, y: x}
-    if {a: b for a, c in images.items() if (b := swap.get(c, c)) != a} != composite.moved:
+    images, pre = _product(*sigmas)
+    moved = _moved(images)
+    same_support = moved.keys() == composite.moved.keys()
+    # (x y) after the product changes only the images of x's and y's preimages.
+    for a, b in ((pre.get(x, x), y), (pre.get(y, y), x)):
+        if a == b:
+            moved.pop(a, None)
+        else:
+            moved[a] = b
+    if moved != composite.moved:
         raise AssertionError("the p-cycles differ from the pair by more than (x y)")
-    if _moved(images).keys() != composite.moved.keys():
+    if not same_support:
         raise AssertionError("the p-cycles and the pair have different supports")
 
 
@@ -136,7 +151,7 @@ def pcycles_from_balanced(p: Partition, pi: Permutation) -> tuple[CycleSeq, Cycl
     cycles = pi.cycles()
     s1 = CycleSeq(tuple(x for c in cycles for x in c))
     s2 = CycleSeq(tuple(c[0] for c in reversed(cycles)))
-    assert _moved(_cycle_product(s1, s2)) == pi.moved
+    assert _moved(_product(s1, s2)[0]) == pi.moved
     return s1, s2
 
 
@@ -208,7 +223,13 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
 
 def resolve(p: Partition, q: Partition) -> Resolution:
     """Build a resolution from p to q of length <= k1 + ceil(k2/2), checked
-    once by ``perms.check_resolution``."""
+    once by ``perms.check_resolution``.
+
+    The factorization runs one matching round per balanced permutation
+    but the last two, which it splits off a residual of degree 2 along its
+    cycles, so a pair whose second-largest cluster holds at most two items
+    runs no matcher at all.
+    """
     sizes = p.sizes()
     if sizes != q.sizes():
         raise ShapeMismatch("p and q must have equal per-cluster sizes")

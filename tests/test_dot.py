@@ -14,7 +14,7 @@ from polyresolve.oddcover import OddCoverCert
 from polyresolve.perms import CycleSeq, Partition, Resolution, cdg
 from polyresolve.resolve import resolve
 
-PINNED_RESOLUTION_DOT = "6998081bc99c3cd7b8130b42f0c9f625b0b693671c802dd51d50720c36025b12"
+PINNED_RESOLUTION_DOT = "5cc01763b9a8bc222748499a5e1a08b19d686310d20a9a678a029c9218b2a3f4"
 
 
 def test_graph_block():

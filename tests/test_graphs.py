@@ -200,8 +200,11 @@ def test_cycle_order_walks_the_cycle():
 def test_digraph_checks_lengths_and_range():
     with pytest.raises(ValueError):
         Digraph(2, (0,), (1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vertex 2 out of range for n=2$"):
         Digraph(2, (0, 2), (1, 1))
+    # The first offender in tails-then-heads order is named.
+    with pytest.raises(ValueError, match="^vertex 5 out of range for n=3$"):
+        Digraph(3, (0, 1, 2), (1, 5, -1))
     g = Digraph(2, (0, 1, 1), (1, 0, 1))
     assert g.m == 3
     assert g.is_eulerian()

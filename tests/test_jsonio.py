@@ -88,6 +88,18 @@ def test_instance_rejects_partial_bound():
         parse_instance({"m": 2, "n": 2, "p": [0, 1], "p_prime": [1, 0], "bound": 1})
 
 
+def test_instance_names_a_boolean_label():
+    doc = json.loads('{"m": 3, "n": 2, "p": [0, 1, true], "p_prime": [1, 0, 1]}')
+    with pytest.raises(ValueError, match="^p must be an integer, got bool$"):
+        parse_instance(doc)
+
+
+def test_instance_names_the_first_cluster_out_of_range():
+    doc = {"m": 4, "n": 2, "p": [0, 1, 1, 0], "p_prime": [1, 3, -1, 0]}
+    with pytest.raises(ValueError, match="^cluster 3 out of range for n=2$"):
+        parse_instance(doc)
+
+
 # --- resolutions ----------------------------------------------------------------
 
 

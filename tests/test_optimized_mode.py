@@ -72,12 +72,20 @@ def cli_run(argv, payload):
     return code, '"pass": false' in out.getvalue()
 
 # Crash guards: with asserts they would let a later line crash (a KeyError
-# on the unmatched vertex's -1, on the missing anchor's None).
-swap = (Partition(2, (0, 0, 1, 1)), Partition(2, (1, 1, 0, 0)))
+# on the unmatched vertex's -1, on the missing anchor's None) or hang (a
+# walk on the residual that never closes).  Three items swap each way, so
+# one matching round runs before the residual of degree 2 is split.
+swap = (Partition(2, (0, 0, 0, 1, 1, 1)), Partition(2, (1, 1, 1, 0, 0, 0)))
 matcher = polycycles._hopcroft_karp
 polycycles._hopcroft_karp = lambda n_left, n_right, adj: [-1] * n_left
 print("unmatched vertex:", *cli_run(["resolve", "--instance"], emit_instance(swap)))
 polycycles._hopcroft_karp = matcher
+# Move the first slot to the next head: one head then has three slots.
+split = polycycles._split_residual
+polycycles._split_residual = lambda k, arcs, heads, loop: split(
+    k, arcs, [(heads[0] + 1) % (len(heads) // k), *heads[1:]], loop)
+print("broken residual:", *cli_run(["resolve", "--instance"], emit_instance(swap)))
+polycycles._split_residual = split
 # The path cover of two disjoint K5s makes two joins.
 k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
 two_k5 = simple_graph(10, [e for u, v in k5 for e in ((u, v), (u + 5, v + 5))])
@@ -94,6 +102,7 @@ def test_output_guards_fire_under_python_O():
         [sys.executable, "-O", "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=60
     )
     assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
     assert run.stdout.splitlines() == [
         "asserts on: False",
         "gain identity: True",
@@ -104,6 +113,7 @@ def test_output_guards_fire_under_python_O():
         "polycycle parts: True",
         "exact cover found: True",
         "unmatched vertex: 1 True",
+        "broken residual: 1 True",
         "missing anchor: 1 True",
     ]
 

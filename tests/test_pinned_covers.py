@@ -29,7 +29,7 @@ from polyresolve.oddcover import (
     path_odd_cover_general,
 )
 
-PINNED = "41a99692959dd3958401a6efef9676df12b0e1f7509b95e2d56cfc55d8019078"
+PINNED = "56482b50e47ab551250a4e6574c86116db8e342166e52405d0d5b1c16778f12e"
 
 
 def pinned_covers():

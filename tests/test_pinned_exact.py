@@ -18,7 +18,7 @@ from polyresolve.graphs import edge, simple_graph
 from polyresolve.oddcover import path_odd_cover_general
 from polyresolve.oracles import exact_odd_cover, tight_path_odd_cover
 
-PINNED = "e71cbe1f61af8a4333bc957599eda25a16a3f2ee21c435242a2bb18c561ee140"
+PINNED = "9392abe0d91422a428a568a78295ceb014b8b57eaea8af4aa40fbe0cea27290f"
 
 
 def _graph(rng: random.Random):

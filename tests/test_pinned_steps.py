@@ -18,7 +18,7 @@ from polyresolve.jsonio import emit_resolution
 from polyresolve.perms import Partition
 from polyresolve.resolve import gen_lower_bound_instance, gen_pp36_instance, resolve
 
-PINNED = "3ae0aa382eec329b1c54258f490323794a12e132787997b82f5d1484ae7b94fd"
+PINNED = "6936e9b7556ba7ea672df699ec55a1067ca8522a7aa7c53eff0a54e584442e61"
 
 
 def _equal_shape_pair(rng: random.Random, sizes: list[int]) -> tuple[Partition, Partition]:

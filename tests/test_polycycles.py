@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
 from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyresolve import polycycles
 from polyresolve.errors import NotEulerian, NotPolycycle, ThresholdViolated
+from polyresolve.generators import random_delta4_eulerian_graph
 from polyresolve.graphs import (
     Digraph,
     SubgraphShape,
@@ -17,6 +20,7 @@ from polyresolve.graphs import (
     simple_graph,
     symmetric_difference,
 )
+from polyresolve.oddcover import cycle_odd_cover_delta4, path_odd_cover_delta4
 from polyresolve.perms import Partition, compose, identity
 from polyresolve.polycycles import (
     PolycycleDecomposition,
@@ -28,6 +32,7 @@ from polyresolve.polycycles import (
     polycycle_odd_cover,
     undirected_polycycle_decomposition,
 )
+from polyresolve.resolve import resolve
 
 
 def test_directed_decomposition_splits_a_doubled_triangle():
@@ -78,7 +83,7 @@ def test_part_check_rejects_a_suffix_part_of_two_cycles():
 
 def _reference_directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecomposition:
     """The decomposition as it stood before its set-up was rewritten: one
-    tuple-keyed pool of arc deques and textbook matching rounds.  Kept
+    tuple-keyed pool of arc deques and t textbook matching rounds.  Kept
     without its self-checks, which do not change the output; the cycle
     extraction is shared with the module."""
     out = g.out_degrees()
@@ -158,8 +163,47 @@ def test_decomposition_equals_the_frozen_reference(g):
             continue
         got = directed_polycycle_decomposition(g, t)
         want = _reference_directed_polycycle_decomposition(g, t)
-        assert got.parts == want.parts
         assert got.cycle_suffix_len == want.cycle_suffix_len
+        # The matcher's t - 2 classes and the cycle suffix are the
+        # reference's; the last two classes split the same arcs anew.
+        cut = max(t - 2, 0)
+        assert got.parts[:cut] == want.parts[:cut]
+        assert got.parts[t:] == want.parts[t:]
+        last = frozenset().union(*got.parts[cut:t])
+        assert last == frozenset().union(*want.parts[cut:t])
+        assert sum(map(len, got.parts[cut:t])) == len(last)
+
+
+def _shuffled_pair(rng, sizes):
+    base = [c for c, k in enumerate(sizes) for _ in range(k)]
+    p, q = base[:], base[:]
+    rng.shuffle(p)
+    rng.shuffle(q)
+    return Partition(len(sizes), tuple(p)), Partition(len(sizes), tuple(q))
+
+
+def test_matcher_runs_only_while_the_residual_degree_is_three_or_more(monkeypatch):
+    calls = []
+    matcher = polycycles._hopcroft_karp
+
+    def counting(*args):
+        calls.append(args)
+        return matcher(*args)
+
+    monkeypatch.setattr(polycycles, "_hopcroft_karp", counting)
+    rng = random.Random(18)
+
+    def counted(run) -> int:
+        calls.clear()
+        run()
+        return len(calls)
+
+    # t = 2: the last two classes come from the residual's cycles.
+    assert counted(lambda: resolve(*_shuffled_pair(rng, [2] * 1500))) == 0
+    g = random_delta4_eulerian_graph(rng, 12)
+    assert counted(lambda: (path_odd_cover_delta4(g), cycle_odd_cover_delta4(g))) == 0
+    # t = 50: one Hopcroft-Karp round per class but the last two.
+    assert counted(lambda: resolve(*_shuffled_pair(rng, [50] * 10))) == 48
 
 
 def test_undirected_decomposition_covers_a_four_regular_graph():
