@@ -16,7 +16,6 @@ import sys
 
 from .acceptance import run_acceptance
 from .dot import emit_dot
-from .errors import PolyresolveError
 from .generators import (
     random_delta4_eulerian_graph,
     random_delta4_graph,
@@ -51,10 +50,6 @@ from .resolve import gen_lower_bound_instance, gen_pp36_instance, resolve
 __all__ = ["main"]
 
 _GEN_FAMILIES = ("random", "k2", "lowerbound", "pp36", "graph", "eulerian", "delta4")
-
-
-class _UsageError(Exception):
-    pass
 
 
 @functools.cache
@@ -113,15 +108,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_shape(text: str | None) -> tuple[int, ...]:
     if not text:
-        raise _UsageError("--shape is required for this verb")
+        raise ValueError("--shape is required for this verb")
     try:
         shape = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"--shape must be comma-separated integers, got {text!r}")
+        raise ValueError(f"--shape must be comma-separated integers, got {text!r}")
     if not shape or any(k < 0 for k in shape):
-        raise _UsageError("--shape entries must be non-negative")
+        raise ValueError("--shape entries must be non-negative")
     if len(shape) > MAX_COUNT or sum(shape) > MAX_COUNT:
-        raise _UsageError(f"--shape exceeds the limit of {MAX_COUNT} clusters or items")
+        raise ValueError(f"--shape exceeds the limit of {MAX_COUNT} clusters or items")
     return shape
 
 
@@ -130,19 +125,19 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise _UsageError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
 
 
 def _load_instance(path: str | None):
     if not path:
-        raise _UsageError("--instance is required for this verb")
+        raise ValueError("--instance is required for this verb")
     inst = parse_instance(_load_json(path))
     return (inst.p, inst.q) if hasattr(inst, "bound") else inst
 
 
 def _load_graph(path: str | None) -> SimpleGraph:
     if not path:
-        raise _UsageError("--graph is required for this verb")
+        raise ValueError("--graph is required for this verb")
     return parse_graph(_load_json(path))
 
 
@@ -179,11 +174,11 @@ def _run_resolve(args) -> int:
 def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) -> OddCoverCert:
     eulerian = degrees(g).v_odd == 0
     if kind == "cycle" and not eulerian:
-        raise _UsageError("cycle odd-covers need every degree even")
+        raise ValueError("cycle odd-covers need every degree even")
     if exact:
         limit = cap if cap is not None else 8
         if g.n > limit:
-            raise _UsageError(f"--exact supports at most {limit} vertices (override with --cap)")
+            raise ValueError(f"--exact supports at most {limit} vertices (override with --cap)")
         fallback = _construct_cover(g, kind, False, None)
         parts = exact_odd_cover(g, kind, len(fallback.parts), cap)
         if parts is None:
@@ -226,7 +221,7 @@ def _run_lowerbound(args) -> int:
 def _run_verify(args) -> int:
     data = _load_json(args.certificate)
     if not isinstance(data, dict) or "type" not in data:
-        raise _UsageError(f"{args.certificate} is not a certificate (missing 'type')")
+        raise ValueError(f"{args.certificate} is not a certificate (missing 'type')")
     # A bad instance or graph file is an input error (exit 2); only the
     # certificate itself is reported as malformed (exit 1).
     kind = data["type"]
@@ -235,11 +230,11 @@ def _run_verify(args) -> int:
     elif kind == "odd_cover":
         target = _load_graph(args.graph)
     else:
-        raise _UsageError(f"unknown certificate type {kind!r}")
+        raise ValueError(f"unknown certificate type {kind!r}")
     try:
         cert = parse_resolution(data, target[0]) if kind == "resolution" else parse_cover(data)
         report = verify_certificate(target, cert)
-    except (ValueError, PolyresolveError) as exc:
+    except ValueError as exc:
         report = Report("certificate", False, f"malformed certificate: {exc}", 0)
     _write(emit_report(report), args.out)
     return 0 if report.passed else 1
@@ -303,12 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "cap", None) is not None and args.cap < 1:
-            raise _UsageError(f"--cap must be a positive integer, got {args.cap}")
+            raise ValueError(f"--cap must be a positive integer, got {args.cap}")
         return _DISPATCH[args.verb](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PolyresolveError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

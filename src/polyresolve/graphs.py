@@ -14,8 +14,6 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable, NamedTuple
 
-from .errors import NotEulerian
-
 Edge = tuple[int, int]
 
 
@@ -254,7 +252,7 @@ def eulerian_orientation(g: SimpleGraph) -> Digraph:
     corresponds to ``sorted(g.edges)[i]``.
     """
     if any(d % 2 for d in g.degree_vector()):
-        raise NotEulerian("graph has a vertex of odd degree")
+        raise ValueError("graph has a vertex of odd degree")
     remaining: dict[int, set[int]] = defaultdict(set)
     for u, v in g.edges:
         remaining[u].add(v)
@@ -283,18 +281,17 @@ def eulerian_orientation(g: SimpleGraph) -> Digraph:
     return Digraph(g.n, tails, heads)
 
 
-def cycle_order(comp: Iterable[Edge], start: int | None = None,
-                second: int | None = None) -> list[int]:
+def cycle_order(comp: Iterable[Edge], start: int | None = None) -> list[int]:
     """Vertices of a cycle-shaped component in traversal order.
 
-    Starts at ``start`` (default: smallest vertex) and moves toward
-    ``second`` (default: its smaller neighbor).
+    Starts at ``start`` (default: smallest vertex) and moves toward its
+    smaller neighbor.
     """
     adj = _links(comp)
     if any(len(nbrs) != 2 for nbrs in adj.values()):
         raise ValueError("component is not a single cycle")
     first = min(adj) if start is None else start
-    nxt = min(adj[first]) if second is None else second
+    nxt = min(adj[first])
     order, prev = [first], first
     while nxt != first:
         order.append(nxt)

@@ -22,9 +22,9 @@ straddler in every forest for cycles, no closed cycle) are checked after
 every join, so the surgery costs O(E log E).  One from-scratch analysis
 after the last join must agree with the incremental state; the cycle
 closing reads its shared-endpoint sets.  The public steps check their
-inputs (``NotPolycycle``, ``NotTransversal``, ``NotLinearForest``); the
-covers pass the split parts that the decomposition and the transversal
-constructions have checked.
+inputs (a ``ValueError`` names the polycycle, transversal or forest at
+fault); the covers pass the split parts that the decomposition and the
+transversal constructions have checked.
 
 ``check_cover`` is the one checker of a finished cover, and
 ``oracles.verify_certificate`` calls it too: the part shapes, the xor (or,
@@ -46,16 +46,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, NamedTuple
 
-from .errors import (
-    CrossingPairMissing,
-    NoCommonVertex,
-    NotEdgeDisjoint,
-    NotEulerian,
-    NotLinearForest,
-    NotPolycycle,
-    NotTransversal,
-    PreconditionViolated,
-)
 from .graphs import (
     FOREST_SHAPES,
     Edge,
@@ -240,12 +230,12 @@ def _analyze(fs: tuple[frozenset[Edge], ...]) -> _Analysis:
     one walk per forest."""
     paths = [linear_forest_paths(f) for f in fs]
     if None in paths:
-        raise NotLinearForest("every part must be a disjoint union of paths")
+        raise ValueError("every part must be a disjoint union of paths")
     ends = [{x for _, a, b in found for x in (a, b)} for found in paths]
     for v in ends[0] | ends[1] | ends[2]:
         hits = sum(v in e for e in ends)
         if hits != 2:
-            raise PreconditionViolated(
+            raise ValueError(
                 f"endpoint {v} lies in {hits} end sets; the union is not Eulerian"
             )
     r_sets = {(i, j): ends[i] & ends[j] for i, j in _PAIRS}
@@ -273,19 +263,19 @@ def forest_stats(f1: Iterable[tuple[int, int]], f2: Iterable[tuple[int, int]],
 
 def _check_polycycle(h: frozenset[Edge], span: int, name: str) -> None:
     if classify(h, span) not in (SubgraphShape.EMPTY, SubgraphShape.CYCLE, SubgraphShape.POLYCYCLE):
-        raise NotPolycycle(f"{name} is not a disjoint union of cycles")
+        raise ValueError(f"{name} is not a disjoint union of cycles")
 
 
 def _check_transversal(m: frozenset[Edge], h: frozenset[Edge],
                        comps: list[frozenset[Edge]], name: str) -> None:
     """m picks exactly one edge of each component ``comps`` of h."""
     if not m <= h:
-        raise NotTransversal(f"{name} has edges outside its polycycle")
+        raise ValueError(f"{name} has edges outside its polycycle")
     for comp in comps:
         if len(m & comp) != 1:
-            raise NotTransversal(f"{name} must pick exactly one edge per component")
+            raise ValueError(f"{name} must pick exactly one edge per component")
     if len(m) != len(comps):
-        raise NotTransversal(f"{name} has stray edges")
+        raise ValueError(f"{name} has stray edges")
 
 
 def _transversal(comps: Iterable[frozenset[Edge]], avoid: tuple[int, ...] = ()) -> frozenset[Edge]:
@@ -307,22 +297,22 @@ def linear_forests_from_transversal(
     The forests are (h1 - m1) + m', m1 + (m2 - m'), and h2 - m2, where m'
     holds the smallest m2-edge of every cycle component of m1 + m2.  Their
     endpoint parity equals |V(m1) & V(m2)| mod 2.  Checks its inputs
-    (``NotEdgeDisjoint``, ``NotPolycycle``, ``NotTransversal``) before the
-    split; the covers call the split directly on inputs they checked.
+    (disjoint polycycles, their transversals) before the split; the covers
+    call the split directly on inputs they checked.
     """
     h1 = _canon(h1)
     h2 = _canon(h2)
     if h1 & h2:
-        raise NotEdgeDisjoint("the two polycycles share an edge")
+        raise ValueError("the two polycycles share an edge")
     span = _span(h1, h2, tp.m1, tp.m2)
     _check_polycycle(h1, span, "h1")
     _check_polycycle(h2, span, "h2")
     if not h1 and not h2:
         if tp.m1 or tp.m2:
-            raise NotTransversal("transversal of an empty polycycle must be empty")
+            raise ValueError("transversal of an empty polycycle must be empty")
         return forest_stats((), (), ())
     if not h1 or not h2:
-        raise NotTransversal("exactly one side is empty; no transversal pair exists")
+        raise ValueError("exactly one side is empty; no transversal pair exists")
     m1 = _canon(tp.m1)
     m2 = _canon(tp.m2)
     _check_transversal(m1, h1, edge_components(h1), "m1")
@@ -372,10 +362,10 @@ def flexible_exchange(
     vset = frozenset(v)
     span = _span(cedges)
     if classify(cedges, span) is not SubgraphShape.CYCLE:
-        raise PreconditionViolated("c must be a single cycle")
+        raise ValueError("c must be a single cycle")
     verts = vertices_of(cedges)
     if x not in vset or x not in verts or z in vset or x == z:
-        raise PreconditionViolated("need x in v and on c, z outside v, x != z")
+        raise ValueError("need x in v and on c, z outside v, x != z")
 
     evens = sorted(e for e in cedges if len(set(e) & vset) % 2 == 0)
     odds = sorted(e for e in cedges if len(set(e) & vset) % 2 == 1)
@@ -421,13 +411,13 @@ def transversal_odd_intersection(
     h1 = _canon(h1)
     h2 = _canon(h2)
     if h1 & h2:
-        raise NotEdgeDisjoint("the two polycycles share an edge")
+        raise ValueError("the two polycycles share an edge")
     span = _span(h1, h2)
     _check_polycycle(h1, span, "h1")
     _check_polycycle(h2, span, "h2")
     shared = vertices_of(h1) & vertices_of(h2)
     if not shared:
-        raise NoCommonVertex("the polycycles have no vertex in common")
+        raise ValueError("the polycycles have no vertex in common")
 
     comps1, comps2 = edge_components(h1), edge_components(h2)
     x1 = min(shared)
@@ -601,7 +591,7 @@ def transversal_even_intersection(
     h1 = _canon(h1)
     h2 = _canon(h2)
     if h1 & h2:
-        raise NotEdgeDisjoint("the two polycycles share an edge")
+        raise ValueError("the two polycycles share an edge")
     span = _span(h1, h2)
     _check_polycycle(h1, span, "h1")
     _check_polycycle(h2, span, "h2")
@@ -612,13 +602,13 @@ def transversal_even_intersection(
         (c1_raw, c2_raw), (c1p_raw, c2p_raw) = crossing
         c1, c2, c1p, c2p = (_canon(c) for c in (c1_raw, c2_raw, c1p_raw, c2p_raw))
     except (TypeError, ValueError) as exc:
-        raise CrossingPairMissing("crossing must hold two component pairs") from exc
+        raise ValueError("crossing must hold two component pairs") from exc
     if c1 not in comps1 or c1p not in comps1 or c2 not in comps2 or c2p not in comps2:
-        raise CrossingPairMissing("crossing entries must be components of the polycycles")
+        raise ValueError("crossing entries must be components of the polycycles")
     if c1 == c1p or c2 == c2p:
-        raise CrossingPairMissing("crossing components must be distinct on each side")
+        raise ValueError("crossing components must be distinct on each side")
     if not vertices_of(c1) & vertices_of(c2) or not vertices_of(c1p) & vertices_of(c2p):
-        raise CrossingPairMissing("named component pairs must intersect")
+        raise ValueError("named component pairs must intersect")
 
     for swapped in (False, True):
         side1, side2 = (comps2, comps1) if swapped else (comps1, comps2)
@@ -869,9 +859,9 @@ def _max_degree_up_to_4(g: SimpleGraph) -> None:
     """Check that g is Eulerian with maximum degree at most 4."""
     summary = degrees(g)
     if summary.v_odd:
-        raise NotEulerian("graph has a vertex of odd degree")
+        raise ValueError("graph has a vertex of odd degree")
     if summary.delta > 4:
-        raise PreconditionViolated(f"maximum degree must be at most 4, got {summary.delta}")
+        raise ValueError(f"maximum degree must be at most 4, got {summary.delta}")
 
 
 def path_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
@@ -963,7 +953,7 @@ def _eulerian_cover(g: SimpleGraph, kind: str) -> tuple[frozenset[Edge], ...]:
         raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
     summary = degrees(g)
     if summary.v_odd:
-        raise NotEulerian("graph has a vertex of odd degree")
+        raise ValueError("graph has a vertex of odd degree")
     if not g.edges:
         return ()
 
@@ -1014,7 +1004,7 @@ def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
     """
     summary = degrees(g)
     if summary.delta > 4:
-        raise PreconditionViolated(f"maximum degree must be at most 4, got {summary.delta}")
+        raise ValueError(f"maximum degree must be at most 4, got {summary.delta}")
     empty = frozenset()
     if not g.edges:
         return OddCoverCert("linear_forest", (empty, empty, empty))

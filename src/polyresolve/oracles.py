@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import DEFAULT_STATE_CAP, ShapeMismatch, TooLarge, state_cap
+from .errors import DEFAULT_STATE_CAP, TooLarge, state_cap
 from .graphs import Edge, SimpleGraph, degrees, edge
 from .oddcover import OddCoverCert, _make_cert, check_cover, path_odd_cover_general
 from .perms import CycleSeq, Partition, Resolution, check_resolution
@@ -277,7 +277,7 @@ def min_resolution_length(p: Partition, q: Partition, cap: int | None = None) ->
     Any other pair runs that search.
     """
     if p.sizes() != q.sizes():  # equal sizes hold n and m equal too
-        raise ShapeMismatch("p and q must have equal per-cluster sizes")
+        raise ValueError("p and q must have equal per-cluster sizes")
     limit = state_cap(cap)
     if p.assign == q.assign:
         return 0

@@ -34,7 +34,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InvalidResolution, NotPCycle, SizeMismatch
 from .graphs import Digraph
 
 
@@ -140,7 +139,7 @@ def perm_from_cycles(m: int, cycles) -> Permutation:
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """``x -> a(b(x))``; the right factor acts first."""
     if a.m != b.m:
-        raise SizeMismatch(f"composing permutations on {a.m} and {b.m} items")
+        raise ValueError(f"composing permutations on {a.m} and {b.m} items")
     am, bm = a.moved, b.moved
     moved = {}
     for x, y in bm.items():
@@ -261,7 +260,7 @@ class Partition:
         if isinstance(pi, CycleSeq):
             pi = pi.to_permutation(self.m)
         if pi.m != self.m:
-            raise SizeMismatch(f"permutation on {pi.m} items, partition has {self.m}")
+            raise ValueError(f"permutation on {pi.m} items, partition has {self.m}")
         assign = list(self.assign)
         permute_in_place(assign, pi)
         return Partition(self.n, tuple(assign))
@@ -270,7 +269,7 @@ class Partition:
 def is_p_balanced(pi: Permutation, p: Partition) -> bool:
     """True iff ``p`` is injective on the support of ``pi``."""
     if pi.m != p.m:
-        raise SizeMismatch(f"permutation on {pi.m} items, partition has {p.m}")
+        raise ValueError(f"permutation on {pi.m} items, partition has {p.m}")
     return len(set(map(p.assign.__getitem__, pi.moved))) == len(pi.moved)
 
 
@@ -282,7 +281,7 @@ def cdg(p: Partition, q: Partition) -> Digraph:
     """Cluster digraph with one arc per item: arc ``j`` runs
     ``p(j) -> q(j)``; items that do not move contribute loops."""
     if p.m != q.m or p.n != q.n:
-        raise SizeMismatch("partitions must share item and cluster counts")
+        raise ValueError("partitions must share item and cluster counts")
     return Digraph(p.n, p.assign, q.assign)
 
 
@@ -303,7 +302,7 @@ class Resolution:
         out = [self.start]
         for i, tau in enumerate(self.taus):
             if not _step_in_place(assign, tau.items):
-                raise InvalidResolution(i)
+                raise ValueError(f"step {i} is invalid")
             out.append(Partition(self.start.n, tuple(assign)))
         return out
 
@@ -315,14 +314,14 @@ class Resolution:
         for i, tau in enumerate(self.taus):
             yield tau, assign
             if not _step_in_place(assign, tau.items):
-                raise InvalidResolution(i)
+                raise ValueError(f"step {i} is invalid")
 
     def end(self) -> Partition:
         """The last partition of the walk, replayed in place."""
         assign = list(self.start.assign)
         for i, tau in enumerate(self.taus):
             if not _step_in_place(assign, tau.items):
-                raise InvalidResolution(i)
+                raise ValueError(f"step {i} is invalid")
         return Partition(self.start.n, tuple(assign))
 
 
@@ -340,7 +339,7 @@ def resolution_from_decomposition(p: Partition, sigmas) -> Resolution:
     taus = []
     for i, s in enumerate(sigmas):
         if not cycle_is_p_cycle(s, p):
-            raise NotPCycle(i)
+            raise ValueError(f"factor {i} is not a p-cycle")
         # tau = acc^-1 s acc sends inv(x) to inv(s(x)); it moves exactly the
         # items on which acc, run and (at s's items) inv change.
         t_items = [inv[x] for x in s.items]
@@ -366,11 +365,11 @@ def decomposition_from_resolution(r: Resolution) -> list[CycleSeq]:
     sigmas = []
     for i, tau in enumerate(r.taus):
         if not _step_in_place(cur, tau.items):
-            raise InvalidResolution(i)
+            raise ValueError(f"step {i} is invalid")
         s_items = [run[x] for x in tau.items]
         sigma = CycleSeq(tuple(s_items))
         if not cycle_is_p_cycle(sigma, r.start):
-            raise InvalidResolution(i, f"step {i} conjugates outside the start partition")
+            raise ValueError(f"step {i} conjugates outside the start partition")
         sigmas.append(sigma)
         # run <- run tau changes on tau's items; acc <- sigma acc changes on
         # the preimages of sigma's items under acc.

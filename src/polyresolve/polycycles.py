@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotEulerian, NotPolycycle, ShapeMismatch, ThresholdViolated
 from .graphs import (
     Digraph,
     Edge,
@@ -305,7 +304,7 @@ def directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecompositi
     """
     out = g.out_degrees()
     if out != g.in_degrees():
-        raise NotEulerian("every vertex needs equal in- and out-degree")
+        raise ValueError("every vertex needs equal in- and out-degree")
     delta = max(out, default=0)
     if not 0 <= t <= delta:
         raise ValueError(f"threshold must lie in [0, {delta}], got {t}")
@@ -316,7 +315,7 @@ def directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecompositi
     if t < delta:
         high = [u for u in range(n) if out[u] > t]
         if len(high) > 1:
-            raise ThresholdViolated(
+            raise ValueError(
                 f"{len(high)} vertices have out-degree above {t}; at most one allowed"
             )
         out_arcs: list[list[int]] = [[] for _ in range(n)]
@@ -441,7 +440,7 @@ def balanced_permutation_factorization(
     """
     sizes = p.sizes()
     if sizes != q.sizes():
-        raise ShapeMismatch("p and q must have equal per-cluster sizes")
+        raise ValueError("p and q must have equal per-cluster sizes")
     return _factorize(p, q, sizes)
 
 
@@ -491,7 +490,7 @@ def polycycle_odd_cover(h, kind: str) -> list[frozenset[Edge]]:
     n = max(max(e) for e in edges) + 1
     shape = classify(edges, n)
     if shape not in (SubgraphShape.CYCLE, SubgraphShape.POLYCYCLE):
-        raise NotPolycycle(f"input classifies as {shape.value}, not a polycycle")
+        raise ValueError(f"input classifies as {shape.value}, not a polycycle")
 
     comps = edge_components(edges)
     if kind == "cycle" and len(comps) == 1:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadShape, NotAMatching, NotBalanced, ShapeMismatch, SupportsOverlap
 from .perms import (
     CycleSeq,
     Partition,
@@ -61,9 +60,9 @@ def _validated_matching(edges, n: int, name: str) -> list[tuple[int, int]]:
     for e in edges:
         u, v = sorted(e)
         if u == v or not 0 <= u < n or not 0 <= v < n:
-            raise NotAMatching(f"{name} contains an invalid edge {(u, v)}")
+            raise ValueError(f"{name} contains an invalid edge {(u, v)}")
         if u in seen or v in seen:
-            raise NotAMatching(f"{name} repeats vertex {u if u in seen else v}")
+            raise ValueError(f"{name} repeats vertex {u if u in seen else v}")
         seen.update((u, v))
         out.append((u, v))
     return out
@@ -147,7 +146,7 @@ def pcycles_from_balanced(p: Partition, pi: Permutation) -> tuple[CycleSeq, Cycl
     yields a trivial second factor.
     """
     if not is_p_balanced(pi, p):
-        raise NotBalanced("permutation is not p-balanced")
+        raise ValueError("permutation is not p-balanced")
     cycles = pi.cycles()
     s1 = CycleSeq(tuple(x for c in cycles for x in c))
     s2 = CycleSeq(tuple(c[0] for c in reversed(cycles)))
@@ -169,9 +168,9 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
     """
     for pi in (pi1, pi2):
         if not is_p_balanced(pi, p):
-            raise NotBalanced("permutation is not p-balanced")
+            raise ValueError("permutation is not p-balanced")
     if pi1.moved.keys() & pi2.moved.keys():
-        raise SupportsOverlap("permutations must have disjoint supports")
+        raise ValueError("permutations must have disjoint supports")
 
     # With disjoint supports, pi2 pi1 moves each point as its one factor does.
     composite = Permutation.from_moved(p.m, pi1.moved | pi2.moved)
@@ -232,7 +231,7 @@ def resolve(p: Partition, q: Partition) -> Resolution:
     """
     sizes = p.sizes()
     if sizes != q.sizes():
-        raise ShapeMismatch("p and q must have equal per-cluster sizes")
+        raise ValueError("p and q must have equal per-cluster sizes")
     sigmas, pis = _factorize(p, q, sizes)
     parts: list[CycleSeq] = []
     for i in range(0, len(pis) - 1, 2):
@@ -261,9 +260,9 @@ def gen_lower_bound_instance(shape) -> LowerBoundInstance:
     shape = tuple(int(k) for k in shape)
     n = len(shape)
     if n < 4:
-        raise BadShape("need at least 4 clusters")
+        raise ValueError("need at least 4 clusters")
     if shape[-1] < 0 or any(shape[i] < shape[i + 1] for i in range(n - 1)):
-        raise BadShape("cluster sizes must be non-increasing and non-negative")
+        raise ValueError("cluster sizes must be non-increasing and non-negative")
 
     p_assign: list[int] = []
     q_assign: list[int] = []
@@ -305,7 +304,7 @@ def progress_lower_bound(p: Partition, q: Partition) -> int:
     heuristic, not a certified bound.
     """
     if p.sizes() != q.sizes():
-        raise ShapeMismatch("p and q must have equal per-cluster sizes")
+        raise ValueError("p and q must have equal per-cluster sizes")
     displaced = sum(1 for a, b in zip(p.assign, q.assign) if a != b)
     if displaced == 0:
         return 0

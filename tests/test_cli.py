@@ -59,6 +59,13 @@ def test_resolve_unreadable_file_is_usage_error(tmp_path, capsys):
     assert main(["resolve", "--instance", str(tmp_path / "nope.json")]) == 2
 
 
+def test_resolve_unequal_shapes_is_input_error(tmp_path, capsys):
+    inst = write_json(tmp_path / "inst.json", {"m": 3, "n": 2, "p": [0, 0, 1], "p_prime": [0, 1, 1]})
+    assert main(["resolve", "--instance", inst]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "p and q must have equal per-cluster sizes" in err
+
+
 def test_resolve_dot_output(tmp_path, capsys):
     inst = swap_instance(tmp_path)
     dot = tmp_path / "res.dot"
@@ -119,6 +126,7 @@ def test_oddcover_failed_construction_check_exits_one(tmp_path, capsys, monkeypa
 def test_oddcover_cycle_parity_obstruction(tmp_path, capsys):
     g = write_json(tmp_path / "p3.json", {"n": 3, "edges": [[0, 1], [1, 2]]})
     assert main(["oddcover", "--graph", g, "--kind", "cycle"]) == 2
+    assert "cycle odd-covers need every degree even" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [{"n": 3, "edges": 5}, {"n": 3, "edges": [[0, 1, 2]]}, {"n": "3", "edges": []}])
@@ -154,6 +162,7 @@ def test_arboricity_rejects_high_degree(tmp_path, capsys):
     star5 = {"n": 6, "edges": [[0, i] for i in range(1, 6)]}
     g = write_json(tmp_path / "star5.json", star5)
     assert main(["arboricity", "--graph", g]) == 2
+    assert "maximum degree must be at most 4, got 5" in capsys.readouterr().err
 
 
 # --- diameter and lowerbound ------------------------------------------------------
@@ -202,6 +211,7 @@ def test_lowerbound_emits_instance(tmp_path, capsys):
 
 def test_lowerbound_needs_four_clusters(capsys):
     assert main(["lowerbound", "--shape", "2,2"]) == 2
+    assert "need at least 4 clusters" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

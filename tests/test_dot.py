@@ -8,7 +8,6 @@ import random
 import pytest
 
 from polyresolve.dot import emit_dot
-from polyresolve.errors import InvalidResolution
 from polyresolve.graphs import Digraph, edge, simple_graph
 from polyresolve.oddcover import OddCoverCert
 from polyresolve.perms import CycleSeq, Partition, Resolution, cdg
@@ -90,7 +89,7 @@ def test_unknown_type_rejected():
 
 def test_invalid_resolution_is_not_rendered():
     p = Partition(2, (0, 0, 1, 1))
-    with pytest.raises(InvalidResolution):
+    with pytest.raises(ValueError, match="step 1 is invalid"):
         emit_dot(Resolution(p, (CycleSeq((0, 2)), CycleSeq((1, 2)))))
 
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyresolve.errors import NotEulerian
 from polyresolve.graphs import (
     Digraph,
     SubgraphShape,
@@ -194,7 +193,6 @@ def test_symmetric_difference_cancels_duplicates():
 def test_cycle_order_walks_the_cycle():
     comp = [edge(0, 1), edge(1, 2), edge(2, 3), edge(0, 3)]
     assert cycle_order(comp) == [0, 1, 2, 3]
-    assert cycle_order(comp, start=2, second=3) == [2, 3, 0, 1]
 
 
 def test_digraph_checks_lengths_and_range():
@@ -214,7 +212,7 @@ def test_digraph_checks_lengths_and_range():
 @settings(max_examples=150, deadline=None)
 def test_eulerian_orientation_balances_even_graphs(g):
     if any(d % 2 for d in g.degree_vector()):
-        with pytest.raises(NotEulerian):
+        with pytest.raises(ValueError, match="graph has a vertex of odd degree"):
             eulerian_orientation(g)
         return
     oriented = eulerian_orientation(g)

@@ -44,7 +44,6 @@ from polyresolve.generators import (
     random_graph,
 )
 from polyresolve import graphs, oddcover
-from polyresolve.errors import NotLinearForest, NotPolycycle, NotTransversal
 from polyresolve.oddcover import _analyze
 from polyresolve.oracles import exact_odd_cover, tight_path_odd_cover
 
@@ -105,24 +104,29 @@ def test_public_splits_check_their_inputs():
     good = TransversalPair(frozenset({edge(0, 1)}), frozenset({edge(4, 5)}))
     path = [(4, 5), (5, 6)]
     star = [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (4, 6)]
-    with pytest.raises(NotPolycycle):
+    with pytest.raises(ValueError, match="h2 is not a disjoint union of cycles"):
         linear_forests_from_transversal(square, path, good)
-    with pytest.raises(NotPolycycle):
+    with pytest.raises(ValueError, match="h1 is not a disjoint union of cycles"):
         linear_forests_from_transversal(star, cyc(7, 8, 9), good)
     # Two edges of one cycle; an edge outside the polycycle; none at all.
-    for m1 in ({edge(0, 1), edge(2, 3)}, {edge(0, 2)}, set()):
-        with pytest.raises(NotTransversal):
+    for m1, message in (
+        ({edge(0, 1), edge(2, 3)}, "m1 must pick exactly one edge per component"),
+        ({edge(0, 2)}, "m1 has edges outside its polycycle"),
+        (set(), "m1 must pick exactly one edge per component"),
+    ):
+        with pytest.raises(ValueError, match=message):
             linear_forests_from_transversal(square, other, TransversalPair(frozenset(m1), good.m2))
-    with pytest.raises(NotPolycycle):
+    with pytest.raises(ValueError, match="h2 is not a disjoint union of cycles"):
         transversal_odd_intersection(cyc(0, 1, 2), [(0, 3), (3, 4)])
-    with pytest.raises(NotPolycycle):
+    with pytest.raises(ValueError, match="h1 is not a disjoint union of cycles"):
         transversal_odd_intersection([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)], cyc(0, 5, 6))
-    with pytest.raises(NotLinearForest):
+    linear_forest = "every part must be a disjoint union of paths"
+    with pytest.raises(ValueError, match=linear_forest):
         forest_stats(cyc(0, 1, 2), [(0, 3)], [(1, 3)])
-    with pytest.raises(NotLinearForest):
+    with pytest.raises(ValueError, match=linear_forest):
         forest_stats([(0, 1), (0, 2), (0, 3)], [(1, 2)], [(3, 4)])
     # A path plus a cycle is no linear forest.
-    with pytest.raises(NotLinearForest):
+    with pytest.raises(ValueError, match=linear_forest):
         forest_stats([(0, 1)] + cyc(2, 3, 4), [(0, 5)], [(1, 5)])
 
 

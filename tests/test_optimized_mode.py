@@ -245,3 +245,35 @@ def test_no_new_asserts_in_the_package():
     count = sum(isinstance(node, ast.Assert)
                 for path in package.glob("*.py") for node in ast.walk(ast.parse(path.read_text())))
     assert count <= ASSERTS_LEFT
+
+
+# Input errors are ValueError (TooLarge among them, exit 2) and failed checks
+# AssertionError (exit 1).  The two others are Python's own protocol errors:
+# an argument of a type with no DOT form, and a write to an immutable object.
+RAISED = {"ValueError", "TooLarge", "AssertionError"}
+PROTOCOL_RAISES = {("dot.py", "emit_dot", "TypeError"),
+                   ("perms.py", "__setattr__", "AttributeError")}
+
+
+def _raises(tree: ast.AST, scope: str = ""):
+    """(enclosing function, raised name) of every raise under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield from _raises(node, node.name)
+            continue
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield scope, ast.unparse(exc) if exc else "raise"
+        yield from _raises(node, scope)
+
+
+def test_every_raise_is_an_input_error_or_a_failed_check():
+    package = Path(polyresolve.__file__).resolve().parent
+    others = {(path.name, scope, name)
+              for path in package.glob("*.py")
+              for scope, name in _raises(ast.parse(path.read_text()))
+              if name not in RAISED}
+    assert others <= PROTOCOL_RAISES
+    classes = [node.name for node in ast.walk(ast.parse((package / "errors.py").read_text()))
+               if isinstance(node, ast.ClassDef)]
+    assert classes == ["TooLarge"]

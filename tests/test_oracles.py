@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import pytest
 
 from polyresolve import oracles
-from polyresolve.errors import ShapeMismatch, TooLarge, state_cap
+from polyresolve.errors import TooLarge, state_cap
 from polyresolve.generators import random_instance
 from polyresolve.graphs import edge, simple_graph
 from polyresolve.oddcover import OddCoverCert, cycle_odd_cover_delta4, path_odd_cover_general
@@ -222,9 +222,9 @@ def item_diameter_bfs(shape, cap=None):
 def item_min_resolution_length(p, q, cap=None):
     """``min_resolution_length`` over coded item assignments."""
     if p.sizes() != q.sizes():
-        raise ShapeMismatch("p and q must have equal per-cluster sizes")
+        raise ValueError("p and q must have equal per-cluster sizes")
     if p.n != q.n or p.m != q.m:
-        raise ShapeMismatch("p and q must share items and clusters")
+        raise ValueError("p and q must share items and clusters")
     if p.assign == q.assign:
         return 0
     limit = state_cap(cap)
@@ -271,7 +271,7 @@ def test_min_resolution_length_known_values():
 
 
 def test_min_resolution_length_rejects_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="p and q must have equal per-cluster sizes"):
         min_resolution_length(Partition(2, (0, 0, 1)), Partition(2, (0, 1, 1)))
 
 

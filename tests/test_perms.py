@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyresolve.errors import InvalidResolution
 from polyresolve.perms import (
     TRIVIAL,
     CycleSeq,
@@ -107,9 +106,8 @@ def test_replay_rejects_bad_step_and_names_it():
     # After the first swap, items 1 and 2 share cluster 0, so exchanging
     # them is not a valid step.
     bad = Resolution(p, (CycleSeq((0, 2)), CycleSeq((1, 2))))
-    with pytest.raises(InvalidResolution) as err:
+    with pytest.raises(ValueError, match="step 1 "):
         bad.replay()
-    assert err.value.index == 1
 
 
 def test_check_resolution_reports_each_failure_mode():

@@ -10,13 +10,6 @@ from hypothesis import strategies as st
 
 import pytest
 
-from polyresolve.errors import (
-    BadShape,
-    NotAMatching,
-    NotBalanced,
-    ShapeMismatch,
-    SupportsOverlap,
-)
 from polyresolve.oracles import MoveAccounting, min_resolution_length, move_accounting
 from polyresolve.perms import (
     CycleSeq,
@@ -100,7 +93,7 @@ def test_resolve_meets_bound_and_verifies(seed):
 def test_resolve_rejects_shape_mismatch():
     p = Partition(2, (0, 0, 1))
     q = Partition(2, (0, 1, 1))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="p and q must have equal per-cluster sizes"):
         resolve(p, q)
 
 
@@ -149,7 +142,7 @@ def test_pcycles_from_balanced_rejects_unbalanced():
     # balanced.
     p = Partition(2, (0, 0, 1, 1))
     pi = Permutation((1, 2, 3, 0))
-    with pytest.raises(NotBalanced):
+    with pytest.raises(ValueError, match="permutation is not p-balanced"):
         pcycles_from_balanced(p, pi)
 
 
@@ -216,7 +209,7 @@ def test_pcycles_from_pair_product_check_rejects_a_swapped_sigma2(monkeypatch):
 def test_pcycles_from_pair_rejects_shared_support():
     p = Partition(4, (0, 1, 2, 3))
     pi = Permutation((1, 0, 2, 3))
-    with pytest.raises(SupportsOverlap):
+    with pytest.raises(ValueError, match="permutations must have disjoint supports"):
         pcycles_from_pair(p, pi, pi)
 
 
@@ -235,7 +228,7 @@ def test_two_color_matchings_straddles_every_edge():
 
 
 def test_two_color_matchings_rejects_overlap():
-    with pytest.raises(NotAMatching):
+    with pytest.raises(ValueError, match="m1 repeats vertex 1"):
         _color_matchings([(0, 1), (1, 2)], [], 3)
 
 
@@ -280,9 +273,9 @@ def test_lower_bound_instance_odd_family():
 
 
 def test_lower_bound_instance_rejects_bad_shapes():
-    with pytest.raises(BadShape):
+    with pytest.raises(ValueError, match="need at least 4 clusters"):
         gen_lower_bound_instance((3, 2, 1))
-    with pytest.raises(BadShape):
+    with pytest.raises(ValueError, match="cluster sizes must be non-increasing and non-negative"):
         gen_lower_bound_instance((1, 2, 3, 4))
 
 
@@ -310,7 +303,7 @@ def test_progress_lower_bound_values():
 def test_progress_lower_bound_rejects_shape_mismatch():
     p = Partition(2, (0, 0, 1))
     q = Partition(2, (0, 1, 1))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="p and q must have equal per-cluster sizes"):
         progress_lower_bound(p, q)
 
 
