@@ -19,9 +19,8 @@ and smallest vertex of every path, the three shared-endpoint sets and the
 straddling paths.  A join updates them in O(log E), and the invariants the
 proof needs (two fewer shared endpoints, one parity for all six counts, a
 straddler in every forest for cycles, no closed cycle) are checked after
-every join, so the surgery costs O(E log E).  One from-scratch analysis
-after the last join must agree with the incremental state; the cycle
-closing reads its shared-endpoint sets.  The public steps check their
+every join, so the surgery costs O(E log E).  The cycle closing reads the
+surgery's own shared-endpoint sets.  The public steps check their
 inputs (a ``ValueError`` names the polycycle, transversal or forest at
 fault); the covers pass the split parts that the decomposition and the
 transversal constructions have checked.
@@ -796,14 +795,14 @@ def _join_step(s: _Surgery, i: int, j: int, for_cycles: bool) -> None:
 
 def _reduce_endpoints(
     forests: tuple[frozenset[Edge], ...], facts: _Analysis, for_cycles: bool
-) -> tuple[tuple[frozenset[Edge], ...], _Analysis]:
+) -> tuple[tuple[frozenset[Edge], ...], dict[tuple[int, int], set[int]]]:
     """Greedily add join edges until every shared endpoint count hits its
     floor: 1 for the path target, 2 for the cycle target.
 
     The endpoint state starts from the triple's analysis, is kept
-    incrementally and is checked after every join; one from-scratch
-    analysis at the end must agree with it, and is returned with the
-    joined forests."""
+    incrementally and is checked after every join.  Returns the joined
+    forests with their shared-endpoint sets; ``check_cover`` checks the
+    parts built from them."""
     floor = 2 if for_cycles else 1
     want_parity = 0 if for_cycles else 1
     assert facts.parity == want_parity
@@ -821,14 +820,10 @@ def _reduce_endpoints(
         assert all(c % 2 == want_parity for c in counts), "endpoint counts must share parity"
         if for_cycles:
             assert min(counts[3:]) > 0
-    # Explicit raises: the cycle closing takes two vertices of each fresh R set.
+    # An explicit raise: the cycle closing takes two vertices of each R set.
     if counts[:3] != [floor] * 3:
         raise AssertionError("every shared endpoint count must end at its floor")
-    final = tuple(frozenset(f) for f in state.fs)
-    fresh = _analyze(final)
-    if fresh.triple(final) != state.triple():
-        raise AssertionError("incremental endpoint state disagrees with a fresh analysis")
-    return final, fresh
+    return tuple(frozenset(f) for f in state.fs), state.r
 
 
 def _close_into_cycles(
@@ -929,8 +924,8 @@ def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge]) -> list[frozenset[Edge
 
     tp, _witness = transversal_even_intersection(h1, h2, crossing)
     forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
-    final, fresh = _reduce_endpoints(forests, facts, for_cycles=True)
-    return _close_into_cycles(final, fresh.r_sets)
+    final, r_sets = _reduce_endpoints(forests, facts, for_cycles=True)
+    return _close_into_cycles(final, r_sets)
 
 
 def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:

@@ -20,12 +20,13 @@ cycle.  Building one, ``cycles``, :func:`is_p_balanced` and
 Replay and verification (``Resolution.end``, :func:`check_resolution`)
 change one assignment list in place, checking each step ``tau`` for
 distinct clusters and applying it on its |tau| entries.  The two walk
-conversions keep their prefix products as arrays and update them on the
-entries a step moves.  Both sides of the prefix identity
-``t1 ... ti == si ... s1`` change only on the support of ``ti``, so
-comparing those entries after each step is as strong as comparing whole
-permutations.  Converting, replaying or verifying a walk ``t1 ... tk`` on
-m items therefore costs O(m + sum |ti|).
+conversions keep their prefix products as dicts over the items the walk
+has moved so far, read with ``.get(x, x)``, and update them on the entries
+a step moves.  Both sides of the prefix identity ``t1 ... ti == si ... s1``
+change only on the support of ``ti``, so comparing those entries at each
+step is as strong as comparing whole permutations.  Building a walk
+``t1 ... tk`` from its cycles therefore costs O(sum |ti|), and replaying,
+verifying or decomposing one on m items O(m + sum |ti|).
 """
 
 from __future__ import annotations
@@ -333,52 +334,48 @@ def resolution_from_decomposition(p: Partition, sigmas) -> Resolution:
     ``t1 ... ti == si ... s1`` at every ``i`` (asserted on the entries step
     ``i`` changes, the only ones where either side can change).
     """
-    acc = list(range(p.m))   # s_{i-1} ... s_1
-    inv = list(range(p.m))   # its inverse
-    run = list(range(p.m))   # t_1 ... t_i
+    inv: dict[int, int] = {}   # (s_{i-1} ... s_1)^-1
+    run: dict[int, int] = {}   # t_1 ... t_{i-1}
     taus = []
     for i, s in enumerate(sigmas):
         if not cycle_is_p_cycle(s, p):
             raise ValueError(f"factor {i} is not a p-cycle")
-        # tau = acc^-1 s acc sends inv(x) to inv(s(x)); it moves exactly the
-        # items on which acc, run and (at s's items) inv change.
-        t_items = [inv[x] for x in s.items]
-        tau = CycleSeq(tuple(t_items))
-        taus.append(tau)
+        # tau = acc^-1 s acc, acc = s_{i-1} ... s_1, sends inv(x) to
+        # inv(s(x)); acc <- s acc then sends tau's items to s's successors,
+        # and run <- run tau must agree with it there.
+        t_items = [inv.get(x, x) for x in s.items]
+        taus.append(CycleSeq(tuple(t_items)))
         s_next = (*s.items[1:], *s.items[:1])
-        run_next = [run[t] for t in (*t_items[1:], *t_items[:1])]
-        for t, y, r in zip(t_items, s_next, run_next):
-            acc[t] = y
-            inv[y] = t
-            run[t] = r
-        assert all(run[t] == acc[t] for t in t_items), "prefix identity violated"
+        run_next = [run.get(t, t) for t in (*t_items[1:], *t_items[:1])]
+        assert run_next == list(s_next), "prefix identity violated"
+        inv.update(zip(s_next, t_items))
+        run.update(zip(t_items, run_next))
     return Resolution(p, tuple(taus))
 
 
 def decomposition_from_resolution(r: Resolution) -> list[CycleSeq]:
     """Inverse of :func:`resolution_from_decomposition`: recover cycles of
     the starting partition from a replayable walk."""
-    run = list(range(r.start.m))       # t_1 ... t_{i-1}
-    acc = list(range(r.start.m))       # s_{i-1} ... s_1
-    acc_inv = list(range(r.start.m))   # its inverse
+    run: dict[int, int] = {}       # t_1 ... t_{i-1}
+    acc_inv: dict[int, int] = {}   # (s_{i-1} ... s_1)^-1
     cur = list(r.start.assign)
     sigmas = []
     for i, tau in enumerate(r.taus):
         if not _step_in_place(cur, tau.items):
             raise ValueError(f"step {i} is invalid")
-        s_items = [run[x] for x in tau.items]
+        s_items = [run.get(x, x) for x in tau.items]
         sigma = CycleSeq(tuple(s_items))
         if not cycle_is_p_cycle(sigma, r.start):
             raise ValueError(f"step {i} conjugates outside the start partition")
         sigmas.append(sigma)
-        # run <- run tau changes on tau's items; acc <- sigma acc changes on
-        # the preimages of sigma's items under acc.
-        a_items = [acc_inv[y] for y in s_items]
-        for t, a, y in zip(tau.items, a_items, (*s_items[1:], *s_items[:1])):
-            run[t] = y
-            acc[a] = y
-            acc_inv[y] = a
-        assert all(run[x] == acc[x] for x in (*tau.items, *a_items)), "prefix identity violated"
+        # run <- run tau changes on tau's items, and acc <- sigma acc on the
+        # preimages of sigma's items under acc; both send them to sigma's
+        # successors, so the two agree when those preimages are tau's items.
+        a_items = [acc_inv.get(y, y) for y in s_items]
+        s_next = (*s_items[1:], *s_items[:1])
+        assert a_items == list(tau.items), "prefix identity violated"
+        run.update(zip(tau.items, s_next))
+        acc_inv.update(zip(s_next, a_items))
     return sigmas
 
 

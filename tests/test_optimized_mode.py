@@ -120,8 +120,9 @@ def test_output_guards_fire_under_python_O():
 
 # Each line prints the AssertionError one part-count or output guard
 # raised, or "passed", when a stub hands the construction a valid cover
-# with one part more than its bound, bad forests, or no cover at all.  The
-# stubs sit before the cover's one check, so that check has to refuse them.
+# with one part more than its bound, bad forests, swapped shared-endpoint
+# sets, or no cover at all.  The stubs sit before the cover's one check, so
+# that check has to refuse them.
 BOUNDS_SCRIPT = """
 from collections import Counter
 from polyresolve import oddcover, oracles
@@ -166,6 +167,14 @@ def split_forests(real):
         return one_more("path", final), facts
     return stub
 
+def swap_r_sets(real):
+    def stub(*args, **kw):
+        final, r_sets = real(*args, **kw)
+        r_sets = dict(r_sets)
+        r_sets[(0, 1)], r_sets[(0, 2)] = r_sets[(0, 2)], r_sets[(0, 1)]
+        return final, r_sets
+    return stub
+
 def split_parts(kind):
     def wrap(real):
         return lambda *args: one_more(kind, real(*args))
@@ -178,6 +187,8 @@ fork = simple_graph(3, [(0, 1), (0, 2)])
 bounded("delta4 paths", "_reduce_endpoints", split_forests, oddcover.path_odd_cover_delta4, k5)
 bounded("delta4 cycles", "_close_into_cycles", split_parts("cycle"),
         oddcover.cycle_odd_cover_delta4, two_k5)
+# Closing forest 1 with R_02's edge and forest 2 with R_01's.
+bounded("delta4 r sets", "_reduce_endpoints", swap_r_sets, oddcover.cycle_odd_cover_delta4, two_k5)
 # The last of the three polycycles of K7 gets its own two-path cover.
 bounded("eulerian paths", "polycycle_odd_cover", split_parts("path"),
         lambda g: oddcover.odd_cover_eulerian(g, "path"), k7)
@@ -207,6 +218,7 @@ print("tight attainable:", refusal(lambda: oracles.tight_path_odd_cover(fork)))
 BOUND_CHECKS = {
     "delta4 paths": "4 paths exceed the bound 3",
     "delta4 cycles": "4 cycles exceed the bound 3",
+    "delta4 r sets": "part 1 not a cycle",
     "eulerian paths": "6 paths exceed the bound 5",
     "general paths": "4 paths exceed the bound 3",
     "forests xor": "union differs from the graph",
@@ -236,7 +248,7 @@ def test_part_count_guards_fire_under_python_O(bound_guards, check):
 
 # The asserts left in the package are proof invariants: every output still
 # passes its checker by an explicit raise, and every crash guard is one.
-ASSERTS_LEFT = 40
+ASSERTS_LEFT = 39
 
 
 def test_no_new_asserts_in_the_package():

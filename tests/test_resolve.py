@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import random
 
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 import pytest
 
+from polyresolve import cli
+from polyresolve.jsonio import emit_instance
 from polyresolve.oracles import MoveAccounting, min_resolution_length, move_accounting
 from polyresolve.perms import (
     CycleSeq,
@@ -18,7 +21,6 @@ from polyresolve.perms import (
     cdg,
     compose,
     cycle_is_p_cycle,
-    perm_from_cycles,
     resolution_from_decomposition,
     verify_resolution,
 )
@@ -185,25 +187,27 @@ def test_pcycles_from_pair_balanced_composite():
     assert got == want
 
 
-def test_pcycles_from_pair_product_check_rejects_a_swapped_sigma2(monkeypatch):
-    # Two 3-cycles over the same three clusters: the product is not
-    # balanced, and sigma2 = (0 4 5) has three items, so swapping two of
-    # them changes the cycle.
+def test_resolve_refuses_a_wrong_pair_split(monkeypatch, tmp_path, capsys):
+    # The pair split's product is checked only through the walk: swapping
+    # two items of sigma2 keeps every step a p-cycle but misses q, which
+    # check_resolution refuses, and the CLI reports it with exit 1.
     p = Partition(3, (0, 1, 2, 0, 1, 2, 0, 1, 2))
-    pi1 = perm_from_cycles(9, [(0, 1, 2)])
-    pi2 = perm_from_cycles(9, [(3, 4, 5)])
-    assert [s.items for s in pcycles_from_pair(p, pi1, pi2)] == [(0, 1, 2), (0, 4, 5), (3, 4)]
+    q = Partition(3, (1, 2, 0, 1, 2, 0, 0, 1, 2))
+    split = resolve_module.pcycles_from_pair
 
-    check = resolve_module._check_pair_product
+    def with_swapped_sigma2(*args):
+        sigma1, sigma2, *rest = split(*args)
+        a, b, *tail = sigma2.items
+        return [sigma1, CycleSeq((b, a, *tail)), *rest]
 
-    def with_swapped_sigma2(sigmas, x, y, composite):
-        sigma1, sigma2, sigma3 = sigmas
-        a, b, *rest = sigma2.items
-        check((sigma1, CycleSeq((b, a, *rest)), sigma3), x, y, composite)
-
-    monkeypatch.setattr(resolve_module, "_check_pair_product", with_swapped_sigma2)
-    with pytest.raises(AssertionError, match="more than"):
-        pcycles_from_pair(p, pi1, pi2)
+    monkeypatch.setattr(resolve_module, "pcycles_from_pair", with_swapped_sigma2)
+    with pytest.raises(AssertionError, match="^final partition differs from the target$"):
+        resolve(p, q)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(emit_instance((p, q))))
+    assert cli.main(["resolve", "--instance", str(inst)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["pass"], report["detail"]) == (False, "final partition differs from the target")
 
 
 def test_pcycles_from_pair_rejects_shared_support():
