@@ -9,6 +9,7 @@ A vertex, item or cluster count above ``MAX_COUNT`` is refused with
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 from .graphs import SimpleGraph, edge, simple_graph
@@ -71,9 +72,13 @@ def _ints(x: Any, what: str) -> tuple[int, ...]:
     return tuple(_int(v, what) for v in values)   # names the first offender
 
 
-def _pairs(x: Any, what: str) -> list[tuple[int, ...]]:
+def _pairs(x: Any, what: str) -> list | tuple:
+    entries = _array(x, what)
+    if (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {2}
+            and set(map(type, chain.from_iterable(entries))) <= {int}):
+        return entries
     out = []
-    for e in _array(x, what):
+    for e in entries:   # names the first offender
         pair = _ints(e, what)
         if len(pair) != 2:
             raise ValueError(f"every entry of {what} must be a pair of integers")

@@ -22,20 +22,25 @@ straddler in every forest for cycles, no closed cycle) are checked after
 every join, so the surgery costs O(E log E).  The cycle closing reads the
 surgery's own shared-endpoint sets.  The public steps check their
 inputs (a ``ValueError`` names the polycycle, transversal or forest at
-fault); the covers pass the split parts that the decomposition and the
-transversal constructions have checked.
+fault); the transversal steps then call private cores, ``_odd_pair`` and
+``_even_pair``, that take each polycycle's cycles.
 
-``check_cover`` is the one checker of a finished cover, and
-``oracles.verify_certificate`` calls it too: the part shapes, the xor (or,
-for linear forests, disjointness and union) and the part count against
-``odd_cover_bound``, which it works out from the graph alone.  Each public
-cover checks its output once with it, by an explicit raise that holds under
-``python -O``.  Every path or cycle cover of an Eulerian graph runs the
-unchecked ``_eulerian_cover``: one decomposition, whose consecutive
-polycycles go as they are to the pair cores ``_path_pair`` and
-``_cycle_pair``.  Crash guards raise explicitly too; the asserts left are
-the proof's parity, count and transversal facts.  The exhaustive cover
-search, and the tight path cover built on it, live in ``oracles``.
+A cover works out each fact of its graph once.  Every path or cycle cover
+of an Eulerian graph runs the unchecked ``_eulerian_cover`` on the
+graph's one degree summary: one decomposition orients the graph on edge
+ids and walks each polycycle once, which checks its shape and hands out
+its cycles, and consecutive polycycles go as they are, with their cycles,
+to the pair cores ``_path_pair`` and ``_cycle_pair``.  So no stage
+canonicalizes, re-checks or splits a polycycle into components again.
+The parts are normalized once, and ``check_cover`` is the one checker of
+a finished cover; ``oracles.verify_certificate`` calls it too.  It checks
+the part shapes, the xor (or, for linear forests, disjointness and
+union) and the part count against ``odd_cover_bound``, which it works out
+from the graph alone.  Each public cover checks its output once with it,
+by an explicit raise that holds under ``python -O``.  Crash guards raise
+explicitly too; the asserts left are the proof's parity, count and
+transversal facts.  The exhaustive cover search, and the tight path cover
+built on it, live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from typing import Iterable, NamedTuple
 
 from .graphs import (
     FOREST_SHAPES,
+    DegreeSummary,
     Edge,
     SimpleGraph,
     SubgraphShape,
@@ -126,6 +132,8 @@ class OddCoverCert:
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
+# Per forest f: the first other forest g, the key of R_fg, the second other.
+_SIDES = ((1, (0, 1), 2), (0, (0, 1), 2), (0, (0, 2), 1))
 _PART_SHAPES = {
     "path": (SubgraphShape.PATH,),
     "cycle": (SubgraphShape.CYCLE,),
@@ -265,6 +273,20 @@ def _check_polycycle(h: frozenset[Edge], span: int, name: str) -> None:
         raise ValueError(f"{name} is not a disjoint union of cycles")
 
 
+def _polycycle_pair(h1: Iterable[tuple[int, int]],
+                    h2: Iterable[tuple[int, int]]) -> tuple[frozenset[Edge], frozenset[Edge]]:
+    """The input check of the public steps on two polycycles: they are
+    edge-disjoint polycycles.  Returns them canonicalized."""
+    h1 = _canon(h1)
+    h2 = _canon(h2)
+    if h1 & h2:
+        raise ValueError("the two polycycles share an edge")
+    span = _span(h1, h2)
+    _check_polycycle(h1, span, "h1")
+    _check_polycycle(h2, span, "h2")
+    return h1, h2
+
+
 def _check_transversal(m: frozenset[Edge], h: frozenset[Edge],
                        comps: list[frozenset[Edge]], name: str) -> None:
     """m picks exactly one edge of each component ``comps`` of h."""
@@ -281,9 +303,11 @@ def _transversal(comps: Iterable[frozenset[Edge]], avoid: tuple[int, ...] = ()) 
     """Smallest edge of each component that misses the given vertices."""
     out: set[Edge] = set()
     for comp in comps:
-        e = min((e for e in comp if e[0] not in avoid and e[1] not in avoid), default=None)
-        if e is None:
-            raise AssertionError("a cycle always has an edge missing the avoided vertices")
+        e = min(comp)
+        if e[0] in avoid or e[1] in avoid:
+            e = min((e for e in comp if e[0] not in avoid and e[1] not in avoid), default=None)
+            if e is None:
+                raise AssertionError("a cycle always has an edge missing the avoided vertices")
         out.add(e)
     return frozenset(out)
 
@@ -299,13 +323,7 @@ def linear_forests_from_transversal(
     (disjoint polycycles, their transversals) before the split; the covers
     call the split directly on inputs they checked.
     """
-    h1 = _canon(h1)
-    h2 = _canon(h2)
-    if h1 & h2:
-        raise ValueError("the two polycycles share an edge")
-    span = _span(h1, h2, tp.m1, tp.m2)
-    _check_polycycle(h1, span, "h1")
-    _check_polycycle(h2, span, "h2")
+    h1, h2 = _polycycle_pair(h1, h2)
     if not h1 and not h2:
         if tp.m1 or tp.m2:
             raise ValueError("transversal of an empty polycycle must be empty")
@@ -407,18 +425,18 @@ def transversal_odd_intersection(
     flexible), and the h2-side closes with the flexible edge of the
     right parity.
     """
-    h1 = _canon(h1)
-    h2 = _canon(h2)
-    if h1 & h2:
-        raise ValueError("the two polycycles share an edge")
-    span = _span(h1, h2)
-    _check_polycycle(h1, span, "h1")
-    _check_polycycle(h2, span, "h2")
+    h1, h2 = _polycycle_pair(h1, h2)
+    return _odd_pair(h1, h2, edge_components(h1), edge_components(h2))
+
+
+def _odd_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[Edge]],
+              comps2: list[frozenset[Edge]]) -> TransversalPair:
+    """``transversal_odd_intersection`` on checked polycycles, given their
+    cycles in order of smallest vertex."""
     shared = vertices_of(h1) & vertices_of(h2)
     if not shared:
         raise ValueError("the polycycles have no vertex in common")
 
-    comps1, comps2 = edge_components(h1), edge_components(h2)
     x1 = min(shared)
     c = _holding(comps1, x1)
     d = _holding(comps2, x1)
@@ -587,13 +605,7 @@ def transversal_even_intersection(
     a witness (u, v1, v2) with u-v1 in m1, u-v2 in m2, v1 off V(m2), and
     v2 off V(m1); the witness forces straddling components downstream.
     """
-    h1 = _canon(h1)
-    h2 = _canon(h2)
-    if h1 & h2:
-        raise ValueError("the two polycycles share an edge")
-    span = _span(h1, h2)
-    _check_polycycle(h1, span, "h1")
-    _check_polycycle(h2, span, "h2")
+    h1, h2 = _polycycle_pair(h1, h2)
     comps1 = edge_components(h1)
     comps2 = edge_components(h2)
 
@@ -608,7 +620,16 @@ def transversal_even_intersection(
         raise ValueError("crossing components must be distinct on each side")
     if not vertices_of(c1) & vertices_of(c2) or not vertices_of(c1p) & vertices_of(c2p):
         raise ValueError("named component pairs must intersect")
+    return _even_pair(h1, h2, comps1, comps2, (c1, c2, c1p, c2p))
 
+
+def _even_pair(
+    h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[Edge]],
+    comps2: list[frozenset[Edge]], crossing: tuple[frozenset[Edge], ...],
+) -> tuple[TransversalPair, tuple[int, int, int]]:
+    """``transversal_even_intersection`` on checked polycycles, given their
+    cycles in order of smallest vertex and a checked crossing (c1, c2, c1',
+    c2') of them."""
     for swapped in (False, True):
         side1, side2 = (comps2, comps1) if swapped else (comps1, comps2)
         for a in side1:
@@ -634,7 +655,7 @@ def transversal_even_intersection(
                         _finish_even(tp, witness, h1, h2, comps1, comps2)
                         return tp, witness
 
-    m1, m2, u, v1, v2 = _even_case_rigid(h1, h2, comps1, comps2, c1, c2, c1p, c2p)
+    m1, m2, u, v1, v2 = _even_case_rigid(h1, h2, comps1, comps2, *crossing)
     tp = TransversalPair(m1, m2)
     witness = (u, v1, v2)
     _finish_even(tp, witness, h1, h2, comps1, comps2)
@@ -702,8 +723,8 @@ class _Surgery:
 
     def _side(self, f: int, x: int) -> int:
         """The forest g != f that shares endpoint x of forest f."""
-        g, h = (y for y in range(3) if y != f)
-        return g if x in self.r[(min(f, g), max(f, g))] else h
+        g, key, h = _SIDES[f]
+        return g if x in self.r[key] else h
 
     def _add_path(self, f: int, a: int, b: int) -> None:
         ga, gb = self._side(f, a), self._side(f, b)
@@ -838,10 +859,11 @@ def _close_into_cycles(
     return [f | {e for key, e in joins.items() if i in key} for i, f in enumerate(forests)]
 
 
-def _normalized(parts: Iterable[Iterable[tuple[int, int]]]) -> tuple[frozenset[Edge], ...]:
-    """Parts with empties dropped and duplicate pairs cancelled, in order of
-    first occurrence (a Counter keeps its keys in that order)."""
-    return tuple(part for part, count in Counter(map(_canon, parts)).items() if part and count % 2)
+def _normalized(parts: Iterable[Iterable[Edge]]) -> tuple[frozenset[Edge], ...]:
+    """Parts of canonical edges with empties dropped and duplicate pairs
+    cancelled, in order of first occurrence (a Counter keeps its keys in
+    that order).  ``check_cover`` refuses a part that is not canonical."""
+    return tuple(part for part, count in Counter(map(frozenset, parts)).items() if part and count % 2)
 
 
 def _make_cert(kind: str, parts: Iterable[Iterable[tuple[int, int]]], g: SimpleGraph) -> OddCoverCert:
@@ -850,13 +872,15 @@ def _make_cert(kind: str, parts: Iterable[Iterable[tuple[int, int]]], g: SimpleG
     return _checked(g, OddCoverCert(kind, _normalized(parts)))
 
 
-def _max_degree_up_to_4(g: SimpleGraph) -> None:
-    """Check that g is Eulerian with maximum degree at most 4."""
+def _max_degree_up_to_4(g: SimpleGraph) -> DegreeSummary:
+    """The degree summary of g, once g is checked Eulerian with maximum
+    degree at most 4."""
     summary = degrees(g)
     if summary.v_odd:
         raise ValueError("graph has a vertex of odd degree")
     if summary.delta > 4:
         raise ValueError(f"maximum degree must be at most 4, got {summary.delta}")
+    return summary
 
 
 def path_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
@@ -864,8 +888,7 @@ def path_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     the Eulerian path cover on its domain.  Its two polycycles (one, covered
     by two paths, when no degree is 4) split into three linear forests,
     joined into one path each."""
-    _max_degree_up_to_4(g)
-    return _make_cert("path", _eulerian_cover(g, "path"), g)
+    return _make_cert("path", _eulerian_cover(g, "path", _max_degree_up_to_4(g)), g)
 
 
 def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
@@ -873,30 +896,30 @@ def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     the Eulerian cycle cover on its domain.  With a single degree-4 vertex
     the decomposition splits off one cycle through it, and the cover is
     that cycle plus at most two cycles of the polycycle left."""
-    _max_degree_up_to_4(g)
-    return _make_cert("cycle", _eulerian_cover(g, "cycle"), g)
+    return _make_cert("cycle", _eulerian_cover(g, "cycle", _max_degree_up_to_4(g)), g)
 
 
-def _path_pair(h1: frozenset[Edge], h2: frozenset[Edge]) -> tuple[frozenset[Edge], ...]:
-    """Three paths whose xor is h1 | h2, two polycycles that share a vertex:
-    a transversal pair with odd intersection splits them into three linear
-    forests, joined into one path each."""
-    tp = transversal_odd_intersection(h1, h2)
+def _path_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[Edge]],
+               comps2: list[frozenset[Edge]]) -> tuple[frozenset[Edge], ...]:
+    """Three paths whose xor is h1 | h2, two polycycles that share a vertex,
+    given their cycles: a transversal pair with odd intersection splits
+    them into three linear forests, joined into one path each."""
+    tp = _odd_pair(h1, h2, comps1, comps2)
     forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
     final, _ = _reduce_endpoints(forests, facts, for_cycles=False)
     return final
 
 
-def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge]) -> list[frozenset[Edge]]:
-    """At most three cycles whose xor is h1 | h2, two polycycles.
+def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[Edge]],
+                comps2: list[frozenset[Edge]]) -> list[frozenset[Edge]]:
+    """At most three cycles whose xor is h1 | h2, two polycycles given with
+    their cycles.
 
     When the two cross in two disjoint component pairs, an even-parity
     transversal pair with a crossing witness yields three straddled
     forests that close into three cycles; otherwise all but one component
     of one polycycle avoid the other, and the rest covers with two cycles.
     """
-    comps1 = edge_components(h1)
-    comps2 = edge_components(h2)
     owner = {v: i for i, c in enumerate(comps1) for v in vertices_of(c)}
     meets = sorted(
         {(owner[v], j) for j, d in enumerate(comps2) for v in vertices_of(d) if v in owner}
@@ -908,7 +931,7 @@ def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge]) -> list[frozenset[Edge
     # all share one h2 component; when it exists, the search below finds
     # it within its first two rounds.
     if len(first) > 1 and len(second) > 1:
-        crossing = next((((comps1[i], comps2[j]), (comps1[i2], comps2[j2]))
+        crossing = next(((comps1[i], comps2[j], comps1[i2], comps2[j2])
                          for i, j in meets for i2, j2 in meets if i2 != i and j2 != j), None)
         if crossing is None:
             raise AssertionError("two meeting pairs apart on both sides form a crossing")
@@ -922,7 +945,7 @@ def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge]) -> list[frozenset[Edge
         apart = comps2[second.pop()]
         return polycycle_odd_cover(h1 | (h2 - apart), "cycle") + [apart]
 
-    tp, _witness = transversal_even_intersection(h1, h2, crossing)
+    tp, _witness = _even_pair(h1, h2, comps1, comps2, crossing)
     forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
     final, r_sets = _reduce_endpoints(forests, facts, for_cycles=True)
     return _close_into_cycles(final, r_sets)
@@ -936,40 +959,35 @@ def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:
     three paths or cycles; for cycles the decomposition threshold is d2/2
     so the trailing parts are single cycles costing one part each.
     """
-    return _make_cert(kind, _eulerian_cover(g, kind), g)
+    return _make_cert(kind, _eulerian_cover(g, kind, degrees(g)), g)
 
 
-def _eulerian_cover(g: SimpleGraph, kind: str) -> tuple[frozenset[Edge], ...]:
-    """The parts of ``odd_cover_eulerian``, normalized and unchecked.  Each
-    polycycle of the one decomposition holds an out-arc of a top-degree
-    vertex, so consecutive ones share a vertex and go to the pair cores as
-    they are."""
+def _eulerian_cover(g: SimpleGraph, kind: str, summary: DegreeSummary) -> list[frozenset[Edge]]:
+    """The parts of ``odd_cover_eulerian``, unnormalized and unchecked,
+    given g's degree summary.  Each polycycle of the one decomposition
+    holds an out-arc of a top-degree vertex, so consecutive ones share a
+    vertex and go to the pair cores as they are, with their cycles."""
     if kind not in ("path", "cycle"):
         raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
-    summary = degrees(g)
     if summary.v_odd:
         raise ValueError("graph has a vertex of odd degree")
     if not g.edges:
-        return ()
+        return []
 
-    parts: list[frozenset[Edge]] = []
-    if kind == "path":
-        # The orientation has maximum out-degree delta/2, so no part is in
-        # the cycle suffix.
-        classes = undirected_polycycle_decomposition(g, summary.delta // 2).parts
-    else:
-        _, d2 = two_largest(summary.degrees)
-        dec = undirected_polycycle_decomposition(g, d2 // 2)
-        split = len(dec.parts) - dec.cycle_suffix_len
-        classes = dec.parts[:split]
-        parts.extend(dec.parts[split:])
+    # For paths the orientation has maximum out-degree delta/2, so no part
+    # is in the cycle suffix.
+    t = summary.delta // 2 if kind == "path" else two_largest(summary.degrees)[1] // 2
+    dec = undirected_polycycle_decomposition(g, t)
+    split = len(dec.parts) - dec.cycle_suffix_len
+    classes, comps = dec.parts[:split], dec.components
+    parts = list(dec.parts[split:])
 
     cover_pair = _path_pair if kind == "path" else _cycle_pair
     for i in range(0, len(classes) - 1, 2):
-        parts.extend(cover_pair(classes[i], classes[i + 1]))
+        parts.extend(cover_pair(classes[i], classes[i + 1], comps[i], comps[i + 1]))
     if len(classes) % 2:
         parts.extend(polycycle_odd_cover(classes[-1], kind))
-    return _normalized(parts)
+    return parts
 
 
 def path_odd_cover_general(g: SimpleGraph) -> OddCoverCert:
@@ -984,9 +1002,12 @@ def path_odd_cover_general(g: SimpleGraph) -> OddCoverCert:
     odd = [u for u, d in enumerate(summary.degrees) if d % 2]
     matching = [edge(odd[i], odd[i + 1]) for i in range(0, len(odd), 2)]
     flipped = SimpleGraph(g.n, g.edges ^ frozenset(matching))
-    assert degrees(flipped).delta <= summary.delta_e
-    parts = [*_eulerian_cover(flipped, "path"), *(frozenset({e}) for e in matching)]
-    return _make_cert("path", parts, g)
+    flipped_summary = degrees(flipped)
+    assert flipped_summary.delta <= summary.delta_e
+    # The Eulerian parts cancel among themselves before the matching's
+    # one-edge paths join them, which fixes the order of the parts kept.
+    eulerian = _normalized(_eulerian_cover(flipped, "path", flipped_summary))
+    return _make_cert("path", [*eulerian, *(frozenset({e}) for e in matching)], g)
 
 
 def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
@@ -1024,9 +1045,9 @@ def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
         forests = (host.edges - m, m, empty)
     else:
         # The decomposition checks that its parts are polycycles, and the
-        # smallest edge of each component is a transversal of them.
-        h1, h2 = undirected_polycycle_decomposition(host, 2).parts
-        m1, m2 = _transversal(edge_components(h1)), _transversal(edge_components(h2))
-        forests, _ = _split_forests(h1, h2, m1, m2)
+        # smallest edge of each of their cycles is a transversal of them.
+        dec = undirected_polycycle_decomposition(host, 2)
+        (h1, h2), (comps1, comps2) = dec.parts, dec.components
+        forests, _ = _split_forests(h1, h2, _transversal(comps1), _transversal(comps2))
 
     return _checked(g, OddCoverCert("linear_forest", tuple(f & g.edges for f in forests)))

@@ -79,11 +79,14 @@ class PolycycleDecomposition:
     Parts hold arc ids (directed host) or canonical edges (undirected host).
     The trailing ``cycle_suffix_len`` parts are single cycles; a part in the
     suffix may be empty when it was paid for by a loop at the high-degree
-    vertex, which stands in for a degenerate cycle.
+    vertex, which stands in for a degenerate cycle.  An undirected host
+    also gets each part's cycles as edge sets, in order of smallest vertex
+    (as ``graphs.edge_components`` orders them); a directed one gets none.
     """
 
     parts: tuple[frozenset, ...]
     cycle_suffix_len: int
+    components: tuple[tuple[frozenset, ...], ...] = ()
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -408,24 +411,67 @@ def directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecompositi
     return PolycycleDecomposition(parts, delta - t)
 
 
+def _cycles(arcs: frozenset[int], tails: tuple[int, ...], heads: tuple[int, ...],
+            n: int) -> list[list[int]] | None:
+    """The cycles of an arc set read as undirected edges on vertices
+    ``0..n-1``, each as its arc ids, in order of smallest vertex; None
+    unless every vertex the arcs touch has degree exactly 2 and the
+    cycles take every arc.  One walk, which reads no arc direction:
+    ``one[v]`` and ``two[v]`` are the arcs at v, a walk marks v done by
+    clearing ``one[v]``, and a walk from a vertex of degree 1 ends at a
+    vertex with no second arc."""
+    one, two = [-1] * n, [-1] * n
+    for a in arcs:
+        for v in (tails[a], heads[a]):
+            if one[v] < 0:
+                one[v] = a
+            elif two[v] < 0:
+                two[v] = a
+            else:
+                return None
+    cycles = []
+    for s in range(n):
+        a = one[s]
+        if a < 0:
+            continue
+        cycle = [a]
+        v = tails[a] + heads[a] - s
+        one[s] = -1
+        while v != s:
+            x, y = one[v], two[v]
+            if y < 0:
+                return None
+            one[v] = -1
+            a = y if x == a else x
+            cycle.append(a)
+            v = tails[a] + heads[a] - v
+        cycles.append(cycle)
+    return cycles if sum(map(len, cycles)) == len(arcs) else None
+
+
 def undirected_polycycle_decomposition(g: SimpleGraph, t: int) -> PolycycleDecomposition:
     """Split an Eulerian graph of maximum degree D into D/2 polycycles.
 
     Requires, when t < D/2, that at most one vertex has degree above 2t.
-    The last D/2 - t parts are single cycles through that vertex.
+    The last D/2 - t parts are single cycles through that vertex.  The
+    parts' cycles come with them, from one walk per part that also checks
+    the part's shape.
     """
     oriented = eulerian_orientation(g)
     directed = directed_polycycle_decomposition(oriented, t)
-    edge_list = sorted(g.edges)
-    parts = tuple(frozenset(edge_list[a] for a in part) for part in directed.parts)
-
-    # Explicit raises: the covers rely on these shapes, also under ``python -O``.
-    polycycle = (SubgraphShape.EMPTY, SubgraphShape.CYCLE, SubgraphShape.POLYCYCLE)
-    for i, part in enumerate(parts):
-        want = (SubgraphShape.CYCLE,) if i >= len(parts) - directed.cycle_suffix_len else polycycle
-        if (shape := classify(part, g.n)) not in want:
-            raise AssertionError(f"part {i} of the decomposition is a {shape.value}")
-    return PolycycleDecomposition(parts, directed.cycle_suffix_len)
+    tails, heads = oriented.tails, oriented.heads
+    edge_of = [(u, w) if u < w else (w, u) for u, w in zip(tails, heads)].__getitem__
+    suffix = len(directed.parts) - directed.cycle_suffix_len
+    parts, components = [], []
+    for i, arcs in enumerate(directed.parts):
+        part = frozenset(map(edge_of, arcs))
+        cycles = _cycles(arcs, tails, heads, g.n)
+        # Explicit raises: the covers rely on these shapes, also under ``python -O``.
+        if cycles is None or (i >= suffix and len(cycles) != 1):
+            raise AssertionError(f"part {i} of the decomposition is a {classify(part, g.n).value}")
+        parts.append(part)
+        components.append(tuple(frozenset(map(edge_of, cycle)) for cycle in cycles))
+    return PolycycleDecomposition(tuple(parts), directed.cycle_suffix_len, tuple(components))
 
 
 def balanced_permutation_factorization(

@@ -165,3 +165,49 @@ def test_parse_reports_missing_keys():
         parse_graph({"n": 3})
     with pytest.raises(ValueError, match="expected a JSON object"):
         parse_graph([1, 2])
+
+
+MALFORMED_EDGES = [
+    # (n, edges, the message), the first offender named in list order
+    (3, {"a": 1}, "edges must be a JSON array, got dict"),
+    (3, [[0, 1], 5], "edges must be a JSON array, got int"),
+    (3, [[0, 1], "12"], "edges must be a JSON array, got str"),
+    (3, [[0, 1], None], "edges must be a JSON array, got NoneType"),
+    (3, [[0, 1], [1, "2"]], "edges must be an integer, got str"),
+    (3, [[0, 1], [1, 2.0]], "edges must be an integer, got float"),
+    (3, [[0, 1], [True, 2]], "edges must be an integer, got bool"),
+    (3, [[0, 1], [1]], "every entry of edges must be a pair of integers"),
+    (3, [[0, 1], []], "every entry of edges must be a pair of integers"),
+    (3, [[0, 1], [0, 1, 2]], "every entry of edges must be a pair of integers"),
+    (3, [[0, 1, 2], "x"], "every entry of edges must be a pair of integers"),
+    (3, [[0, 1], [2, 2]], "loop edge 2"),
+    # A loop is named before an edge out of range.
+    (3, [[0, 3], [2, 2]], "loop edge 2"),
+    (3, [[0, 1], [1, 3]], "edge (1,3) invalid for n=3"),
+    (3, [[0, 1], [-1, 2]], "edge (-1,2) invalid for n=3"),
+    (3, [[2, 5], [1, 0]], "edge (2,5) invalid for n=3"),
+    (0, [[0, 1]], "edge (0,1) invalid for n=0"),
+    (-1, [[0, 1]], "edge (0,1) invalid for n=-1"),
+]
+
+
+@pytest.mark.parametrize("n, edges, message", MALFORMED_EDGES)
+def test_malformed_edges_are_named_byte_for_byte(n, edges, message):
+    # The pairs are checked in one C-level pass; the per-edge loop behind
+    # it must still raise exactly these messages.
+    with pytest.raises(ValueError) as exc:
+        parse_graph(through_json({"n": n, "edges": edges}))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("parts, message", [
+    ([[[0, 1]], [[1, 1]]], "loop edge 1"),
+    ([[[0, 1]], [[1, "a"]]], "a part must be an integer, got str"),
+    ([[[0, 1, 2]]], "every entry of a part must be a pair of integers"),
+    ([5], "a part must be a JSON array, got int"),
+    ({"x": 1}, "parts must be a JSON array, got dict"),
+])
+def test_malformed_cover_parts_are_named_byte_for_byte(parts, message):
+    with pytest.raises(ValueError) as exc:
+        parse_cover(through_json({"type": "odd_cover", "kind": "path", "parts": parts}))
+    assert str(exc.value) == message

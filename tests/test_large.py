@@ -1,5 +1,5 @@
 """Large-instance tier: resolutions on thousands to 10^5 items, and odd
-covers of a graph with about 10^4 edges.
+covers of graphs with about 10^4 and 2 * 10^5 edges.
 
 Each test builds a seeded equal-shape pair, resolves it, verifies the walk
 and pins its steps by a digest.  The steps were first recorded from the
@@ -25,7 +25,11 @@ stacked random components (E = 10,143), check them with the independent
 verifier and pin their digests.  Re-analysing all three forests after
 every endpoint join did not finish one such cover in 28 minutes; the
 incremental surgery takes 0.5-1.2 s on the same VM, and the budget is
-10 s.
+10 s.  One more runs the path cover on a single connected graph, the xor
+of two seeded Hamiltonian cycles on 10^5 vertices (E = 199,992), where
+each stage walks the whole graph at once.  It took 5.1-6.5 s on the same
+VM (8.7 s when every stage re-derived the components from edge tuples),
+and its budget is 40 s.
 
 The diameter test checks the exact diameters of (4, 4, 4) and (5, 3, 2)
 that ``selftest`` asserts against a frozen copy of the item-coded BFS the
@@ -51,9 +55,9 @@ import pytest
 
 from polyresolve.cli import main
 from polyresolve.generators import random_delta4_eulerian_graph
-from polyresolve.graphs import simple_graph
+from polyresolve.graphs import degrees, edge, edge_components, simple_graph
 from polyresolve.jsonio import emit_cover, emit_graph, emit_resolution
-from polyresolve.oddcover import cycle_odd_cover_delta4, path_odd_cover_delta4
+from polyresolve.oddcover import check_cover, cycle_odd_cover_delta4, path_odd_cover_delta4
 from polyresolve.oracles import _part_table, exact_diameter_bfs, verify_certificate
 from polyresolve.perms import Partition, cdg, check_resolution, resolution_length_bound
 from polyresolve.polycycles import directed_polycycle_decomposition
@@ -150,6 +154,32 @@ def test_delta4_cover_at_scale(cover, digest):
     assert len(cert.parts) <= 3
     assert elapsed < 10.0, f"took {elapsed:.2f}s, budget 10s"
     assert hashlib.sha256(json.dumps(emit_cover(cert)).encode()).hexdigest() == digest
+
+
+def test_delta4_path_cover_of_one_connected_graph_at_scale():
+    # The xor of two seeded Hamiltonian cycles on 10^5 vertices: one
+    # component, maximum degree 4 and 199,992 edges, so every stage of the
+    # cover runs on the whole graph at once.
+    rng = random.Random(1)
+    n = 100_000
+    edges: set = set()
+    for _ in range(2):
+        order = list(range(n))
+        rng.shuffle(order)
+        edges ^= {edge(order[i - 1], order[i]) for i in range(n)}
+    g = simple_graph(n, edges)
+    assert g.m == 199_992 and degrees(g).delta == 4
+    assert len(edge_components(g.edges)) == 1
+    t0 = time.perf_counter()
+    cert = path_odd_cover_delta4(g)
+    elapsed = time.perf_counter() - t0
+    assert check_cover(g, cert) is None
+    assert len(cert.parts) == 3
+    assert elapsed < 40.0, f"took {elapsed:.2f}s, budget 40s"
+    assert (
+        hashlib.sha256(json.dumps(emit_cover(cert)).encode()).hexdigest()
+        == "423ea144aa543651099c1046ea4afd6c36bcd4b7226fd886522ab4d31daa4a70"
+    )
 
 
 def test_exact_path_cover_builds_the_k8_table_cold(tmp_path, capsys):

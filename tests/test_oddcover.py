@@ -45,7 +45,7 @@ from polyresolve.generators import (
 )
 from polyresolve import graphs, oddcover
 from polyresolve.oddcover import _analyze
-from polyresolve.oracles import exact_odd_cover, tight_path_odd_cover
+from polyresolve.oracles import exact_odd_cover, tight_path_odd_cover, verify_certificate
 
 
 def _ends(edges):
@@ -425,16 +425,24 @@ def _count_calls(monkeypatch, module, names):
     return calls
 
 
-@pytest.mark.parametrize("cover", [path_odd_cover_delta4, cycle_odd_cover_delta4])
+@pytest.mark.parametrize("cover", [
+    path_odd_cover_delta4, cycle_odd_cover_delta4, linear_forest_decomposition,
+])
 def test_shape_passes_per_cover_stay_few(cover, monkeypatch):
-    # Each fact of the surgery is established once: on this graph the
-    # covers made 36 and 43 classify calls and 54 and 90 component splits
-    # when every stage re-derived them; now 8 and 8, and 3 and 5.
+    # Each fact of the surgery is established once.  On this graph the
+    # path and cycle covers made 36 and 43 classify calls and 54 and 90
+    # component splits when every stage re-derived them, then 8 and 8,
+    # and 3 and 5; the forest split made 5 and 3.  Now the decomposition
+    # hands each part's cycles to the pair cores: what is left is one
+    # classify per part in the output check, one in the flexible exchange
+    # of the path and cycle covers, and the split's one component pass
+    # over the union of the two matchings.
     calls = _count_calls(monkeypatch, graphs, ["classify", "edge_components"])
     g = random_delta4_eulerian_graph(random.Random(1), components=12)
-    check_cover(cover(g), g, cover.__name__.split("_")[0], 3)
-    assert calls["classify"] <= 10
-    assert calls["edge_components"] <= 8
+    cert = cover(g)
+    assert calls["classify"] <= (3 if cover is linear_forest_decomposition else 4)
+    assert calls["edge_components"] <= 1
+    assert verify_certificate(g, cert).passed
 
 
 def test_nested_covers_are_checked_once(monkeypatch):

@@ -10,12 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyresolve import polycycles
-from polyresolve.generators import random_delta4_eulerian_graph
+from polyresolve.generators import random_delta4_eulerian_graph, random_eulerian_graph
 from polyresolve.graphs import (
     Digraph,
     SubgraphShape,
     classify,
     edge,
+    edge_components,
     simple_graph,
     symmetric_difference,
 )
@@ -211,6 +212,33 @@ def test_undirected_decomposition_covers_a_four_regular_graph():
     dec = undirected_polycycle_decomposition(g, 2)
     assert len(dec.parts) == 2
     assert symmetric_difference(dec.parts) == g.edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 4), st.booleans())
+def test_undirected_decomposition_hands_over_each_parts_cycles(seed, layers, suffix):
+    # The walk that checks each part's shape also gives its cycles, in the
+    # order ``edge_components`` gives them; a suffix part is one cycle.
+    rng = random.Random(seed)
+    g = random_eulerian_graph(rng, layers, max_n=14)
+    degs = sorted(g.degree_vector(), reverse=True)
+    top = degs[1] // 2 if suffix and degs[0] > degs[1] else degs[0] // 2
+    dec = undirected_polycycle_decomposition(g, top)
+    assert len(dec.components) == len(dec.parts)
+    for part, cycles in zip(dec.parts, dec.components):
+        assert list(cycles) == edge_components(part)
+    for cycles in dec.components[len(dec.parts) - dec.cycle_suffix_len:]:
+        assert len(cycles) == 1
+
+
+def test_cycles_walk_refuses_all_but_degree_two():
+    # Arc i runs tails[i] -> heads[i]; directions do not matter to the walk.
+    tails, heads = (0, 2, 2, 3, 4, 5), (1, 1, 0, 4, 5, 3)
+    assert polycycles._cycles(frozenset(range(6)), tails, heads, 6) == [[0, 1, 2], [3, 4, 5]]
+    assert polycycles._cycles(frozenset(), tails, heads, 6) == []
+    assert polycycles._cycles(frozenset({0, 1}), tails, heads, 6) is None      # a path
+    bowtie_tails, bowtie_heads = (0, 1, 2, 2, 3, 4), (1, 2, 0, 3, 4, 2)
+    assert polycycles._cycles(frozenset(range(6)), bowtie_tails, bowtie_heads, 5) is None
 
 
 def test_polycycle_odd_cover_of_a_single_cycle():
