@@ -172,7 +172,8 @@ def _run_resolve(args) -> int:
 
 
 def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) -> OddCoverCert:
-    eulerian = degrees(g).v_odd == 0
+    summary = degrees(g)
+    eulerian = summary.v_odd == 0
     if kind == "cycle" and not eulerian:
         raise ValueError("cycle odd-covers need every degree even")
     if exact:
@@ -185,7 +186,7 @@ def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) ->
             raise AssertionError("the exact search found no cover; the construction bounds it")
         return _make_cert(kind, parts, g)
     if eulerian:
-        return odd_cover_eulerian(g, kind)
+        return odd_cover_eulerian(g, kind, summary=summary)
     return path_odd_cover_general(g)
 
 

@@ -66,7 +66,7 @@ from .graphs import (
     vertices_of,
 )
 from .perms import two_largest
-from .polycycles import polycycle_odd_cover, undirected_polycycle_decomposition
+from .polycycles import _polycycle_cover, polycycle_odd_cover, undirected_polycycle_decomposition
 
 __all__ = [
     "TransversalPair",
@@ -951,15 +951,17 @@ def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset
     return _close_into_cycles(final, r_sets)
 
 
-def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:
+def odd_cover_eulerian(g: SimpleGraph, kind: str, *,
+                       summary: DegreeSummary | None = None) -> OddCoverCert:
     """Cover an Eulerian graph with ceil(3*Delta/4) paths or with
     d1/2 + ceil(d2/4) cycles, d1 >= d2 the two largest degrees.
 
     Pairs up the polycycles of one decomposition and covers each pair with
     three paths or cycles; for cycles the decomposition threshold is d2/2
-    so the trailing parts are single cycles costing one part each.
+    so the trailing parts are single cycles costing one part each.  A
+    caller that holds g's ``graphs.degrees`` summary may pass it.
     """
-    return _make_cert(kind, _eulerian_cover(g, kind, degrees(g)), g)
+    return _make_cert(kind, _eulerian_cover(g, kind, summary or degrees(g)), g)
 
 
 def _eulerian_cover(g: SimpleGraph, kind: str, summary: DegreeSummary) -> list[frozenset[Edge]]:
@@ -986,7 +988,7 @@ def _eulerian_cover(g: SimpleGraph, kind: str, summary: DegreeSummary) -> list[f
     for i in range(0, len(classes) - 1, 2):
         parts.extend(cover_pair(classes[i], classes[i + 1], comps[i], comps[i + 1]))
     if len(classes) % 2:
-        parts.extend(polycycle_odd_cover(classes[-1], kind))
+        parts.extend(_polycycle_cover(classes[-1], comps[len(classes) - 1], kind))
     return parts
 
 

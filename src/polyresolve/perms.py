@@ -15,16 +15,19 @@ A :class:`Permutation` holds only its moved points, as the map
 ``x -> pi(x)`` over its support, and a :class:`CycleSeq` holds its one
 cycle.  Building one, ``cycles``, :func:`is_p_balanced` and
 :func:`compose` all cost O(|support|) (``cycles`` sorts its leaders); only
-``Permutation.image`` spells out all m entries.
+``Permutation.image`` spells out all m entries.  ``resolve`` builds none:
+its stages hand cycles on as item tuples.
 
 Replay and verification (``Resolution.end``, :func:`check_resolution`)
 change one assignment list in place, checking each step ``tau`` for
-distinct clusters and applying it on its |tau| entries.  The two walk
-conversions keep their prefix products as dicts over the items the walk
-has moved so far, read with ``.get(x, x)``, and update them on the entries
-a step moves.  Both sides of the prefix identity ``t1 ... ti == si ... s1``
-change only on the support of ``ti``, so comparing those entries at each
-step is as strong as comparing whole permutations.  Building a walk
+distinct clusters and applying it on its |tau| entries.  The walk
+conversion ``_walk`` (on item tuples; :func:`resolution_from_decomposition`
+wraps it) and its inverse keep their prefix products as dicts over the
+items the walk has moved so far, read with ``.get(x, x)``, and update them
+on the entries a step moves.  Both sides of the prefix identity
+``t1 ... ti == si ... s1`` change only on the support of ``ti``, so
+comparing those entries at each step is as strong as comparing whole
+permutations.  Building a walk
 ``t1 ... tk`` from its cycles therefore costs O(sum |ti|), and replaying,
 verifying or decomposing one on m items O(m + sum |ti|).
 """
@@ -166,8 +169,7 @@ def _is_cycle_of(assign, items: tuple[int, ...]) -> bool:
     pairwise distinct clusters of ``assign``."""
     if len(items) < 2:
         return True
-    m = len(assign)
-    if any(not 0 <= x < m for x in items):
+    if min(items) < 0 or max(items) >= len(assign):
         return False
     return len({assign[x] for x in items}) == len(items)
 
@@ -334,23 +336,29 @@ def resolution_from_decomposition(p: Partition, sigmas) -> Resolution:
     ``t1 ... ti == si ... s1`` at every ``i`` (asserted on the entries step
     ``i`` changes, the only ones where either side can change).
     """
+    return Resolution(p, _walk(p.assign, [s.items for s in sigmas]))
+
+
+def _walk(assign, sigmas) -> tuple[CycleSeq, ...]:
+    """The steps of :func:`resolution_from_decomposition`, from the cycles'
+    item tuples and the start's assignment."""
     inv: dict[int, int] = {}   # (s_{i-1} ... s_1)^-1
     run: dict[int, int] = {}   # t_1 ... t_{i-1}
     taus = []
     for i, s in enumerate(sigmas):
-        if not cycle_is_p_cycle(s, p):
+        if not _is_cycle_of(assign, s):
             raise ValueError(f"factor {i} is not a p-cycle")
         # tau = acc^-1 s acc, acc = s_{i-1} ... s_1, sends inv(x) to
         # inv(s(x)); acc <- s acc then sends tau's items to s's successors,
         # and run <- run tau must agree with it there.
-        t_items = [inv.get(x, x) for x in s.items]
+        t_items = [inv.get(x, x) for x in s]
         taus.append(CycleSeq(tuple(t_items)))
-        s_next = (*s.items[1:], *s.items[:1])
+        s_next = (*s[1:], *s[:1])
         run_next = [run.get(t, t) for t in (*t_items[1:], *t_items[:1])]
         assert run_next == list(s_next), "prefix identity violated"
         inv.update(zip(s_next, t_items))
         run.update(zip(t_items, run_next))
-    return Resolution(p, tuple(taus))
+    return tuple(taus)
 
 
 def decomposition_from_resolution(r: Resolution) -> list[CycleSeq]:

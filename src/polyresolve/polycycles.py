@@ -28,9 +28,11 @@ split and the self-checks are near-linear in m + n t on m arcs and n
 vertices: one arc-owner array shows the parts disjoint and holding
 exactly the non-loop arcs, and a successor map with a head set shows
 in = out = 1 in each part.  Within ``resolve`` on CPython 3.11 the
-decomposition takes about 25% of the time at m = 3000 (1500 clusters of
-2), where it took 45% with t matching rounds, and about 55% at m = 10^5
-(20,000 clusters of 5; its three matching rounds about 30%).
+decomposition takes about 35% of the time at m = 3000 (1500 clusters of
+2) and about 65% at m = 10^5 (20,000 clusters of 5, three matching
+rounds).  The factorization calls the core ``_directed`` with p's cluster
+sizes as the out-degrees (the in-degrees are q's), and hands out each
+class as its item cycles, from one successor walk.
 
 Checks
 ------
@@ -38,6 +40,8 @@ The in = out = 1 test, the undirected polycycle shape, a failed matching
 round, a walk on the residual of degree 2 that does not close and a
 stalled cycle walk are explicit raises.  The factorization checks nothing
 more; ``resolve`` checks its walk once, with ``perms.check_resolution``.
+The cores ``_directed`` and ``_polycycle_cover`` skip their public
+names' input checks, whose facts their callers hold already.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .perms import (
     Partition,
     Permutation,
     cdg,
+    perm_from_cycles,
     two_largest,
 )
 
@@ -308,6 +313,12 @@ def directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecompositi
     out = g.out_degrees()
     if out != g.in_degrees():
         raise ValueError("every vertex needs equal in- and out-degree")
+    return _directed(g, t, out)
+
+
+def _directed(g: Digraph, t: int, out) -> PolycycleDecomposition:
+    """``directed_polycycle_decomposition`` of g, whose out-degrees ``out``
+    are checked equal to its in-degrees."""
     delta = max(out, default=0)
     if not 0 <= t <= delta:
         raise ValueError(f"threshold must lie in [0, {delta}], got {t}")
@@ -487,38 +498,41 @@ def balanced_permutation_factorization(
     sizes = p.sizes()
     if sizes != q.sizes():
         raise ValueError("p and q must have equal per-cluster sizes")
-    return _factorize(p, q, sizes)
+    sigmas, classes = _factorize(p, q, sizes)
+    return [CycleSeq(s) for s in sigmas], [perm_from_cycles(p.m, c) for c in classes]
 
 
-def _factorize(p: Partition, q: Partition, sizes) -> tuple[list[CycleSeq], list[Permutation]]:
-    """The factorization of a pair whose common cluster ``sizes`` are checked."""
+def _factorize(p: Partition, q: Partition, sizes):
+    """The factorization of a pair of checked common ``sizes``: each p-cycle
+    as an item tuple, each balanced permutation as its ``cycles()``."""
     if p == q:
         return [], []
     _, k2 = two_largest(sizes)
     d = cdg(p, q)
-    decomp = directed_polycycle_decomposition(d, t=k2)
+    # The cdg's out-degrees are p's cluster sizes and its in-degrees q's.
+    decomp = _directed(d, k2, sizes)
+    split = len(decomp.parts) - decomp.cycle_suffix_len
+    tails, heads = d.tails, d.heads
+    classes = [_item_cycles(part, tails, heads) for part in decomp.parts[:split] if part]
+    sigmas = [_item_cycles(part, tails, heads)[0] for part in decomp.parts[split:] if part]
+    return sigmas, classes
 
-    n_matching = len(decomp.parts) - decomp.cycle_suffix_len
-    pis: list[Permutation] = []
-    for part in decomp.parts[:n_matching]:
-        if not part:
-            continue
-        succ = {d.tails[a]: a for a in part}
-        pis.append(Permutation.from_moved(p.m, {a: succ[d.heads[a]] for a in part}))
 
-    sigmas: list[CycleSeq] = []
-    for part in decomp.parts[n_matching:]:
-        if not part:
-            continue
-        succ = {d.tails[a]: a for a in part}
-        start = min(part)
-        seq = [start]
-        a = succ[d.heads[start]]
-        while a != start:
-            seq.append(a)
-            a = succ[d.heads[a]]
-        sigmas.append(CycleSeq(tuple(seq)))
-    return sigmas, pis
+def _item_cycles(part: frozenset[int], tails, heads) -> list[tuple[int, ...]]:
+    """The cycles of the permutation that sends each arc of a directed
+    polycycle to the arc leaving its head, each from its smallest arc and
+    in order of that arc: one successor walk."""
+    succ = {tails[a]: a for a in part}   # the walks remove the arcs they take
+    cycles = []
+    for a in sorted(part):
+        if tails[a] in succ:
+            cycle = []
+            while a is not None:
+                cycle.append(a)
+                del succ[tails[a]]
+                a = succ.get(heads[a])
+            cycles.append(tuple(cycle))
+    return cycles
 
 
 def polycycle_odd_cover(h, kind: str) -> list[frozenset[Edge]]:
@@ -538,7 +552,12 @@ def polycycle_odd_cover(h, kind: str) -> list[frozenset[Edge]]:
     if shape not in (SubgraphShape.CYCLE, SubgraphShape.POLYCYCLE):
         raise ValueError(f"input classifies as {shape.value}, not a polycycle")
 
-    comps = edge_components(edges)
+    return _polycycle_cover(edges, edge_components(edges), kind)
+
+
+def _polycycle_cover(edges: frozenset[Edge], comps, kind: str) -> list[frozenset[Edge]]:
+    """``polycycle_odd_cover`` of a polycycle of canonical ``edges`` whose
+    cycles ``comps`` come in order of smallest vertex."""
     if kind == "cycle" and len(comps) == 1:
         return [edges]
 

@@ -5,9 +5,13 @@ k1 + ceil(k2/2) moves apart (k1 >= k2 the two largest cluster sizes): the
 cluster difference digraph factors into balanced permutations and p-cycles,
 balanced permutations split pairwise into at most three p-cycles each, and
 the cycle list converts into an explicit edge walk, which ``resolve`` checks
-once with ``perms.check_resolution``.  The pair split checks its inputs
-only: a wrong product shows as a walk that misses q, which that check
-refuses.  The asserts left are the proof's colouring and p-cycle facts.
+once with ``perms.check_resolution``.  Each stage is a private core on
+item tuples that its public name wraps: ``polycycles._factorize`` hands
+each balanced permutation to the pair split ``_pair`` as its cycles, and
+``perms._walk`` turns the p-cycles into steps, so ``resolve`` builds no
+``Permutation``.  The walk refuses a factor that is no p-cycle, and a
+wrong product shows as a walk that misses q, which the check refuses.
+The asserts left are the proof's colouring facts.
 
 The module also builds the matching lower-bound family: instances whose
 difference digraph is a disjoint union of doubled 2-cycles (plus one tripled
@@ -24,10 +28,9 @@ from .perms import (
     Partition,
     Permutation,
     Resolution,
+    _walk,
     check_resolution,
-    cycle_is_p_cycle,
     is_p_balanced,
-    resolution_from_decomposition,
 )
 from .polycycles import _factorize
 
@@ -106,10 +109,13 @@ def pcycles_from_balanced(p: Partition, pi: Permutation) -> tuple[CycleSeq, Cycl
     """
     if not is_p_balanced(pi, p):
         raise ValueError("permutation is not p-balanced")
-    cycles = pi.cycles()
-    s1 = CycleSeq(tuple(x for c in cycles for x in c))
-    s2 = CycleSeq(tuple(c[0] for c in reversed(cycles)))
-    return s1, s2
+    s1, s2 = _split_balanced(pi.cycles())
+    return CycleSeq(s1), CycleSeq(s2)
+
+
+def _split_balanced(cycles) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``pcycles_from_balanced`` on the permutation's cycles, as item tuples."""
+    return tuple(x for c in cycles for x in c), tuple(c[0] for c in reversed(cycles))
 
 
 def _rotate(cycle: tuple[int, ...], lead: int) -> tuple[int, ...]:
@@ -123,40 +129,47 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
     Returns cycles in application order whose product differs from pi2*pi1
     by a transposition of two same-cluster items, so applying them to p has
     the same effect.  When pi2*pi1 is itself p-balanced, two cycles suffice.
-    The product is not checked here; ``resolve`` checks the walk it makes.
+    Neither the product nor the cycles are checked here; ``resolve``'s walk
+    refuses a factor that is no p-cycle, and its check a wrong product.
     """
     for pi in (pi1, pi2):
         if not is_p_balanced(pi, p):
             raise ValueError("permutation is not p-balanced")
     if pi1.moved.keys() & pi2.moved.keys():
         raise ValueError("permutations must have disjoint supports")
+    return [CycleSeq(s) for s in _pair(p.assign, p.n, pi1.cycles(), pi2.cycles())]
 
-    # With disjoint supports, pi2 pi1 moves each point as its one factor does.
-    composite = Permutation.from_moved(p.m, pi1.moved | pi2.moved)
-    if is_p_balanced(composite, p):
-        return [s for s in pcycles_from_balanced(p, composite) if not s.is_trivial]
+
+def _pair(assign, n: int, cs: list[tuple[int, ...]],
+          ds: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """``pcycles_from_pair`` on the cycles ``cs`` of pi1 and ``ds`` of pi2
+    (as ``Permutation.cycles`` orders them) and p's assignment over ``n``
+    clusters, as item tuples."""
+    # moved_out_of maps each cluster pi2 moves an item out of to that item,
+    # the only one since pi2 is p-balanced.  With disjoint supports pi2 pi1
+    # moves each item as its one factor does, so it is p-balanced unless
+    # pi1 also moves an item out of one of those clusters.
+    moved_out_of = {assign[it]: it for c in ds for it in c}
+    shared = [it for c in cs for it in c if assign[it] in moved_out_of]
+    if not shared:
+        return [s for s in _split_balanced(sorted(cs + ds)) if len(s) > 1]
 
     # x is the smallest item of pi1 whose cluster pi2 also moves an item
-    # out of, and y that item, the only one since pi2 is p-balanced.
-    assign = p.assign
-    moved_out_of = {assign[it]: it for it in pi2.moved}
-    x = min(it for it in pi1.moved if assign[it] in moved_out_of)
+    # out of, and y that item.
+    x = min(shared)
     y = moved_out_of[assign[x]]
-    y_next = pi2.moved[y]
-
-    c_cycles = pi1.cycles()
-    cx = next(c for c in c_cycles if x in c)
-    cs = [cx] + [c for c in c_cycles if c is not cx]
-    d_cycles = pi2.cycles()
-    dy = next(c for c in d_cycles if y in c)
-    ds = [c for c in d_cycles if c is not dy] + [dy]
+    cx = next(c for c in cs if x in c)
+    cs = [cx] + [c for c in cs if c is not cx]
+    dy = next(c for c in ds if y in c)
+    ds = [c for c in ds if c is not dy] + [dy]
+    y_next = dy[(dy.index(y) + 1) % len(dy)]
 
     # One representative cluster pair per cycle; the pair for y's cycle is
     # pinned to {p(y), p(pi2(y))} so the coloring separates those clusters.
     m1 = [tuple(sorted(map(assign.__getitem__, c))[:2]) for c in cs]
     m2 = [tuple(sorted(map(assign.__getitem__, c))[:2]) for c in ds[:-1]]
     m2.append(tuple(sorted((assign[y], assign[y_next]))))
-    color = _color_matchings(m1, m2, p.n)
+    color = _color_matchings(m1, m2, n)
     side = color.get(assign[x], 0)   # x's side; the other side is 1 - side
     assert color.get(assign[y_next], 0) != side
 
@@ -167,14 +180,10 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
     ys.append(_rotate(dy, y_next))
     assert ys[-1][-1] == y
 
-    sigma1 = CycleSeq(tuple(it for c in xs for it in c))
+    sigma1 = tuple(it for c in xs for it in c)
     d_flat = [it for c in ys for it in c]
-    sigma2 = CycleSeq(tuple(d_flat[:-1] + [x]))
-    sigma3 = CycleSeq(
-        tuple([c[0] for c in reversed(ys)] + [c[0] for c in reversed(xs[1:])] + [y])
-    )
-    for sigma in (sigma1, sigma2, sigma3):
-        assert cycle_is_p_cycle(sigma, p)
+    sigma2 = tuple(d_flat[:-1] + [x])
+    sigma3 = tuple([c[0] for c in reversed(ys)] + [c[0] for c in reversed(xs[1:])] + [y])
     return [sigma1, sigma2, sigma3]
 
 
@@ -190,20 +199,20 @@ def resolve(p: Partition, q: Partition) -> Resolution:
     sizes = p.sizes()
     if sizes != q.sizes():
         raise ValueError("p and q must have equal per-cluster sizes")
-    sigmas, pis = _factorize(p, q, sizes)
-    parts: list[CycleSeq] = []
-    for i in range(0, len(pis) - 1, 2):
-        parts.extend(pcycles_from_pair(p, pis[i], pis[i + 1]))
-    if len(pis) % 2:
-        parts.extend(pcycles_from_balanced(p, pis[-1]))
-    parts.extend(sigmas)
-    parts = [s for s in parts if not s.is_trivial]
+    sigmas, classes = _factorize(p, q, sizes)
+    assign = p.assign
+    parts: list[tuple[int, ...]] = []
+    for i in range(0, len(classes) - 1, 2):
+        parts += _pair(assign, p.n, classes[i], classes[i + 1])
+    if len(classes) % 2:
+        parts += _split_balanced(classes[-1])
+    parts += sigmas
 
-    result = resolution_from_decomposition(p, parts)
-    detail = check_resolution(p, q, result.taus)
+    taus = _walk(assign, [s for s in parts if len(s) > 1])
+    detail = check_resolution(p, q, taus)
     if detail is not None:
         raise AssertionError(detail)
-    return result
+    return Resolution(p, taus)
 
 
 def gen_lower_bound_instance(shape) -> LowerBoundInstance:

@@ -114,7 +114,7 @@ def test_oddcover_exact_cap_raises_the_state_cap(tmp_path, capsys, monkeypatch):
 
 def test_oddcover_failed_construction_check_exits_one(tmp_path, capsys, monkeypatch):
     # A polycycle step that hands back the 5-cycle whole: no path cover.
-    monkeypatch.setattr(oddcover, "polycycle_odd_cover", lambda h, kind: [frozenset(h)])
+    monkeypatch.setattr(oddcover, "_polycycle_cover", lambda edges, comps, kind: [edges])
     c5 = write_json(tmp_path / "c5.json", {"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]})
     assert main(["oddcover", "--graph", c5, "--kind", "path"]) == 1
     report = json.loads(capsys.readouterr().out)

@@ -425,22 +425,37 @@ def _count_calls(monkeypatch, module, names):
     return calls
 
 
-@pytest.mark.parametrize("cover", [
-    path_odd_cover_delta4, cycle_odd_cover_delta4, linear_forest_decomposition,
-])
-def test_shape_passes_per_cover_stay_few(cover, monkeypatch):
-    # Each fact of the surgery is established once.  On this graph the
-    # path and cycle covers made 36 and 43 classify calls and 54 and 90
+def _delta4_components():
+    return random_delta4_eulerian_graph(random.Random(1), components=12)
+
+
+def _delta6():
+    return random_eulerian_graph(random.Random(2), layers=3, max_n=14)
+
+
+@pytest.mark.parametrize("cover, graph, most", [
+    (path_odd_cover_delta4, _delta4_components, 4),
+    (cycle_odd_cover_delta4, _delta4_components, 4),
+    (linear_forest_decomposition, _delta4_components, 3),
+    (lambda g: odd_cover_eulerian(g, "path"), _delta6, 8),
+], ids=["path_odd_cover_delta4", "cycle_odd_cover_delta4", "linear_forest_decomposition",
+        "odd_cover_eulerian_delta6_paths"])
+def test_shape_passes_per_cover_stay_few(cover, graph, most, monkeypatch):
+    # Each fact of the surgery is established once.  On the Delta = 4 graph
+    # the path and cycle covers made 36 and 43 classify calls and 54 and 90
     # component splits when every stage re-derived them, then 8 and 8,
     # and 3 and 5; the forest split made 5 and 3.  Now the decomposition
     # hands each part's cycles to the pair cores: what is left is one
     # classify per part in the output check, one in the flexible exchange
     # of the path and cycle covers, and the split's one component pass
-    # over the union of the two matchings.
+    # over the union of the two matchings.  The Delta = 6 path cover's third
+    # polycycle goes to the two-path core with its cycles: its 5 parts, one
+    # exchange and the core's two asserts make 8 classify calls, where the
+    # public polycycle cover added an input classify and a component split.
+    g = graph()
     calls = _count_calls(monkeypatch, graphs, ["classify", "edge_components"])
-    g = random_delta4_eulerian_graph(random.Random(1), components=12)
     cert = cover(g)
-    assert calls["classify"] <= (3 if cover is linear_forest_decomposition else 4)
+    assert calls["classify"] <= most
     assert calls["edge_components"] <= 1
     assert verify_certificate(g, cert).passed
 

@@ -39,8 +39,8 @@ print("cover xor:", fires(lambda: _make_cert("path", [[(0, 1)]], g)))
 
 # A one-swap pair has the bound 2; repeat the walk's steps past it.
 rs = importlib.import_module("polyresolve.resolve")
-convert = rs.resolution_from_decomposition
-rs.resolution_from_decomposition = lambda p, parts: rs.Resolution(p, convert(p, parts).taus * 3)
+convert = rs._walk
+rs._walk = lambda assign, parts: convert(assign, parts) * 3
 print("length bound:", fires(lambda: rs.resolve(Partition(2, (0, 1)), Partition(2, (1, 0)))))
 
 # A valid walk of three swaps, one step past the bound 2 of the shape (1, 1).
@@ -190,7 +190,7 @@ bounded("delta4 cycles", "_close_into_cycles", split_parts("cycle"),
 # Closing forest 1 with R_02's edge and forest 2 with R_01's.
 bounded("delta4 r sets", "_reduce_endpoints", swap_r_sets, oddcover.cycle_odd_cover_delta4, two_k5)
 # The last of the three polycycles of K7 gets its own two-path cover.
-bounded("eulerian paths", "polycycle_odd_cover", split_parts("path"),
+bounded("eulerian paths", "_polycycle_cover", split_parts("path"),
         lambda g: oddcover.odd_cover_eulerian(g, "path"), k7)
 # The fork plus its matching edge (1, 2) is a triangle; a three-path cover
 # of it that avoids (1, 2) gives the fork four paths, one past 1 + 2.
@@ -248,7 +248,7 @@ def test_part_count_guards_fire_under_python_O(bound_guards, check):
 
 # The asserts left in the package are proof invariants: every output still
 # passes its checker by an explicit raise, and every crash guard is one.
-ASSERTS_LEFT = 39
+ASSERTS_LEFT = 38
 
 
 def test_no_new_asserts_in_the_package():

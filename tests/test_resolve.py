@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import json
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import pytest
 
 from polyresolve import cli
+from polyresolve.graphs import Digraph
 from polyresolve.jsonio import emit_instance
 from polyresolve.oracles import MoveAccounting, min_resolution_length, move_accounting
 from polyresolve.perms import (
@@ -21,8 +23,15 @@ from polyresolve.perms import (
     cdg,
     compose,
     cycle_is_p_cycle,
+    identity,
+    is_p_balanced,
     resolution_from_decomposition,
+    two_largest,
     verify_resolution,
+)
+from polyresolve.polycycles import (
+    balanced_permutation_factorization,
+    directed_polycycle_decomposition,
 )
 from polyresolve.resolve import (
     PP36_FIRST_MOVE,
@@ -34,6 +43,8 @@ from polyresolve.resolve import (
     progress_lower_bound,
     resolve,
 )
+
+from test_exhaustive_small import _pair as _table_pair, _shapes, _tables
 
 # The package re-exports the function ``resolve`` under the module's name.
 resolve_module = importlib.import_module("polyresolve.resolve")
@@ -193,14 +204,14 @@ def test_resolve_refuses_a_wrong_pair_split(monkeypatch, tmp_path, capsys):
     # check_resolution refuses, and the CLI reports it with exit 1.
     p = Partition(3, (0, 1, 2, 0, 1, 2, 0, 1, 2))
     q = Partition(3, (1, 2, 0, 1, 2, 0, 0, 1, 2))
-    split = resolve_module.pcycles_from_pair
+    split = resolve_module._pair
 
     def with_swapped_sigma2(*args):
         sigma1, sigma2, *rest = split(*args)
-        a, b, *tail = sigma2.items
-        return [sigma1, CycleSeq((b, a, *tail)), *rest]
+        a, b, *tail = sigma2
+        return [sigma1, (b, a, *tail), *rest]
 
-    monkeypatch.setattr(resolve_module, "pcycles_from_pair", with_swapped_sigma2)
+    monkeypatch.setattr(resolve_module, "_pair", with_swapped_sigma2)
     with pytest.raises(AssertionError, match="^final partition differs from the target$"):
         resolve(p, q)
     inst = tmp_path / "inst.json"
@@ -215,6 +226,199 @@ def test_pcycles_from_pair_rejects_shared_support():
     pi = Permutation((1, 0, 2, 3))
     with pytest.raises(ValueError, match="permutations must have disjoint supports"):
         pcycles_from_pair(p, pi, pi)
+
+
+# --- the item-tuple path against the composition of the public steps ------
+
+
+def _frozen_factorize(p, q):
+    """``balanced_permutation_factorization`` as it built its factors
+    before ``resolve`` ran on item tuples: a ``Permutation`` per class."""
+    if p == q:
+        return [], []
+    d = cdg(p, q)
+    decomp = directed_polycycle_decomposition(d, t=two_largest(p.sizes())[1])
+    n_matching = len(decomp.parts) - decomp.cycle_suffix_len
+    pis, sigmas = [], []
+    for part in decomp.parts[:n_matching]:
+        if part:
+            succ = {d.tails[a]: a for a in part}
+            pis.append(Permutation.from_moved(p.m, {a: succ[d.heads[a]] for a in part}))
+    for part in decomp.parts[n_matching:]:
+        if part:
+            succ = {d.tails[a]: a for a in part}
+            seq = [min(part)]
+            a = succ[d.heads[seq[0]]]
+            while a != seq[0]:
+                seq.append(a)
+                a = succ[d.heads[a]]
+            sigmas.append(CycleSeq(tuple(seq)))
+    return sigmas, pis
+
+
+def _frozen_balanced(p, pi):
+    assert is_p_balanced(pi, p)
+    cycles = pi.cycles()
+    return (CycleSeq(tuple(x for c in cycles for x in c)),
+            CycleSeq(tuple(c[0] for c in reversed(cycles))))
+
+
+def _frozen_pair(p, pi1, pi2):
+    """``pcycles_from_pair`` as it was written on ``Permutation`` objects,
+    with a composite permutation deciding the balanced case."""
+    assert not pi1.moved.keys() & pi2.moved.keys()
+    composite = Permutation.from_moved(p.m, pi1.moved | pi2.moved)
+    if is_p_balanced(composite, p):
+        return [s for s in _frozen_balanced(p, composite) if not s.is_trivial]
+    assign = p.assign
+    moved_out_of = {assign[it]: it for it in pi2.moved}
+    x = min(it for it in pi1.moved if assign[it] in moved_out_of)
+    y = moved_out_of[assign[x]]
+    y_next = pi2.moved[y]
+    c_cycles = pi1.cycles()
+    cx = next(c for c in c_cycles if x in c)
+    cs = [cx] + [c for c in c_cycles if c is not cx]
+    d_cycles = pi2.cycles()
+    dy = next(c for c in d_cycles if y in c)
+    ds = [c for c in d_cycles if c is not dy] + [dy]
+    m1 = [tuple(sorted(map(assign.__getitem__, c))[:2]) for c in cs]
+    m2 = [tuple(sorted(map(assign.__getitem__, c))[:2]) for c in ds[:-1]]
+    m2.append(tuple(sorted((assign[y], assign[y_next]))))
+    color = _color_matchings(m1, m2, p.n)
+    side = color.get(assign[x], 0)
+
+    def rotate(c, lead):
+        i = c.index(lead)
+        return c[i:] + c[:i]
+
+    xs = [rotate(cx, x)] + [
+        rotate(c, min(it for it in c if color.get(assign[it], 0) == side)) for c in cs[1:]]
+    ys = [rotate(c, min(it for it in c if color.get(assign[it], 0) != side)) for c in ds[:-1]]
+    ys.append(rotate(dy, y_next))
+    d_flat = [it for c in ys for it in c]
+    leaders = [c[0] for c in reversed(ys)] + [c[0] for c in reversed(xs[1:])]
+    sigmas = [CycleSeq(tuple(it for c in xs for it in c)), CycleSeq(tuple(d_flat[:-1] + [x])),
+              CycleSeq(tuple(leaders + [y]))]
+    assert all(cycle_is_p_cycle(s, p) for s in sigmas)
+    return sigmas
+
+
+def _frozen_walk(p, sigmas):
+    """``resolution_from_decomposition`` as it was written: each step the
+    conjugate of its cycle by the product of the cycles before it."""
+    inv, taus = {}, []
+    for s in sigmas:
+        assert cycle_is_p_cycle(s, p)
+        t_items = [inv.get(x, x) for x in s.items]
+        taus.append(CycleSeq(tuple(t_items)))
+        inv.update(zip((*s.items[1:], *s.items[:1]), t_items))
+    return tuple(taus)
+
+
+def _composition(p, q, factorize, pair, balanced, walk):
+    """The steps of ``resolve`` as the composition of its three steps."""
+    sigmas, pis = factorize(p, q)
+    parts = []
+    for i in range(0, len(pis) - 1, 2):
+        parts.extend(pair(p, pis[i], pis[i + 1]))
+    if len(pis) % 2:
+        parts.extend(balanced(p, pis[-1]))
+    parts = [s for s in parts + list(sigmas) if not s.is_trivial]
+    return walk(p, parts)
+
+
+def _assert_same_taus(p, q):
+    taus = resolve(p, q).taus
+    assert taus == _composition(p, q, _frozen_factorize, _frozen_pair, _frozen_balanced,
+                                _frozen_walk)
+    assert taus == _composition(p, q, balanced_permutation_factorization, pcycles_from_pair,
+                                pcycles_from_balanced,
+                                lambda p, parts: resolution_from_decomposition(p, parts).taus)
+
+
+@st.composite
+def _equal_shape_pairs(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    base = [c for c, k in enumerate(sizes) for _ in range(k)]
+    return (Partition(len(sizes), tuple(draw(st.permutations(base)))),
+            Partition(len(sizes), tuple(draw(st.permutations(base)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_equal_shape_pairs())
+def test_resolve_matches_the_frozen_composition(pair):
+    _assert_same_taus(*pair)
+
+
+# The pairs of m <= 6 items up to symmetry, one per contingency table.
+TABLES_UP_TO_6 = 1281
+
+
+def test_resolve_matches_the_frozen_composition_on_every_table():
+    count = 0
+    for m in range(1, 7):
+        for sizes in _shapes(m, m):
+            for table in _tables(sizes):
+                _assert_same_taus(*_table_pair(sizes, table))
+                count += 1
+    assert count == TABLES_UP_TO_6
+
+
+@st.composite
+def _balanced_pairs(draw):
+    """A partition and two p-balanced permutations with disjoint supports.
+    Cycles of 2 or 3 items, one item per cluster, go to either; then pi2
+    may take more such cycles on clusters it does not touch yet."""
+    n = draw(st.integers(2, 12))
+    assign = [*range(n), *draw(st.lists(st.integers(0, n - 1), max_size=2 * n))]
+    moved = ({}, {})
+    for owners in (st.integers(0, 1), st.just(1)):
+        taken = {assign[it] for it in moved[1]}
+        first = {}
+        for it in draw(st.permutations(range(len(assign)))):
+            if it not in moved[0] and it not in moved[1] and assign[it] not in taken:
+                first.setdefault(assign[it], it)
+        items = list(first.values())
+        for k, owner in draw(st.lists(st.tuples(st.integers(2, 3), owners), min_size=1,
+                                      max_size=5)):
+            cycle, items = items[:k], items[k:]
+            if len(cycle) > 1:
+                moved[owner].update(zip(cycle, cycle[1:] + cycle[:1]))
+    return Partition(n, tuple(assign)), *(Permutation.from_moved(len(assign), mv) for mv in moved)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_balanced_pairs())
+def test_pair_splits_match_the_frozen_steps(drawn):
+    # Balanced composites with three or more cycles are rare inside
+    # resolve, and only there does the order of the cycles show.
+    p, pi1, pi2 = drawn
+    assert pcycles_from_pair(p, pi1, pi2) == _frozen_pair(p, pi1, pi2)
+    assert pcycles_from_balanced(p, pi1) == _frozen_balanced(p, pi1)
+
+
+def test_resolve_builds_no_permutation_and_counts_no_degrees(monkeypatch):
+    # The factorization hands each class to the pair split as its cycles,
+    # and p's cluster sizes stand in for the cdg's degrees.
+    calls = Counter()
+    for owner, name in ((Permutation, "__post_init__"), (Digraph, "out_degrees"),
+                        (Digraph, "in_degrees")):
+        def counting(*args, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    rng = random.Random(23)
+    for sizes in ([2] * 1500, [50] * 10):
+        base = [c for c, k in enumerate(sizes) for _ in range(k)]
+        left, right = base[:], base[:]
+        rng.shuffle(left)
+        rng.shuffle(right)
+        p, q = Partition(len(sizes), tuple(left)), Partition(len(sizes), tuple(right))
+        assert resolve(p, q).end() == q
+    assert calls == {}
+    identity(3)
+    assert calls == {"__post_init__": 1}
 
 
 # --- matching 2-coloring -----------------------------------------------------
