@@ -951,17 +951,15 @@ def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset
     return _close_into_cycles(final, r_sets)
 
 
-def odd_cover_eulerian(g: SimpleGraph, kind: str, *,
-                       summary: DegreeSummary | None = None) -> OddCoverCert:
+def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:
     """Cover an Eulerian graph with ceil(3*Delta/4) paths or with
     d1/2 + ceil(d2/4) cycles, d1 >= d2 the two largest degrees.
 
     Pairs up the polycycles of one decomposition and covers each pair with
     three paths or cycles; for cycles the decomposition threshold is d2/2
-    so the trailing parts are single cycles costing one part each.  A
-    caller that holds g's ``graphs.degrees`` summary may pass it.
+    so the trailing parts are single cycles costing one part each.
     """
-    return _make_cert(kind, _eulerian_cover(g, kind, summary or degrees(g)), g)
+    return _make_cert(kind, _eulerian_cover(g, kind, degrees(g)), g)
 
 
 def _eulerian_cover(g: SimpleGraph, kind: str, summary: DegreeSummary) -> list[frozenset[Edge]]:

@@ -11,7 +11,8 @@ each balanced permutation to the pair split ``_pair`` as its cycles, and
 ``perms._walk`` turns the p-cycles into steps, so ``resolve`` builds no
 ``Permutation``.  The walk refuses a factor that is no p-cycle, and a
 wrong product shows as a walk that misses q, which the check refuses.
-The asserts left are the proof's colouring facts.
+The asserts left are the proof's colouring facts, and in
+``pcycles_from_pair`` that each returned cycle is a p-cycle.
 
 The module also builds the matching lower-bound family: instances whose
 difference digraph is a disjoint union of doubled 2-cycles (plus one tripled
@@ -30,6 +31,7 @@ from .perms import (
     Resolution,
     _walk,
     check_resolution,
+    cycle_is_p_cycle,
     is_p_balanced,
 )
 from .polycycles import _factorize
@@ -129,15 +131,16 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
     Returns cycles in application order whose product differs from pi2*pi1
     by a transposition of two same-cluster items, so applying them to p has
     the same effect.  When pi2*pi1 is itself p-balanced, two cycles suffice.
-    Neither the product nor the cycles are checked here; ``resolve``'s walk
-    refuses a factor that is no p-cycle, and its check a wrong product.
+    The product is not checked here; ``resolve`` checks the walk it makes.
     """
     for pi in (pi1, pi2):
         if not is_p_balanced(pi, p):
             raise ValueError("permutation is not p-balanced")
     if pi1.moved.keys() & pi2.moved.keys():
         raise ValueError("permutations must have disjoint supports")
-    return [CycleSeq(s) for s in _pair(p.assign, p.n, pi1.cycles(), pi2.cycles())]
+    sigmas = [CycleSeq(s) for s in _pair(p.assign, p.n, pi1.cycles(), pi2.cycles())]
+    assert all(cycle_is_p_cycle(sigma, p) for sigma in sigmas)
+    return sigmas
 
 
 def _pair(assign, n: int, cs: list[tuple[int, ...]],
