@@ -9,15 +9,13 @@ lower bound, constructs a matching 5-move walk, and replays it.
 """
 
 from polyresolve import (
-    MoveAccounting,
-    PP36_FIRST_MOVE,
     gen_pp36_instance,
-    move_accounting,
     progress_lower_bound,
     resolve,
     verify_resolution,
 )
 from polyresolve.dot import emit_dot
+from polyresolve.perms import CycleSeq, cycle_is_p_cycle
 
 # The instance: six clusters of three items, paired off so that every item
 # must cross to its partner cluster.
@@ -32,10 +30,17 @@ print("progress lower bound:", progress_lower_bound(p, q))
 
 # The best possible opening move takes one item from each cluster around a
 # six-cluster circuit: three items land straight in their targets (whole
-# moves) and three make half a move each, for the maximum gain of 9.
-acc = move_accounting(p, q, p, PP36_FIRST_MOVE)
-assert acc == MoveAccounting(whole_moves=3, half_moves=3, gain=9)
-print("opening move", PP36_FIRST_MOVE.items, "->", acc)
+# moves) and three make half a move each, for the maximum gain of 9.  Every
+# item of the move leaves its source, so it makes a whole move exactly when
+# it reaches its target.
+opening = CycleSeq((0, 9, 3, 12, 6, 15))
+assert cycle_is_p_cycle(opening, p)
+after = p.apply(opening)
+whole = sum(after(x) == q(x) for x in opening.items)
+half = len(opening) - whole
+gain = 2 * whole + half
+assert (whole, half, gain) == (3, 3, 9)
+print(f"opening move {opening.items} -> {whole} whole moves, {half} half moves, gain {gain}")
 
 # A breadth-first search over the contingency tables of the instance shows
 # no 4-move resolution exists (that is the expensive certified fact behind

@@ -17,16 +17,13 @@ from .oddcover import (
     path_odd_cover_general,
 )
 from .oracles import (
-    MoveAccounting,
     exact_diameter_bfs,
     min_odd_cover_exhaustive,
     min_resolution_length,
-    move_accounting,
     verify_certificate,
 )
 from .perms import verify_resolution
 from .resolve import (
-    PP36_FIRST_MOVE,
     gen_lower_bound_instance,
     gen_pp36_instance,
     progress_lower_bound,

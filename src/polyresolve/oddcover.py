@@ -12,17 +12,17 @@ ceil(3*Delta/4) paths or d1/2 + ceil(d2/4) cycles (d1 >= d2 the top two
 degrees), and a general graph reduces to the Eulerian case by one
 matching on its odd-degree vertices.
 
-The split analyses each forest in one walk (each path's ends and
-smallest vertex, ``graphs.linear_forest_paths``), and the joins keep that
-endpoint state incrementally (``_Surgery``): for each forest the other end
-and smallest vertex of every path, the three shared-endpoint sets and the
-straddling paths.  A join updates them in O(log E), and the invariants the
-proof needs (two fewer shared endpoints, one parity for all six counts, a
-straddler in every forest for cycles, no closed cycle) are checked after
-every join, so the surgery costs O(E log E).  The cycle closing reads the
-surgery's own shared-endpoint sets.  The public steps check their
-inputs (a ``ValueError`` names the polycycle, transversal or forest at
-fault); the transversal steps then call private cores, ``_odd_pair`` and
+A forest triple has one endpoint state (``_Surgery``), which the split
+builds from one walk per forest (``graphs.linear_forest_paths``) and the
+joins change in place: for each forest the other end and smallest vertex
+of every path, the three shared-endpoint sets and the straddling paths.
+A join updates them in O(log E), and the invariants the proof needs (two
+fewer shared endpoints, one parity for all six counts, a straddler in
+every forest for cycles, no closed cycle) are checked after every join,
+so the surgery costs O(E log E).  The cycle closing reads the surgery's
+own shared-endpoint sets.  The public steps check their inputs (a
+``ValueError`` names the polycycle, transversal or forest at fault); the
+transversal steps then call private cores, ``_odd_pair`` and
 ``_even_pair``, that take each polycycle's cycles.
 
 A cover works out each fact of its graph once.  Every path or cycle cover
@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .graphs import (
     FOREST_SHAPES,
@@ -66,7 +66,7 @@ from .graphs import (
     vertices_of,
 )
 from .perms import two_largest
-from .polycycles import _polycycle_cover, polycycle_odd_cover, undirected_polycycle_decomposition
+from .polycycles import _polycycle_cover, undirected_polycycle_decomposition
 
 __all__ = [
     "TransversalPair",
@@ -114,10 +114,6 @@ class ForestTriple:
     t2: int
     t3: int
     parity: int
-
-    @property
-    def forests(self) -> tuple[frozenset[Edge], frozenset[Edge], frozenset[Edge]]:
-        return (self.f1, self.f2, self.f3)
 
 
 @dataclass(frozen=True)
@@ -215,46 +211,13 @@ def _holding(comps: Iterable[frozenset[Edge]], v: int) -> frozenset[Edge]:
     return next(comp for comp in comps if any(v in e for e in comp))
 
 
-class _Analysis(NamedTuple):
-    """Shape facts of a linear-forest triple.  Per forest: the ``(smallest
-    vertex, smaller end, larger end)`` of each path, in order of smallest
-    vertex; the set of path ends; and the straddlers, the paths whose ends
-    lie in the forest's two different R sets."""
-
-    paths: list[list[tuple[int, int, int]]]
-    ends: list[set[int]]
-    r_sets: dict[tuple[int, int], set[int]]
-    straddlers: list[list[tuple[int, int, int]]]
-    parity: int
-
-    def triple(self, fs: tuple[frozenset[Edge], ...]) -> ForestTriple:
-        counts = [*map(len, self.r_sets.values()), *map(len, self.straddlers)]
-        return ForestTriple(*fs, *counts, self.parity)
-
-
-def _analyze(fs: tuple[frozenset[Edge], ...]) -> _Analysis:
-    """R-sets, straddling paths, and parity of a linear-forest triple, from
-    one walk per forest."""
+def _analyze(fs: tuple[frozenset[Edge], ...]) -> _Surgery:
+    """The endpoint state of a linear-forest triple, from one walk per
+    forest."""
     paths = [linear_forest_paths(f) for f in fs]
     if None in paths:
         raise ValueError("every part must be a disjoint union of paths")
-    ends = [{x for _, a, b in found for x in (a, b)} for found in paths]
-    for v in ends[0] | ends[1] | ends[2]:
-        hits = sum(v in e for e in ends)
-        if hits != 2:
-            raise ValueError(
-                f"endpoint {v} lies in {hits} end sets; the union is not Eulerian"
-            )
-    r_sets = {(i, j): ends[i] & ends[j] for i, j in _PAIRS}
-    # Each end of a forest lies in exactly one of its two R sets (checked
-    # above), so a path straddles them when one end lies in the first.
-    firsts = (r_sets[(0, 1)], r_sets[(0, 1)], r_sets[(0, 2)])
-    straddlers = [[p for p in found if (p[1] in r) != (p[2] in r)]
-                  for found, r in zip(paths, firsts)]
-    parity = len(r_sets[(0, 1)]) % 2
-    counts = [*map(len, r_sets.values()), *map(len, straddlers)]
-    assert all(c % 2 == parity for c in counts), "endpoint counts must share parity"
-    return _Analysis(paths, ends, r_sets, straddlers, parity)
+    return _Surgery(fs, paths)
 
 
 def forest_stats(f1: Iterable[tuple[int, int]], f2: Iterable[tuple[int, int]],
@@ -264,8 +227,7 @@ def forest_stats(f1: Iterable[tuple[int, int]], f2: Iterable[tuple[int, int]],
     Counts shared endpoints r12/r13/r23 and straddling components
     t1/t2/t3, all congruent mod 2 to the returned parity bit.
     """
-    fs = tuple(_canon(f) for f in (f1, f2, f3))
-    return _analyze(fs).triple(fs)
+    return _analyze(tuple(_canon(f) for f in (f1, f2, f3))).triple()
 
 
 def _check_polycycle(h: frozenset[Edge], span: int, name: str) -> None:
@@ -334,16 +296,16 @@ def linear_forests_from_transversal(
     m2 = _canon(tp.m2)
     _check_transversal(m1, h1, edge_components(h1), "m1")
     _check_transversal(m2, h2, edge_components(h2), "m2")
-    forests, facts = _split_forests(h1, h2, m1, m2)
-    return facts.triple(forests)
+    _, state = _split_forests(h1, h2, m1, m2)
+    return state.triple()
 
 
 def _split_forests(
     h1: frozenset[Edge], h2: frozenset[Edge], m1: frozenset[Edge], m2: frozenset[Edge]
-) -> tuple[tuple[frozenset[Edge], ...], _Analysis]:
+) -> tuple[tuple[frozenset[Edge], ...], _Surgery]:
     """The split of ``linear_forests_from_transversal`` on inputs already
     checked: two non-empty edge-disjoint polycycles and a transversal pair
-    of them.  Returns the forests with their analysis."""
+    of them.  Returns the forests with their endpoint state."""
     v1, v2 = vertices_of(m1), vertices_of(m2)
     # One edge per vertex-disjoint cycle makes m1 and m2 matchings, so each
     # component of m1 + m2 alternates between them: a path, or an even
@@ -359,12 +321,13 @@ def _split_forests(
     f2 = m1 | (m2 - m_prime)
     f3 = h2 - m2
     forests = (f1, f2, f3)
-    facts = _analyze(forests)
-    assert facts.ends[0] == v1 ^ vertices_of(m2 & f1)
-    assert facts.ends[1] == v1 ^ vertices_of(m2 & f2)
-    assert facts.ends[2] == v2
-    assert facts.parity == len(v1 & v2) % 2
-    return forests, facts
+    state = _analyze(forests)
+    ends = [other.keys() for other in state.other]
+    assert ends[0] == v1 ^ vertices_of(m2 & f1)
+    assert ends[1] == v1 ^ vertices_of(m2 & f2)
+    assert ends[2] == v2
+    assert len(state.r[(0, 1)]) % 2 == len(v1 & v2) % 2
+    return forests, state
 
 
 def flexible_exchange(
@@ -699,8 +662,9 @@ class _Surgery:
     exists, so lazy heaps answer the join's "smallest such vertex" queries:
     ``r_heap`` orders each R set, ``by_low[f]`` the straddlers of f by
     smallest vertex, and ``anchors[(f, g)]`` (f < g) the straddler ends of
-    f in R_fg.  A join costs O(log E).  The state starts from the path
-    records of the triple's analysis.
+    f in R_fg.  A join costs O(log E).  ``_analyze`` builds the state from
+    one walk per forest; the constructor checks that every endpoint lies in
+    exactly two end sets and that the six counts share one parity.
     """
 
     def __init__(self, forests: Iterable[frozenset[Edge]],
@@ -712,7 +676,14 @@ class _Surgery:
             for lo, a, b in found:
                 other[a], other[b] = b, a
                 low[a] = low[b] = lo
-        self.r = {(f, g): self.other[f].keys() & self.other[g].keys() for f, g in _PAIRS}
+        ends = [other.keys() for other in self.other]
+        for v in ends[0] | ends[1] | ends[2]:
+            hits = sum(v in e for e in ends)
+            if hits != 2:
+                raise ValueError(
+                    f"endpoint {v} lies in {hits} end sets; the union is not Eulerian"
+                )
+        self.r = {(f, g): ends[f] & ends[g] for f, g in _PAIRS}
         self.r_heap = {key: sorted(rs) for key, rs in self.r.items()}
         self.straddlers: list[set[Edge]] = [set(), set(), set()]
         self.by_low: list[list[tuple[int, int, int]]] = [[], [], []]
@@ -720,6 +691,8 @@ class _Surgery:
         for f, found in enumerate(paths):
             for _, a, b in found:
                 self._add_path(f, a, b)
+        counts = self.counts()
+        assert all(c % 2 == counts[0] % 2 for c in counts), "endpoint counts must share parity"
 
     def _side(self, f: int, x: int) -> int:
         """The forest g != f that shares endpoint x of forest f."""
@@ -815,21 +788,19 @@ def _join_step(s: _Surgery, i: int, j: int, for_cycles: bool) -> None:
 
 
 def _reduce_endpoints(
-    forests: tuple[frozenset[Edge], ...], facts: _Analysis, for_cycles: bool
+    state: _Surgery, for_cycles: bool
 ) -> tuple[tuple[frozenset[Edge], ...], dict[tuple[int, int], set[int]]]:
     """Greedily add join edges until every shared endpoint count hits its
     floor: 1 for the path target, 2 for the cycle target.
 
-    The endpoint state starts from the triple's analysis, is kept
-    incrementally and is checked after every join.  Returns the joined
-    forests with their shared-endpoint sets; ``check_cover`` checks the
-    parts built from them."""
+    The joins change the split's endpoint state in place, and its counts
+    are checked after every join.  Returns the joined forests with their
+    shared-endpoint sets; ``check_cover`` checks the parts built from
+    them."""
     floor = 2 if for_cycles else 1
     want_parity = 0 if for_cycles else 1
-    assert facts.parity == want_parity
-    state = _Surgery(forests, facts.paths)
-    assert state.triple() == facts.triple(forests)
     counts = state.counts()
+    assert counts[0] % 2 == want_parity
     if for_cycles:
         assert min(counts[3:]) > 0
     while max(counts[:3]) > floor:
@@ -905,8 +876,8 @@ def _path_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[
     given their cycles: a transversal pair with odd intersection splits
     them into three linear forests, joined into one path each."""
     tp = _odd_pair(h1, h2, comps1, comps2)
-    forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
-    final, _ = _reduce_endpoints(forests, facts, for_cycles=False)
+    _, state = _split_forests(h1, h2, tp.m1, tp.m2)
+    final, _ = _reduce_endpoints(state, for_cycles=False)
     return final
 
 
@@ -937,17 +908,17 @@ def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset
             raise AssertionError("two meeting pairs apart on both sides form a crossing")
 
     if crossing is None:
-        if not meets:
-            return polycycle_odd_cover(h1 | h2, "cycle")
-        if len(first) == 1:
-            apart = comps1[first.pop()]
-            return polycycle_odd_cover(h2 | (h1 - apart), "cycle") + [apart]
-        apart = comps2[second.pop()]
-        return polycycle_odd_cover(h1 | (h2 - apart), "cycle") + [apart]
+        apart = []
+        if meets:
+            apart.append(comps1[first.pop()] if len(first) == 1 else comps2[second.pop()])
+        # The cycles left are vertex-disjoint, so their smallest edges order
+        # them as ``edge_components`` would.
+        rest = sorted((c for c in comps1 + comps2 if c not in apart), key=min)
+        return _polycycle_cover((h1 | h2).difference(*apart), rest, "cycle") + apart
 
     tp, _witness = _even_pair(h1, h2, comps1, comps2, crossing)
-    forests, facts = _split_forests(h1, h2, tp.m1, tp.m2)
-    final, r_sets = _reduce_endpoints(forests, facts, for_cycles=True)
+    _, state = _split_forests(h1, h2, tp.m1, tp.m2)
+    final, r_sets = _reduce_endpoints(state, for_cycles=True)
     return _close_into_cycles(final, r_sets)
 
 

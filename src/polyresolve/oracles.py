@@ -7,8 +7,7 @@ over contingency tables, smallest odd-covers by exhaustive part enumeration
 resolution certifies the paper's tight pp36 instance (six clusters of
 three, 5 = ceil(9/2) moves apart) exactly; its search stores 341,722
 tables, so the acceptance check passes a cap of 400,000 to
-``min_resolution_length``.  ``move_accounting`` only tallies one exchange,
-to explain the lower bound.  ``verify_certificate`` reports a
+``min_resolution_length``.  ``verify_certificate`` reports a
 certificate's first violated invariant, promised bound included: it
 dispatches to the one checker of each kind, ``perms.check_resolution`` and
 ``oddcover.check_cover``, which the constructions also call on their
@@ -62,12 +61,10 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import DEFAULT_STATE_CAP, TooLarge, state_cap
 from .graphs import Edge, SimpleGraph, degrees, edge
 from .oddcover import OddCoverCert, _make_cert, check_cover, path_odd_cover_general
-from .perms import CycleSeq, Partition, Resolution, check_resolution
+from .perms import Partition, Resolution, check_resolution
 
 __all__ = [
-    "MoveAccounting",
     "Report",
-    "move_accounting",
     "exact_diameter_bfs",
     "min_resolution_length",
     "exact_odd_cover",
@@ -76,37 +73,6 @@ __all__ = [
     "is_hamiltonian",
     "verify_certificate",
 ]
-
-@dataclass(frozen=True)
-class MoveAccounting:
-    """Whole/half move tally of one cyclic exchange.
-
-    A whole move takes an item straight from its source cluster to its
-    target cluster (worth 2 progress units); a half move does exactly one
-    of leaving the source or reaching the target (worth 1).
-    """
-
-    whole_moves: int
-    half_moves: int
-    gain: int
-
-    def __post_init__(self):
-        if self.gain != 2 * self.whole_moves + self.half_moves:
-            raise AssertionError("gain must equal 2 * whole_moves + half_moves")
-
-
-def move_accounting(p: Partition, q: Partition, cur: Partition, tau: CycleSeq) -> MoveAccounting:
-    """Tally the whole and half moves ``tau`` makes at the state ``cur``."""
-    nxt = cur.apply(tau)
-    whole = half = 0
-    for x in tau.items:
-        at_source = cur(x) == p(x)
-        at_target = nxt(x) == q(x)
-        if at_source and at_target:
-            whole += 1
-        elif at_source != at_target:
-            half += 1
-    return MoveAccounting(whole, half, 2 * whole + half)
 
 
 def _table_coding(sizes: tuple[int, ...]) -> tuple[int, list[int], list[int], int]:

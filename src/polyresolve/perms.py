@@ -18,7 +18,7 @@ cycle.  Building one, ``cycles``, :func:`is_p_balanced` and
 ``Permutation.image`` spells out all m entries.  ``resolve`` builds none:
 its stages hand cycles on as item tuples.
 
-Replay and verification (``Resolution.end``, :func:`check_resolution`)
+Replay and verification (``Resolution.steps``, :func:`check_resolution`)
 change one assignment list in place, checking each step ``tau`` for
 distinct clusters and applying it on its |tau| entries.  The walk
 conversion ``_walk`` (on item tuples; :func:`resolution_from_decomposition`
@@ -156,14 +156,6 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     return Permutation.from_moved(a.m, moved)
 
 
-def permute_in_place(assign: list[int], pi: Permutation) -> None:
-    """``assign <- assign @ pi`` on a mutable assignment list: each moved
-    item ``x`` takes the old cluster of ``pi(x)``."""
-    new = [(x, assign[y]) for x, y in pi.moved.items()]
-    for x, c in new:
-        assign[x] = c
-
-
 def _is_cycle_of(assign, items: tuple[int, ...]) -> bool:
     """True iff the exchange ``items`` is trivial or moves known items of
     pairwise distinct clusters of ``assign``."""
@@ -215,15 +207,8 @@ class CycleSeq:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.items) < 2
-
     def to_permutation(self, m: int) -> Permutation:
         return perm_from_cycles(m, [self.items])
-
-
-TRIVIAL = CycleSeq(())
 
 
 @dataclass(frozen=True)
@@ -265,7 +250,8 @@ class Partition:
         if pi.m != self.m:
             raise ValueError(f"permutation on {pi.m} items, partition has {self.m}")
         assign = list(self.assign)
-        permute_in_place(assign, pi)
+        for x, y in pi.moved.items():
+            assign[x] = self.assign[y]
         return Partition(self.n, tuple(assign))
 
 
@@ -318,14 +304,6 @@ class Resolution:
             yield tau, assign
             if not _step_in_place(assign, tau.items):
                 raise ValueError(f"step {i} is invalid")
-
-    def end(self) -> Partition:
-        """The last partition of the walk, replayed in place."""
-        assign = list(self.start.assign)
-        for i, tau in enumerate(self.taus):
-            if not _step_in_place(assign, tau.items):
-                raise ValueError(f"step {i} is invalid")
-        return Partition(self.start.n, tuple(assign))
 
 
 def resolution_from_decomposition(p: Partition, sigmas) -> Resolution:

@@ -38,7 +38,6 @@ from .polycycles import _factorize
 
 __all__ = [
     "LowerBoundInstance",
-    "PP36_FIRST_MOVE",
     "pcycles_from_balanced",
     "pcycles_from_pair",
     "resolve",
@@ -298,10 +297,3 @@ def gen_pp36_instance() -> tuple[Partition, Partition]:
             p[a], q[a] = 3 + i, i
             p[b], q[b] = i, 3 + i
     return Partition(6, tuple(p)), Partition(6, tuple(q))
-
-
-# A best-possible first move for the instance above: one item from each
-# cluster, alternating sides, realizing the maximum per-step progress of 9.
-# It explains the progress bound of 4; that no 4 moves suffice is the
-# oracles' shortest-resolution search.
-PP36_FIRST_MOVE = CycleSeq((0, 9, 3, 12, 6, 15))

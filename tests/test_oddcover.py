@@ -43,8 +43,7 @@ from polyresolve.generators import (
     random_eulerian_graph,
     random_graph,
 )
-from polyresolve import graphs, oddcover
-from polyresolve.oddcover import _analyze
+from polyresolve import graphs, oddcover, polycycles
 from polyresolve.oracles import exact_odd_cover, tight_path_odd_cover, verify_certificate
 
 
@@ -140,12 +139,11 @@ def test_linear_forests_from_disjoint_transversal():
 
 
 def _assert_matches_fresh_analysis(state):
-    """Compare the incremental endpoint state with a from-scratch analysis
-    of the current forests."""
+    """Compare the incremental endpoint state with the ends, shared-endpoint
+    sets, straddlers and anchors worked out afresh from the components of
+    the current forests."""
     forests = tuple(frozenset(f) for f in state.fs)
-    facts = _analyze(forests)
-    r_sets = facts.r_sets
-    assert state.r == r_sets
+    others, paths = [], []
     for f, forest in enumerate(forests):
         other, low = {}, {}
         for comp in edge_components(forest):
@@ -154,10 +152,16 @@ def _assert_matches_fresh_analysis(state):
             low[a] = low[b] = min(vertices_of(comp))
         assert state.other[f] == other
         assert state.low[f] == low
-        # The analysis records each path's smallest vertex and ends, in
-        # order of smallest vertex.
-        assert facts.paths[f] == sorted((low[a], a, b) for a, b in other.items() if a < b)
-        fresh = [(a, b) for _, a, b in facts.straddlers[f]]
+        others.append(other)
+        # Each path's smallest vertex and ends, in order of smallest vertex.
+        paths.append(sorted((low[a], a, b) for a, b in other.items() if a < b))
+    r_sets = {(i, j): others[i].keys() & others[j].keys() for i, j in ((0, 1), (0, 2), (1, 2))}
+    assert state.r == r_sets
+    for f in range(3):
+        # An end of forest f is an end of exactly one other forest, so a path
+        # straddles when exactly one of its ends is an end of forest g.
+        g = 1 if f == 0 else 0
+        fresh = [(a, b) for _, a, b in paths[f] if (a in others[g]) != (b in others[g])]
         assert state.straddlers[f] == set(fresh)
         # Straddlers come out in the order of their smallest vertex.
         assert [tuple(sorted(t[1:])) for t in state.straddlers_by_low(f, len(fresh))] == fresh
@@ -433,14 +437,21 @@ def _delta6():
     return random_eulerian_graph(random.Random(2), layers=3, max_n=14)
 
 
-@pytest.mark.parametrize("cover, graph, most", [
-    (path_odd_cover_delta4, _delta4_components, 4),
-    (cycle_odd_cover_delta4, _delta4_components, 4),
-    (linear_forest_decomposition, _delta4_components, 3),
-    (lambda g: odd_cover_eulerian(g, "path"), _delta6, 8),
+def _delta6_no_crossing():
+    # Its first two polycycles meet in no two disjoint cycle pairs, so the
+    # cycle cover takes the two-cycle route on them.
+    return random_eulerian_graph(random.Random(0), layers=3, max_n=14)
+
+
+@pytest.mark.parametrize("cover, graph, most, splits", [
+    (path_odd_cover_delta4, _delta4_components, 4, 1),
+    (cycle_odd_cover_delta4, _delta4_components, 4, 1),
+    (linear_forest_decomposition, _delta4_components, 3, 1),
+    (lambda g: odd_cover_eulerian(g, "path"), _delta6, 8, 1),
+    (lambda g: odd_cover_eulerian(g, "cycle"), _delta6_no_crossing, 6, 0),
 ], ids=["path_odd_cover_delta4", "cycle_odd_cover_delta4", "linear_forest_decomposition",
-        "odd_cover_eulerian_delta6_paths"])
-def test_shape_passes_per_cover_stay_few(cover, graph, most, monkeypatch):
+        "odd_cover_eulerian_delta6_paths", "odd_cover_eulerian_delta6_cycles_no_crossing"])
+def test_shape_passes_per_cover_stay_few(cover, graph, most, splits, monkeypatch):
     # Each fact of the surgery is established once.  On the Delta = 4 graph
     # the path and cycle covers made 36 and 43 classify calls and 54 and 90
     # component splits when every stage re-derived them, then 8 and 8,
@@ -452,11 +463,15 @@ def test_shape_passes_per_cover_stay_few(cover, graph, most, monkeypatch):
     # polycycle goes to the two-path core with its cycles: its 5 parts, one
     # exchange and the core's two asserts make 8 classify calls, where the
     # public polycycle cover added an input classify and a component split.
+    # The same holds for the cycle cover's pairs that do not cross: on the
+    # last graph the public cover made 7 classify calls and 1 split.
     g = graph()
     calls = _count_calls(monkeypatch, graphs, ["classify", "edge_components"])
+    public = _count_calls(monkeypatch, polycycles, ["polycycle_odd_cover"])
     cert = cover(g)
     assert calls["classify"] <= most
-    assert calls["edge_components"] <= 1
+    assert calls["edge_components"] <= splits
+    assert public["polycycle_odd_cover"] == 0
     assert verify_certificate(g, cert).passed
 
 

@@ -20,7 +20,7 @@ from polyresolve import cli, oddcover, polycycles
 from polyresolve.graphs import simple_graph
 from polyresolve.jsonio import emit_graph, emit_instance
 from polyresolve.oddcover import _make_cert
-from polyresolve.oracles import MoveAccounting, verify_certificate
+from polyresolve.oracles import verify_certificate
 from polyresolve.perms import CycleSeq, Partition, Resolution
 
 def fires(check):
@@ -31,7 +31,6 @@ def fires(check):
     return False
 
 print("asserts on:", __debug__)
-print("gain identity:", fires(lambda: MoveAccounting(1, 1, 4)))
 
 g = simple_graph(3, [(0, 1), (1, 2)])
 print("cover shape:", fires(lambda: _make_cert("cycle", [[(0, 1), (1, 2)]], g)))
@@ -105,7 +104,6 @@ def test_output_guards_fire_under_python_O():
     assert "Traceback" not in run.stderr
     assert run.stdout.splitlines() == [
         "asserts on: False",
-        "gain identity: True",
         "cover shape: True",
         "cover xor: True",
         "length bound: True",
@@ -248,7 +246,7 @@ def test_part_count_guards_fire_under_python_O(bound_guards, check):
 
 # The asserts left in the package are proof invariants: every output still
 # passes its checker by an explicit raise, and every crash guard is one.
-ASSERTS_LEFT = 39
+ASSERTS_LEFT = 38
 
 
 def test_no_new_asserts_in_the_package():

@@ -19,7 +19,6 @@ from polyresolve.generators import random_instance
 from polyresolve.graphs import edge, simple_graph
 from polyresolve.oddcover import OddCoverCert, cycle_odd_cover_delta4, path_odd_cover_general
 from polyresolve.oracles import (
-    MoveAccounting,
     _candidate_parts,
     _neighbours as table_neighbours,
     _part_table,
@@ -32,7 +31,6 @@ from polyresolve.oracles import (
     is_hamiltonian,
     min_odd_cover_exhaustive,
     min_resolution_length,
-    move_accounting,
     verify_certificate,
 )
 from polyresolve.perms import CycleSeq, Partition, Resolution
@@ -53,26 +51,6 @@ PETERSEN = simple_graph(
     + [(i, i + 5) for i in range(5)]
     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
 )
-
-
-# --- move accounting ----------------------------------------------------------
-
-
-def test_move_accounting_whole_swap():
-    p = Partition(2, (0, 0, 1, 1))
-    q = Partition(2, (1, 1, 0, 0))
-    assert move_accounting(p, q, p, CycleSeq((0, 2))) == MoveAccounting(2, 0, 4)
-
-
-def test_move_accounting_half_moves():
-    p = Partition(3, (0, 1, 2))
-    q = Partition(3, (1, 0, 2))
-    assert move_accounting(p, q, p, CycleSeq((0, 2))) == MoveAccounting(0, 2, 2)
-
-
-def test_move_accounting_gain_identity():
-    with pytest.raises(AssertionError):
-        MoveAccounting(1, 1, 4)
 
 
 # --- exact polytope diameters -------------------------------------------------

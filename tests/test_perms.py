@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyresolve.perms import (
-    TRIVIAL,
     CycleSeq,
     Partition,
     Permutation,
@@ -68,8 +67,8 @@ def test_cycleseq_rejects_repeats():
 
 
 def test_trivial_cycle_is_identity():
-    assert TRIVIAL.is_trivial
-    assert TRIVIAL.to_permutation(3) == identity(3)
+    assert CycleSeq(()).to_permutation(3) == identity(3)
+    assert CycleSeq((2,)).to_permutation(3) == identity(3)
 
 
 def test_composition_applies_right_factor_first():

@@ -1,0 +1,97 @@
+"""Every public name has a caller: ``src/``, a demo, a README code block or
+the console script.  The names that only the benchmark's by-name wrappers
+still bind are listed, and each must really be one of those."""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+import re
+from pathlib import Path
+
+import polyresolve
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(polyresolve.__file__).resolve().parent
+
+# Bound by name in ``perfbench/spans.py``'s ``TARGETS``, and reached from no
+# demo, README code block or console script; they can go once the benchmark
+# reads a trace of its own.
+KEPT_FOR_PERFBENCH = (
+    "balanced_permutation_factorization",
+    "polycycle_odd_cover",
+    "forest_stats",
+    "linear_forests_from_transversal",
+    "transversal_odd_intersection",
+    "transversal_even_intersection",
+    "pcycles_from_pair",
+    "pcycles_from_balanced",
+    "parse_report",
+)
+
+
+def _exported() -> dict[str, str]:
+    """Each name in a package module's ``__all__``, with its module."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                out.update(dict.fromkeys(ast.literal_eval(node.value), path.stem))
+    return out
+
+
+def _used(tree: ast.AST) -> set[str]:
+    """Names read and attributes taken under ``tree``."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def _called() -> set[str]:
+    """The names reached from a demo, a README code block or a console
+    script, following the bodies of the package's top-level definitions.
+    A name only a dead definition uses is not reached; an import is no use."""
+    bodies: dict[str, set[str]] = {}
+    roots: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bodies.setdefault(node.name, set()).update(_used(node))
+            elif isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) for t in node.targets):
+                for target in node.targets:
+                    bodies.setdefault(target.id, set()).update(_used(node.value))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _used(node)
+    for path in (ROOT / "demos").glob("*.py"):
+        roots |= _used(ast.parse(path.read_text()))
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```[a-z]*\n(.*?)```", readme, re.S):
+        roots |= set(re.findall(r"\w+", block))
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]", 1)[1]
+    roots |= set(re.findall(r'^\w+\s*=\s*"[\w.]+:(\w+)"', scripts.split("\n[", 1)[0], re.M))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(bodies.get(name, ()))
+    return reached
+
+
+def _bound_by_perfbench() -> set[str]:
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {name.split(".")[0] for targets in spans.TARGETS.values() for name, _ in targets}
+
+
+def test_every_public_name_has_a_caller():
+    exported = _exported()
+    unused = sorted(set(exported) - _called())
+    assert unused == sorted(KEPT_FOR_PERFBENCH), [(name, exported[name]) for name in unused]
+
+
+def test_names_kept_for_the_benchmark_are_bound_by_it():
+    assert set(KEPT_FOR_PERFBENCH) <= set(_exported())
+    assert set(KEPT_FOR_PERFBENCH) <= _bound_by_perfbench()

@@ -15,7 +15,7 @@ import pytest
 from polyresolve import cli
 from polyresolve.graphs import Digraph
 from polyresolve.jsonio import emit_instance
-from polyresolve.oracles import MoveAccounting, min_resolution_length, move_accounting
+from polyresolve.oracles import min_resolution_length
 from polyresolve.perms import (
     CycleSeq,
     Partition,
@@ -34,7 +34,6 @@ from polyresolve.polycycles import (
     directed_polycycle_decomposition,
 )
 from polyresolve.resolve import (
-    PP36_FIRST_MOVE,
     _color_matchings,
     gen_lower_bound_instance,
     gen_pp36_instance,
@@ -77,14 +76,14 @@ def test_resolve_identity_is_empty():
     p = Partition(3, (0, 1, 2, 0))
     r = resolve(p, p)
     assert r.taus == ()
-    assert r.end() == p
+    assert r.replay()[-1] == p
 
 
 def test_resolve_single_swap():
     p = Partition(2, (0, 0, 1, 1))
     q = Partition(2, (1, 1, 0, 0))
     r = resolve(p, q)
-    assert r.end() == q
+    assert r.replay()[-1] == q
     assert verify_resolution(p, q, r.taus)
 
 
@@ -95,7 +94,7 @@ def test_resolve_meets_bound_and_verifies(seed):
     p, q = _random_shape_pair(rng)
     r = resolve(p, q)
     assert r.start == p
-    assert r.end() == q
+    assert r.replay()[-1] == q
     assert verify_resolution(p, q, r.taus)
     shape = p.shape()
     k1 = shape[0] if shape else 0
@@ -127,7 +126,7 @@ def test_resolve_two_largest_clusters_bound(seed):
     q = Partition(n, tuple(right))
     r = resolve(p, q)
     assert len(r.taus) <= 3
-    assert r.end() == q
+    assert r.replay()[-1] == q
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,8 +181,8 @@ def test_pcycles_from_pair_unbalanced_composite():
     assert len(parts) == 3
     for s in parts:
         assert cycle_is_p_cycle(s, p)
-    got = resolution_from_decomposition(p, parts).end()
-    want = resolution_from_decomposition(p, _cycle_seqs(pi1) + _cycle_seqs(pi2)).end()
+    got = resolution_from_decomposition(p, parts).replay()[-1]
+    want = resolution_from_decomposition(p, _cycle_seqs(pi1) + _cycle_seqs(pi2)).replay()[-1]
     assert got == want
 
 
@@ -193,8 +192,8 @@ def test_pcycles_from_pair_balanced_composite():
     pi2 = Permutation((0, 1, 3, 2))
     parts = pcycles_from_pair(p, pi1, pi2)
     assert len(parts) <= 2
-    got = resolution_from_decomposition(p, parts).end()
-    want = resolution_from_decomposition(p, _cycle_seqs(pi1) + _cycle_seqs(pi2)).end()
+    got = resolution_from_decomposition(p, parts).replay()[-1]
+    want = resolution_from_decomposition(p, _cycle_seqs(pi1) + _cycle_seqs(pi2)).replay()[-1]
     assert got == want
 
 
@@ -269,7 +268,7 @@ def _frozen_pair(p, pi1, pi2):
     assert not pi1.moved.keys() & pi2.moved.keys()
     composite = Permutation.from_moved(p.m, pi1.moved | pi2.moved)
     if is_p_balanced(composite, p):
-        return [s for s in _frozen_balanced(p, composite) if not s.is_trivial]
+        return [s for s in _frozen_balanced(p, composite) if len(s) >= 2]
     assign = p.assign
     moved_out_of = {assign[it]: it for it in pi2.moved}
     x = min(it for it in pi1.moved if assign[it] in moved_out_of)
@@ -323,7 +322,7 @@ def _composition(p, q, factorize, pair, balanced, walk):
         parts.extend(pair(p, pis[i], pis[i + 1]))
     if len(pis) % 2:
         parts.extend(balanced(p, pis[-1]))
-    parts = [s for s in parts + list(sigmas) if not s.is_trivial]
+    parts = [s for s in parts + list(sigmas) if len(s) >= 2]
     return walk(p, parts)
 
 
@@ -415,7 +414,7 @@ def test_resolve_builds_no_permutation_and_counts_no_degrees(monkeypatch):
         rng.shuffle(left)
         rng.shuffle(right)
         p, q = Partition(len(sizes), tuple(left)), Partition(len(sizes), tuple(right))
-        assert resolve(p, q).end() == q
+        assert resolve(p, q).replay()[-1] == q
     assert calls == {}
     identity(3)
     assert calls == {"__post_init__": 1}
@@ -528,18 +527,11 @@ def test_pp36_instance_shape():
     assert pairs == {(i, 3 + i) for i in range(3)} | {(3 + i, i) for i in range(3)}
 
 
-def test_pp36_first_move_realizes_maximum_gain():
-    p, q = gen_pp36_instance()
-    assert cycle_is_p_cycle(PP36_FIRST_MOVE, p)
-    acc = move_accounting(p, q, p, PP36_FIRST_MOVE)
-    assert acc == MoveAccounting(3, 3, 9)
-
-
 def test_pp36_resolvable_in_five():
     p, q = gen_pp36_instance()
     r = resolve(p, q)
     assert len(r.taus) <= 5
-    assert r.end() == q
+    assert r.replay()[-1] == q
 
 
 def test_pp36_lower_bound_is_four():
