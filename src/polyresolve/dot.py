@@ -68,7 +68,10 @@ def _resolution_lines(res: Resolution) -> list[str]:
 
 
 def emit_dot(obj, show_loops: bool = False) -> str:
-    """Render a graph, digraph, cover certificate, or resolution as DOT."""
+    """Render a graph, digraph, cover certificate, or resolution as DOT.
+
+    A resolution is replayed as :func:`perms.check_resolution` replays it:
+    an invalid step raises ``ValueError`` naming the step and its fault."""
     if isinstance(obj, SimpleGraph):
         head, lines = "graph G {", _graph_lines(obj)
     elif isinstance(obj, Digraph):

@@ -62,7 +62,10 @@ def random_eulerian_graph(
     rng: random.Random, layers: int, max_n: int = 16, exact_delta: bool = True
 ) -> SimpleGraph:
     """Symmetric difference of ``layers`` random cycles: all degrees even,
-    max degree at most 2*layers (exactly 2*layers when ``exact_delta``)."""
+    max degree at most 2*layers (exactly 2*layers when ``exact_delta``).
+    ``layers`` must be at least 1."""
+    if layers < 1:
+        raise ValueError(f"layers must be at least 1, got {layers}")
     lo = max(3, 2 * layers + 1)
     while True:
         n = rng.randint(lo, max_n)

@@ -1008,8 +1008,9 @@ def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
             patch.add(edge(v, n))
             n += 1
     host = SimpleGraph(n, g.edges | frozenset(patch))
-    delta = degrees(host).delta
-    assert delta in (2, 4) and not degrees(host).v_odd
+    host_summary = degrees(host)
+    delta = host_summary.delta
+    assert delta in (2, 4) and not host_summary.v_odd
 
     if delta == 2:
         m = _transversal(edge_components(host.edges))

@@ -18,16 +18,21 @@ cycle.  Building one, ``cycles``, :func:`is_p_balanced` and
 ``Permutation.image`` spells out all m entries.  ``resolve`` builds none:
 its stages hand cycles on as item tuples.
 
-Replay and verification (``Resolution.steps``, :func:`check_resolution`)
-change one assignment list in place, checking each step ``tau`` for
-distinct clusters and applying it on its |tau| entries.  The walk
-conversion ``_walk`` (on item tuples; :func:`resolution_from_decomposition`
-wraps it) and its inverse keep their prefix products as dicts over the
-items the walk has moved so far, read with ``.get(x, x)``, and update them
-on the entries a step moves.  Both sides of the prefix identity
-``t1 ... ti == si ... s1`` change only on the support of ``ti``, so
-comparing those entries at each step is as strong as comparing whole
-permutations.  Building a walk
+Replay and verification share one step rule, ``_fault``: a step may name
+only items ``0..m-1``, and no two in one cluster.  One checked replay,
+``_replay``, changes one assignment list in place, checking each step
+before it hands it out and applying it on its |tau| entries.
+:func:`check_resolution`, :meth:`Resolution.replay`,
+:meth:`Resolution.steps` (so the DOT rendering) and
+:func:`decomposition_from_resolution` all walk it, so they refuse the same
+walks with the same ``"step i ..."`` message; :func:`cycle_is_p_cycle` and
+``_walk`` apply the rule without mutating.  The walk conversion ``_walk``
+(on item tuples; :func:`resolution_from_decomposition` wraps it) and its
+inverse keep their prefix products as dicts over the items the walk has
+moved so far, read with ``.get(x, x)``, and update them on the entries a
+step moves.  Both sides of the prefix identity ``t1 ... ti == si ... s1``
+change only on the support of ``ti``, so comparing those entries at each
+step is as strong as comparing whole permutations.  Building a walk
 ``t1 ... tk`` from its cycles therefore costs O(sum |ti|), and replaying,
 verifying or decomposing one on m items O(m + sum |ti|).
 """
@@ -156,37 +161,32 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     return Permutation.from_moved(a.m, moved)
 
 
-def _is_cycle_of(assign, items: tuple[int, ...]) -> bool:
-    """True iff the exchange ``items`` is trivial or moves known items of
-    pairwise distinct clusters of ``assign``."""
-    if len(items) < 2:
-        return True
-    if min(items) < 0 or max(items) >= len(assign):
-        return False
-    return len({assign[x] for x in items}) == len(items)
+def _fault(assign, items: tuple[int, ...]) -> str | None:
+    """The one step rule: why the exchange ``items`` is no cycle of
+    ``assign``, or None if it is."""
+    if items and (min(items) < 0 or max(items) >= len(assign)):
+        return "names an unknown item"
+    if len(set(map(assign.__getitem__, items))) != len(items):
+        return "revisits a cluster"
+    return None
 
 
-def _exchange_in_place(assign: list[int], items: tuple[int, ...]) -> bool:
-    """Apply the cyclic exchange ``items``, all known items, to ``assign``
-    in place if they lie in pairwise distinct clusters.  Otherwise return
-    False and leave ``assign`` as it was."""
-    if len(items) >= 2:
-        clusters = [assign[x] for x in items]
-        if len(set(clusters)) != len(items):
-            return False
-        # Item x_j takes the old cluster of its successor x_{j+1}.
-        for x, c in zip(items, (*clusters[1:], clusters[0])):
-            assign[x] = c
-    return True
-
-
-def _step_in_place(assign: list[int], items: tuple[int, ...]) -> bool:
-    """Apply the cyclic exchange ``items`` to ``assign`` in place if it is a
-    cycle of that assignment.  Otherwise return False and leave ``assign``
-    as it was."""
-    if len(items) >= 2 and (min(items) < 0 or max(items) >= len(assign)):
-        return False
-    return _exchange_in_place(assign, items)
+def _replay(assign: list[int], taus) -> Iterator[tuple[CycleSeq, list[int]]]:
+    """Walk ``taus`` from ``assign``, changing that list in place.  Step
+    ``i`` is checked before it is handed out, raising ``ValueError("step i
+    <fault>")``, and applied when the caller asks for the next step."""
+    for i, tau in enumerate(taus):
+        items = tau.items
+        fault = _fault(assign, items)
+        if fault is not None:
+            raise ValueError(f"step {i} {fault}")
+        yield tau, assign
+        if items:
+            # Item x_j takes the old cluster of its successor x_{j+1}.
+            first = assign[items[0]]
+            for x, y in zip(items, items[1:]):
+                assign[x] = assign[y]
+            assign[items[-1]] = first
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,7 @@ def is_p_balanced(pi: Permutation, p: Partition) -> bool:
 
 
 def cycle_is_p_cycle(tau: CycleSeq, p: Partition) -> bool:
-    return _is_cycle_of(p.assign, tau.items)
+    return _fault(p.assign, tau.items) is None
 
 
 def cdg(p: Partition, q: Partition) -> Digraph:
@@ -286,24 +286,19 @@ class Resolution:
         return len(self.taus)
 
     def replay(self) -> list[Partition]:
-        """All intermediate partitions, beginning with ``start``."""
-        assign = list(self.start.assign)
-        out = [self.start]
-        for i, tau in enumerate(self.taus):
-            if not _step_in_place(assign, tau.items):
-                raise ValueError(f"step {i} is invalid")
-            out.append(Partition(self.start.n, tuple(assign)))
-        return out
+        """All intermediate partitions, beginning with ``start``.  An
+        invalid step raises ``ValueError`` naming the step and its fault,
+        as :func:`check_resolution` reports it."""
+        n, assign = self.start.n, list(self.start.assign)
+        out = [Partition(n, tuple(before)) for _, before in _replay(assign, self.taus)]
+        return [*out, Partition(n, tuple(assign))]
 
     def steps(self) -> Iterator[tuple[CycleSeq, list[int]]]:
         """Each step with the assignment it is applied to, in O(m) memory:
-        the one list is changed in place, and the step checked, when the
-        caller asks for the next step."""
-        assign = list(self.start.assign)
-        for i, tau in enumerate(self.taus):
-            yield tau, assign
-            if not _step_in_place(assign, tau.items):
-                raise ValueError(f"step {i} is invalid")
+        the one list is changed in place when the caller asks for the next
+        step.  A step is checked before it is handed out; an invalid one
+        raises ``ValueError`` naming the step and its fault."""
+        return _replay(list(self.start.assign), self.taus)
 
 
 def resolution_from_decomposition(p: Partition, sigmas) -> Resolution:
@@ -324,7 +319,7 @@ def _walk(assign, sigmas) -> tuple[CycleSeq, ...]:
     run: dict[int, int] = {}   # t_1 ... t_{i-1}
     taus = []
     for i, s in enumerate(sigmas):
-        if not _is_cycle_of(assign, s):
+        if _fault(assign, s) is not None:
             raise ValueError(f"factor {i} is not a p-cycle")
         # tau = acc^-1 s acc, acc = s_{i-1} ... s_1, sends inv(x) to
         # inv(s(x)); acc <- s acc then sends tau's items to s's successors,
@@ -344,11 +339,8 @@ def decomposition_from_resolution(r: Resolution) -> list[CycleSeq]:
     the starting partition from a replayable walk."""
     run: dict[int, int] = {}       # t_1 ... t_{i-1}
     acc_inv: dict[int, int] = {}   # (s_{i-1} ... s_1)^-1
-    cur = list(r.start.assign)
     sigmas = []
-    for i, tau in enumerate(r.taus):
-        if not _step_in_place(cur, tau.items):
-            raise ValueError(f"step {i} is invalid")
+    for i, (tau, _) in enumerate(r.steps()):
         s_items = [run.get(x, x) for x in tau.items]
         sigma = CycleSeq(tuple(s_items))
         if not cycle_is_p_cycle(sigma, r.start):
@@ -371,13 +363,12 @@ def check_resolution(p: Partition, q: Partition, taus) -> str | None:
     first failure."""
     if p.m != q.m or p.n != q.n:
         return "partitions live on different ground sets"
-    m, assign = p.m, list(p.assign)
-    for i, tau in enumerate(taus):
-        items = tau.items
-        if items and (min(items) < 0 or max(items) >= m):
-            return f"step {i} names an unknown item"
-        if not _exchange_in_place(assign, items):
-            return f"step {i} revisits a cluster"
+    assign = list(p.assign)
+    try:
+        for _ in _replay(assign, taus):
+            pass
+    except ValueError as e:
+        return str(e)
     if tuple(assign) != q.assign:
         return "final partition differs from the target"
     bound = resolution_length_bound(p.sizes())

@@ -89,7 +89,7 @@ def test_unknown_type_rejected():
 
 def test_invalid_resolution_is_not_rendered():
     p = Partition(2, (0, 0, 1, 1))
-    with pytest.raises(ValueError, match="step 1 is invalid"):
+    with pytest.raises(ValueError, match="step 1 revisits a cluster"):
         emit_dot(Resolution(p, (CycleSeq((0, 2)), CycleSeq((1, 2)))))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,3 +84,23 @@ def test_layered_eulerian_graphs(seed, layers):
                                   exact_delta=False)
     assert degrees(loose).v_odd == 0
     assert degrees(loose).delta <= 2 * layers
+
+
+class _CountingRandom(random.Random):
+    """Refuses to draw more than a few numbers, so a retry loop fails fast."""
+
+    draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        if self.draws > 100:
+            raise RuntimeError("generator kept drawing")
+        return super().randint(a, b)
+
+
+@pytest.mark.parametrize("layers", [0, -1])
+def test_eulerian_graph_refuses_too_few_layers(layers):
+    rng = _CountingRandom(0)
+    with pytest.raises(ValueError, match="layers must be at least 1"):
+        random_eulerian_graph(rng, layers)
+    assert rng.draws == 0

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyresolve.dot import emit_dot
 from polyresolve.perms import (
     CycleSeq,
     Partition,
@@ -120,6 +123,44 @@ def test_check_resolution_reports_each_failure_mode():
     good = (CycleSeq((0, 2)), CycleSeq((1, 3)))
     assert check_resolution(p, q, good) is None
     assert verify_resolution(p, q, good)
+
+
+def _refusal(call) -> str | None:
+    try:
+        call()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_every_consumer_refuses_what_the_verifier_refuses():
+    # Walks on 1-4 clusters and up to 6 items, with steps of 0-3 items drawn
+    # from -1..m: unknown items, empty and one-item steps, same-cluster pairs.
+    rng = random.Random(20261019)
+    refused = 0
+    for _ in range(3000):
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        p = Partition(n, tuple(rng.randrange(n) for _ in range(m)))
+        taus = tuple(CycleSeq(tuple(rng.sample(range(-1, m + 1), rng.randint(0, 3))))
+                     for _ in range(rng.randint(0, 3)))
+        verdict = check_resolution(p, p, taus)
+        fault = verdict if verdict and verdict.startswith("step ") else None
+        refused += fault is not None
+        res = Resolution(p, taus)
+        assert _refusal(lambda: emit_dot(res)) == fault
+        assert _refusal(lambda: list(res.steps())) == fault
+        assert _refusal(res.replay) == fault
+        back = _refusal(lambda: decomposition_from_resolution(res))
+        assert back == fault or back.endswith("conjugates outside the start partition")
+    assert 0 < refused < 3000
+
+
+def test_one_item_step_must_name_a_known_item():
+    p = Partition(2, (0, 1, 1))
+    assert not cycle_is_p_cycle(CycleSeq((7,)), p)
+    assert cycle_is_p_cycle(CycleSeq((2,)), p)
+    with pytest.raises(ValueError, match="factor 0 is not a p-cycle"):
+        resolution_from_decomposition(p, [CycleSeq((7,))])
 
 
 def test_cdg_has_one_arc_per_item():
