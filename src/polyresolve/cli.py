@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if flags.get("dot"):
             p.add_argument("--dot", metavar="F", help="also write a DOT rendering here")
         if flags.get("cap"):
-            p.add_argument("--cap", type=int, metavar="N", help="state/vertex cap override")
+            p.add_argument("--cap", type=int, metavar="N", help="state cap override")
         if flags.get("show_loops"):
             p.add_argument("--show-loops", action="store_true")
         return p
@@ -177,9 +177,6 @@ def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) ->
     if kind == "cycle" and not eulerian:
         raise ValueError("cycle odd-covers need every degree even")
     if exact:
-        limit = cap if cap is not None else 8
-        if g.n > limit:
-            raise ValueError(f"--exact supports at most {limit} vertices (override with --cap)")
         fallback = _construct_cover(g, kind, False, None)
         parts = exact_odd_cover(g, kind, len(fallback.parts), cap)
         if parts is None:

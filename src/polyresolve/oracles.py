@@ -497,16 +497,15 @@ def min_odd_cover_exhaustive(
 
 
 def tight_path_odd_cover(g: SimpleGraph) -> OddCoverCert:
-    """Cover a graph on at most 10 vertices with at most
-    max(v_odd/2, ceil((v_odd/2 + 3*Delta_e)/4)) paths.
+    """Cover a graph with at most max(v_odd/2, ceil((v_odd/2 + 3*Delta_e)/4))
+    paths.
 
     Returns ``oddcover.path_odd_cover_general``'s cover when it meets that
-    bound, and otherwise the smallest cover ``exact_odd_cover`` finds within
-    it.  Raises ``TooLarge`` when K_n has more paths than the state cap
-    (from 9 vertices on, at the default cap).
+    bound, on a graph of any size, and otherwise the smallest cover
+    ``exact_odd_cover`` finds within it.  That search raises ``TooLarge``
+    when K_n has more paths than the state cap (from 9 vertices on, at the
+    default cap).
     """
-    if g.n > 10:
-        raise TooLarge(f"tight search supports at most 10 vertices, got {g.n}")
     cert = path_odd_cover_general(g)
     summary = degrees(g)
     half = summary.v_odd // 2

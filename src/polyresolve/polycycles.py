@@ -26,19 +26,23 @@ pair of partitions into clusters of at most two items and every cover of
 maximum degree 4, runs no matcher at all.  The set-up, the pops, the
 split and the self-checks are near-linear in m + n t on m arcs and n
 vertices: one arc-owner array shows the parts disjoint and holding
-exactly the non-loop arcs, and a successor map with a head set shows
-in = out = 1 in each part.  Within ``resolve`` on CPython 3.11 the
-decomposition takes about 35% of the time at m = 3000 (1500 clusters of
-2) and about 65% at m = 10^5 (20,000 clusters of 5, three matching
-rounds).  The factorization calls the core ``_directed`` with p's cluster
-sizes as the out-degrees (the in-degrees are q's), and hands out each
-class as its item cycles, from one successor walk.
+exactly the non-loop arcs, and one successor walk per part checks
+in = out = 1 and hands out its cycles (``components``), which the
+factorization and the undirected decomposition read without walking the
+part again.  Within ``resolve`` on CPython 3.11 the decomposition takes
+about 35% of the time at m = 3000 (1500 clusters of 2) and about 65% at
+m = 10^5 (20,000 clusters of 5, three matching rounds).  The
+factorization calls the core ``_directed`` with p's cluster sizes as the
+out-degrees (the in-degrees are q's).
 
 Checks
 ------
-The in = out = 1 test, the undirected polycycle shape, a failed matching
-round, a walk on the residual of degree 2 that does not close and a
-stalled cycle walk are explicit raises.  The factorization checks nothing
+The in = out = 1 test, a suffix part of more than one cycle, a failed
+matching round, a walk on the residual of degree 2 that does not close
+and a stalled cycle walk are explicit raises.  The undirected polycycle
+shape needs no check of its own: an orientation of a simple graph has no
+loop and no antiparallel pair, so each directed cycle of a part is an
+undirected cycle of length 3 or more.  The factorization checks nothing
 more; ``resolve`` checks its walk once, with ``perms.check_resolution``.
 The cores ``_directed`` and ``_polycycle_cover`` skip their public
 names' input checks, whose facts their callers hold already.
@@ -84,14 +88,16 @@ class PolycycleDecomposition:
     Parts hold arc ids (directed host) or canonical edges (undirected host).
     The trailing ``cycle_suffix_len`` parts are single cycles; a part in the
     suffix may be empty when it was paid for by a loop at the high-degree
-    vertex, which stands in for a degenerate cycle.  An undirected host
-    also gets each part's cycles as edge sets, in order of smallest vertex
-    (as ``graphs.edge_components`` orders them); a directed one gets none.
+    vertex, which stands in for a degenerate cycle.  ``components`` holds
+    each part's cycles: for a directed host as arc-id tuples, each from its
+    smallest arc and in order of that arc; for an undirected host as edge
+    sets, in order of smallest vertex (as ``graphs.edge_components`` orders
+    them), which is the same order since arc i is the i-th smallest edge.
     """
 
     parts: tuple[frozenset, ...]
     cycle_suffix_len: int
-    components: tuple[tuple[frozenset, ...], ...] = ()
+    components: tuple[tuple[tuple[int, ...] | frozenset, ...], ...] = ()
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -235,24 +241,29 @@ def _extract_cycle_through(g: Digraph, v: int, out_arcs: list[list[int]], used: 
     return frozenset(reduced)
 
 
-def _assert_directed_part(g: Digraph, arcs: frozenset[int], single_cycle: bool) -> None:
-    """Raise AssertionError unless every vertex the arcs touch has in- and
-    out-degree 1 in them (and, for a suffix part, they form one cycle)."""
-    tails, heads = g.tails, g.heads
-    succ = {tails[a]: a for a in arcs}
+def _part_cycles(arcs: frozenset[int], tails, heads, single_cycle: bool) -> tuple[tuple[int, ...], ...]:
+    """The cycles of a directed polycycle part as arc-id tuples, each from
+    its smallest arc and in order of that arc: one successor walk.  Raises
+    AssertionError unless every vertex the arcs touch has in- and
+    out-degree 1 in them and, for a suffix part, they form at most one
+    cycle."""
+    succ = {tails[a]: a for a in arcs}   # the walk removes the arcs it takes
     ends = {heads[a] for a in arcs}
     # Distinct tails, distinct heads and equal sets: in = out = 1 everywhere.
     if not len(succ) == len(ends) == len(arcs) or ends != succ.keys():
         raise AssertionError("part must have in- and out-degree 1 at every touched vertex")
-    if single_cycle and arcs:
-        a = next(iter(arcs))
-        seen = 1
-        b = succ[heads[a]]
-        while b != a:
-            seen += 1
-            b = succ[heads[b]]
-        if seen != len(arcs):
-            raise AssertionError("suffix part must be one cycle")
+    cycles = []
+    for a in sorted(arcs):
+        if tails[a] in succ:
+            cycle = []
+            while a is not None:
+                cycle.append(a)
+                del succ[tails[a]]
+                a = succ.get(heads[a])
+            cycles.append(tuple(cycle))
+    if single_cycle and len(cycles) > 1:
+        raise AssertionError("suffix part must be one cycle")
+    return tuple(cycles)
 
 
 def _split_residual(
@@ -417,47 +428,9 @@ def _directed(g: Digraph, t: int, out) -> PolycycleDecomposition:
     written = m - owner.count(-1)
     assert written == sum(map(len, parts)) == m - len(loops)
     assert all(owner[a] == -1 for a in loops)
-    for i, part in enumerate(parts):
-        _assert_directed_part(g, part, single_cycle=i >= len(classes))
-    return PolycycleDecomposition(parts, delta - t)
-
-
-def _cycles(arcs: frozenset[int], tails: tuple[int, ...], heads: tuple[int, ...],
-            n: int) -> list[list[int]] | None:
-    """The cycles of an arc set read as undirected edges on vertices
-    ``0..n-1``, each as its arc ids, in order of smallest vertex; None
-    unless every vertex the arcs touch has degree exactly 2 and the
-    cycles take every arc.  One walk, which reads no arc direction:
-    ``one[v]`` and ``two[v]`` are the arcs at v, a walk marks v done by
-    clearing ``one[v]``, and a walk from a vertex of degree 1 ends at a
-    vertex with no second arc."""
-    one, two = [-1] * n, [-1] * n
-    for a in arcs:
-        for v in (tails[a], heads[a]):
-            if one[v] < 0:
-                one[v] = a
-            elif two[v] < 0:
-                two[v] = a
-            else:
-                return None
-    cycles = []
-    for s in range(n):
-        a = one[s]
-        if a < 0:
-            continue
-        cycle = [a]
-        v = tails[a] + heads[a] - s
-        one[s] = -1
-        while v != s:
-            x, y = one[v], two[v]
-            if y < 0:
-                return None
-            one[v] = -1
-            a = y if x == a else x
-            cycle.append(a)
-            v = tails[a] + heads[a] - v
-        cycles.append(cycle)
-    return cycles if sum(map(len, cycles)) == len(arcs) else None
+    components = tuple(_part_cycles(part, tails, heads, i >= len(classes))
+                       for i, part in enumerate(parts))
+    return PolycycleDecomposition(parts, delta - t, components)
 
 
 def undirected_polycycle_decomposition(g: SimpleGraph, t: int) -> PolycycleDecomposition:
@@ -465,24 +438,18 @@ def undirected_polycycle_decomposition(g: SimpleGraph, t: int) -> PolycycleDecom
 
     Requires, when t < D/2, that at most one vertex has degree above 2t.
     The last D/2 - t parts are single cycles through that vertex.  The
-    parts' cycles come with them, from one walk per part that also checks
-    the part's shape.
+    parts' cycles come with them, mapped from the directed decomposition's:
+    an orientation of a simple graph has no loop and no antiparallel pair,
+    so each directed cycle is an undirected cycle of length 3 or more.
     """
     oriented = eulerian_orientation(g)
     directed = directed_polycycle_decomposition(oriented, t)
     tails, heads = oriented.tails, oriented.heads
     edge_of = [(u, w) if u < w else (w, u) for u, w in zip(tails, heads)].__getitem__
-    suffix = len(directed.parts) - directed.cycle_suffix_len
-    parts, components = [], []
-    for i, arcs in enumerate(directed.parts):
-        part = frozenset(map(edge_of, arcs))
-        cycles = _cycles(arcs, tails, heads, g.n)
-        # Explicit raises: the covers rely on these shapes, also under ``python -O``.
-        if cycles is None or (i >= suffix and len(cycles) != 1):
-            raise AssertionError(f"part {i} of the decomposition is a {classify(part, g.n).value}")
-        parts.append(part)
-        components.append(tuple(frozenset(map(edge_of, cycle)) for cycle in cycles))
-    return PolycycleDecomposition(tuple(parts), directed.cycle_suffix_len, tuple(components))
+    parts = tuple(frozenset(map(edge_of, arcs)) for arcs in directed.parts)
+    components = tuple(tuple(frozenset(map(edge_of, cycle)) for cycle in cycles)
+                       for cycles in directed.components)
+    return PolycycleDecomposition(parts, directed.cycle_suffix_len, components)
 
 
 def balanced_permutation_factorization(
@@ -512,27 +479,9 @@ def _factorize(p: Partition, q: Partition, sizes):
     # The cdg's out-degrees are p's cluster sizes and its in-degrees q's.
     decomp = _directed(d, k2, sizes)
     split = len(decomp.parts) - decomp.cycle_suffix_len
-    tails, heads = d.tails, d.heads
-    classes = [_item_cycles(part, tails, heads) for part in decomp.parts[:split] if part]
-    sigmas = [_item_cycles(part, tails, heads)[0] for part in decomp.parts[split:] if part]
+    classes = [cycles for cycles in decomp.components[:split] if cycles]
+    sigmas = [cycles[0] for cycles in decomp.components[split:] if cycles]
     return sigmas, classes
-
-
-def _item_cycles(part: frozenset[int], tails, heads) -> list[tuple[int, ...]]:
-    """The cycles of the permutation that sends each arc of a directed
-    polycycle to the arc leaving its head, each from its smallest arc and
-    in order of that arc: one successor walk."""
-    succ = {tails[a]: a for a in part}   # the walks remove the arcs they take
-    cycles = []
-    for a in sorted(part):
-        if tails[a] in succ:
-            cycle = []
-            while a is not None:
-                cycle.append(a)
-                del succ[tails[a]]
-                a = succ.get(heads[a])
-            cycles.append(tuple(cycle))
-    return cycles
 
 
 def polycycle_odd_cover(h, kind: str) -> list[frozenset[Edge]]:

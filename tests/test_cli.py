@@ -96,12 +96,24 @@ def test_oddcover_exact_cycles(tmp_path, capsys):
 
 
 def test_oddcover_exact_search_too_large(tmp_path, capsys):
-    # K_9 has 493,200 paths, above the default state cap of 100,000.
+    # K_9 has 493,200 paths, far above the state cap of 9.
     p9 = write_json(tmp_path / "p9.json", {"n": 9, "edges": [[i, i + 1] for i in range(8)]})
     start = time.perf_counter()
     assert main(["oddcover", "--graph", p9, "--exact", "--cap", "9"]) == 2
     assert "cap" in capsys.readouterr().err
     assert time.perf_counter() - start < 5
+
+
+def test_oddcover_exact_is_bounded_by_the_state_cap_alone(tmp_path, capsys, monkeypatch):
+    # K_9 has 62,814 cycles, within the default state cap, and 493,200
+    # paths, past it; no vertex limit comes first.
+    monkeypatch.delenv("POLYRESOLVE_CAP", raising=False)
+    c9 = write_json(tmp_path / "c9.json", {"n": 9, "edges": [[i, (i + 1) % 9] for i in range(9)]})
+    assert main(["oddcover", "--graph", c9, "--kind", "cycle", "--exact"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["parts"]) == 1
+    p9 = write_json(tmp_path / "p9.json", {"n": 9, "edges": [[i, i + 1] for i in range(8)]})
+    assert main(["oddcover", "--graph", p9, "--kind", "path", "--exact"]) == 2
+    assert "the cap" in capsys.readouterr().err
 
 
 def test_oddcover_exact_cap_raises_the_state_cap(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from collections import Counter
 
 from hypothesis import given, settings
@@ -44,6 +45,7 @@ from polyresolve.generators import (
     random_graph,
 )
 from polyresolve import graphs, oddcover, polycycles
+from polyresolve.errors import TooLarge
 from polyresolve.oracles import exact_odd_cover, tight_path_odd_cover, verify_certificate
 
 
@@ -281,6 +283,23 @@ def test_star_paths():
     star = simple_graph(4, [(0, 1), (0, 2), (0, 3)])
     check_cover(path_odd_cover_general(star), star, "path", 5)
     check_cover(tight_path_odd_cover(star), star, "path", 4)
+
+
+def test_tight_path_cover_of_any_size(monkeypatch):
+    monkeypatch.delenv("POLYRESOLVE_CAP", raising=False)
+    # Four disjoint triangles: the construction's 2 paths meet the tight
+    # goal of 2, so no search runs on the 12 vertices.
+    triangles = simple_graph(12, [e for i in range(0, 12, 3) for e in cyc(i, i + 1, i + 2)])
+    cert = tight_path_odd_cover(triangles)
+    check_cover(cert, triangles, "path", 2)
+    assert len(cert.parts) == 2
+    # The fork's 3 constructed paths miss its goal of 2; padded to 11
+    # vertices, the search falls on K_11's paths and refuses them on its cap.
+    fork = simple_graph(11, [(0, 1), (0, 2)])
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="the cap"):
+        tight_path_odd_cover(fork)
+    assert time.perf_counter() - start < 1
 
 
 def test_single_edge_is_one_path():

@@ -46,14 +46,13 @@ print("length bound:", fires(lambda: rs.resolve(Partition(2, (0, 1)), Partition(
 walk = Resolution(Partition(2, (0, 1)), (CycleSeq((0, 1)),) * 3)
 print("walk bound:", verify_certificate((walk.start, Partition(2, (1, 0))), walk).detail)
 
-# A decomposition that returns the whole bowtie (degree 4 at vertex 2) as
-# its one part, which is no polycycle.
+# A residual split that returns the whole oriented bowtie (out-degree 2 at
+# vertex 2) as its one part, which is no polycycle.
 bowtie = simple_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-split = polycycles.directed_polycycle_decomposition
-polycycles.directed_polycycle_decomposition = (
-    lambda d, t: polycycles.PolycycleDecomposition((tuple(range(d.m)),), 0))
+split = polycycles._split_residual
+polycycles._split_residual = lambda k, arcs, heads, loop: [frozenset(arcs) - {loop}]
 print("polycycle parts:", fires(lambda: polycycles.undirected_polycycle_decomposition(bowtie, 2)))
-polycycles.directed_polycycle_decomposition = split
+polycycles._split_residual = split
 
 # An exact search that finds nothing, although the construction bounds it.
 cli.exact_odd_cover = lambda *args: None

@@ -24,9 +24,9 @@ from polyresolve.oddcover import cycle_odd_cover_delta4, path_odd_cover_delta4
 from polyresolve.perms import Partition, compose, identity
 from polyresolve.polycycles import (
     PolycycleDecomposition,
-    _assert_directed_part,
     _extract_cycle_through,
     _hopcroft_karp,
+    _part_cycles,
     balanced_permutation_factorization,
     directed_polycycle_decomposition,
     polycycle_odd_cover,
@@ -68,17 +68,29 @@ def test_directed_decomposition_enforces_single_heavy_vertex():
 def test_part_check_rejects_a_vertex_of_out_degree_two():
     # 0 -> 1 -> 0 and 0 -> 2 -> 0: balanced, but vertex 0 has degree 2
     g = Digraph(3, (0, 1, 0, 2), (1, 0, 2, 0))
-    with pytest.raises(AssertionError, match="degree 1"):
-        _assert_directed_part(g, frozenset(range(4)), single_cycle=False)
+    # a bowtie: the triangles 0 -> 1 -> 2 -> 0 and 2 -> 3 -> 4 -> 2 share
+    # vertex 2; its first two arcs are the path 0 -> 1 -> 2
+    bowtie = Digraph(5, (0, 1, 2, 2, 3, 4), (1, 2, 0, 3, 4, 2))
+    for d, arcs in ((g, range(4)), (bowtie, range(6)), (bowtie, {0, 1})):
+        with pytest.raises(AssertionError, match="degree 1"):
+            _part_cycles(frozenset(arcs), d.tails, d.heads, single_cycle=False)
 
 
 def test_part_check_rejects_a_suffix_part_of_two_cycles():
     # two disjoint 2-cycles: a polycycle, but not a single cycle
     g = Digraph(4, (0, 1, 2, 3), (1, 0, 3, 2))
-    _assert_directed_part(g, frozenset(range(4)), single_cycle=False)
-    _assert_directed_part(g, frozenset({0, 1}), single_cycle=True)
+    assert _part_cycles(frozenset(range(4)), g.tails, g.heads, single_cycle=False) == (
+        (0, 1), (2, 3))
+    assert _part_cycles(frozenset({0, 1}), g.tails, g.heads, single_cycle=True) == ((0, 1),)
+    # an empty part stands in for a loop at the high-degree vertex
+    assert _part_cycles(frozenset(), g.tails, g.heads, single_cycle=True) == ()
     with pytest.raises(AssertionError, match="one cycle"):
-        _assert_directed_part(g, frozenset(range(4)), single_cycle=True)
+        _part_cycles(frozenset(range(4)), g.tails, g.heads, single_cycle=True)
+    # Two triangles whose arc ids do not follow the walk: each cycle starts
+    # at its smallest arc, and the cycles come in order of that arc.
+    tri = Digraph(6, (1, 0, 2, 5, 4, 3), (2, 1, 0, 3, 5, 4))
+    assert _part_cycles(frozenset(range(6)), tri.tails, tri.heads, single_cycle=False) == (
+        (0, 2, 1), (3, 5, 4))
 
 
 def _reference_directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecomposition:
@@ -172,6 +184,17 @@ def test_decomposition_equals_the_frozen_reference(g):
         last = frozenset().union(*got.parts[cut:t])
         assert last == frozenset().union(*want.parts[cut:t])
         assert sum(map(len, got.parts[cut:t])) == len(last)
+        # Each part comes with its cycles: closed under tail and head, each
+        # from its smallest arc, in order of that arc, and together the part.
+        assert len(got.components) == len(got.parts)
+        for part, cycles in zip(got.parts, got.components):
+            for cycle in cycles:
+                assert all(g.heads[a] == g.tails[b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+                assert cycle[0] == min(cycle)
+            firsts = [cycle[0] for cycle in cycles]
+            assert firsts == sorted(set(firsts))
+            assert sorted(a for cycle in cycles for a in cycle) == sorted(part)
+        assert all(len(cycles) <= 1 for cycles in got.components[t:])
 
 
 def _shuffled_pair(rng, sizes):
@@ -217,7 +240,7 @@ def test_undirected_decomposition_covers_a_four_regular_graph():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 4), st.booleans())
 def test_undirected_decomposition_hands_over_each_parts_cycles(seed, layers, suffix):
-    # The walk that checks each part's shape also gives its cycles, in the
+    # Each part's cycles are its directed cycles as edge sets, in the
     # order ``edge_components`` gives them; a suffix part is one cycle.
     rng = random.Random(seed)
     g = random_eulerian_graph(rng, layers, max_n=14)
@@ -229,16 +252,6 @@ def test_undirected_decomposition_hands_over_each_parts_cycles(seed, layers, suf
         assert list(cycles) == edge_components(part)
     for cycles in dec.components[len(dec.parts) - dec.cycle_suffix_len:]:
         assert len(cycles) == 1
-
-
-def test_cycles_walk_refuses_all_but_degree_two():
-    # Arc i runs tails[i] -> heads[i]; directions do not matter to the walk.
-    tails, heads = (0, 2, 2, 3, 4, 5), (1, 1, 0, 4, 5, 3)
-    assert polycycles._cycles(frozenset(range(6)), tails, heads, 6) == [[0, 1, 2], [3, 4, 5]]
-    assert polycycles._cycles(frozenset(), tails, heads, 6) == []
-    assert polycycles._cycles(frozenset({0, 1}), tails, heads, 6) is None      # a path
-    bowtie_tails, bowtie_heads = (0, 1, 2, 2, 3, 4), (1, 2, 0, 3, 4, 2)
-    assert polycycles._cycles(frozenset(range(6)), bowtie_tails, bowtie_heads, 5) is None
 
 
 def test_polycycle_odd_cover_of_a_single_cycle():
