@@ -9,8 +9,8 @@ lower bound, constructs a matching 5-move walk, and replays it.
 """
 
 from polyresolve import (
+    gen_lower_bound_instance,
     gen_pp36_instance,
-    progress_lower_bound,
     resolve,
     verify_resolution,
 )
@@ -25,8 +25,10 @@ print("target:", q.assign)
 
 # Every one of the 18 items is displaced and needs 2 progress units (leave
 # the source, reach the target); a single exchange gains at most 9 units,
-# so ceil(2*18 / 9) = 4 moves are necessary.
-print("progress lower bound:", progress_lower_bound(p, q))
+# so ceil(2*18 / 9) = 4 moves are necessary.  The hard family's instance of
+# shape (3, 3, 3, 3, 3, 3) is this one up to the labels of clusters and
+# items, and carries that bound.
+print("progress lower bound:", gen_lower_bound_instance((3,) * 6).bound)
 
 # The best possible opening move takes one item from each cluster around a
 # six-cluster circuit: three items land straight in their targets (whole

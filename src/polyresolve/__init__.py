@@ -23,9 +23,4 @@ from .oracles import (
     verify_certificate,
 )
 from .perms import verify_resolution
-from .resolve import (
-    gen_lower_bound_instance,
-    gen_pp36_instance,
-    progress_lower_bound,
-    resolve,
-)
+from .resolve import gen_lower_bound_instance, gen_pp36_instance, resolve

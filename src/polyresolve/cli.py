@@ -41,6 +41,7 @@ from .oddcover import (
     _eulerian_cover,
     _make_cert,
     linear_forest_decomposition,
+    odd_cover_bound,
     path_odd_cover_general,
 )
 from .oracles import Report, exact_diameter_bfs, exact_odd_cover, verify_certificate
@@ -172,17 +173,18 @@ def _run_resolve(args) -> int:
 
 
 def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) -> OddCoverCert:
+    """The constructive cover, or with ``exact`` the smallest cover within
+    ``odd_cover_bound``, which the constructive one meets; the search's
+    state cap refuses a large graph before any cover is built."""
     summary = degrees(g)
-    eulerian = summary.v_odd == 0
-    if kind == "cycle" and not eulerian:
+    if kind == "cycle" and summary.v_odd:
         raise ValueError("cycle odd-covers need every degree even")
     if exact:
-        fallback = _construct_cover(g, kind, False, None)
-        parts = exact_odd_cover(g, kind, len(fallback.parts), cap)
+        parts = exact_odd_cover(g, kind, odd_cover_bound(g, kind), cap)
         if parts is None:
-            raise AssertionError("the exact search found no cover; the construction bounds it")
+            raise AssertionError("the exact search found no cover within the promised bound")
         return _make_cert(kind, parts, g)
-    if eulerian:
+    if not summary.v_odd:
         return _make_cert(kind, _eulerian_cover(g, kind, summary), g)
     return path_odd_cover_general(g)
 

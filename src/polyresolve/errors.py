@@ -1,10 +1,14 @@
 """The search cap and ``TooLarge``, the error raised past it.
 
-Every other input error in the package is a plain ``ValueError``;
+The cap is the one size guard of the BFS oracles and of the exhaustive
+cover search, so of ``min_odd_cover_exhaustive`` and ``oddcover --exact``
+too.  Every other input error in the package is a plain ``ValueError``;
 ``TooLarge`` subclasses it, so the CLI maps both to exit 2, and
 ``oracles.min_resolution_length`` catches it by name to fall back to the
 bidirectional search.  A failed check of a certificate is an
-``AssertionError`` (exit 1)."""
+``AssertionError`` (exit 1).  A construction checks only its output, with
+the verifier's checker, so a fault in it shows as that failed check, not
+as an input error."""
 
 from __future__ import annotations
 

@@ -42,10 +42,13 @@ The exhaustive cover search codes a part as an edge bitmask of K_n.  Its
 table of every path or cycle of K_n, ``_part_table``, depends only on
 (n, kind), so it is built once per process and kept; the state cap is
 checked before each lookup, so the tables kept are those the cap allows
-(about 16 MB at the default cap).  A search node costs one pass over the n
-vertices, which also cuts nodes past the degree bound, and one set lookup;
-the last two parts of a cover are one scan over the parts through the
-smallest uncovered edge, with one xor and one set lookup each.
+(about 16 MB at the default cap).  That cap is the one size guard of every
+caller of the search: ``min_odd_cover_exhaustive``,
+``tight_path_odd_cover`` and ``oddcover --exact``.  A search node costs
+one pass over the n vertices, which also cuts nodes past the degree
+bound, and one set lookup; the last two parts of a cover are one scan
+over the parts through the smallest uncovered edge, with one xor and one
+set lookup each.
 """
 
 from __future__ import annotations
@@ -482,17 +485,15 @@ def exact_odd_cover(
 
 
 def min_odd_cover_exhaustive(
-    g: SimpleGraph, kind: str, max_size: int, vertex_cap: int = 8
+    g: SimpleGraph, kind: str, max_size: int, cap: int | None = None
 ) -> int | None:
     """Smallest odd-cover size within ``max_size``, or None if none exists.
 
     ``exact_odd_cover`` finds it, so the answer is a true optimum for
-    cross-checking bounds.  ``vertex_cap`` is the size guard here: the
-    search may list as many parts as K_{vertex_cap} has.
+    cross-checking bounds.  Its state cap is the one size guard:
+    ``TooLarge`` when K_n has more parts of the kind than the cap.
     """
-    if g.n > vertex_cap:
-        raise TooLarge(f"exhaustive search supports at most {vertex_cap} vertices")
-    parts = exact_odd_cover(g, kind, max_size, max(1, _candidate_parts(vertex_cap, kind)))
+    parts = exact_odd_cover(g, kind, max_size, cap)
     return None if parts is None else len(parts)
 
 

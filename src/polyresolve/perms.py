@@ -3,20 +3,19 @@
 Composition convention
 ----------------------
 Products of permutations are function composition read right to left:
-``compose(a, b)`` maps ``x`` to ``a(b(x))``, so in a product written
-``a b`` the right factor acts first on the argument.  A partition is
-transformed on the right, ``(p @ tau)(x) = p(tau(x))``, which makes a
-step-by-step replay ``p, p@t1, (p@t1)@t2, ...`` land on
-``p @ (t1 t2 ... tk)``.
+the product ``a b`` maps ``x`` to ``a(b(x))``, so the right factor acts
+first on the argument.  A partition is transformed on the right,
+``(p @ tau)(x) = p(tau(x))``, which makes a step-by-step replay
+``p, p@t1, (p@t1)@t2, ...`` land on ``p @ (t1 t2 ... tk)``.
 
 Sparse representation and cost
 ------------------------------
 A :class:`Permutation` holds only its moved points, as the map
 ``x -> pi(x)`` over its support, and a :class:`CycleSeq` holds its one
-cycle.  Building one, ``cycles``, :func:`is_p_balanced` and
-:func:`compose` all cost O(|support|) (``cycles`` sorts its leaders); only
-``Permutation.image`` spells out all m entries.  ``resolve`` builds none:
-its stages hand cycles on as item tuples.
+cycle.  Building one, ``cycles`` and :func:`is_p_balanced` all cost
+O(|support|) (``cycles`` sorts its leaders); only ``Permutation.image``
+spells out all m entries.  ``resolve`` builds none: its stages hand
+cycles on as item tuples.
 
 Replay and verification share one step rule, ``_fault``: a step may name
 only items ``0..m-1``, and no two in one cluster.  One checked replay,
@@ -26,11 +25,14 @@ before it hands it out and applying it on its |tau| entries.
 :meth:`Resolution.steps` (so the DOT rendering) and
 :func:`decomposition_from_resolution` all walk it, so they refuse the same
 walks with the same ``"step i ..."`` message; :func:`cycle_is_p_cycle` and
-``_walk`` apply the rule without mutating.  The walk conversion ``_walk``
-(on item tuples; :func:`resolution_from_decomposition` wraps it) and its
-inverse keep their prefix products as dicts over the items the walk has
-moved so far, read with ``.get(x, x)``, and update them on the entries a
-step moves.  Both sides of the prefix identity ``t1 ... ti == si ... s1``
+:func:`resolution_from_decomposition` (on its factors) apply the rule
+without mutating.  The walk conversion ``_walk`` checks nothing: by
+conjugation its step i revisits a cluster exactly when factor i does, so
+``resolve`` leaves that to :func:`check_resolution`.  ``_walk`` (on item
+tuples; :func:`resolution_from_decomposition` wraps it) and its inverse
+keep their prefix products as dicts over the items the walk has moved so
+far, read with ``.get(x, x)``, and update them on the entries a step
+moves.  Both sides of the prefix identity ``t1 ... ti == si ... s1``
 change only on the support of ``ti``, so comparing those entries at each
 step is as strong as comparing whole permutations.  Building a walk
 ``t1 ... tk`` from its cycles therefore costs O(sum |ti|), and replaying,
@@ -132,10 +134,6 @@ class Permutation:
         return out
 
 
-def identity(m: int) -> Permutation:
-    return Permutation.from_moved(m, {})
-
-
 def perm_from_cycles(m: int, cycles) -> Permutation:
     moved = {}
     for cyc in cycles:
@@ -143,22 +141,6 @@ def perm_from_cycles(m: int, cycles) -> Permutation:
             for a, b in zip(cyc, (*cyc[1:], cyc[0])):
                 moved[a] = b
     return Permutation.from_moved(m, moved)
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """``x -> a(b(x))``; the right factor acts first."""
-    if a.m != b.m:
-        raise ValueError(f"composing permutations on {a.m} and {b.m} items")
-    am, bm = a.moved, b.moved
-    moved = {}
-    for x, y in bm.items():
-        z = am.get(y, y)
-        if z != x:
-            moved[x] = z
-    for x, y in am.items():
-        if x not in bm:
-            moved[x] = y
-    return Permutation.from_moved(a.m, moved)
 
 
 def _fault(assign, items: tuple[int, ...]) -> str | None:
@@ -307,20 +289,24 @@ def resolution_from_decomposition(p: Partition, sigmas) -> Resolution:
     Each returned step is the conjugate of the corresponding input cycle by
     the product of its predecessors, so that prefix products agree:
     ``t1 ... ti == si ... s1`` at every ``i`` (asserted on the entries step
-    ``i`` changes, the only ones where either side can change).
+    ``i`` changes, the only ones where either side can change).  A
+    factor that is no cycle of ``p`` raises ``ValueError``.
     """
-    return Resolution(p, _walk(p.assign, [s.items for s in sigmas]))
+    sigmas = [s.items for s in sigmas]
+    for i, s in enumerate(sigmas):
+        if _fault(p.assign, s) is not None:
+            raise ValueError(f"factor {i} is not a p-cycle")
+    return Resolution(p, _walk(sigmas))
 
 
-def _walk(assign, sigmas) -> tuple[CycleSeq, ...]:
+def _walk(sigmas) -> tuple[CycleSeq, ...]:
     """The steps of :func:`resolution_from_decomposition`, from the cycles'
-    item tuples and the start's assignment."""
+    item tuples; no factor is checked (a bad one makes a step that a replay
+    refuses)."""
     inv: dict[int, int] = {}   # (s_{i-1} ... s_1)^-1
     run: dict[int, int] = {}   # t_1 ... t_{i-1}
     taus = []
-    for i, s in enumerate(sigmas):
-        if _fault(assign, s) is not None:
-            raise ValueError(f"factor {i} is not a p-cycle")
+    for s in sigmas:
         # tau = acc^-1 s acc, acc = s_{i-1} ... s_1, sends inv(x) to
         # inv(s(x)); acc <- s acc then sends tau's items to s's successors,
         # and run <- run tau must agree with it there.

@@ -9,10 +9,12 @@ once with ``perms.check_resolution``.  Each stage is a private core on
 item tuples that its public name wraps: ``polycycles._factorize`` hands
 each balanced permutation to the pair split ``_pair`` as its cycles, and
 ``perms._walk`` turns the p-cycles into steps, so ``resolve`` builds no
-``Permutation``.  The walk refuses a factor that is no p-cycle, and a
-wrong product shows as a walk that misses q, which the check refuses.
-The asserts left are the proof's colouring facts, and in
-``pcycles_from_pair`` that each returned cycle is a p-cycle.
+``Permutation``.  None of these stages checks its output.  A factor that
+is no p-cycle shows as a step that revisits a cluster (conjugation keeps
+each item's cluster), and a wrong product as a walk that misses q; the
+one check refuses both, as a failed verification.  The asserts left are
+the proof's colouring facts, and in ``pcycles_from_pair`` that each
+returned cycle is a p-cycle.
 
 The module also builds the matching lower-bound family: instances whose
 difference digraph is a disjoint union of doubled 2-cycles (plus one tripled
@@ -42,7 +44,6 @@ __all__ = [
     "pcycles_from_pair",
     "resolve",
     "gen_lower_bound_instance",
-    "progress_lower_bound",
     "gen_pp36_instance",
 ]
 
@@ -57,21 +58,7 @@ class LowerBoundInstance:
     family: str
 
 
-def _validated_matching(edges, n: int, name: str) -> list[tuple[int, int]]:
-    seen: set[int] = set()
-    out = []
-    for e in edges:
-        u, v = sorted(e)
-        if u == v or not 0 <= u < n or not 0 <= v < n:
-            raise ValueError(f"{name} contains an invalid edge {(u, v)}")
-        if u in seen or v in seen:
-            raise ValueError(f"{name} repeats vertex {u if u in seen else v}")
-        seen.update((u, v))
-        out.append((u, v))
-    return out
-
-
-def _color_matchings(m1, m2, n: int) -> dict[int, int]:
+def _color_matchings(m1, m2) -> dict[int, int]:
     """Colour 0 or 1 for every cluster an edge of either matching touches,
     such that each edge straddles the colours.
 
@@ -79,9 +66,8 @@ def _color_matchings(m1, m2, n: int) -> dict[int, int]:
     matchings, so it is bipartite.  The smallest cluster of each component
     gets colour 0.  Clusters no edge touches are neither visited nor listed.
     """
-    edges = _validated_matching(m1, n, "m1") + _validated_matching(m2, n, "m2")
     adj: dict[int, list[int]] = {}
-    for u, v in set(edges):
+    for u, v in set(m1 + m2):
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     color: dict[int, int] = {}
@@ -137,16 +123,15 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
             raise ValueError("permutation is not p-balanced")
     if pi1.moved.keys() & pi2.moved.keys():
         raise ValueError("permutations must have disjoint supports")
-    sigmas = [CycleSeq(s) for s in _pair(p.assign, p.n, pi1.cycles(), pi2.cycles())]
+    sigmas = [CycleSeq(s) for s in _pair(p.assign, pi1.cycles(), pi2.cycles())]
     assert all(cycle_is_p_cycle(sigma, p) for sigma in sigmas)
     return sigmas
 
 
-def _pair(assign, n: int, cs: list[tuple[int, ...]],
-          ds: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _pair(assign, cs: list[tuple[int, ...]], ds: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """``pcycles_from_pair`` on the cycles ``cs`` of pi1 and ``ds`` of pi2
-    (as ``Permutation.cycles`` orders them) and p's assignment over ``n``
-    clusters, as item tuples."""
+    (as ``Permutation.cycles`` orders them) and p's assignment, as item
+    tuples."""
     # moved_out_of maps each cluster pi2 moves an item out of to that item,
     # the only one since pi2 is p-balanced.  With disjoint supports pi2 pi1
     # moves each item as its one factor does, so it is p-balanced unless
@@ -171,7 +156,7 @@ def _pair(assign, n: int, cs: list[tuple[int, ...]],
     m1 = [tuple(sorted(map(assign.__getitem__, c))[:2]) for c in cs]
     m2 = [tuple(sorted(map(assign.__getitem__, c))[:2]) for c in ds[:-1]]
     m2.append(tuple(sorted((assign[y], assign[y_next]))))
-    color = _color_matchings(m1, m2, n)
+    color = _color_matchings(m1, m2)
     side = color.get(assign[x], 0)   # x's side; the other side is 1 - side
     assert color.get(assign[y_next], 0) != side
 
@@ -205,12 +190,12 @@ def resolve(p: Partition, q: Partition) -> Resolution:
     assign = p.assign
     parts: list[tuple[int, ...]] = []
     for i in range(0, len(classes) - 1, 2):
-        parts += _pair(assign, p.n, classes[i], classes[i + 1])
+        parts += _pair(assign, classes[i], classes[i + 1])
     if len(classes) % 2:
         parts += _split_balanced(classes[-1])
     parts += sigmas
 
-    taus = _walk(assign, [s for s in parts if len(s) > 1])
+    taus = _walk([s for s in parts if len(s) > 1])
     detail = check_resolution(p, q, taus)
     if detail is not None:
         raise AssertionError(detail)
@@ -260,17 +245,18 @@ def gen_lower_bound_instance(shape) -> LowerBoundInstance:
 
     p = Partition(n, tuple(p_assign))
     q = Partition(n, tuple(q_assign))
-    bound = progress_lower_bound(p, q)
+    bound = _progress_lower_bound(p, q)
     return LowerBoundInstance(p, q, bound, family)
 
 
-def progress_lower_bound(p: Partition, q: Partition) -> int:
-    """ceil(2|S|/g) for |S| displaced items; sound for the hard-instance family.
+def _progress_lower_bound(p: Partition, q: Partition) -> int:
+    """ceil(2|S|/g) for |S| displaced items: the bound of
+    ``gen_lower_bound_instance``'s family.
 
     g caps the per-step progress at 3n/2 (n even) or (3n+1)/2 (n odd) when
     the difference digraph is a disjoint union of doubled 2-cycles (plus one
-    tripled 3-cycle for odd n).  For general inputs the value is only a
-    heuristic, not a certified bound.
+    tripled 3-cycle for odd n).  On general pairs it can exceed the exact
+    distance, so it is no lower bound there.
     """
     if p.sizes() != q.sizes():
         raise ValueError("p and q must have equal per-cluster sizes")

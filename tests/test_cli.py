@@ -14,6 +14,7 @@ from polyresolve.graphs import simple_graph
 from polyresolve.jsonio import emit_graph, emit_instance
 from polyresolve.oracles import Report
 from polyresolve.perms import Partition
+from test_oddcover import _count_calls
 
 
 def write_json(path, payload):
@@ -114,6 +115,21 @@ def test_oddcover_exact_is_bounded_by_the_state_cap_alone(tmp_path, capsys, monk
     p9 = write_json(tmp_path / "p9.json", {"n": 9, "edges": [[i, i + 1] for i in range(8)]})
     assert main(["oddcover", "--graph", p9, "--kind", "path", "--exact"]) == 2
     assert "the cap" in capsys.readouterr().err
+
+
+def test_oddcover_exact_past_the_cap_builds_no_cover(tmp_path, capsys, monkeypatch):
+    # The exact route searches within the promised bound, so the state cap
+    # refuses before any cover is built.  K_10 has more cycles and paths,
+    # and K_9 more paths, than the default cap.
+    monkeypatch.delenv("POLYRESOLVE_CAP", raising=False)
+    calls = _count_calls(monkeypatch, oddcover, ["_eulerian_cover", "path_odd_cover_general"])
+    c10 = {"n": 10, "edges": [[i, (i + 1) % 10] for i in range(10)]}
+    p9 = {"n": 9, "edges": [[i, i + 1] for i in range(8)]}
+    for doc, kind in ((c10, "cycle"), (c10, "path"), (p9, "path")):
+        g = write_json(tmp_path / "g.json", doc)
+        assert main(["oddcover", "--graph", g, "--kind", kind, "--exact"]) == 2
+        assert "the cap" in capsys.readouterr().err
+    assert calls == {"_eulerian_cover": 0, "path_odd_cover_general": 0}
 
 
 def test_oddcover_exact_cap_raises_the_state_cap(tmp_path, capsys, monkeypatch):

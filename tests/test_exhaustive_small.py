@@ -4,7 +4,9 @@ every construction, with the excess over the exact optimum pinned.
 Covers run on every graph with an edge in ``networkx.graph_atlas_g()``:
 1,245 graphs on at most 7 vertices, one per isomorphism class.  Each cover
 passes ``verify_certificate`` and is no smaller than ``exact_odd_cover``'s
-optimum; the parts past that optimum are summed per construction.
+optimum; the parts past that optimum are summed per construction.  The
+exact search finds the same parts within ``odd_cover_bound``, the budget
+``oddcover --exact`` gives it, as within the constructive cover's size.
 
 The same covers, Eulerian and Delta-4 ones included, run on every even
 graph on 8 vertices.  Joining a new vertex to exactly the odd-degree
@@ -41,6 +43,7 @@ from polyresolve.graphs import degrees, simple_graph
 from polyresolve.oddcover import (
     cycle_odd_cover_delta4,
     linear_forest_decomposition,
+    odd_cover_bound,
     odd_cover_eulerian,
     path_odd_cover_delta4,
     path_odd_cover_general,
@@ -120,6 +123,27 @@ def test_covers_on_every_atlas_graph():
                 totals[f"delta4 {kind}"] += _checked(g, delta4(g), optimum)
     assert seen == {"graphs": 1245, "delta <= 4": 677, "eulerian": 77, "eulerian, delta <= 4": 61}
     assert totals == COVER_EXCESS
+
+
+def test_exact_cover_is_the_same_within_the_promised_bound():
+    # ``oddcover --exact`` searches within odd_cover_bound, no longer within
+    # the constructive cover's size.  The deepening stops at the smallest
+    # part count, so both budgets give the same parts.  Cycle covers run on
+    # the Eulerian graphs, the only ones with one.
+    runs = 0
+    for atlas in nx.graph_atlas_g():
+        if not atlas.number_of_edges():
+            continue
+        g = simple_graph(atlas.number_of_nodes(), atlas.edges())
+        if degrees(g).v_odd:
+            covers = {"path": path_odd_cover_general(g)}
+        else:
+            covers = {kind: odd_cover_eulerian(g, kind) for kind in ("path", "cycle")}
+        for kind, cover in covers.items():
+            found = exact_odd_cover(g, kind, odd_cover_bound(g, kind))
+            assert found == exact_odd_cover(g, kind, len(cover.parts))
+            runs += 1
+    assert runs == 1245 + 77
 
 
 def _even_graphs_on_8():

@@ -39,8 +39,9 @@ print("cover xor:", fires(lambda: _make_cert("path", [[(0, 1)]], g)))
 # A one-swap pair has the bound 2; repeat the walk's steps past it.
 rs = importlib.import_module("polyresolve.resolve")
 convert = rs._walk
-rs._walk = lambda assign, parts: convert(assign, parts) * 3
+rs._walk = lambda parts: convert(parts) * 3
 print("length bound:", fires(lambda: rs.resolve(Partition(2, (0, 1)), Partition(2, (1, 0)))))
+rs._walk = convert
 
 # A valid walk of three swaps, one step past the bound 2 of the shape (1, 1).
 walk = Resolution(Partition(2, (0, 1)), (CycleSeq((0, 1)),) * 3)
@@ -84,6 +85,16 @@ polycycles._split_residual = lambda k, arcs, heads, loop: split(
     k, arcs, [(heads[0] + 1) % (len(heads) // k), *heads[1:]], loop)
 print("broken residual:", *cli_run(["resolve", "--instance"], emit_instance(swap)))
 polycycles._split_residual = split
+# A pair split whose first factor swaps items 0 and 1, both in cluster 0.
+# The walk checks no factor, so the one check refuses step 0 (exit 1).
+pair = rs._pair
+rs._pair = lambda assign, cs, ds: [(0, 1), *pair(assign, cs, ds)]
+try:
+    rs.resolve(*swap)
+except AssertionError as exc:
+    detail = str(exc)
+print("bad factor:", *cli_run(["resolve", "--instance"], emit_instance(swap)), detail)
+rs._pair = pair
 # The path cover of two disjoint K5s makes two joins.
 k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
 two_k5 = simple_graph(10, [e for u, v in k5 for e in ((u, v), (u + 5, v + 5))])
@@ -111,6 +122,7 @@ def test_output_guards_fire_under_python_O():
         "exact cover found: True",
         "unmatched vertex: 1 True",
         "broken residual: 1 True",
+        "bad factor: 1 True step 0 revisits a cluster",
         "missing anchor: 1 True",
     ]
 

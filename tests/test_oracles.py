@@ -109,8 +109,8 @@ def test_cap_below_one_is_refused(cap):
             min_resolution_length(p, target, cap=cap)
     with pytest.raises(ValueError, match=message):
         exact_odd_cover(complete(3), "path", 2, cap=cap)
-    # K_2 has no cycle, so its count of cycles is no cap to pass on.
-    assert min_odd_cover_exhaustive(complete(2), "cycle", 1, vertex_cap=2) is None
+    # The least cap, 1, passes K_2, which has no cycle.
+    assert min_odd_cover_exhaustive(complete(2), "cycle", 1, cap=1) is None
 
 
 def test_exact_diameter_many_items_few_vertices_is_quick():
@@ -537,7 +537,18 @@ def test_min_odd_cover_guards():
     p9 = simple_graph(9, [(i, i + 1) for i in range(8)])
     with pytest.raises(TooLarge):
         min_odd_cover_exhaustive(p9, "path", 3)
-    assert min_odd_cover_exhaustive(p9, "path", 3, vertex_cap=9) == 1
+    assert min_odd_cover_exhaustive(p9, "path", 3, cap=493_200) == 1
+
+
+def test_min_odd_cover_is_bounded_by_the_state_cap_alone(monkeypatch):
+    # K_6 has 975 paths, past a cap of 100 from the environment; K_9 has
+    # 62,814 cycles, within the default cap.  No vertex limit comes first.
+    monkeypatch.setenv("POLYRESOLVE_CAP", "100")
+    with pytest.raises(TooLarge, match="K_6 has more than 100 paths"):
+        min_odd_cover_exhaustive(complete(6), "path", 5)
+    monkeypatch.delenv("POLYRESOLVE_CAP")
+    c9 = simple_graph(9, [(i, (i + 1) % 9) for i in range(9)])
+    assert min_odd_cover_exhaustive(c9, "cycle", 1) == 1
 
 
 def listed_parts(n, kind):

@@ -1,6 +1,8 @@
-"""Every public name has a caller: ``src/``, a demo, a README code block or
-the console script.  The names that only the benchmark's by-name wrappers
-still bind are listed, and each must really be one of those."""
+"""Every public name, and every top-level function and class, has a
+caller: ``src/``, a demo, a README code block or the console script.  The
+names that only the benchmark's by-name wrappers still bind are listed, and
+each must really be one of those; the definitions only they reach are
+exempt too."""
 
 from __future__ import annotations
 
@@ -48,10 +50,18 @@ def _used(tree: ast.AST) -> set[str]:
             or isinstance(node, ast.Attribute)}
 
 
-def _called() -> set[str]:
-    """The names reached from a demo, a README code block or a console
-    script, following the bodies of the package's top-level definitions.
-    A name only a dead definition uses is not reached; an import is no use."""
+def _definitions() -> dict[str, str]:
+    """Each top-level function and class of a package module, with its module."""
+    return {node.name: path.stem for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _called(also: set[str] = frozenset()) -> set[str]:
+    """The names reached from a demo, a README code block, a console
+    script or ``also``, following the bodies of the package's top-level
+    definitions.  A name only a dead definition uses is not reached; an
+    import is no use."""
     bodies: dict[str, set[str]] = {}
     roots: set[str] = set()
     for path in PACKAGE.glob("*.py"):
@@ -70,7 +80,7 @@ def _called() -> set[str]:
         roots |= set(re.findall(r"\w+", block))
     scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]", 1)[1]
     roots |= set(re.findall(r'^\w+\s*=\s*"[\w.]+:(\w+)"', scripts.split("\n[", 1)[0], re.M))
-    reached, todo = set(), list(roots)
+    reached, todo = set(), list(roots | also)
     while todo:
         name = todo.pop()
         if name not in reached:
@@ -90,6 +100,16 @@ def test_every_public_name_has_a_caller():
     exported = _exported()
     unused = sorted(set(exported) - _called())
     assert unused == sorted(KEPT_FOR_PERFBENCH), [(name, exported[name]) for name in unused]
+
+
+def test_every_definition_has_a_caller():
+    # Private helpers too; those that only the benchmark's bound names
+    # reach can go with those names.
+    called = _called()
+    kept = _called(_bound_by_perfbench()) - called
+    unused = {name: module for name, module in _definitions().items()
+              if name not in called and name not in kept}
+    assert unused == {}
 
 
 def test_names_kept_for_the_benchmark_are_bound_by_it():

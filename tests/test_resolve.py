@@ -21,9 +21,7 @@ from polyresolve.perms import (
     Partition,
     Permutation,
     cdg,
-    compose,
     cycle_is_p_cycle,
-    identity,
     is_p_balanced,
     resolution_from_decomposition,
     two_largest,
@@ -35,15 +33,16 @@ from polyresolve.polycycles import (
 )
 from polyresolve.resolve import (
     _color_matchings,
+    _progress_lower_bound,
     gen_lower_bound_instance,
     gen_pp36_instance,
     pcycles_from_balanced,
     pcycles_from_pair,
-    progress_lower_bound,
     resolve,
 )
 
 from test_exhaustive_small import _pair as _table_pair, _shapes, _tables
+from test_perms import compose
 
 # The package re-exports the function ``resolve`` under the module's name.
 resolve_module = importlib.import_module("polyresolve.resolve")
@@ -283,7 +282,7 @@ def _frozen_pair(p, pi1, pi2):
     m1 = [tuple(sorted(map(assign.__getitem__, c))[:2]) for c in cs]
     m2 = [tuple(sorted(map(assign.__getitem__, c))[:2]) for c in ds[:-1]]
     m2.append(tuple(sorted((assign[y], assign[y_next]))))
-    color = _color_matchings(m1, m2, p.n)
+    color = _color_matchings(m1, m2)
     side = color.get(assign[x], 0)
 
     def rotate(c, lead):
@@ -416,7 +415,7 @@ def test_resolve_builds_no_permutation_and_counts_no_degrees(monkeypatch):
         p, q = Partition(len(sizes), tuple(left)), Partition(len(sizes), tuple(right))
         assert resolve(p, q).replay()[-1] == q
     assert calls == {}
-    identity(3)
+    Permutation.from_moved(3, {})
     assert calls == {"__post_init__": 1}
 
 
@@ -426,17 +425,12 @@ def test_resolve_builds_no_permutation_and_counts_no_degrees(monkeypatch):
 def test_two_color_matchings_straddles_every_edge():
     m1 = [(0, 1), (2, 3)]
     m2 = [(1, 2), (3, 4)]
-    color = _color_matchings(m1, m2, 6)
+    color = _color_matchings(m1, m2)
     # Cluster 5 is on no edge, so it gets no colour.
     assert set(color) == {0, 1, 2, 3, 4}
     assert set(color.values()) <= {0, 1}
     for u, v in m1 + m2:
         assert color[u] != color[v]
-
-
-def test_two_color_matchings_rejects_overlap():
-    with pytest.raises(ValueError, match="m1 repeats vertex 1"):
-        _color_matchings([(0, 1), (1, 2)], [], 3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -451,7 +445,7 @@ def test_two_color_matchings_random(seed):
     rng.shuffle(verts)
     m2 = [tuple(sorted(verts[i : i + 2])) for i in range(0, n - 1, 2)]
     m2 = [e for e in m2 if rng.random() < 0.7]
-    color = _color_matchings(m1, m2, n)
+    color = _color_matchings(m1, m2)
     for u, v in m1 + m2:
         assert color[u] != color[v]
 
@@ -466,7 +460,7 @@ def test_lower_bound_instance_even_family():
     # Pairs (0,1) and (2,3) exchange 3 and 1 items: 8 displaced, 10 items.
     displaced = sum(1 for a, b in zip(inst.p.assign, inst.q.assign) if a != b)
     assert displaced == 8
-    assert inst.bound == progress_lower_bound(inst.p, inst.q)
+    assert inst.bound == _progress_lower_bound(inst.p, inst.q)
     assert inst.bound == -(-4 * displaced // (3 * 4))
 
 
@@ -501,17 +495,17 @@ def test_lower_bound_instances_are_certified(seed):
 
 def test_progress_lower_bound_values():
     p = Partition(4, (0, 0, 1, 1, 2, 3))
-    assert progress_lower_bound(p, p) == 0
+    assert _progress_lower_bound(p, p) == 0
     inst = gen_lower_bound_instance((2, 2, 2, 2))
     # 8 displaced items, cap 6 per step: ceil(32/12) = 3.
-    assert progress_lower_bound(inst.p, inst.q) == 3
+    assert _progress_lower_bound(inst.p, inst.q) == 3
 
 
 def test_progress_lower_bound_rejects_shape_mismatch():
     p = Partition(2, (0, 0, 1))
     q = Partition(2, (0, 1, 1))
     with pytest.raises(ValueError, match="p and q must have equal per-cluster sizes"):
-        progress_lower_bound(p, q)
+        _progress_lower_bound(p, q)
 
 
 # --- the 18-item swap instance ----------------------------------------------
@@ -536,4 +530,4 @@ def test_pp36_resolvable_in_five():
 
 def test_pp36_lower_bound_is_four():
     p, q = gen_pp36_instance()
-    assert progress_lower_bound(p, q) == 4
+    assert _progress_lower_bound(p, q) == 4
