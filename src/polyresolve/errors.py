@@ -7,8 +7,10 @@ too.  Every other input error in the package is a plain ``ValueError``;
 ``oracles.min_resolution_length`` catches it by name to fall back to the
 bidirectional search.  A failed check of a certificate is an
 ``AssertionError`` (exit 1).  A construction checks only its output, with
-the verifier's checker, so a fault in it shows as that failed check, not
-as an input error."""
+the verifier's checker.  Its private cores (``resolve``'s walk, the
+covers' pair cores and forest split) re-check none of their own steps
+with an input error, so a fault in them shows as that failed check, or
+as the ``AssertionError`` of a proof invariant, not as an input error."""
 
 from __future__ import annotations
 

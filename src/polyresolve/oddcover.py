@@ -21,9 +21,13 @@ fewer shared endpoints, one parity for all six counts, a straddler in
 every forest for cycles, no closed cycle) are checked after every join,
 so the surgery costs O(E log E).  The cycle closing reads the surgery's
 own shared-endpoint sets.  The public steps check their inputs (a
-``ValueError`` names the polycycle, transversal or forest at fault); the
-transversal steps then call private cores, ``_odd_pair`` and
-``_even_pair``, that take each polycycle's cycles.
+``ValueError`` names the polycycle, transversal or forest at fault), then
+call private cores: ``_odd_pair`` and ``_even_pair`` take each
+polycycle's cycles, and ``_flexible`` one cycle of canonical edges.  The
+cores re-check nothing that ``check_cover`` holds.  Only the endpoint
+state refuses split forests that are not linear or whose ends are
+unbalanced, with an ``AssertionError``: a fault in a core is a failed
+check (exit 1), not an input error.
 
 A cover works out each fact of its graph once.  Every path or cycle cover
 of an Eulerian graph runs the unchecked ``_eulerian_cover`` on the
@@ -48,7 +52,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from .graphs import (
     FOREST_SHAPES,
@@ -213,10 +217,11 @@ def _holding(comps: Iterable[frozenset[Edge]], v: int) -> frozenset[Edge]:
 
 def _analyze(fs: tuple[frozenset[Edge], ...]) -> _Surgery:
     """The endpoint state of a linear-forest triple, from one walk per
-    forest."""
+    forest.  Raises AssertionError unless the forests are linear and every
+    endpoint lies in exactly two end sets, as the split's forests are."""
     paths = [linear_forest_paths(f) for f in fs]
     if None in paths:
-        raise ValueError("every part must be a disjoint union of paths")
+        raise AssertionError("every part must be a disjoint union of paths")
     return _Surgery(fs, paths)
 
 
@@ -225,9 +230,14 @@ def forest_stats(f1: Iterable[tuple[int, int]], f2: Iterable[tuple[int, int]],
     """Endpoint statistics of three linear forests whose union is Eulerian.
 
     Counts shared endpoints r12/r13/r23 and straddling components
-    t1/t2/t3, all congruent mod 2 to the returned parity bit.
+    t1/t2/t3, all congruent mod 2 to the returned parity bit.  Forests
+    that are not linear, or whose ends are unbalanced, are an input error.
     """
-    return _analyze(tuple(_canon(f) for f in (f1, f2, f3))).triple()
+    fs = tuple(_canon(f) for f in (f1, f2, f3))
+    try:
+        return _analyze(fs).triple()
+    except AssertionError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _check_polycycle(h: frozenset[Edge], span: int, name: str) -> None:
@@ -340,13 +350,18 @@ def flexible_exchange(
     """
     cedges = _canon(c)
     vset = frozenset(v)
-    span = _span(cedges)
-    if classify(cedges, span) is not SubgraphShape.CYCLE:
+    if classify(cedges, _span(cedges)) is not SubgraphShape.CYCLE:
         raise ValueError("c must be a single cycle")
-    verts = vertices_of(cedges)
-    if x not in vset or x not in verts or z in vset or x == z:
+    if x not in vset or x not in vertices_of(cedges) or z in vset or x == z:
         raise ValueError("need x in v and on c, z outside v, x != z")
+    return _flexible(cedges, vset, x, z)
 
+
+def _flexible(cedges: frozenset[Edge], vset: AbstractSet[int], x: int,
+              z: int) -> tuple[AbstractSet[int], Edge, Edge]:
+    """``flexible_exchange`` on a cycle of canonical edges, a cycle of a
+    polycycle in hand, with x in ``vset`` and on the cycle and z outside
+    ``vset``."""
     evens = sorted(e for e in cedges if len(set(e) & vset) % 2 == 0)
     odds = sorted(e for e in cedges if len(set(e) & vset) % 2 == 1)
     if evens and odds:
@@ -356,7 +371,7 @@ def flexible_exchange(
     if not odds:
         # Every edge is even, so the whole cycle sits inside v; dropping x
         # makes its two incident edges odd while the rest stay even.
-        assert verts <= vset
+        assert vertices_of(cedges) <= vset
         e0 = min(e for e in cedges if x not in e)
         e1 = min(e for e in cedges if x in e)
     else:
@@ -408,7 +423,7 @@ def _odd_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[E
 
     m1_rest = _transversal(comp for comp in comps1 if comp is not c)
     base = vertices_of(m1_rest) | {x1, x2}
-    chosen, e0, e1 = flexible_exchange(d, base, x1, x3)
+    chosen, e0, e1 = _flexible(d, base, x1, x3)
     e = edge(x1, x2) if chosen == base else edge(x2, x3)
     m1 = frozenset(m1_rest | {e})
     assert vertices_of(m1) == chosen
@@ -416,9 +431,6 @@ def _odd_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[E
     m2_rest = _transversal(comp for comp in comps2 if comp is not d)
     even_so_far = len(vertices_of(m1) & vertices_of(m2_rest)) % 2 == 0
     m2 = frozenset(m2_rest | ({e1} if even_so_far else {e0}))
-
-    _check_transversal(m1, h1, comps1, "m1")
-    _check_transversal(m2, h2, comps2, "m2")
     assert len(vertices_of(m1) & vertices_of(m2)) % 2 == 1
     return TransversalPair(m1, m2)
 
@@ -453,7 +465,7 @@ def _even_case_direct(
                 m1_rest = {edge(u, v1)} | _transversal(
                     (comp for comp in side1 if comp not in (a, ap)), avoid=(v2,))
                 base = vertices_of(m1_rest) | {x, y}
-                chosen, e0, e1 = flexible_exchange(bp, base, x, z)
+                chosen, e0, e1 = _flexible(bp, base, x, z)
                 m1 = frozenset(m1_rest | {edge(x, y) if chosen == base else edge(y, z)})
                 assert vertices_of(m1) == chosen
             else:
@@ -595,46 +607,21 @@ def _even_pair(
     c2') of them."""
     for swapped in (False, True):
         side1, side2 = (comps2, comps1) if swapped else (comps1, comps2)
-        for a in side1:
-            for b in side2:
-                if not vertices_of(a) & vertices_of(b):
-                    continue
-                for ap in side1:
-                    if ap == a:
-                        continue
-                    for bp in side2:
-                        if bp == b or not vertices_of(ap) & vertices_of(bp):
-                            continue
-                        found = _even_case_direct(side1, side2, a, b, ap, bp)
-                        if found is None:
-                            continue
-                        ma, mb, u, v1, v2 = found
-                        if swapped:
-                            tp = TransversalPair(mb, ma)
-                            witness = (u, v2, v1)
-                        else:
-                            tp = TransversalPair(ma, mb)
-                            witness = (u, v1, v2)
-                        _finish_even(tp, witness, h1, h2, comps1, comps2)
-                        return tp, witness
-
-    m1, m2, u, v1, v2 = _even_case_rigid(h1, h2, comps1, comps2, *crossing)
-    tp = TransversalPair(m1, m2)
-    witness = (u, v1, v2)
-    _finish_even(tp, witness, h1, h2, comps1, comps2)
-    return tp, witness
-
-
-def _finish_even(
-    tp: TransversalPair, witness: tuple[int, int, int], h1: frozenset[Edge], h2: frozenset[Edge],
-    comps1: list[frozenset[Edge]], comps2: list[frozenset[Edge]],
-) -> None:
-    u, v1, v2 = witness
-    _check_transversal(tp.m1, h1, comps1, "m1")
-    _check_transversal(tp.m2, h2, comps2, "m2")
-    assert len(vertices_of(tp.m1) & vertices_of(tp.m2)) % 2 == 0
-    assert edge(u, v1) in tp.m1 and edge(u, v2) in tp.m2
-    assert v1 not in vertices_of(tp.m2) and v2 not in vertices_of(tp.m1)
+        found = next(filter(None, (
+            _even_case_direct(side1, side2, a, b, ap, bp)
+            for a in side1 for b in side2 if vertices_of(a) & vertices_of(b)
+            for ap in side1 if ap != a
+            for bp in side2 if bp != b and vertices_of(ap) & vertices_of(bp))), None)
+        if found is not None:
+            break
+    if found is None:
+        m1, m2, u, v1, v2 = _even_case_rigid(h1, h2, comps1, comps2, *crossing)
+    elif swapped:
+        m2, m1, u, v2, v1 = found
+    else:
+        m1, m2, u, v1, v2 = found
+    assert len(vertices_of(m1) & vertices_of(m2)) % 2 == 0
+    return TransversalPair(m1, m2), (u, v1, v2)
 
 
 def _smallest(heap: list, valid, count: int) -> list:
@@ -680,7 +667,7 @@ class _Surgery:
         for v in ends[0] | ends[1] | ends[2]:
             hits = sum(v in e for e in ends)
             if hits != 2:
-                raise ValueError(
+                raise AssertionError(
                     f"endpoint {v} lies in {hits} end sets; the union is not Eulerian"
                 )
         self.r = {(f, g): ends[f] & ends[g] for f, g in _PAIRS}

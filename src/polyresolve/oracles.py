@@ -2,11 +2,11 @@
 
 Everything here answers by explicit state-space search, independent of the
 constructive modules: polytope diameters and shortest resolutions by BFS
-over contingency tables, smallest odd-covers by exhaustive part enumeration
-(``exact_odd_cover``), and Hamiltonicity by backtracking.  The shortest
-resolution certifies the paper's tight pp36 instance (six clusters of
-three, 5 = ceil(9/2) moves apart) exactly; its search stores 341,722
-tables, so the acceptance check passes a cap of 400,000 to
+over contingency tables, and smallest odd-covers by exhaustive part
+enumeration (``exact_odd_cover``).  The shortest resolution certifies the
+paper's tight pp36 instance (six clusters of three, 5 = ceil(9/2) moves
+apart) exactly; its search stores 341,722 tables, so the acceptance check
+passes a cap of 400,000 to
 ``min_resolution_length``.  ``verify_certificate`` reports a
 certificate's first violated invariant, promised bound included: it
 dispatches to the one checker of each kind, ``perms.check_resolution`` and
@@ -73,7 +73,6 @@ __all__ = [
     "exact_odd_cover",
     "min_odd_cover_exhaustive",
     "tight_path_odd_cover",
-    "is_hamiltonian",
     "verify_certificate",
 ]
 
@@ -517,43 +516,6 @@ def tight_path_odd_cover(g: SimpleGraph) -> OddCoverCert:
     if found is None:
         raise AssertionError("the tight bound is always attainable")
     return _make_cert("path", found, g)
-
-
-def is_hamiltonian(g: SimpleGraph) -> bool:
-    """Backtracking Hamiltonian-cycle test for graphs on at most 20 vertices."""
-    n = g.n
-    if n > 20:
-        raise TooLarge(f"hamiltonicity search supports at most 20 vertices, got {n}")
-    if n < 3:
-        return False
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(g.edges):
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(len(nbrs) < 2 for nbrs in adj):
-        return False
-    seen = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) < n:
-        return False
-
-    all_mask = (1 << n) - 1
-
-    def extend(v: int, visited: int) -> bool:
-        if visited == all_mask:
-            return 0 in adj[v]
-        for w in adj[v]:
-            if not visited >> w & 1 and extend(w, visited | 1 << w):
-                return True
-        return False
-
-    return extend(0, 1)
 
 
 @dataclass(frozen=True)

@@ -258,8 +258,6 @@ def _progress_lower_bound(p: Partition, q: Partition) -> int:
     tripled 3-cycle for odd n).  On general pairs it can exceed the exact
     distance, so it is no lower bound there.
     """
-    if p.sizes() != q.sizes():
-        raise ValueError("p and q must have equal per-cluster sizes")
     displaced = sum(1 for a, b in zip(p.assign, q.assign) if a != b)
     if displaced == 0:
         return 0

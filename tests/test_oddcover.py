@@ -462,35 +462,35 @@ def _delta6_no_crossing():
     return random_eulerian_graph(random.Random(0), layers=3, max_n=14)
 
 
-@pytest.mark.parametrize("cover, graph, most, splits", [
-    (path_odd_cover_delta4, _delta4_components, 4, 1),
-    (cycle_odd_cover_delta4, _delta4_components, 4, 1),
-    (linear_forest_decomposition, _delta4_components, 3, 1),
-    (lambda g: odd_cover_eulerian(g, "path"), _delta6, 8, 1),
-    (lambda g: odd_cover_eulerian(g, "cycle"), _delta6_no_crossing, 6, 0),
+@pytest.mark.parametrize("cover, graph, splits", [
+    (path_odd_cover_delta4, _delta4_components, 1),
+    (cycle_odd_cover_delta4, _delta4_components, 1),
+    (linear_forest_decomposition, _delta4_components, 1),
+    (lambda g: odd_cover_eulerian(g, "path"), _delta6, 1),
+    (lambda g: odd_cover_eulerian(g, "cycle"), _delta6_no_crossing, 0),
 ], ids=["path_odd_cover_delta4", "cycle_odd_cover_delta4", "linear_forest_decomposition",
         "odd_cover_eulerian_delta6_paths", "odd_cover_eulerian_delta6_cycles_no_crossing"])
-def test_shape_passes_per_cover_stay_few(cover, graph, most, splits, monkeypatch):
+def test_shape_passes_per_cover_stay_few(cover, graph, splits, monkeypatch):
     # Each fact of the surgery is established once.  On the Delta = 4 graph
     # the path and cycle covers made 36 and 43 classify calls and 54 and 90
     # component splits when every stage re-derived them, then 8 and 8,
     # and 3 and 5; the forest split made 5 and 3.  Now the decomposition
-    # hands each part's cycles to the pair cores: what is left is one
-    # classify per part in the output check, one in the flexible exchange
-    # of the path and cycle covers, and the split's one component pass
-    # over the union of the two matchings.  The Delta = 6 path cover's third
-    # polycycle goes to the two-path core with its cycles: its 5 parts, one
-    # exchange and the core's two asserts make 8 classify calls, where the
-    # public polycycle cover added an input classify and a component split.
-    # The same holds for the cycle cover's pairs that do not cross: on the
-    # last graph the public cover made 7 classify calls and 1 split.
+    # hands each part's cycles to the pair cores, which check nothing of
+    # their own: the one classify per part is the output check's, and the
+    # one component pass is the split's, over the union of the two
+    # matchings.  When the flexible exchange went through its public step
+    # and the polycycle cover core asserted its two parts' shapes, the
+    # Delta = 4 path and cycle covers made 4 classify calls, the Delta = 6
+    # path cover 8 and the cycle cover without a crossing 6.
     g = graph()
     calls = _count_calls(monkeypatch, graphs, ["classify", "edge_components"])
     public = _count_calls(monkeypatch, polycycles, ["polycycle_odd_cover"])
+    steps = _count_calls(monkeypatch, oddcover, ["flexible_exchange", "_check_transversal"])
     cert = cover(g)
-    assert calls["classify"] <= most
+    assert calls["classify"] == len(cert.parts)
     assert calls["edge_components"] <= splits
     assert public["polycycle_odd_cover"] == 0
+    assert steps == {"flexible_exchange": 0, "_check_transversal": 0}
     assert verify_certificate(g, cert).passed
 
 
@@ -498,17 +498,17 @@ def test_nested_covers_are_checked_once(monkeypatch):
     # A maximum degree of 8, so the covers nest: general over Eulerian over
     # two pairs of polycycles.  When every level checked its whole output, the
     # general cover made 4 check_cover and 33 classify calls, and the
-    # Eulerian one 3 and 26.
+    # Eulerian one 3 and 26; the one check now classifies each part once.
     g = random_eulerian_graph(random.Random(3), layers=4, max_n=12)
     minus = SimpleGraph(g.n, g.edges - {min(g.edges)})
     checks = _count_calls(monkeypatch, oddcover, ["check_cover"])
     shapes = _count_calls(monkeypatch, graphs, ["classify"])
-    for cover, h, most in ((path_odd_cover_general, minus, 21),
-                           (lambda h: odd_cover_eulerian(h, "path"), g, 20)):
+    for cover, h in ((path_odd_cover_general, minus),
+                     (lambda h: odd_cover_eulerian(h, "path"), g)):
         checks["check_cover"] = shapes["classify"] = 0
         cert = cover(h)
         assert checks["check_cover"] == 1
-        assert shapes["classify"] <= most
+        assert shapes["classify"] == len(cert.parts)
         check_cover(cert, h, "path", odd_cover_bound(h, "path"))
 
 

@@ -15,8 +15,9 @@ import polyresolve
 
 # Each line prints whether one check raised AssertionError.
 SCRIPT = """
-import contextlib, importlib, io, json, os, tempfile
+import contextlib, importlib, io, json, os, random, tempfile
 from polyresolve import cli, oddcover, polycycles
+from polyresolve.generators import random_delta4_eulerian_graph
 from polyresolve.graphs import simple_graph
 from polyresolve.jsonio import emit_graph, emit_instance
 from polyresolve.oddcover import _make_cert
@@ -98,8 +99,26 @@ rs._pair = pair
 # The path cover of two disjoint K5s makes two joins.
 k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
 two_k5 = simple_graph(10, [e for u, v in k5 for e in ((u, v), (u + 5, v + 5))])
+anchor = oddcover._Surgery.anchor
 oddcover._Surgery.anchor = lambda self, i, j: None
 print("missing anchor:", *cli_run(["oddcover", "--graph"], emit_graph(two_k5)))
+oddcover._Surgery.anchor = anchor
+# Faults in the pair cores meet only the split's endpoint state, which
+# refuses forests that are not linear as a failed check (exit 1).  A
+# transversal that picks no edge leaves a polycycle in the first forest.
+paths = ["oddcover", "--graph"]
+cycles = ["oddcover", "--kind", "cycle", "--graph"]
+forests = ["arboricity", "--graph"]
+three = emit_graph(random_delta4_eulerian_graph(random.Random(1), components=3))
+transversal = oddcover._transversal
+oddcover._transversal = lambda comps, avoid=(): frozenset()
+for name, argv in (("paths", paths), ("cycles", cycles), ("forests", forests)):
+    print("empty transversal, " + name + ":", *cli_run(argv, three))
+oddcover._transversal = transversal
+# A forest walk that finds no paths; the cycle cover of K5 splits no forest.
+oddcover.linear_forest_paths = lambda edges: None
+for name, argv in (("paths", paths), ("forests", forests)):
+    print("no forest paths, " + name + ":", *cli_run(argv, emit_graph(simple_graph(5, k5))))
 """
 
 
@@ -124,6 +143,11 @@ def test_output_guards_fire_under_python_O():
         "broken residual: 1 True",
         "bad factor: 1 True step 0 revisits a cluster",
         "missing anchor: 1 True",
+        "empty transversal, paths: 1 True",
+        "empty transversal, cycles: 1 True",
+        "empty transversal, forests: 1 True",
+        "no forest paths, paths: 1 True",
+        "no forest paths, forests: 1 True",
     ]
 
 
@@ -257,7 +281,7 @@ def test_part_count_guards_fire_under_python_O(bound_guards, check):
 
 # The asserts left in the package are proof invariants: every output still
 # passes its checker by an explicit raise, and every crash guard is one.
-ASSERTS_LEFT = 38
+ASSERTS_LEFT = 34
 
 
 def test_no_new_asserts_in_the_package():

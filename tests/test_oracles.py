@@ -28,7 +28,6 @@ from polyresolve.oracles import (
     _vertex_count,
     exact_diameter_bfs,
     exact_odd_cover,
-    is_hamiltonian,
     min_odd_cover_exhaustive,
     min_resolution_length,
     verify_certificate,
@@ -43,14 +42,6 @@ def complete(n):
 
 def cyc(*vs):
     return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-
-
-PETERSEN = simple_graph(
-    10,
-    cyc(0, 1, 2, 3, 4)
-    + [(i, i + 5) for i in range(5)]
-    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
-)
 
 
 # --- exact polytope diameters -------------------------------------------------
@@ -757,24 +748,6 @@ def test_bounded_cover_search_guard():
         exact_odd_cover(complete(7), "path", 5, cap=6845)
     assert time.perf_counter() - start < 5
     assert len(exact_odd_cover(complete(7), "path", 5, cap=6846)) == 4
-
-
-# --- Hamiltonicity ------------------------------------------------------------
-
-
-def test_is_hamiltonian_known_graphs():
-    assert is_hamiltonian(complete(5))
-    assert is_hamiltonian(simple_graph(6, cyc(0, 1, 2, 3, 4, 5)))
-    assert not is_hamiltonian(PETERSEN)
-    assert not is_hamiltonian(complete(2))
-    two_k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
-    two_k5 += [(u + 5, v + 5) for u, v in two_k5[:10]]
-    assert not is_hamiltonian(simple_graph(10, two_k5))
-
-
-def test_is_hamiltonian_too_large():
-    with pytest.raises(TooLarge):
-        is_hamiltonian(simple_graph(21, [(0, 1)]))
 
 
 # --- unified certificate checker ----------------------------------------------

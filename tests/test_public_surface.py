@@ -24,6 +24,7 @@ KEPT_FOR_PERFBENCH = (
     "polycycle_odd_cover",
     "forest_stats",
     "linear_forests_from_transversal",
+    "flexible_exchange",
     "transversal_odd_intersection",
     "transversal_even_intersection",
     "pcycles_from_pair",
