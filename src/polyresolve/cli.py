@@ -14,7 +14,7 @@ import json
 import random
 import sys
 
-from .acceptance import run_acceptance
+from .acceptance import CRITERIA, run_acceptance
 from .dot import emit_dot
 from .generators import (
     random_delta4_eulerian_graph,
@@ -272,11 +272,13 @@ def _run_gen(args) -> int:
 
 def _run_selftest(args) -> int:
     reports = run_acceptance()
+    budgets = {name: budget for name, _, budget in CRITERIA if budget is not None}
     ok = True
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         ok = ok and rep.passed
-        print(f"{status} {rep.check}: {rep.detail} ({rep.elapsed_ms} ms)")
+        budget = f", budget {budgets[rep.check]} s" if rep.check in budgets else ""
+        print(f"{status} {rep.check}: {rep.detail} ({rep.elapsed_ms} ms{budget})")
     print(f"{sum(r.passed for r in reports)}/{len(reports)} checks passed")
     return 0 if ok else 1
 

@@ -58,22 +58,22 @@ def _random_cycle_edges(rng: random.Random, n: int) -> frozenset:
     return frozenset(edge(verts[i], verts[(i + 1) % length]) for i in range(length))
 
 
-def random_eulerian_graph(
-    rng: random.Random, layers: int, max_n: int = 16, exact_delta: bool = True
-) -> SimpleGraph:
+def random_eulerian_graph(rng: random.Random, layers: int, max_n: int = 16) -> SimpleGraph:
     """Symmetric difference of ``layers`` random cycles: all degrees even,
-    max degree at most 2*layers (exactly 2*layers when ``exact_delta``).
-    ``layers`` must be at least 1."""
+    max degree exactly 2*layers.  ``layers`` must be at least 1, and
+    ``max_n`` at least 2*layers + 1, the fewest vertices of that degree."""
     if layers < 1:
         raise ValueError(f"layers must be at least 1, got {layers}")
-    lo = max(3, 2 * layers + 1)
+    lo = 2 * layers + 1
+    if max_n < lo:
+        raise ValueError(f"max_n must be at least 2*layers + 1 = {lo}, got {max_n}")
     while True:
         n = rng.randint(lo, max_n)
         acc: frozenset = frozenset()
         for _ in range(layers):
             acc ^= _random_cycle_edges(rng, n)
         g = simple_graph(n, acc)
-        if not exact_delta or (acc and degrees(g).delta == 2 * layers):
+        if acc and degrees(g).delta == 2 * layers:
             return g
 
 

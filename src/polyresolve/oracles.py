@@ -474,7 +474,7 @@ def exact_odd_cover(
         dead.add((remaining, depth))
         return False
 
-    if kind == "cycle" and odd_and_top(target)[0]:
+    if kind == "cycle" and target and odd_and_top(target)[0]:
         return None
     for depth in range(budget + 1):
         acc: list[int] = []

@@ -10,21 +10,21 @@ first on the argument.  A partition is transformed on the right,
 
 Sparse representation and cost
 ------------------------------
-A :class:`Permutation` holds only its moved points, as the map
-``x -> pi(x)`` over its support, and a :class:`CycleSeq` holds its one
-cycle.  Building one, ``cycles`` and :func:`is_p_balanced` all cost
-O(|support|) (``cycles`` sorts its leaders); only ``Permutation.image``
-spells out all m entries.  ``resolve`` builds none: its stages hand
-cycles on as item tuples.
+A step is a :class:`CycleSeq`, which holds its one cycle as an item
+tuple; ``resolve`` hands cycles on as item tuples and builds no
+:class:`Permutation`.  That type, held by its moved points only (building
+one, ``cycles`` and :func:`is_p_balanced` cost O(|support|)), is left only
+for the factorization and pair-split names the benchmark binds.
 
 Replay and verification share one step rule, ``_fault``: a step may name
 only items ``0..m-1``, and no two in one cluster.  One checked replay,
 ``_replay``, changes one assignment list in place, checking each step
 before it hands it out and applying it on its |tau| entries.
 :func:`check_resolution`, :meth:`Resolution.replay`,
-:meth:`Resolution.steps` (so the DOT rendering) and
-:func:`decomposition_from_resolution` all walk it, so they refuse the same
-walks with the same ``"step i ..."`` message; :func:`cycle_is_p_cycle` and
+:meth:`Resolution.steps` (so the DOT rendering),
+:func:`decomposition_from_resolution` and :meth:`Partition.apply` (one
+step) all walk it, so they refuse the same steps with the same ``"step i
+..."`` message; :func:`cycle_is_p_cycle`, :func:`is_p_balanced` and
 :func:`resolution_from_decomposition` (on its factors) apply the rule
 without mutating.  The walk conversion ``_walk`` checks nothing: by
 conjugation its step i revisits a cluster exactly when factor i does, so
@@ -134,15 +134,6 @@ class Permutation:
         return out
 
 
-def perm_from_cycles(m: int, cycles) -> Permutation:
-    moved = {}
-    for cyc in cycles:
-        if len(cyc) > 1:
-            for a, b in zip(cyc, (*cyc[1:], cyc[0])):
-                moved[a] = b
-    return Permutation.from_moved(m, moved)
-
-
 def _fault(assign, items: tuple[int, ...]) -> str | None:
     """The one step rule: why the exchange ``items`` is no cycle of
     ``assign``, or None if it is."""
@@ -189,9 +180,6 @@ class CycleSeq:
     def __len__(self) -> int:
         return len(self.items)
 
-    def to_permutation(self, m: int) -> Permutation:
-        return perm_from_cycles(m, [self.items])
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -225,15 +213,12 @@ class Partition:
         """Cluster sizes sorted descending."""
         return tuple(sorted(self.sizes(), reverse=True))
 
-    def apply(self, pi: Permutation | CycleSeq) -> "Partition":
-        """Right action: item ``x`` ends up in the old cluster of ``pi(x)``."""
-        if isinstance(pi, CycleSeq):
-            pi = pi.to_permutation(self.m)
-        if pi.m != self.m:
-            raise ValueError(f"permutation on {pi.m} items, partition has {self.m}")
+    def apply(self, tau: CycleSeq) -> "Partition":
+        """One step of the replay: item ``x`` ends up in the old cluster of
+        ``tau(x)``.  A step the replay refuses raises its ``ValueError``."""
         assign = list(self.assign)
-        for x, y in pi.moved.items():
-            assign[x] = self.assign[y]
+        for _ in _replay(assign, (tau,)):
+            pass
         return Partition(self.n, tuple(assign))
 
 
@@ -241,7 +226,7 @@ def is_p_balanced(pi: Permutation, p: Partition) -> bool:
     """True iff ``p`` is injective on the support of ``pi``."""
     if pi.m != p.m:
         raise ValueError(f"permutation on {pi.m} items, partition has {p.m}")
-    return len(set(map(p.assign.__getitem__, pi.moved))) == len(pi.moved)
+    return _fault(p.assign, tuple(pi.moved)) is None
 
 
 def cycle_is_p_cycle(tau: CycleSeq, p: Partition) -> bool:

@@ -69,7 +69,6 @@ from .perms import (
     Partition,
     Permutation,
     cdg,
-    perm_from_cycles,
     two_largest,
 )
 
@@ -467,7 +466,9 @@ def balanced_permutation_factorization(
     if sizes != q.sizes():
         raise ValueError("p and q must have equal per-cluster sizes")
     sigmas, classes = _factorize(p, q, sizes)
-    return [CycleSeq(s) for s in sigmas], [perm_from_cycles(p.m, c) for c in classes]
+    return [CycleSeq(s) for s in sigmas], [
+        Permutation.from_moved(p.m, {x: y for c in cycles for x, y in zip(c, (*c[1:], c[0]))})
+        for cycles in classes]
 
 
 def _factorize(p: Partition, q: Partition, sizes):

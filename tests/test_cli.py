@@ -96,6 +96,14 @@ def test_oddcover_exact_cycles(tmp_path, capsys):
     assert len(cert["parts"]) == 2
 
 
+def test_oddcover_exact_of_the_empty_graph(tmp_path, capsys):
+    g = tmp_path / "empty.json"
+    g.write_text(json.dumps({"n": 0, "edges": []}))
+    for kind in ("path", "cycle"):
+        assert main(["oddcover", "--graph", str(g), "--kind", kind, "--exact"]) == 0
+        assert json.loads(capsys.readouterr().out)["parts"] == []
+
+
 def test_oddcover_exact_search_too_large(tmp_path, capsys):
     # K_9 has 493,200 paths, far above the state cap of 9.
     p9 = write_json(tmp_path / "p9.json", {"n": 9, "edges": [[i, i + 1] for i in range(8)]})
@@ -433,6 +441,16 @@ def test_selftest_fails_on_one_failing_report(monkeypatch, capsys):
         "FAIL check-1: it broke (1 ms)",
         "PASS check-2: ok (2 ms)",
         "2/3 checks passed",
+    ]
+
+
+def test_selftest_prints_each_budget_next_to_the_time(monkeypatch, capsys):
+    reports = [Report("upper-bound-10k", True, "ok", 5), Report("k2-bound-2k", True, "ok", 7)]
+    monkeypatch.setattr(cli, "run_acceptance", lambda: reports)
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "PASS upper-bound-10k: ok (5 ms, budget 30 s)",
+        "PASS k2-bound-2k: ok (7 ms)",
     ]
 
 

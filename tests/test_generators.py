@@ -80,11 +80,6 @@ def test_layered_eulerian_graphs(seed, layers):
     assert summ.v_odd == 0
     assert summ.delta == 2 * layers
 
-    loose = random_eulerian_graph(random.Random(seed), layers, max_n=12,
-                                  exact_delta=False)
-    assert degrees(loose).v_odd == 0
-    assert degrees(loose).delta <= 2 * layers
-
 
 class _CountingRandom(random.Random):
     """Refuses to draw more than a few numbers, so a retry loop fails fast."""
@@ -103,4 +98,12 @@ def test_eulerian_graph_refuses_too_few_layers(layers):
     rng = _CountingRandom(0)
     with pytest.raises(ValueError, match="layers must be at least 1"):
         random_eulerian_graph(rng, layers)
+    assert rng.draws == 0
+
+
+@pytest.mark.parametrize("layers, max_n", [(8, 16), (1, 2)])
+def test_eulerian_graph_refuses_too_few_vertices(layers, max_n):
+    rng = _CountingRandom(0)
+    with pytest.raises(ValueError, match=r"max_n must be at least 2\*layers \+ 1"):
+        random_eulerian_graph(rng, layers, max_n)
     assert rng.draws == 0

@@ -518,6 +518,13 @@ def test_min_odd_cover_k7():
     assert min_odd_cover_exhaustive(k7, "cycle", 5) == 3
 
 
+def test_odd_cover_of_the_empty_graph_is_empty():
+    empty = simple_graph(0, [])
+    for kind in ("path", "cycle"):
+        assert exact_odd_cover(empty, kind, 0) == []
+        assert min_odd_cover_exhaustive(empty, kind, 3) == 0
+
+
 def test_min_odd_cover_budget_exhausted():
     assert min_odd_cover_exhaustive(complete(3), "path", 1) is None
 

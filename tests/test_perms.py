@@ -29,6 +29,21 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     return Permutation(tuple(a(b(x)) for x in range(a.m)))
 
 
+def cycle_perm(m: int, items) -> Permutation:
+    """The tests' reference ``Permutation`` of one cycle on ``m`` items:
+    each listed item goes to its successor."""
+    image = list(range(m))
+    for x, y in zip(items, (*items[1:], *items[:1])):
+        image[x] = y
+    return Permutation(tuple(image))
+
+
+def act(p: Partition, pi: Permutation) -> Partition:
+    """The tests' reference right action: item ``x`` takes the old cluster
+    of ``pi(x)``."""
+    return Partition(p.n, tuple(p(pi(x)) for x in range(p.m)))
+
+
 def partitions(max_clusters=5, max_items=10):
     @st.composite
     def build(draw):
@@ -74,8 +89,9 @@ def test_cycleseq_rejects_repeats():
 
 
 def test_trivial_cycle_is_identity():
-    assert CycleSeq(()).to_permutation(3) == Permutation((0, 1, 2))
-    assert CycleSeq((2,)).to_permutation(3) == Permutation((0, 1, 2))
+    p = Partition(2, (0, 1, 1))
+    assert p.apply(CycleSeq(())) == p
+    assert p.apply(CycleSeq((2,))) == p
 
 
 def test_composition_applies_right_factor_first():
@@ -85,9 +101,10 @@ def test_composition_applies_right_factor_first():
     assert compose(a, b).image == tuple(a(b(x)) for x in range(3))
 
 
-def test_cycle_to_permutation_maps_forward():
-    pi = CycleSeq((0, 2, 1)).to_permutation(4)
-    assert pi(0) == 2 and pi(2) == 1 and pi(1) == 0 and pi(3) == 3
+def test_cycle_step_maps_forward():
+    # tau sends 0 -> 2 -> 1 -> 0, and item x takes the old cluster of tau(x).
+    p = Partition(4, (0, 1, 2, 3))
+    assert p.apply(CycleSeq((0, 2, 1))).assign == (2, 0, 1, 3)
 
 
 def test_partition_apply_pulls_cluster_of_image():
@@ -102,6 +119,8 @@ def test_p_cycle_requires_distinct_clusters():
     p = Partition(2, (0, 0, 1, 1))
     assert cycle_is_p_cycle(CycleSeq((0, 2)), p)
     assert not cycle_is_p_cycle(CycleSeq((0, 1)), p)
+    with pytest.raises(ValueError, match="^step 0 revisits a cluster$"):
+        p.apply(CycleSeq((0, 1)))
 
 
 def test_replay_rejects_bad_step_and_names_it():
@@ -154,6 +173,9 @@ def test_every_consumer_refuses_what_the_verifier_refuses():
         assert _refusal(lambda: emit_dot(res)) == fault
         assert _refusal(lambda: list(res.steps())) == fault
         assert _refusal(res.replay) == fault
+        if taus:
+            first = fault if fault and fault.startswith("step 0 ") else None
+            assert _refusal(lambda: p.apply(taus[0])) == first
         back = _refusal(lambda: decomposition_from_resolution(res))
         assert back == fault or back.endswith("conjugates outside the start partition")
     assert 0 < refused < 3000
@@ -184,10 +206,10 @@ def test_conversion_round_trips_and_prefixes_agree(res):
     m = res.start.m
     left = Permutation.from_moved(m, {})
     for tau in res.taus:
-        left = compose(left, tau.to_permutation(m))
+        left = compose(left, cycle_perm(m, tau.items))
     right = Permutation.from_moved(m, {})
     for sigma in sigmas:
-        right = compose(sigma.to_permutation(m), right)
+        right = compose(cycle_perm(m, sigma.items), right)
     assert left == right
 
 
@@ -208,4 +230,4 @@ def test_apply_by_permutation_matches_cycle_application(p):
     if len(items) < 2:
         return
     tau = CycleSeq(items)
-    assert p.apply(tau) == p.apply(tau.to_permutation(p.m))
+    assert p.apply(tau) == act(p, cycle_perm(p.m, tau.items))

@@ -33,7 +33,7 @@ from polyresolve.polycycles import (
     undirected_polycycle_decomposition,
 )
 from polyresolve.resolve import resolve
-from test_perms import compose
+from test_perms import act, compose, cycle_perm
 
 
 def test_directed_decomposition_splits_a_doubled_triangle():
@@ -293,10 +293,10 @@ def test_factorization_of_a_two_cluster_swap():
     assert len(sigmas) == 1 and len(pis) == 1
     total = Permutation.from_moved(p.m, {})
     for s in sigmas:
-        total = compose(s.to_permutation(p.m), total)
+        total = compose(cycle_perm(p.m, s.items), total)
     for pi in pis:
         total = compose(pi, total)
-    assert p.apply(total) == q
+    assert act(p, total) == q
 
 
 def equal_shape_pairs(max_clusters=4, max_items=9):
@@ -324,10 +324,10 @@ def test_factorization_applies_back_to_the_target(pair):
     assert len(pis) <= k2
     total = Permutation.from_moved(p.m, {})
     for s in sigmas:
-        total = compose(s.to_permutation(p.m), total)
+        total = compose(cycle_perm(p.m, s.items), total)
     for pi in pis:
         total = compose(pi, total)
-    assert p.apply(total) == q
+    assert act(p, total) == q
 
 
 # --- matching ------------------------------------------------------------------

@@ -42,7 +42,7 @@ from polyresolve.resolve import (
 )
 
 from test_exhaustive_small import _pair as _table_pair, _shapes, _tables
-from test_perms import compose
+from test_perms import compose, cycle_perm
 
 # The package re-exports the function ``resolve`` under the module's name.
 resolve_module = importlib.import_module("polyresolve.resolve")
@@ -162,7 +162,7 @@ def test_pcycles_from_balanced_two_factors():
     pi = Permutation((1, 0, 3, 2))
     s1, s2 = pcycles_from_balanced(p, pi)
     assert cycle_is_p_cycle(s1, p) and cycle_is_p_cycle(s2, p)
-    assert compose(s2.to_permutation(p.m), s1.to_permutation(p.m)) == pi
+    assert compose(cycle_perm(p.m, s2.items), cycle_perm(p.m, s1.items)) == pi
 
 
 def _cycle_seqs(pi: Permutation) -> list[CycleSeq]:
