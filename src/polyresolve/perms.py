@@ -26,23 +26,25 @@ before it hands it out and applying it on its |tau| entries.
 step) all walk it, so they refuse the same steps with the same ``"step i
 ..."`` message; :func:`cycle_is_p_cycle`, :func:`is_p_balanced` and
 :func:`resolution_from_decomposition` (on its factors) apply the rule
-without mutating.  The walk conversion ``_walk`` checks nothing: by
-conjugation its step i revisits a cluster exactly when factor i does, so
-``resolve`` leaves that to :func:`check_resolution`.  ``_walk`` (on item
-tuples; :func:`resolution_from_decomposition` wraps it) and its inverse
-keep their prefix products as dicts over the items the walk has moved so
-far, read with ``.get(x, x)``, and update them on the entries a step
-moves.  Both sides of the prefix identity ``t1 ... ti == si ... s1``
-change only on the support of ``ti``, so comparing those entries at each
-step is as strong as comparing whole permutations.  Building a walk
-``t1 ... tk`` from its cycles therefore costs O(sum |ti|), and replaying,
+without mutating.  The walk conversion ``_walk`` (on item tuples;
+:func:`resolution_from_decomposition` wraps it) checks nothing: a factor
+that is no p-cycle, or a wrong conjugate, makes a step that revisits a
+cluster or a walk that misses q, which :func:`check_resolution` refuses.
+``_walk`` keeps one prefix map, ``(s_{i-1} ... s_1)^-1``, as a dict over
+the items moved so far, read with ``.get(x, x)`` and updated on a step's
+entries.  Its inverse, which reads outside input, keeps both sides of the
+prefix identity ``t1 ... ti == si ... s1`` and compares them on the
+support of ``ti``, the only entries where either can change.  Building a
+walk ``t1 ... tk`` from its cycles costs O(sum |ti|), and replaying,
 verifying or decomposing one on m items O(m + sum |ti|).
+:meth:`Partition.sizes` counts once per partition.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .graphs import Digraph
@@ -204,6 +206,10 @@ class Partition:
 
     def sizes(self) -> tuple[int, ...]:
         """Cluster sizes indexed by cluster label."""
+        return self._sizes
+
+    @cached_property
+    def _sizes(self) -> tuple[int, ...]:
         out = [0] * self.n
         for c in self.assign:
             out[c] += 1
@@ -273,9 +279,8 @@ def resolution_from_decomposition(p: Partition, sigmas) -> Resolution:
 
     Each returned step is the conjugate of the corresponding input cycle by
     the product of its predecessors, so that prefix products agree:
-    ``t1 ... ti == si ... s1`` at every ``i`` (asserted on the entries step
-    ``i`` changes, the only ones where either side can change).  A
-    factor that is no cycle of ``p`` raises ``ValueError``.
+    ``t1 ... ti == si ... s1`` at every ``i``.  A factor that is no cycle
+    of ``p`` raises ``ValueError``.
     """
     sigmas = [s.items for s in sigmas]
     for i, s in enumerate(sigmas):
@@ -289,19 +294,13 @@ def _walk(sigmas) -> tuple[CycleSeq, ...]:
     item tuples; no factor is checked (a bad one makes a step that a replay
     refuses)."""
     inv: dict[int, int] = {}   # (s_{i-1} ... s_1)^-1
-    run: dict[int, int] = {}   # t_1 ... t_{i-1}
     taus = []
     for s in sigmas:
         # tau = acc^-1 s acc, acc = s_{i-1} ... s_1, sends inv(x) to
-        # inv(s(x)); acc <- s acc then sends tau's items to s's successors,
-        # and run <- run tau must agree with it there.
-        t_items = [inv.get(x, x) for x in s]
-        taus.append(CycleSeq(tuple(t_items)))
-        s_next = (*s[1:], *s[:1])
-        run_next = [run.get(t, t) for t in (*t_items[1:], *t_items[:1])]
-        assert run_next == list(s_next), "prefix identity violated"
-        inv.update(zip(s_next, t_items))
-        run.update(zip(t_items, run_next))
+        # inv(s(x)); acc <- s acc then sends tau's items to s's successors.
+        t_items = tuple([inv.get(x, x) for x in s])
+        taus.append(CycleSeq(t_items))
+        inv.update(zip((*s[1:], *s[:1]), t_items))
     return tuple(taus)
 
 

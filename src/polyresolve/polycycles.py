@@ -23,26 +23,29 @@ residual of degree 2 is a union of even tail-head cycles, and one walk
 per cycle puts alternate slots into the two matchings, the halving step
 of Gabow's Euler partitions (Gabow 1976).  So t <= 2, which covers every
 pair of partitions into clusters of at most two items and every cover of
-maximum degree 4, runs no matcher at all.  The set-up, the pops, the
-split and the self-checks are near-linear in m + n t on m arcs and n
-vertices: one arc-owner array shows the parts disjoint and holding
-exactly the non-loop arcs, and one successor walk per part checks
-in = out = 1 and hands out its cycles (``components``), which the
-factorization and the undirected decomposition read without walking the
-part again.  Within ``resolve`` on CPython 3.11 the decomposition takes
-about 35% of the time at m = 3000 (1500 clusters of 2) and about 65% at
-m = 10^5 (20,000 clusters of 5, three matching rounds).  The
+maximum degree 4, runs no matcher at all.  Each matcher round and the
+split hand out a part as the arc it takes out of each tail, and one walk
+per part turns that array into the part's cycles (``components``), which
+the factorization and the undirected decomposition read; no pass builds
+a set per part (``parts`` is built on first use, by the covers only).
+All but the matcher is near-linear in m + n t on m arcs and n vertices.
+Within ``resolve`` on CPython 3.11 (2-vCPU x86-64 VM) the decomposition
+takes about 40% of the time at m = 3000 (1500 clusters of 2) and about
+80% at m = 10^5 (20,000 clusters of 5, three matching rounds).  The
 factorization calls the core ``_directed`` with p's cluster sizes as the
 out-degrees (the in-degrees are q's).
 
 Checks
 ------
-The in = out = 1 test, a suffix part of more than one cycle, a failed
-matching round, a walk on the residual of degree 2 that does not close
-and a stalled cycle walk are explicit raises.  The undirected polycycle
-shape needs no check of its own: an orientation of a simple graph has no
-loop and no antiparallel pair, so each directed cycle of a part is an
-undirected cycle of length 3 or more.  The factorization checks nothing
+A part's walk raises when it stalls at a tail with no arc or enters a
+head twice: with one arc out of each tail, the in = out = 1 test.  It, a
+failed matching round, a walk on the residual of degree 2 that does not
+close and a stalled cycle extraction are explicit raises.  With one slot
+per tail and part, and each arc popped or slotted once, the parts are
+disjoint and hold exactly the non-loop arcs by construction.  The
+undirected polycycle shape needs no check of its own: an orientation of
+a simple graph has no loop and no antiparallel pair, so each directed
+cycle of a part is an undirected cycle of length 3 or more.  The factorization checks nothing
 more; ``resolve`` checks its walk once, with ``perms.check_resolution``.
 The cores ``_directed`` and ``_polycycle_cover`` skip their public
 names' input checks, whose facts their callers hold already, and
@@ -53,6 +56,7 @@ their output once, with ``oddcover.check_cover``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (
     Digraph,
@@ -80,27 +84,33 @@ __all__ = [
     "polycycle_odd_cover",
 ]
 
+# A part by tail holds the arc out of each tail, or one of these marks.
+_NO_ARC, _LEFT = -1, -2   # no arc (the tail holds a loop); taken by the walk
+
 
 @dataclass(frozen=True)
 class PolycycleDecomposition:
     """Pairwise disjoint polycycle parts covering all non-loop edges.
 
-    Parts hold arc ids (directed host) or canonical edges (undirected host).
-    The trailing ``cycle_suffix_len`` parts are single cycles; a part in the
-    suffix may be empty when it was paid for by a loop at the high-degree
-    vertex, which stands in for a degenerate cycle.  ``components`` holds
-    each part's cycles: for a directed host as arc-id tuples, each from its
-    smallest arc and in order of that arc; for an undirected host as edge
-    sets, in order of smallest vertex (as ``graphs.edge_components`` orders
-    them), which is the same order since arc i is the i-th smallest edge.
+    ``components`` holds each part's cycles: for a directed host as arc-id
+    tuples, each from its smallest arc and in order of that arc; for an
+    undirected host as edge sets, in order of smallest vertex (as
+    ``graphs.edge_components`` orders them), the same order since arc i is
+    the i-th smallest edge.  ``parts``, built on first use, gives each
+    part's arcs or edges as one set.  The trailing ``cycle_suffix_len``
+    parts are single cycles; one may be empty, paid for by a loop at the
+    high-degree vertex, which stands in for a degenerate cycle.
     """
 
-    parts: tuple[frozenset, ...]
+    components: tuple[tuple[tuple[int, ...] | frozenset, ...], ...]
     cycle_suffix_len: int
-    components: tuple[tuple[tuple[int, ...] | frozenset, ...], ...] = ()
+
+    @cached_property
+    def parts(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset(x for cycle in cycles for x in cycle) for cycles in self.components)
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return len(self.components)
 
 
 def _hopcroft_karp(n_left: int, n_right: int, adj: list[list[int]]) -> list[int]:
@@ -178,13 +188,14 @@ def _hopcroft_karp(n_left: int, n_right: int, adj: list[list[int]]) -> list[int]
     return match_l
 
 
-def _extract_cycle_through(g: Digraph, v: int, out_arcs: list[list[int]], used: list[bool]) -> frozenset[int]:
+def _extract_cycle_through(g: Digraph, v: int, out_arcs: list[list[int]], used: list[bool]) -> tuple[int, ...]:
     """Remove and return a simple directed cycle through v, or consume one loop at v.
 
     Walks unused non-loop arcs (lowest arc id first) until the first return
     to v; repeated intermediate vertices are shortcut and their arcs returned
-    to the pool.  If only loops remain at v, one loop is consumed and the
-    empty set returned (a degenerate cycle).
+    to the pool.  The cycle comes in walk order from its smallest arc.  If
+    only loops remain at v, one loop is consumed and the empty tuple
+    returned (a degenerate cycle).
     """
     first = None
     loop = None
@@ -201,7 +212,7 @@ def _extract_cycle_through(g: Digraph, v: int, out_arcs: list[list[int]], used: 
         if loop is None:
             raise AssertionError("extraction requires an unused out-arc at v")
         used[loop] = True
-        return frozenset()
+        return ()
 
     walk = [first]
     used[first] = True
@@ -238,50 +249,54 @@ def _extract_cycle_through(g: Digraph, v: int, out_arcs: list[list[int]], used: 
         else:
             pos[h] = len(reduced)
             verts.append(h)
-    return frozenset(reduced)
+    k = reduced.index(min(reduced))
+    return (*reduced[k:], *reduced[:k])
 
 
-def _part_cycles(arcs: frozenset[int], tails, heads, single_cycle: bool) -> tuple[tuple[int, ...], ...]:
-    """The cycles of a directed polycycle part as arc-id tuples, each from
-    its smallest arc and in order of that arc: one successor walk.  Raises
-    AssertionError unless every vertex the arcs touch has in- and
-    out-degree 1 in them and, for a suffix part, they form at most one
-    cycle."""
-    succ = {tails[a]: a for a in arcs}   # the walk removes the arcs it takes
-    ends = {heads[a] for a in arcs}
-    # Distinct tails, distinct heads and equal sets: in = out = 1 everywhere.
-    if not len(succ) == len(ends) == len(arcs) or ends != succ.keys():
-        raise AssertionError("part must have in- and out-degree 1 at every touched vertex")
+def _cycles_of(out_arc: list[int], heads) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the part holding arc ``out_arc[u]`` out of each tail u
+    (``_NO_ARC`` if none), as arc-id tuples, each from its smallest arc and
+    in order of that arc: one walk, marking each tail it leaves in
+    ``out_arc``.  Raises AssertionError when the walk stalls at a tail with
+    no arc or enters a tail twice but at its cycle's start (two arcs into
+    one head), which with one arc per tail is the in = out = 1 test."""
     cycles = []
-    for a in sorted(arcs):
-        if tails[a] in succ:
-            cycle = []
-            while a is not None:
-                cycle.append(a)
-                del succ[tails[a]]
-                a = succ.get(heads[a])
-            cycles.append(tuple(cycle))
-    if single_cycle and len(cycles) > 1:
-        raise AssertionError("suffix part must be one cycle")
+    for s, a in enumerate(out_arc):
+        if a < 0:
+            continue
+        out_arc[s] = _LEFT
+        cycle = [a]
+        u = heads[a]
+        while u != s:
+            a = out_arc[u]
+            if a < 0:
+                if a == _LEFT:
+                    raise AssertionError("two arcs of a part enter one head")
+                raise AssertionError("a part's walk stalls at a tail with no arc")
+            out_arc[u] = _LEFT
+            cycle.append(a)
+            u = heads[a]
+        k = cycle.index(min(cycle))
+        cycles.append((*cycle[k:], *cycle[:k]))
+    cycles.sort()
     return tuple(cycles)
 
 
-def _split_residual(
-    k: int, slot_arcs: list[int], slot_heads: list[int], loop: int
-) -> list[frozenset[int]]:
-    """The last k <= 2 matchings of a k-regular residual, as arc-id sets.
+def _split_residual(k: int, slot_arcs: list[int], slot_heads: list[int]) -> list[list[int]]:
+    """The last k <= 2 matchings of a k-regular residual, each as the arc
+    it takes out of every tail (``_NO_ARC`` for a loop).
 
     Tail u owns slots k u .. k u + k - 1, each an arc and its head; a loop,
-    real or virtual, holds its slot under the arc id ``loop`` and enters no
-    part.  With k = 1 the slots are the one matching.  With k = 2 the
-    residual is a union of even tail-head cycles: the two slots into each
-    head are paired, and one walk per cycle alternates between a tail's
-    other slot (first matching) and the slot paired with it at its head
-    (second matching) until it is back at its start.  This is the halving
-    step of Gabow's Euler partitions (Gabow 1976).
+    real or virtual, holds its slot as ``_NO_ARC`` and enters no part.
+    With k = 1 the slots are the one matching.  With k = 2 the residual is
+    a union of even tail-head cycles: the two slots into each head are
+    paired, and one walk per cycle alternates between a tail's other slot
+    (first matching) and the slot paired with it at its head (second
+    matching) until it is back at its start.  This is the halving step of
+    Gabow's Euler partitions (Gabow 1976).
     """
     if k < 2:
-        return [frozenset(slot_arcs) - {loop}] * k
+        return [slot_arcs] * k
     n = len(slot_heads) // 2
     mate = [-1] * (2 * n)
     pending = [-1] * n
@@ -293,24 +308,21 @@ def _split_residual(
             mate[r] = s
             mate[s] = r
             pending[w] = -1
-    first: list[int] = []
-    second: list[int] = []
-    placed = [False] * n
+    first, second = [None] * n, [None] * n   # None until the walk fills the tail
     for u in range(n):
-        if placed[u]:
+        if first[u] is not None:
             continue
         start = s = 2 * u
         while True:
-            placed[s >> 1] = True
-            first.append(slot_arcs[s])
+            first[s >> 1] = slot_arcs[s]
             r = mate[s]
             if r < 0:
                 raise AssertionError("the walk on the degree-2 residual must close at its start")
-            second.append(slot_arcs[r])
+            second[r >> 1] = slot_arcs[r]
             s = r ^ 1
             if s == start:
                 break
-    return [frozenset(first) - {loop}, frozenset(second) - {loop}]
+    return [first, second]
 
 
 def directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecomposition:
@@ -336,7 +348,7 @@ def _directed(g: Digraph, t: int, out) -> PolycycleDecomposition:
     n, m, tails, heads = g.n, g.m, g.tails, g.heads
 
     used = [False] * m
-    cycles: list[frozenset[int]] = []
+    suffix: list[tuple[tuple[int, ...], ...]] = []
     if t < delta:
         high = [u for u in range(n) if out[u] > t]
         if len(high) > 1:
@@ -348,9 +360,10 @@ def _directed(g: Digraph, t: int, out) -> PolycycleDecomposition:
             out_arcs[u].append(a)
         v = high[0]
         for _ in range(delta - t):
-            cycles.append(_extract_cycle_through(g, v, out_arcs, used))
+            cycle = _extract_cycle_through(g, v, out_arcs, used)
+            suffix.append((cycle,) if cycle else ())
 
-    classes: list[frozenset[int]] = []
+    components: list[tuple[tuple[int, ...], ...]] = []
     if t >= 3:
         # pools[u][w] is a stack of the unused arcs u -> w, lowest arc id on
         # top; a head leaves pools[u] when its stack runs dry.
@@ -363,17 +376,15 @@ def _directed(g: Digraph, t: int, out) -> PolycycleDecomposition:
             res_out[u] += 1
             stack = pools[u].get(w)
             if stack is None:
-                pools[u][w] = [a]
-            else:
-                stack.append(a)
+                pools[u][w] = stack = []
+            stack.append(a if u != w else _NO_ARC)
 
-        # Pad every vertex to out-degree t with virtual loops (arc id m, which
-        # no owner slot below accepts), then peel t - 2 perfect matchings of
-        # the tail/head bipartite multigraph.  No loop, real or virtual,
-        # enters a part, so their order in a stack does not matter.
+        # Pad every vertex to out-degree t with virtual loops.  No loop, real
+        # or virtual, enters a part: each holds its slot as _NO_ARC.  Then
+        # peel t - 2 perfect matchings of the tail/head bipartite multigraph.
         for u in range(n):
             if res_out[u] < t:
-                pools[u].setdefault(u, []).extend([m] * (t - res_out[u]))
+                pools[u].setdefault(u, []).extend([_NO_ARC] * (t - res_out[u]))
 
         # adj[u] lists the heads w with a non-empty pools[u][w], ascending.
         adj = [sorted(pu) for pu in pools]
@@ -381,29 +392,27 @@ def _directed(g: Digraph, t: int, out) -> PolycycleDecomposition:
             match_l = _hopcroft_karp(n, n, adj)
             if -1 in match_l:
                 raise AssertionError("regular bipartite graph has a perfect matching")
-            cls = []
+            out_arc = []
             for u, w in enumerate(match_l):
                 stack = pools[u][w]
-                a = stack.pop()
+                out_arc.append(stack.pop())
                 if not stack:
                     del pools[u][w]
                     adj[u].remove(w)
-                if u != w:
-                    cls.append(a)
-            classes.append(frozenset(cls))
-        # The two arcs left at each tail, real loops as m.
+            components.append(_cycles_of(out_arc, heads))
+        # The two slots left at each tail.
         slot_arcs: list[int] = []
         slot_heads: list[int] = []
-        for u, pu in enumerate(pools):
+        for pu in pools:
             for w, stack in pu.items():
-                slot_arcs += stack if w != u else [m] * len(stack)
+                slot_arcs += stack
                 slot_heads += [w] * len(stack)
     else:
         # The residual's arcs by tail, t slots each, lowest arc id first,
         # padded with virtual loops.  Every loop, real or virtual, holds
-        # its slot as arc id m with the tail as its head.
-        slot_arcs = [m] * (t * n)
-        slot_heads = [u for u in range(n) for _ in range(t)]
+        # its slot as _NO_ARC with the tail as its head.
+        slot_arcs = [_NO_ARC] * (t * n)
+        slot_heads = sorted([*range(n)] * t)
         filled = [t * u for u in range(n)]
         for a in range(m):
             if not used[a]:
@@ -413,24 +422,9 @@ def _directed(g: Digraph, t: int, out) -> PolycycleDecomposition:
                 if u != w:
                     slot_arcs[s] = a
                     slot_heads[s] = w
-    classes.extend(_split_residual(min(t, 2), slot_arcs, slot_heads, m))
-
-    # owner[a] is the part holding arc a, or -1.  The parts are disjoint
-    # when the arcs written number the sum of the part sizes (no write
-    # overwrote another), and they hold exactly the non-loop arcs when no
-    # loop is written and the arcs written number the non-loops.
-    parts = tuple(classes) + tuple(cycles)
-    owner = [-1] * m
-    for i, part in enumerate(parts):
-        for a in part:
-            owner[a] = i
-    loops = [a for a in range(m) if tails[a] == heads[a]]
-    written = m - owner.count(-1)
-    assert written == sum(map(len, parts)) == m - len(loops)
-    assert all(owner[a] == -1 for a in loops)
-    components = tuple(_part_cycles(part, tails, heads, i >= len(classes))
-                       for i, part in enumerate(parts))
-    return PolycycleDecomposition(parts, delta - t, components)
+    for out_arc in _split_residual(min(t, 2), slot_arcs, slot_heads):
+        components.append(_cycles_of(out_arc, heads))
+    return PolycycleDecomposition((*components, *suffix), delta - t)
 
 
 def undirected_polycycle_decomposition(g: SimpleGraph, t: int) -> PolycycleDecomposition:
@@ -446,10 +440,9 @@ def undirected_polycycle_decomposition(g: SimpleGraph, t: int) -> PolycycleDecom
     directed = directed_polycycle_decomposition(oriented, t)
     tails, heads = oriented.tails, oriented.heads
     edge_of = [(u, w) if u < w else (w, u) for u, w in zip(tails, heads)].__getitem__
-    parts = tuple(frozenset(map(edge_of, arcs)) for arcs in directed.parts)
     components = tuple(tuple(frozenset(map(edge_of, cycle)) for cycle in cycles)
                        for cycles in directed.components)
-    return PolycycleDecomposition(parts, directed.cycle_suffix_len, components)
+    return PolycycleDecomposition(components, directed.cycle_suffix_len)
 
 
 def balanced_permutation_factorization(
@@ -480,7 +473,7 @@ def _factorize(p: Partition, q: Partition, sizes):
     d = cdg(p, q)
     # The cdg's out-degrees are p's cluster sizes and its in-degrees q's.
     decomp = _directed(d, k2, sizes)
-    split = len(decomp.parts) - decomp.cycle_suffix_len
+    split = len(decomp) - decomp.cycle_suffix_len
     classes = [cycles for cycles in decomp.components[:split] if cycles]
     sigmas = [cycles[0] for cycles in decomp.components[split:] if cycles]
     return sigmas, classes

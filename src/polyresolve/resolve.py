@@ -128,6 +128,14 @@ def pcycles_from_pair(p: Partition, pi1: Permutation, pi2: Permutation) -> list[
     return sigmas
 
 
+def _two_smallest(clusters) -> tuple[int, int]:
+    """The two smallest of a cycle's clusters, which are distinct."""
+    clusters = list(clusters)
+    low = min(clusters)
+    clusters.remove(low)
+    return low, min(clusters)
+
+
 def _pair(assign, cs: list[tuple[int, ...]], ds: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """``pcycles_from_pair`` on the cycles ``cs`` of pi1 and ``ds`` of pi2
     (as ``Permutation.cycles`` orders them) and p's assignment, as item
@@ -153,8 +161,8 @@ def _pair(assign, cs: list[tuple[int, ...]], ds: list[tuple[int, ...]]) -> list[
 
     # One representative cluster pair per cycle; the pair for y's cycle is
     # pinned to {p(y), p(pi2(y))} so the coloring separates those clusters.
-    m1 = [tuple(sorted(map(assign.__getitem__, c))[:2]) for c in cs]
-    m2 = [tuple(sorted(map(assign.__getitem__, c))[:2]) for c in ds[:-1]]
+    m1 = [_two_smallest(map(assign.__getitem__, c)) for c in cs]
+    m2 = [_two_smallest(map(assign.__getitem__, c)) for c in ds[:-1]]
     m2.append(tuple(sorted((assign[y], assign[y_next]))))
     color = _color_matchings(m1, m2)
     side = color.get(assign[x], 0)   # x's side; the other side is 1 - side

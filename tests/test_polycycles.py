@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,9 +25,9 @@ from polyresolve.oddcover import cycle_odd_cover_delta4, path_odd_cover_delta4
 from polyresolve.perms import Partition, Permutation
 from polyresolve.polycycles import (
     PolycycleDecomposition,
+    _cycles_of,
     _extract_cycle_through,
     _hopcroft_karp,
-    _part_cycles,
     balanced_permutation_factorization,
     directed_polycycle_decomposition,
     polycycle_odd_cover,
@@ -66,35 +67,58 @@ def test_directed_decomposition_enforces_single_heavy_vertex():
         directed_polycycle_decomposition(g, 1)
 
 
-def test_part_check_rejects_a_vertex_of_out_degree_two():
-    # 0 -> 1 -> 0 and 0 -> 2 -> 0: balanced, but vertex 0 has degree 2
-    g = Digraph(3, (0, 1, 0, 2), (1, 0, 2, 0))
-    # a bowtie: the triangles 0 -> 1 -> 2 -> 0 and 2 -> 3 -> 4 -> 2 share
-    # vertex 2; its first two arcs are the path 0 -> 1 -> 2
-    bowtie = Digraph(5, (0, 1, 2, 2, 3, 4), (1, 2, 0, 3, 4, 2))
-    for d, arcs in ((g, range(4)), (bowtie, range(6)), (bowtie, {0, 1})):
-        with pytest.raises(AssertionError, match="degree 1"):
-            _part_cycles(frozenset(arcs), d.tails, d.heads, single_cycle=False)
+def _by_tail(d: Digraph) -> list[int]:
+    """The arc out of each tail of d, -1 where a vertex has none."""
+    out_arc = [-1] * d.n
+    for a, u in enumerate(d.tails):
+        out_arc[u] = a
+    return out_arc
 
 
-def test_part_check_rejects_a_suffix_part_of_two_cycles():
-    # two disjoint 2-cycles: a polycycle, but not a single cycle
-    g = Digraph(4, (0, 1, 2, 3), (1, 0, 3, 2))
-    assert _part_cycles(frozenset(range(4)), g.tails, g.heads, single_cycle=False) == (
-        (0, 1), (2, 3))
-    assert _part_cycles(frozenset({0, 1}), g.tails, g.heads, single_cycle=True) == ((0, 1),)
-    # an empty part stands in for a loop at the high-degree vertex
-    assert _part_cycles(frozenset(), g.tails, g.heads, single_cycle=True) == ()
-    with pytest.raises(AssertionError, match="one cycle"):
-        _part_cycles(frozenset(range(4)), g.tails, g.heads, single_cycle=True)
+def test_part_walk_rejects_a_stall():
+    # the path 0 -> 1 -> 2: vertex 2 has no arc out
+    path = Digraph(3, (0, 1), (1, 2))
+    with pytest.raises(AssertionError, match="stalls at a tail with no arc"):
+        _cycles_of(_by_tail(path), path.heads)
+
+
+def test_part_walk_rejects_two_arcs_into_one_head():
+    # 0 -> 1 -> 0 closes, then 2 -> 0 enters the closed cycle; 0 -> 1 -> 2
+    # -> 1 enters its own cycle away from its start
+    into_closed = Digraph(3, (0, 1, 2), (1, 0, 0))
+    into_open = Digraph(3, (0, 1, 2), (1, 2, 1))
+    for d in (into_closed, into_open):
+        with pytest.raises(AssertionError, match="two arcs of a part enter one head"):
+            _cycles_of(_by_tail(d), d.heads)
+
+
+def test_part_walk_orders_cycles_by_their_smallest_arcs():
+    # two disjoint 2-cycles around an idle vertex 2
+    g = Digraph(5, (0, 1, 3, 4), (1, 0, 4, 3))
+    assert _cycles_of(_by_tail(g), g.heads) == ((0, 1), (2, 3))
+    assert _cycles_of([-1] * 5, g.heads) == ()
     # Two triangles whose arc ids do not follow the walk: each cycle starts
     # at its smallest arc, and the cycles come in order of that arc.
     tri = Digraph(6, (1, 0, 2, 5, 4, 3), (2, 1, 0, 3, 5, 4))
-    assert _part_cycles(frozenset(range(6)), tri.tails, tri.heads, single_cycle=False) == (
-        (0, 2, 1), (3, 5, 4))
+    assert _cycles_of(_by_tail(tri), tri.heads) == ((0, 2, 1), (3, 5, 4))
 
 
-def _reference_directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecomposition:
+def test_an_empty_suffix_part_stands_in_for_a_loop():
+    # vertex 0 has out-degree 3: the 2-cycle 0 -> 1 -> 0 and two loops; the
+    # first suffix part takes the 2-cycle, the second a loop, and the one
+    # part below the threshold 1 the other loop
+    dec = directed_polycycle_decomposition(Digraph(2, (0, 0, 1, 0), (1, 0, 0, 0)), 1)
+    assert dec.cycle_suffix_len == 2
+    assert dec.components == ((), ((0, 2),), ())
+    assert dec.parts == (frozenset(), frozenset({0, 2}), frozenset())
+
+
+class _Reference(NamedTuple):
+    parts: tuple[frozenset[int], ...]
+    cycle_suffix_len: int
+
+
+def _reference_directed_polycycle_decomposition(g: Digraph, t: int) -> _Reference:
     """The decomposition as it stood before its set-up was rewritten: one
     tuple-keyed pool of arc deques and t textbook matching rounds.  Kept
     without its self-checks, which do not change the output; the cycle
@@ -111,7 +135,7 @@ def _reference_directed_polycycle_decomposition(g: Digraph, t: int) -> Polycycle
         if len(high) > 1:
             raise ValueError("more than one vertex above the threshold")
         for _ in range(delta - t):
-            cycles.append(_extract_cycle_through(g, high[0], out_arcs, used))
+            cycles.append(frozenset(_extract_cycle_through(g, high[0], out_arcs, used)))
     remaining = [a for a in range(g.m) if not used[a]]
     res_out = [0] * g.n
     for a in remaining:
@@ -140,7 +164,7 @@ def _reference_directed_polycycle_decomposition(g: Digraph, t: int) -> Polycycle
             if a < g.m and u != w:
                 cls.append(a)
         classes.append(frozenset(cls))
-    return PolycycleDecomposition(tuple(classes) + tuple(cycles), delta - t)
+    return _Reference(tuple(classes) + tuple(cycles), delta - t)
 
 
 @st.composite
@@ -228,6 +252,19 @@ def test_matcher_runs_only_while_the_residual_degree_is_three_or_more(monkeypatc
     assert counted(lambda: (path_odd_cover_delta4(g), cycle_odd_cover_delta4(g))) == 0
     # t = 50: one Hopcroft-Karp round per class but the last two.
     assert counted(lambda: resolve(*_shuffled_pair(rng, [50] * 10))) == 48
+
+
+def test_resolve_builds_no_part_sets(monkeypatch):
+    # resolve reads each part's cycles only; reading ``parts`` would build
+    # a set per part.
+    def unread(dec):
+        raise AssertionError("resolve read PolycycleDecomposition.parts")
+
+    monkeypatch.setattr(PolycycleDecomposition, "parts", property(unread))
+    rng = random.Random(31)
+    for sizes in ([2] * 1500, [50] * 10):
+        p, q = _shuffled_pair(rng, sizes)
+        assert resolve(p, q).start == p
 
 
 def test_undirected_decomposition_covers_a_four_regular_graph():

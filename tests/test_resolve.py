@@ -419,6 +419,25 @@ def test_resolve_builds_no_permutation_and_counts_no_degrees(monkeypatch):
     assert calls == {"__post_init__": 1}
 
 
+def test_resolve_counts_each_partitions_sizes_once(monkeypatch):
+    # The shape check counts p's and q's sizes, and check_resolution's
+    # length bound reads p's again from the same partition.
+    counted = []
+    sizes = Partition.__dict__["_sizes"]
+    count = sizes.func
+    monkeypatch.setattr(sizes, "func", lambda part: counted.append(part) or count(part))
+    rng = random.Random(29)
+    for shape in ([2] * 1500, [50] * 10):
+        base = [c for c, k in enumerate(shape) for _ in range(k)]
+        left, right = base[:], base[:]
+        rng.shuffle(left)
+        rng.shuffle(right)
+        p, q = Partition(len(shape), tuple(left)), Partition(len(shape), tuple(right))
+        counted.clear()
+        resolve(p, q)
+        assert list(map(id, counted)) == [id(p), id(q)]
+
+
 # --- matching 2-coloring -----------------------------------------------------
 
 
