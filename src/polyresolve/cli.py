@@ -38,10 +38,10 @@ from .jsonio import (
 )
 from .oddcover import (
     OddCoverCert,
-    _eulerian_cover,
     _make_cert,
     linear_forest_decomposition,
     odd_cover_bound,
+    odd_cover_eulerian,
     path_odd_cover_general,
 )
 from .oracles import Report, exact_diameter_bfs, exact_odd_cover, verify_certificate
@@ -185,7 +185,7 @@ def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) ->
             raise AssertionError("the exact search found no cover within the promised bound")
         return _make_cert(kind, parts, g)
     if not summary.v_odd:
-        return _make_cert(kind, _eulerian_cover(g, kind, summary), g)
+        return odd_cover_eulerian(g, kind)
     return path_odd_cover_general(g)
 
 

@@ -314,17 +314,16 @@ def _split_forests(
     h1: frozenset[Edge], h2: frozenset[Edge], m1: frozenset[Edge], m2: frozenset[Edge]
 ) -> tuple[tuple[frozenset[Edge], ...], _Surgery]:
     """The split of ``linear_forests_from_transversal`` on inputs already
-    checked: two non-empty edge-disjoint polycycles and a transversal pair
-    of them.  Returns the forests with their endpoint state."""
+    checked: two edge-disjoint polycycles, either of them possibly empty,
+    and a transversal pair of them.  Returns the forests with their
+    endpoint state."""
     v1, v2 = vertices_of(m1), vertices_of(m2)
     # One edge per vertex-disjoint cycle makes m1 and m2 matchings, so each
     # component of m1 + m2 alternates between them: a path, or an even
     # cycle, which has as many vertices as edges.
-    assert len(v1) == 2 * len(m1) and len(v2) == 2 * len(m2)
     m_prime: set[Edge] = set()
     for comp in edge_components(m1 | m2):
         if len(vertices_of(comp)) == len(comp):
-            assert len(comp) % 2 == 0, "matching-union cycles alternate sides"
             m_prime.add(min(comp & m2))
 
     f1 = (h1 - m1) | m_prime
@@ -387,7 +386,6 @@ def _flexible(cedges: frozenset[Edge], vset: AbstractSet[int], x: int,
         y2 = outs[0] if outs[0] != z else outs[1]
         e0 = edge(order[0], y)
         e1 = edge(order[2], y2)
-    assert e0 in cedges and e1 in cedges
     assert len(set(e0) & chosen) % 2 == 0
     assert len(set(e1) & chosen) % 2 == 1
     return chosen, e0, e1
@@ -791,11 +789,9 @@ def _reduce_endpoints(
     if for_cycles:
         assert min(counts[3:]) > 0
     while max(counts[:3]) > floor:
-        total = sum(counts[:3])
         i, j = next(key for key, c in zip(_PAIRS, counts) if c > floor)
         _join_step(state, i, j, for_cycles)
         counts = state.counts()
-        assert sum(counts[:3]) == total - 2
         assert all(c % 2 == want_parity for c in counts), "endpoint counts must share parity"
         if for_cycles:
             assert min(counts[3:]) > 0
@@ -929,8 +925,6 @@ def _eulerian_cover(g: SimpleGraph, kind: str, summary: DegreeSummary) -> list[f
         raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
     if summary.v_odd:
         raise ValueError("graph has a vertex of odd degree")
-    if not g.edges:
-        return []
 
     # For paths the orientation has maximum out-degree delta/2, so no part
     # is in the cycle suffix.
@@ -971,17 +965,15 @@ def path_odd_cover_general(g: SimpleGraph) -> OddCoverCert:
 def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
     """Split a graph of maximum degree at most 4 into 3 disjoint linear forests.
 
-    Completes the graph to an Eulerian one (a matching on odd vertices,
+    Completes the graph to an Eulerian host (a matching on odd vertices,
     detouring through a fresh vertex when the pair is already adjacent),
-    splits that into two polycycles, applies the transversal-forest split,
-    and restricts the three forests back to the original edges.
+    splits that into its 0, 1 or 2 polycycles, padded to two with empty
+    ones, applies the transversal-forest split, and restricts the three
+    forests back to the original edges.
     """
     summary = degrees(g)
     if summary.delta > 4:
         raise ValueError(f"maximum degree must be at most 4, got {summary.delta}")
-    empty = frozenset()
-    if not g.edges:
-        return OddCoverCert("linear_forest", (empty, empty, empty))
 
     n = g.n
     patch: set[Edge] = set()
@@ -996,17 +988,13 @@ def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
             n += 1
     host = SimpleGraph(n, g.edges | frozenset(patch))
     host_summary = degrees(host)
-    delta = host_summary.delta
-    assert delta in (2, 4) and not host_summary.v_odd
+    assert host_summary.delta in (0, 2, 4) and not host_summary.v_odd
 
-    if delta == 2:
-        m = _transversal(edge_components(host.edges))
-        forests = (host.edges - m, m, empty)
-    else:
-        # The decomposition checks that its parts are polycycles, and the
-        # smallest edge of each of their cycles is a transversal of them.
-        dec = undirected_polycycle_decomposition(host, 2)
-        (h1, h2), (comps1, comps2) = dec.parts, dec.components
-        forests, _ = _split_forests(h1, h2, _transversal(comps1), _transversal(comps2))
-
+    # The decomposition checks that its parts are polycycles, and the
+    # smallest edge of each of their cycles is a transversal of them.
+    dec = undirected_polycycle_decomposition(host, host_summary.delta // 2)
+    pad = 2 - len(dec)
+    h1, h2 = (*dec.parts, *[frozenset()] * pad)
+    comps1, comps2 = (*dec.components, *[()] * pad)
+    forests, _ = _split_forests(h1, h2, _transversal(comps1), _transversal(comps2))
     return _checked(g, OddCoverCert("linear_forest", tuple(f & g.edges for f in forests)))

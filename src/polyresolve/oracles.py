@@ -397,9 +397,10 @@ def exact_odd_cover(
     edge -- so each cover is tried once.  A search node costs one set
     lookup and one pass over the n vertices for the odd-degree count and
     the largest degree, which cuts nodes that must fail (d parts have
-    degree at most 2d at a vertex) without changing the search order.  The
-    last two parts are one scan over the parts through the smallest
-    uncovered edge, with one xor and one set lookup per part for the rest.
+    degree at most 2d at a vertex; cycles leave no odd one) without
+    changing the search order.  The last two parts are one scan over the
+    parts through the smallest uncovered edge, with one xor and one set
+    lookup per part for the rest.
     Failed (remaining, depth) states stay memoized across budgets, which is
     sound because a solution clashing with an earlier choice would cancel
     into a smaller cover that previous budgets already ruled out.
@@ -474,8 +475,6 @@ def exact_odd_cover(
         dead.add((remaining, depth))
         return False
 
-    if kind == "cycle" and target and odd_and_top(target)[0]:
-        return None
     for depth in range(budget + 1):
         acc: list[int] = []
         if search(target, depth, acc):

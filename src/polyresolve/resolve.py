@@ -166,14 +166,12 @@ def _pair(assign, cs: list[tuple[int, ...]], ds: list[tuple[int, ...]]) -> list[
     m2.append(tuple(sorted((assign[y], assign[y_next]))))
     color = _color_matchings(m1, m2)
     side = color.get(assign[x], 0)   # x's side; the other side is 1 - side
-    assert color.get(assign[y_next], 0) != side
 
     xs = [_rotate(cx, x)] + [
         _rotate(c, min(it for it in c if color.get(assign[it], 0) == side)) for c in cs[1:]
     ]
     ys = [_rotate(c, min(it for it in c if color.get(assign[it], 0) != side)) for c in ds[:-1]]
     ys.append(_rotate(dy, y_next))
-    assert ys[-1][-1] == y
 
     sigma1 = tuple(it for c in xs for it in c)
     d_flat = [it for c in ys for it in c]

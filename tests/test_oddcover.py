@@ -307,11 +307,64 @@ def test_single_edge_is_one_path():
     assert len(path_odd_cover_general(one).parts) == 1
 
 
-def test_empty_graph_covers():
-    empty = simple_graph(3, [])
-    assert len(path_odd_cover_general(empty).parts) == 0
-    assert len(odd_cover_eulerian(empty, "cycle").parts) == 0
-    assert len(linear_forest_decomposition(empty).parts) == 3
+def test_empty_graph_covers(monkeypatch):
+    for n in (0, 1, 3):
+        empty = simple_graph(n, [])
+        assert len(path_odd_cover_general(empty).parts) == 0
+        assert len(odd_cover_eulerian(empty, "cycle").parts) == 0
+        assert linear_forest_decomposition(empty).parts == (frozenset(),) * 3
+
+    # The edgeless decomposition takes the one route, through check_cover.
+    def refuse(g, cert):
+        raise RuntimeError("checked")
+
+    monkeypatch.setattr(oddcover, "check_cover", refuse)
+    for n in (0, 1, 3):
+        with pytest.raises(RuntimeError, match="checked"):
+            linear_forest_decomposition(simple_graph(n, []))
+
+
+def _two_branch_linear_forests(g):
+    """``linear_forest_decomposition`` as it was with a route for the
+    edgeless graph and one for a host of maximum degree 2, kept to show the
+    one route gives the same certificate."""
+    summary = degrees(g)
+    empty = frozenset()
+    if not g.edges:
+        return oddcover.OddCoverCert("linear_forest", (empty, empty, empty))
+    n = g.n
+    patch = set()
+    odd = [u for u, d in enumerate(summary.degrees) if d % 2]
+    for i in range(0, len(odd), 2):
+        u, v = odd[i], odd[i + 1]
+        if edge(u, v) not in g.edges:
+            patch.add(edge(u, v))
+        else:
+            patch.add(edge(u, n))
+            patch.add(edge(v, n))
+            n += 1
+    host = SimpleGraph(n, g.edges | frozenset(patch))
+    if degrees(host).delta == 2:
+        m = oddcover._transversal(edge_components(host.edges))
+        forests = (host.edges - m, m, empty)
+    else:
+        dec = polycycles.undirected_polycycle_decomposition(host, 2)
+        (h1, h2), (comps1, comps2) = dec.parts, dec.components
+        forests, _ = oddcover._split_forests(h1, h2, oddcover._transversal(comps1),
+                                             oddcover._transversal(comps2))
+    return oddcover.OddCoverCert("linear_forest", tuple(f & g.edges for f in forests))
+
+
+def test_linear_forests_take_one_route_to_the_same_certificate():
+    nx = pytest.importorskip("networkx")
+    graphs_ = [simple_graph(atlas.number_of_nodes(), atlas.edges())
+               for atlas in nx.graph_atlas_g() if max(dict(atlas.degree).values(), default=0) <= 4]
+    # A host of maximum degree 2 past the atlas: two cycles, a path closed
+    # by one patch edge, and an edge closed through a fresh vertex.
+    graphs_.append(simple_graph(14, cyc(0, 1, 2, 3, 4) + cyc(5, 6, 7, 8) + [(9, 10), (10, 11), (12, 13)]))
+    assert degrees(graphs_[-1]).delta == 2
+    for g in graphs_:
+        assert linear_forest_decomposition(g) == _two_branch_linear_forests(g), sorted(g.edges)
 
 
 def test_eulerian_cover_rejects_bad_kind():

@@ -282,7 +282,7 @@ def test_part_count_guards_fire_under_python_O(bound_guards, check):
 
 # The asserts left in the package are proof invariants: every output still
 # passes its checker by an explicit raise, and every crash guard is one.
-ASSERTS_LEFT = 31
+ASSERTS_LEFT = 24
 
 
 def test_no_new_asserts_in_the_package():

@@ -128,3 +128,24 @@ def test_every_definition_has_a_caller():
 def test_names_kept_for_the_benchmark_are_bound_by_it():
     assert set(KEPT_FOR_PERFBENCH) <= set(_exported())
     assert set(KEPT_FOR_PERFBENCH) <= _bound_by_perfbench()
+
+
+# Each import of a private name from another package module: a core that a
+# public name wraps, called past its checks.  A new entry is a caller that
+# reaches into a module's core, and is added here on purpose or not at all.
+PRIVATE_IMPORTS = {
+    ("cli", "oddcover", "_make_cert"),
+    ("oracles", "oddcover", "_make_cert"),
+    ("oddcover", "polycycles", "_polycycle_cover"),
+    ("resolve", "perms", "_walk"),
+    ("resolve", "polycycles", "_factorize"),
+}
+
+
+def test_cross_module_private_imports_are_pinned():
+    found = {(path.stem, node.module.rsplit(".", 1)[-1], alias.name)
+             for path in PACKAGE.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module
+             and (node.level or node.module.split(".")[0] == "polyresolve")
+             for alias in node.names if alias.name.startswith("_")}
+    assert found == PRIVATE_IMPORTS
