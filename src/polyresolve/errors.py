@@ -21,10 +21,11 @@ DEFAULT_STATE_CAP = 100_000
 
 def state_cap(cap: int | None) -> int:
     """The search cap: ``cap`` if given, else ``POLYRESOLVE_CAP``, else
-    100,000.  ``ValueError`` if the cap given or ``POLYRESOLVE_CAP`` is not
-    an integer of at least 1."""
+    100,000.  ``ValueError`` if the cap given is not an ``int`` (a ``bool``
+    is refused) of at least 1, or ``POLYRESOLVE_CAP`` is not an integer of
+    at least 1."""
     if cap is not None:
-        if cap < 1:
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
             raise ValueError(f"cap must be a positive integer, got {cap!r}")
         return cap
     env = os.environ.get("POLYRESOLVE_CAP")

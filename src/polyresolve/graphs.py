@@ -17,6 +17,14 @@ from typing import Iterable, NamedTuple
 Edge = tuple[int, int]
 
 
+def label_counts(labels: Iterable[int], n: int) -> list[int]:
+    """How often each label ``0..n-1`` occurs in ``labels``."""
+    counts = [0] * n
+    for c in labels:
+        counts[c] += 1
+    return counts
+
+
 def edge(u: int, v: int) -> Edge:
     """Canonical unordered pair."""
     if u == v:
@@ -41,11 +49,7 @@ class SimpleGraph:
         return len(self.edges)
 
     def degree_vector(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return label_counts(chain.from_iterable(self.edges), self.n)
 
 
 def simple_graph(n: int, pairs: Iterable[tuple[int, int]]) -> SimpleGraph:
@@ -78,16 +82,10 @@ class Digraph:
         return len(self.tails)
 
     def out_degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for v in self.tails:
-            deg[v] += 1
-        return deg
+        return label_counts(self.tails, self.n)
 
     def in_degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for v in self.heads:
-            deg[v] += 1
-        return deg
+        return label_counts(self.heads, self.n)
 
 
 class DegreeSummary(NamedTuple):

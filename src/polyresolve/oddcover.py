@@ -12,22 +12,25 @@ ceil(3*Delta/4) paths or d1/2 + ceil(d2/4) cycles (d1 >= d2 the top two
 degrees), and a general graph reduces to the Eulerian case by one
 matching on its odd-degree vertices.
 
-A forest triple has one endpoint state (``_Surgery``), which the split
-builds from one walk per forest (``graphs.linear_forest_paths``) and the
-joins change in place: for each forest the other end and smallest vertex
-of every path, the three shared-endpoint sets and the straddling paths.
-A join updates them in O(log E), and the invariants the proof needs (two
-fewer shared endpoints, one parity for all six counts, a straddler in
-every forest for cycles, no closed cycle) are checked after every join,
-so the surgery costs O(E log E).  The cycle closing reads the surgery's
-own shared-endpoint sets.  The public steps check their inputs (a
+The split returns three forests.  Only where joins run do they get an
+endpoint state (``_Surgery``), which ``_joining_state`` builds from one
+walk per forest (``graphs.linear_forest_paths``) and the joins change in
+place: for each forest the other end and smallest vertex of every path,
+the three shared-endpoint sets and the straddling paths.  A join updates
+them in O(log E), and the invariants the proof needs (two fewer shared
+endpoints, one parity for all six counts, a straddler in every forest for
+cycles, no closed cycle) are checked after every join, so the surgery
+costs O(E log E).  The cycle closing reads the surgery's own
+shared-endpoint sets.  The public steps check their inputs (a
 ``ValueError`` names the polycycle, transversal or forest at fault), then
 call private cores: ``_odd_pair`` and ``_even_pair`` take each
 polycycle's cycles, and ``_flexible`` one cycle of canonical edges.  The
-cores re-check nothing that ``check_cover`` holds.  Only the endpoint
-state refuses split forests that are not linear or whose ends are
-unbalanced, with an ``AssertionError``: a fault in a core is a failed
-check (exit 1), not an input error.
+cores re-check nothing that ``check_cover`` holds.  Where joins run, only
+the endpoint state refuses split forests that are not linear or whose
+ends are unbalanced, with an ``AssertionError``: a fault in a core is a
+failed check (exit 1), not an input error.  A linear-forest decomposition
+joins nothing and builds no endpoint state; ``check_cover`` alone checks
+its forests.
 
 A cover works out each fact of its graph once.  Every path or cycle cover
 of an Eulerian graph runs the unchecked ``_eulerian_cover`` on the
@@ -306,18 +309,16 @@ def linear_forests_from_transversal(
     m2 = _canon(tp.m2)
     _check_transversal(m1, h1, edge_components(h1), "m1")
     _check_transversal(m2, h2, edge_components(h2), "m2")
-    _, state = _split_forests(h1, h2, m1, m2)
-    return state.triple()
+    return _joining_state(h1, h2, m1, m2).triple()
 
 
 def _split_forests(
     h1: frozenset[Edge], h2: frozenset[Edge], m1: frozenset[Edge], m2: frozenset[Edge]
-) -> tuple[tuple[frozenset[Edge], ...], _Surgery]:
+) -> tuple[frozenset[Edge], ...]:
     """The split of ``linear_forests_from_transversal`` on inputs already
     checked: two edge-disjoint polycycles, either of them possibly empty,
-    and a transversal pair of them.  Returns the forests with their
-    endpoint state."""
-    v1, v2 = vertices_of(m1), vertices_of(m2)
+    and a transversal pair of them.  Returns the three forests; only the
+    joins need their endpoint state (``_joining_state``)."""
     # One edge per vertex-disjoint cycle makes m1 and m2 matchings, so each
     # component of m1 + m2 alternates between them: a path, or an even
     # cycle, which has as many vertices as edges.
@@ -325,18 +326,24 @@ def _split_forests(
     for comp in edge_components(m1 | m2):
         if len(vertices_of(comp)) == len(comp):
             m_prime.add(min(comp & m2))
+    return (h1 - m1) | m_prime, m1 | (m2 - m_prime), h2 - m2
 
-    f1 = (h1 - m1) | m_prime
-    f2 = m1 | (m2 - m_prime)
-    f3 = h2 - m2
-    forests = (f1, f2, f3)
-    state = _analyze(forests)
+
+def _joining_state(
+    h1: frozenset[Edge], h2: frozenset[Edge], m1: frozenset[Edge], m2: frozenset[Edge]
+) -> _Surgery:
+    """The endpoint state of the split's forests, which the joins start
+    from.  Asserts the split's facts: the ends of each forest, and the
+    parity of R_12 equal to that of |V(m1) & V(m2)|."""
+    f1, f2, f3 = _split_forests(h1, h2, m1, m2)
+    state = _analyze((f1, f2, f3))
+    v1, v2 = vertices_of(m1), vertices_of(m2)
     ends = [other.keys() for other in state.other]
     assert ends[0] == v1 ^ vertices_of(m2 & f1)
     assert ends[1] == v1 ^ vertices_of(m2 & f2)
     assert ends[2] == v2
     assert len(state.r[(0, 1)]) % 2 == len(v1 & v2) % 2
-    return forests, state
+    return state
 
 
 def flexible_exchange(
@@ -553,16 +560,10 @@ def _even_case_rigid(
     need(x1 in v2ps, "neighbor on c1' must lie on c2'")
     v = min(ww for ww in _neighbors(c2p, x1) if ww != v1)
 
-    m1 = {edge(u1, v1), edge(w1, x1)}
-    for comp in comps1:
-        if comp not in (c1, c1p):
-            m1.add(min(comp))
-    m2 = {edge(u1, w), edge(v, x1)}
-    for comp in comps2:
-        if comp not in (c2, c2p):
-            m2.add(min(comp))
+    m1 = _transversal(comp for comp in comps1 if comp not in (c1, c1p)) | {edge(u1, v1), edge(w1, x1)}
+    m2 = _transversal(comp for comp in comps2 if comp not in (c2, c2p)) | {edge(u1, w), edge(v, x1)}
     need(vertices_of(m1) & vertices_of(m2) == {u1, x1}, "intersection must be the two anchors")
-    return frozenset(m1), frozenset(m2), u1, v1, w
+    return m1, m2, u1, v1, w
 
 
 def transversal_even_intersection(
@@ -859,8 +860,7 @@ def _path_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[
     given their cycles: a transversal pair with odd intersection splits
     them into three linear forests, joined into one path each."""
     tp = _odd_pair(h1, h2, comps1, comps2)
-    _, state = _split_forests(h1, h2, tp.m1, tp.m2)
-    final, _ = _reduce_endpoints(state, for_cycles=False)
+    final, _ = _reduce_endpoints(_joining_state(h1, h2, tp.m1, tp.m2), for_cycles=False)
     return final
 
 
@@ -900,8 +900,7 @@ def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset
         return _polycycle_cover((h1 | h2).difference(*apart), rest, "cycle") + apart
 
     tp, _witness = _even_pair(h1, h2, comps1, comps2, crossing)
-    _, state = _split_forests(h1, h2, tp.m1, tp.m2)
-    final, r_sets = _reduce_endpoints(state, for_cycles=True)
+    final, r_sets = _reduce_endpoints(_joining_state(h1, h2, tp.m1, tp.m2), for_cycles=True)
     return _close_into_cycles(final, r_sets)
 
 
@@ -969,7 +968,8 @@ def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
     detouring through a fresh vertex when the pair is already adjacent),
     splits that into its 0, 1 or 2 polycycles, padded to two with empty
     ones, applies the transversal-forest split, and restricts the three
-    forests back to the original edges.
+    forests back to the original edges.  No join runs, so no endpoint
+    state is built: ``check_cover`` alone checks the forests.
     """
     summary = degrees(g)
     if summary.delta > 4:
@@ -996,5 +996,5 @@ def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
     pad = 2 - len(dec)
     h1, h2 = (*dec.parts, *[frozenset()] * pad)
     comps1, comps2 = (*dec.components, *[()] * pad)
-    forests, _ = _split_forests(h1, h2, _transversal(comps1), _transversal(comps2))
+    forests = _split_forests(h1, h2, _transversal(comps1), _transversal(comps2))
     return _checked(g, OddCoverCert("linear_forest", tuple(f & g.edges for f in forests)))

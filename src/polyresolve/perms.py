@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .graphs import Digraph
+from .graphs import Digraph, label_counts
 
 
 class Permutation:
@@ -210,14 +210,7 @@ class Partition:
 
     @cached_property
     def _sizes(self) -> tuple[int, ...]:
-        out = [0] * self.n
-        for c in self.assign:
-            out[c] += 1
-        return tuple(out)
-
-    def shape(self) -> tuple[int, ...]:
-        """Cluster sizes sorted descending."""
-        return tuple(sorted(self.sizes(), reverse=True))
+        return tuple(label_counts(self.assign, self.n))
 
     def apply(self, tau: CycleSeq) -> "Partition":
         """One step of the replay: item ``x`` ends up in the old cluster of

@@ -350,21 +350,49 @@ def _two_branch_linear_forests(g):
     else:
         dec = polycycles.undirected_polycycle_decomposition(host, 2)
         (h1, h2), (comps1, comps2) = dec.parts, dec.components
-        forests, _ = oddcover._split_forests(h1, h2, oddcover._transversal(comps1),
-                                             oddcover._transversal(comps2))
+        forests = oddcover._split_forests(h1, h2, oddcover._transversal(comps1),
+                                          oddcover._transversal(comps2))
     return oddcover.OddCoverCert("linear_forest", tuple(f & g.edges for f in forests))
 
 
-def test_linear_forests_take_one_route_to_the_same_certificate():
+def _atlas_delta4():
+    """Every graph on at most 7 vertices with maximum degree at most 4."""
     nx = pytest.importorskip("networkx")
-    graphs_ = [simple_graph(atlas.number_of_nodes(), atlas.edges())
-               for atlas in nx.graph_atlas_g() if max(dict(atlas.degree).values(), default=0) <= 4]
+    return [simple_graph(atlas.number_of_nodes(), atlas.edges())
+            for atlas in nx.graph_atlas_g() if max(dict(atlas.degree).values(), default=0) <= 4]
+
+
+def test_linear_forests_take_one_route_to_the_same_certificate():
+    graphs_ = _atlas_delta4()
     # A host of maximum degree 2 past the atlas: two cycles, a path closed
     # by one patch edge, and an edge closed through a fresh vertex.
     graphs_.append(simple_graph(14, cyc(0, 1, 2, 3, 4) + cyc(5, 6, 7, 8) + [(9, 10), (10, 11), (12, 13)]))
     assert degrees(graphs_[-1]).delta == 2
     for g in graphs_:
         assert linear_forest_decomposition(g) == _two_branch_linear_forests(g), sorted(g.edges)
+
+
+def test_linear_forests_build_no_endpoint_state(monkeypatch):
+    # Only the joins read the endpoint state, and a decomposition joins
+    # nothing, so with the state stubbed out it gives the same certificates.
+    graphs_ = _atlas_delta4()
+    rng = random.Random(41)
+    offset, stacked = 0, []
+    for _ in range(12):
+        comp = random_delta4_graph(rng)
+        stacked += [(u + offset, v + offset) for u, v in comp.edges]
+        offset += comp.n
+    graphs_.append(simple_graph(offset, stacked))
+    assert degrees(graphs_[-1]).delta == 4
+    expected = [linear_forest_decomposition(g) for g in graphs_]
+
+    def no_state(*args):
+        raise RuntimeError("endpoint state built")
+
+    monkeypatch.setattr(oddcover, "_Surgery", no_state)
+    assert [linear_forest_decomposition(g) for g in graphs_] == expected
+    with pytest.raises(RuntimeError, match="endpoint state built"):
+        path_odd_cover_delta4(complete(5))
 
 
 def test_eulerian_cover_rejects_bad_kind():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import time
 from collections import OrderedDict
 
@@ -102,6 +103,18 @@ def test_cap_below_one_is_refused(cap):
         exact_odd_cover(complete(3), "path", 2, cap=cap)
     # The least cap, 1, passes K_2, which has no cycle.
     assert min_odd_cover_exhaustive(complete(2), "cycle", 1, cap=1) is None
+
+
+@pytest.mark.parametrize("cap", ["100", True, 2.0])
+def test_cap_that_is_not_an_integer_is_refused(cap):
+    p = Partition(2, (0, 0, 1, 1))
+    message = re.escape(f"cap must be a positive integer, got {cap!r}")
+    with pytest.raises(ValueError, match=message):
+        exact_diameter_bfs((2, 2), cap=cap)
+    with pytest.raises(ValueError, match=message):
+        min_resolution_length(p, p, cap=cap)
+    with pytest.raises(ValueError, match=message):
+        exact_odd_cover(complete(3), "path", 2, cap=cap)
 
 
 def test_exact_diameter_many_items_few_vertices_is_quick():
@@ -495,7 +508,7 @@ def test_min_resolution_length_within_diameter(seed):
     p = Partition(n, tuple(left))
     q = Partition(n, tuple(right))
     dist = min_resolution_length(p, q)
-    assert dist <= exact_diameter_bfs(p.shape())
+    assert dist <= exact_diameter_bfs(sorted(p.sizes(), reverse=True))
 
 
 # --- exhaustive odd-cover minima ----------------------------------------------

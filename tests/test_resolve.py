@@ -95,7 +95,7 @@ def test_resolve_meets_bound_and_verifies(seed):
     assert r.start == p
     assert r.replay()[-1] == q
     assert verify_resolution(p, q, r.taus)
-    shape = p.shape()
+    shape = sorted(p.sizes(), reverse=True)
     k1 = shape[0] if shape else 0
     k2 = shape[1] if len(shape) > 1 else 0
     assert len(r.taus) <= k1 + (k2 + 1) // 2
