@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple
 
@@ -50,6 +51,17 @@ class SimpleGraph:
 
     def degree_vector(self) -> list[int]:
         return label_counts(chain.from_iterable(self.edges), self.n)
+
+    @cached_property
+    def _degrees(self) -> DegreeSummary:
+        deg = self.degree_vector()
+        delta = max(deg, default=0)
+        return DegreeSummary(
+            delta=delta,
+            v_odd=sum(1 for d in deg if d % 2),
+            delta_e=2 * ((delta + 1) // 2),
+            degrees=tuple(deg),
+        )
 
 
 def simple_graph(n: int, pairs: Iterable[tuple[int, int]]) -> SimpleGraph:
@@ -97,15 +109,8 @@ class DegreeSummary(NamedTuple):
 
 def degrees(g: SimpleGraph) -> DegreeSummary:
     """Max degree, number of odd vertices, even ceiling of the max, and
-    the full degree vector."""
-    deg = g.degree_vector()
-    delta = max(deg, default=0)
-    return DegreeSummary(
-        delta=delta,
-        v_odd=sum(1 for d in deg if d % 2),
-        delta_e=2 * ((delta + 1) // 2),
-        degrees=tuple(deg),
-    )
+    the full degree vector: the one summary g counts once and keeps."""
+    return g._degrees
 
 
 class SubgraphShape(Enum):

@@ -54,6 +54,8 @@ MAX_COUNT = 1_000_000
 
 def _count(x: Any, what: str) -> int:
     n = _int(x, what)
+    if n < 0:
+        raise ValueError(f"{what} must be non-negative, got {n}")
     if n > MAX_COUNT:
         raise ValueError(f"{what}={n} exceeds the limit of {MAX_COUNT}")
     return n

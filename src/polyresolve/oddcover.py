@@ -34,10 +34,11 @@ its forests.
 
 A cover works out each fact of its graph once.  Every path or cycle cover
 of an Eulerian graph runs the unchecked ``_eulerian_cover`` on the
-graph's one degree summary: one decomposition orients the graph on edge
-ids and walks each polycycle once, which checks its shape and hands out
-its cycles, and consecutive polycycles go as they are, with their cycles,
-to the pair cores ``_path_pair`` and ``_cycle_pair``.  So no stage
+graph's one degree summary, which the graph counts once and keeps for
+the route and the final check: one decomposition orients the graph on
+edge ids and walks each polycycle once, which checks its shape and hands
+out its cycles, and consecutive polycycles go as they are, with their
+cycles, to the pair cores ``_path_pair`` and ``_cycle_pair``.  So no stage
 canonicalizes, re-checks or splits a polycycle into components again.
 The parts are normalized once, and ``check_cover`` is the one checker of
 a finished cover; ``oracles.verify_certificate`` calls it too.  It checks
@@ -59,7 +60,6 @@ from typing import AbstractSet, Iterable
 
 from .graphs import (
     FOREST_SHAPES,
-    DegreeSummary,
     Edge,
     SimpleGraph,
     SubgraphShape,
@@ -827,15 +827,14 @@ def _make_cert(kind: str, parts: Iterable[Iterable[tuple[int, int]]], g: SimpleG
     return _checked(g, OddCoverCert(kind, _normalized(parts)))
 
 
-def _max_degree_up_to_4(g: SimpleGraph) -> DegreeSummary:
-    """The degree summary of g, once g is checked Eulerian with maximum
-    degree at most 4."""
+def _max_degree_up_to_4(g: SimpleGraph) -> SimpleGraph:
+    """g, once checked Eulerian with maximum degree at most 4."""
     summary = degrees(g)
     if summary.v_odd:
         raise ValueError("graph has a vertex of odd degree")
     if summary.delta > 4:
         raise ValueError(f"maximum degree must be at most 4, got {summary.delta}")
-    return summary
+    return g
 
 
 def path_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
@@ -843,7 +842,7 @@ def path_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     the Eulerian path cover on its domain.  Its two polycycles (one, covered
     by two paths, when no degree is 4) split into three linear forests,
     joined into one path each."""
-    return _make_cert("path", _eulerian_cover(g, "path", _max_degree_up_to_4(g)), g)
+    return _make_cert("path", _eulerian_cover(_max_degree_up_to_4(g), "path"), g)
 
 
 def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
@@ -851,7 +850,7 @@ def cycle_odd_cover_delta4(g: SimpleGraph) -> OddCoverCert:
     the Eulerian cycle cover on its domain.  With a single degree-4 vertex
     the decomposition splits off one cycle through it, and the cover is
     that cycle plus at most two cycles of the polycycle left."""
-    return _make_cert("cycle", _eulerian_cover(g, "cycle", _max_degree_up_to_4(g)), g)
+    return _make_cert("cycle", _eulerian_cover(_max_degree_up_to_4(g), "cycle"), g)
 
 
 def _path_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[Edge]],
@@ -912,16 +911,18 @@ def odd_cover_eulerian(g: SimpleGraph, kind: str) -> OddCoverCert:
     three paths or cycles; for cycles the decomposition threshold is d2/2
     so the trailing parts are single cycles costing one part each.
     """
-    return _make_cert(kind, _eulerian_cover(g, kind, degrees(g)), g)
+    return _make_cert(kind, _eulerian_cover(g, kind), g)
 
 
-def _eulerian_cover(g: SimpleGraph, kind: str, summary: DegreeSummary) -> list[frozenset[Edge]]:
+def _eulerian_cover(g: SimpleGraph, kind: str) -> list[frozenset[Edge]]:
     """The parts of ``odd_cover_eulerian``, unnormalized and unchecked,
-    given g's degree summary.  Each polycycle of the one decomposition
-    holds an out-arc of a top-degree vertex, so consecutive ones share a
-    vertex and go to the pair cores as they are, with their cycles."""
+    read off the degree summary g keeps (``graphs.degrees``), which the
+    final check reuses.  Each polycycle of the one decomposition holds an
+    out-arc of a top-degree vertex, so consecutive ones share a vertex and
+    go to the pair cores as they are, with their cycles."""
     if kind not in ("path", "cycle"):
         raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
+    summary = degrees(g)
     if summary.v_odd:
         raise ValueError("graph has a vertex of odd degree")
 
@@ -953,11 +954,10 @@ def path_odd_cover_general(g: SimpleGraph) -> OddCoverCert:
     odd = [u for u, d in enumerate(summary.degrees) if d % 2]
     matching = [edge(odd[i], odd[i + 1]) for i in range(0, len(odd), 2)]
     flipped = SimpleGraph(g.n, g.edges ^ frozenset(matching))
-    flipped_summary = degrees(flipped)
-    assert flipped_summary.delta <= summary.delta_e
+    assert degrees(flipped).delta <= summary.delta_e
     # The Eulerian parts cancel among themselves before the matching's
     # one-edge paths join them, which fixes the order of the parts kept.
-    eulerian = _normalized(_eulerian_cover(flipped, "path", flipped_summary))
+    eulerian = _normalized(_eulerian_cover(flipped, "path"))
     return _make_cert("path", [*eulerian, *(frozenset({e}) for e in matching)], g)
 
 

@@ -455,20 +455,20 @@ def balanced_permutation_factorization(
     two largest cluster sizes.  Applying all factors to p (in any order,
     since they commute) yields q.
     """
-    sizes = p.sizes()
-    if sizes != q.sizes():
+    if p.sizes() != q.sizes():
         raise ValueError("p and q must have equal per-cluster sizes")
-    sigmas, classes = _factorize(p, q, sizes)
+    sigmas, classes = _factorize(p, q)
     return [CycleSeq(s) for s in sigmas], [
         Permutation.from_moved(p.m, {x: y for c in cycles for x, y in zip(c, (*c[1:], c[0]))})
         for cycles in classes]
 
 
-def _factorize(p: Partition, q: Partition, sizes):
-    """The factorization of a pair of checked common ``sizes``: each p-cycle
-    as an item tuple, each balanced permutation as its ``cycles()``."""
+def _factorize(p: Partition, q: Partition):
+    """The factorization of a pair with checked equal ``sizes()``: each
+    p-cycle as an item tuple, each balanced permutation as its ``cycles()``."""
     if p == q:
         return [], []
+    sizes = p.sizes()
     _, k2 = two_largest(sizes)
     d = cdg(p, q)
     # The cdg's out-degrees are p's cluster sizes and its in-degrees q's.

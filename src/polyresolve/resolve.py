@@ -189,10 +189,9 @@ def resolve(p: Partition, q: Partition) -> Resolution:
     cycles, so a pair whose second-largest cluster holds at most two items
     runs no matcher at all.
     """
-    sizes = p.sizes()
-    if sizes != q.sizes():
+    if p.sizes() != q.sizes():
         raise ValueError("p and q must have equal per-cluster sizes")
-    sigmas, classes = _factorize(p, q, sizes)
+    sigmas, classes = _factorize(p, q)
     assign = p.assign
     parts: list[tuple[int, ...]] = []
     for i in range(0, len(classes) - 1, 2):

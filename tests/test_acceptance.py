@@ -11,6 +11,9 @@ import pytest
 
 from polyresolve import acceptance
 from polyresolve.acceptance import CRITERIA, run_criterion
+from polyresolve.oddcover import OddCoverCert
+from polyresolve.perms import CycleSeq, Resolution, resolution_length_bound
+from polyresolve.resolve import resolve
 
 NAMES = [name for name, _, _ in CRITERIA]
 
@@ -35,6 +38,36 @@ def test_a_criterion_past_its_budget_fails(monkeypatch):
     assert slow.detail.startswith("took ") and slow.detail.endswith("s, budget is 0s")
     assert run_criterion("free").passed
     assert run_criterion("wrong").detail == "it broke"
+
+
+def _padded_resolve(p, q):
+    """``resolve``'s walk with a swap and its undoing repeated in front,
+    so it still ends at q but takes more steps than the bound."""
+    res = resolve(p, q)
+    swap = CycleSeq((0, next(x for x in range(p.m) if p(x) != p(0))))
+    return Resolution(p, (swap, swap) * resolution_length_bound(p.sizes()) + res.taus)
+
+
+def _one_edge_paths(g, *kind):
+    """A valid path cover of g by its single edges: past the bound on
+    every Eulerian graph with an edge, and on the first graph of each
+    criterion that uses it."""
+    return OddCoverCert("path", tuple(frozenset({e}) for e in sorted(g.edges)))
+
+
+@pytest.mark.parametrize("name, stubbed, stub", [
+    ("k2-bound-2k", "resolve", _padded_resolve),
+    ("pp36-diameter-5", "resolve", _padded_resolve),
+    ("delta4-odd-covers", "path_odd_cover_delta4", _one_edge_paths),
+    ("eulerian-bounds", "odd_cover_eulerian", _one_edge_paths),
+    ("general-path-covers", "path_odd_cover_general", _one_edge_paths),
+])
+def test_a_certificate_past_its_bound_fails_its_criterion(monkeypatch, name, stubbed, stub):
+    # The criteria leave the length and part-count bounds to the verifier.
+    monkeypatch.setattr(acceptance, stubbed, stub)
+    report = run_criterion(name)
+    assert not report.passed
+    assert "exceed the bound" in report.detail
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import time
 
 import pytest
 
 from polyresolve import cli, oddcover
 from polyresolve.cli import main
-from polyresolve.graphs import simple_graph
+from polyresolve.generators import random_delta4_eulerian_graph
+from polyresolve.graphs import SimpleGraph, simple_graph
 from polyresolve.jsonio import emit_graph, emit_instance
 from polyresolve.oracles import Report
 from polyresolve.perms import Partition
@@ -183,6 +185,49 @@ def test_huge_cluster_count_is_input_error(tmp_path, capsys):
     inst = write_json(tmp_path / "huge.json", {"m": 2, "n": 10**12, "p": [0, 1], "p_prime": [1, 0]})
     assert main(["resolve", "--instance", inst]) == 2
     assert "exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["oddcover", "arboricity", "resolve", "verify"])
+def test_negative_count_is_input_error(tmp_path, capsys, verb):
+    # An empty graph or instance with a negative count was certified (exit 0).
+    g = write_json(tmp_path / "g.json", {"n": -3, "edges": []})
+    inst = write_json(tmp_path / "inst.json", {"m": 0, "n": -5, "p": [], "p_prime": []})
+    if verb == "resolve":
+        argv = ["resolve", "--instance", inst]
+    elif verb == "verify":
+        cover = write_json(tmp_path / "cover.json", {"type": "odd_cover", "kind": "path", "parts": []})
+        steps = write_json(tmp_path / "res.json", {"type": "resolution", "taus": []})
+        assert main(["verify", "--graph", g, cover]) == 2
+        assert "n must be non-negative, got -3" in capsys.readouterr().err
+        argv = ["verify", "--instance", inst, steps]
+    else:
+        argv = [verb, "--graph", g]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "n must be non-negative, got -" in err
+
+
+@pytest.mark.parametrize("verb, kind, odd, counts", [
+    ("oddcover", "path", False, 1),
+    ("oddcover", "cycle", False, 1),
+    ("oddcover", "path", True, 2),
+    ("arboricity", None, True, 2),
+])
+def test_a_cli_cover_counts_each_graph_degrees_once(tmp_path, capsys, monkeypatch, verb, kind, odd, counts):
+    # The route, the construction's threshold and the verifier's bound read
+    # one degree summary per graph: the input's, and for a graph with odd
+    # degrees also the Eulerian graph it is completed to.  They counted
+    # 3 and 4 times when each reader counted for itself.
+    g = random_delta4_eulerian_graph(random.Random(1), components=12)
+    if odd:
+        g = SimpleGraph(g.n, g.edges - {min(g.edges)})
+    path = write_json(tmp_path / "g.json", emit_graph(g))
+    calls = []
+    original = SimpleGraph.degree_vector
+    monkeypatch.setattr(SimpleGraph, "degree_vector", lambda self: calls.append(self) or original(self))
+    assert main([verb, "--graph", path] + (["--kind", kind] if kind else [])) == 0
+    assert json.loads(capsys.readouterr().out)["type"] == "odd_cover"
+    assert len(calls) == counts
 
 
 def test_arboricity(tmp_path, capsys):

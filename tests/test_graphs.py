@@ -58,6 +58,19 @@ def test_degree_summary_on_a_star():
     assert d.degrees == (3, 1, 1, 1)
 
 
+def test_degree_summary_is_counted_once_per_graph():
+    # Every reader of a graph's degrees (the cover's route and threshold,
+    # the verifier's bound) gets the one summary the graph keeps, and it
+    # matches a fresh count of the edge ends.
+    nx = pytest.importorskip("networkx")
+    for atlas in nx.graph_atlas_g():
+        g = simple_graph(atlas.number_of_nodes(), atlas.edges())
+        assert degrees(g) is degrees(g)
+        deg = [sum(v in e for e in g.edges) for v in range(g.n)]
+        delta = max(deg, default=0)
+        assert degrees(g) == (delta, sum(d % 2 for d in deg), delta + delta % 2, tuple(deg))
+
+
 def test_classify_distinguishes_the_known_shapes():
     assert classify([], 4) is SubgraphShape.EMPTY
     assert classify([edge(0, 1), edge(1, 2)], 3) is SubgraphShape.PATH

@@ -100,6 +100,17 @@ def test_instance_names_the_first_cluster_out_of_range():
         parse_instance(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"m": 0, "n": -5, "p": [], "p_prime": []}, "n must be non-negative, got -5"),
+    ({"m": -1, "n": 2, "p": [], "p_prime": []}, "m must be non-negative, got -1"),
+])
+def test_instance_refuses_a_negative_count(doc, message):
+    # An empty instance with a negative count was read as valid.
+    with pytest.raises(ValueError) as exc:
+        parse_instance(through_json(doc))
+    assert str(exc.value) == message
+
+
 # --- resolutions ----------------------------------------------------------------
 
 
@@ -187,7 +198,9 @@ MALFORMED_EDGES = [
     (3, [[0, 1], [-1, 2]], "edge (-1,2) invalid for n=3"),
     (3, [[2, 5], [1, 0]], "edge (2,5) invalid for n=3"),
     (0, [[0, 1]], "edge (0,1) invalid for n=0"),
-    (-1, [[0, 1]], "edge (0,1) invalid for n=-1"),
+    (-1, [[0, 1]], "n must be non-negative, got -1"),
+    # An empty graph with a negative count was read as valid.
+    (-3, [], "n must be non-negative, got -3"),
 ]
 
 
