@@ -295,9 +295,11 @@ def cycle_order(comp: Iterable[Edge], start: int | None = None) -> list[int]:
     smaller neighbor.
     """
     adj = _links(comp)
-    if any(len(nbrs) != 2 for nbrs in adj.values()):
+    if not adj or any(len(nbrs) != 2 for nbrs in adj.values()):
         raise ValueError("component is not a single cycle")
     first = min(adj) if start is None else start
+    if first not in adj:
+        raise ValueError(f"start {start!r} is not on the cycle")
     nxt = min(adj[first])
     order, prev = [first], first
     while nxt != first:

@@ -39,7 +39,8 @@ N(p, q) and one from the diagonal, and its cap counts the tables stored on
 both sides.  Both paths give the same answers and refuse the same inputs.
 
 The exhaustive cover search codes a part as an edge bitmask of K_n.  Its
-table of every path or cycle of K_n, ``_part_table``, depends only on
+table of every path or cycle of K_n, ``_part_table``, lists each part once,
+as one vertex sequence from ``itertools.permutations``.  It depends only on
 (n, kind), so it is built once per process and kept; the state cap is
 checked before each lookup, so the tables kept are those the cap allows
 (about 16 MB at the default cap).  That cap is the one size guard of every
@@ -58,6 +59,7 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -214,7 +216,10 @@ def exact_diameter_bfs(shape: Iterable[int], cap: int | None = None) -> int:
     the eccentricity of one vertex, the depth of the shape's distance map.
     ``TooLarge`` is raised when the polytope has more vertices than the cap.
     """
-    sizes = tuple(int(k) for k in shape)
+    sizes = tuple(shape)
+    for k in sizes:
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError(f"cluster sizes must be integers, got {k!r}")
     if any(k < 0 for k in sizes):
         raise ValueError("cluster sizes must be non-negative")
     count = _vertex_count(sizes, state_cap(cap))
@@ -332,9 +337,10 @@ def _part_table(n: int, kind: str) -> _PartTable:
     """The part table of K_n for ``kind``, built once per process.
 
     Every field is immutable, so no caller can change the cached table.
-    Parts are grown one vertex at a time from ``bit[u][w]``, the mask of
-    edge uw; a path is kept from its smaller end, a cycle from its smallest
-    vertex and in the direction of its smaller neighbour.
+    The parts are walks from ``itertools.permutations``, each listed once:
+    a path from its smaller end, and a cycle as its smallest vertex v0, then
+    such a path over the vertices above v0, then v0 again.  A part's mask
+    ORs ``bit[u][w]``, the mask of edge uw, along its walk.
     """
     edges = tuple(edge(u, v) for u in range(n) for v in range(u + 1, n))
     bit = [[0] * n for _ in range(n)]
@@ -343,30 +349,18 @@ def _part_table(n: int, kind: str) -> _PartTable:
         bit[u][v] = bit[v][u] = 1 << i
         vbits[u] |= 1 << i
         vbits[v] |= 1 << i
-    masks: set[int] = set()
     if kind == "path":
-        for start in range(n):
-            stack = [(start, 1 << start, 0)]
-            while stack:
-                last, used, mask = stack.pop()
-                if start < last:
-                    masks.add(mask)
-                row = bit[last]
-                for w in range(n):
-                    if not used >> w & 1:
-                        stack.append((w, used | 1 << w, mask | row[w]))
+        walks = (p for k in range(2, n + 1) for p in permutations(range(n), k) if p[0] < p[-1])
     else:
-        for v0 in range(n):
-            close = bit[v0]
-            stack = [(w, 1 << v0 | 1 << w, close[w], w) for w in range(v0 + 1, n)]
-            while stack:
-                last, used, mask, second = stack.pop()
-                if used.bit_count() >= 3 and second < last:
-                    masks.add(mask | close[last])
-                row = bit[last]
-                for w in range(v0 + 1, n):
-                    if not used >> w & 1:
-                        stack.append((w, used | 1 << w, mask | row[w], second))
+        walks = ((v0, *p, v0) for v0 in range(n) for k in range(2, n - v0)
+                 for p in permutations(range(v0 + 1, n), k) if p[0] < p[-1])
+    masks = []
+    for walk in walks:
+        mask, u = 0, walk[0]
+        for w in walk[1:]:
+            mask |= bit[u][w]
+            u = w
+        masks.append(mask)
     by_edge: list[list[int]] = [[] for _ in edges]
     for mask in sorted(masks):
         rest = mask

@@ -216,7 +216,10 @@ def gen_lower_bound_instance(shape) -> LowerBoundInstance:
     is at least ceil(2|S|/g) where |S| counts displaced items and g is the
     largest per-step progress 3n/2 (n even) or (3n+1)/2 (n odd).
     """
-    shape = tuple(int(k) for k in shape)
+    shape = tuple(shape)
+    for k in shape:
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError(f"cluster sizes must be integers, got {k!r}")
     n = len(shape)
     if n < 4:
         raise ValueError("need at least 4 clusters")

@@ -210,6 +210,13 @@ def test_cycle_order_walks_the_cycle():
     assert cycle_order(comp) == [0, 1, 2, 3]
 
 
+def test_cycle_order_names_what_is_not_a_cycle():
+    with pytest.raises(ValueError, match="^component is not a single cycle$"):
+        cycle_order([])
+    with pytest.raises(ValueError, match="^start 5 is not on the cycle$"):
+        cycle_order([edge(0, 1), edge(1, 2), edge(0, 2)], start=5)
+
+
 def test_digraph_checks_lengths_and_range():
     with pytest.raises(ValueError):
         Digraph(2, (0,), (1, 1))

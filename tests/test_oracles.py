@@ -59,6 +59,20 @@ def test_exact_diameter_2222():
     assert exact_diameter_bfs((2, 2, 2, 2)) == 3
 
 
+def test_shapes_refuse_entries_that_are_not_integers():
+    # Coercing each entry with int() would read a string digit by digit,
+    # truncate a float and count a bool as 0 or 1.
+    for shape, bad in (("22", "'2'"), ("4321", "'4'"), ((2.5, 1), "2.5"),
+                       ((4, 3, 2, 1.0), "1.0"), ((True, True), "True"), ((4, 3, 2, False), "False")):
+        for build in (exact_diameter_bfs, gen_lower_bound_instance):
+            with pytest.raises(ValueError, match=f"^cluster sizes must be integers, got {re.escape(bad)}$"):
+                build(shape)
+    with pytest.raises(ValueError, match="^cluster sizes must be non-negative$"):
+        exact_diameter_bfs((2, -1))
+    with pytest.raises(ValueError, match="^cluster sizes must be non-increasing and non-negative$"):
+        gen_lower_bound_instance((1, 2, 3, 4))
+
+
 def test_exact_diameter_respects_cap():
     with pytest.raises(TooLarge):
         exact_diameter_bfs((2, 2, 2, 2), cap=100)
@@ -610,6 +624,63 @@ def test_part_table_lists_every_part_once():
             assert decoded == listed_parts(n, kind)
             for i, through in enumerate(table.by_edge):
                 assert list(through) == sorted(m for m in table.parts if m >> i & 1)
+
+
+def two_stack_part_table(n, kind):
+    """``_part_table`` as it was built before it listed the vertex sequences
+    of ``itertools.permutations``: two depth-first stacks of (vertex, used
+    mask, edge mask[, second vertex]) tuples.  Kept as the reference the
+    permutation-built table must equal, field for field."""
+    edges = tuple(edge(u, v) for u in range(n) for v in range(u + 1, n))
+    bit = [[0] * n for _ in range(n)]
+    vbits = [0] * n
+    for i, (u, v) in enumerate(edges):
+        bit[u][v] = bit[v][u] = 1 << i
+        vbits[u] |= 1 << i
+        vbits[v] |= 1 << i
+    masks = set()
+    if kind == "path":
+        for start in range(n):
+            stack = [(start, 1 << start, 0)]
+            while stack:
+                last, used, mask = stack.pop()
+                if start < last:
+                    masks.add(mask)
+                row = bit[last]
+                for w in range(n):
+                    if not used >> w & 1:
+                        stack.append((w, used | 1 << w, mask | row[w]))
+    else:
+        for v0 in range(n):
+            close = bit[v0]
+            stack = [(w, 1 << v0 | 1 << w, close[w], w) for w in range(v0 + 1, n)]
+            while stack:
+                last, used, mask, second = stack.pop()
+                if used.bit_count() >= 3 and second < last:
+                    masks.add(mask | close[last])
+                row = bit[last]
+                for w in range(v0 + 1, n):
+                    if not used >> w & 1:
+                        stack.append((w, used | 1 << w, mask | row[w], second))
+    by_edge = [[] for _ in edges]
+    for mask in sorted(masks):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            by_edge[low.bit_length() - 1].append(mask)
+            rest ^= low
+    return (edges, {e: i for i, e in enumerate(edges)}, tuple(vbits), frozenset(masks),
+            tuple(map(tuple, by_edge)))
+
+
+def test_part_table_equals_the_two_stack_build():
+    # Every table the default cap admits: paths up to K_8, cycles up to K_9.
+    for kind, top in (("path", 8), ("cycle", 9)):
+        for n in range(top + 1):
+            table = _part_table(n, kind)
+            for field, got, want in zip(table._fields, table, two_stack_part_table(n, kind)):
+                assert got == want, (n, kind, field)
+            assert _candidate_parts(n, kind) == len(table.parts), (n, kind)
 
 
 def frozen_exact_odd_cover(g, kind, budget, cap=None):
