@@ -3,7 +3,7 @@
 One verb per invocation.  Each construction checks its certificate once,
 with the checker ``verify`` also runs (promised bound included); a failed
 check prints the verification report and exits 1.  Exit codes: 0 success,
-1 verification failure, 2 usage or input error.
+1 verification failure, 2 usage or input error, a failed write included.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -143,12 +144,22 @@ def _load_graph(path: str | None) -> SimpleGraph:
 
 
 def _write(payload: dict | str, path: str | None) -> None:
+    """Write ``payload`` to ``path``, or to stdout; a failed write is an
+    input error (exit 2).  Once stdout fails, it points at the null device,
+    so that the interpreter's final flush of it fails no more."""
     text = payload if isinstance(payload, str) else json.dumps(payload)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    try:
+        if path:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text, flush=True)
+    except OSError as exc:
+        if not path:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise ValueError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from None
 
 
 def _emit_checked(check: str, emit, args, build) -> int:
@@ -202,10 +213,8 @@ def _run_arboricity(args) -> int:
 
 def _run_diameter(args) -> int:
     shape = _parse_shape(args.shape)
-    if args.exact:
-        print(exact_diameter_bfs(shape, args.cap))
-        return 0
-    print(resolution_length_bound(shape))
+    diameter = exact_diameter_bfs(shape, args.cap) if args.exact else resolution_length_bound(shape)
+    _write(str(diameter), None)
     return 0
 
 
@@ -273,14 +282,14 @@ def _run_gen(args) -> int:
 def _run_selftest(args) -> int:
     reports = run_acceptance()
     budgets = {name: budget for name, _, budget in CRITERIA if budget is not None}
-    ok = True
+    lines = []
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
-        ok = ok and rep.passed
         budget = f", budget {budgets[rep.check]} s" if rep.check in budgets else ""
-        print(f"{status} {rep.check}: {rep.detail} ({rep.elapsed_ms} ms{budget})")
-    print(f"{sum(r.passed for r in reports)}/{len(reports)} checks passed")
-    return 0 if ok else 1
+        lines.append(f"{status} {rep.check}: {rep.detail} ({rep.elapsed_ms} ms{budget})")
+    passed = sum(r.passed for r in reports)
+    _write("\n".join([*lines, f"{passed}/{len(reports)} checks passed"]), None)
+    return 0 if passed == len(reports) else 1
 
 
 _DISPATCH = {

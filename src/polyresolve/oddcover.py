@@ -877,22 +877,16 @@ def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset
     meets = sorted(
         {(owner[v], j) for j, d in enumerate(comps2) for v in vertices_of(d) if v in owner}
     )
-    first = {i for i, _ in meets}
-    second = {j for _, j in meets}
-    crossing = None
-    # A crossing exists unless all meeting pairs share one h1 component or
-    # all share one h2 component; when it exists, the search below finds
-    # it within its first two rounds.
-    if len(first) > 1 and len(second) > 1:
-        crossing = next(((comps1[i], comps2[j], comps1[i2], comps2[j2])
-                         for i, j in meets for i2, j2 in meets if i2 != i and j2 != j), None)
-        if crossing is None:
-            raise AssertionError("two meeting pairs apart on both sides form a crossing")
-
+    crossing = next(((comps1[i], comps2[j], comps1[i2], comps2[j2])
+                     for i, j in meets for i2, j2 in meets if i2 != i and j2 != j), None)
     if crossing is None:
+        # No two meeting pairs are apart on both sides, so all share one h1
+        # component or all share one h2 component: else, beside meets[0] =
+        # (i, j), some (i', j) and (i, j'') would be apart.
         apart = []
         if meets:
-            apart.append(comps1[first.pop()] if len(first) == 1 else comps2[second.pop()])
+            i, j = meets[0]
+            apart.append(comps1[i] if all(i2 == i for i2, _ in meets) else comps2[j])
         # The cycles left are vertex-disjoint, so their smallest edges order
         # them as ``edge_components`` would.
         rest = sorted((c for c in comps1 + comps2 if c not in apart), key=min)

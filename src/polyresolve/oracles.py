@@ -49,7 +49,10 @@ caller of the search: ``min_odd_cover_exhaustive``,
 one pass over the n vertices, which also cuts nodes past the degree
 bound, and one set lookup; the last two parts of a cover are one scan
 over the parts through the smallest uncovered edge, with one xor and one
-set lookup each.
+set lookup each.  A node's result depends on nothing but the edges left and
+the parts left to spend, so its failures are kept across the deepening;
+the first budget that has a cover admits no cover with a repeated part,
+since that would cancel into a smaller one.
 """
 
 from __future__ import annotations
@@ -395,10 +398,13 @@ def exact_odd_cover(
     changing the search order.  The last two parts are one scan over the
     parts through the smallest uncovered edge, with one xor and one set
     lookup per part for the rest.
-    Failed (remaining, depth) states stay memoized across budgets, which is
-    sound because a solution clashing with an earlier choice would cancel
-    into a smaller cover that previous budgets already ruled out.
-    Exponential; meant for tiny hosts.
+
+    A node returns the parts it found, or None, and depends on nothing but
+    (remaining, depth), so its failures stay memoized across budgets.  The
+    search returns at the first budget b that has a cover, and that cover
+    has b distinct parts: one that repeats a part, or closes in fewer,
+    cancels into a cover of fewer parts, which an earlier budget would have
+    returned.  Exponential; meant for tiny hosts.
     """
     if kind not in ("path", "cycle"):
         raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
@@ -422,57 +428,41 @@ def exact_odd_cover(
 
     dead: set[tuple[int, int]] = set()
 
-    def search(remaining: int, depth: int, acc: list[int]) -> bool:
+    def search(remaining: int, depth: int) -> list[int] | None:
+        """The first cover of ``remaining`` by at most ``depth`` parts, in
+        search order, or None."""
         if not remaining:
-            return True
-        if depth == 0:
-            return False
+            return []
         if remaining.bit_count() > depth * max_part:
-            return False
+            return None
         stray, top = odd_and_top(remaining)
-        if top > 2 * depth:  # each part has degree at most 2 at a vertex
-            return False
-        if kind == "path" and stray > 2 * depth:
-            return False
-        if kind == "cycle" and stray:
-            return False
+        # A part has degree at most 2 at a vertex, and a path leaves at most
+        # two odd vertices, a cycle none.
+        if top > 2 * depth or stray > (2 * depth if kind == "path" else 0):
+            return None
         if depth == 1:
-            if remaining in parts and remaining not in acc:
-                acc.append(remaining)
-                return True
-            return False
+            return [remaining] if remaining in parts else None
         if (remaining, depth) in dead:
-            return False
-        low = remaining & -remaining
-        candidates = by_edge[low.bit_length() - 1]
+            return None
+        candidates = by_edge[(remaining & -remaining).bit_length() - 1]
         if depth == 2:
             # The last two parts: every part passes the one-part checks
             # above, so the rest after a part needs only a lookup.
             for mask in candidates:
-                if mask in acc:
-                    continue
-                rest = remaining ^ mask
-                if not rest:
-                    acc.append(mask)
-                    return True
-                if rest in parts and rest not in acc:
-                    acc += (mask, rest)
-                    return True
+                if remaining ^ mask in parts:
+                    return [mask, remaining ^ mask]
         else:
             for mask in candidates:
-                if mask in acc:
-                    continue
-                acc.append(mask)
-                if search(remaining ^ mask, depth - 1, acc):
-                    return True
-                acc.pop()
+                found = search(remaining ^ mask, depth - 1)
+                if found is not None:
+                    return [mask, *found]
         dead.add((remaining, depth))
-        return False
+        return None
 
     for depth in range(budget + 1):
-        acc: list[int] = []
-        if search(target, depth, acc):
-            return [decode(mask) for mask in acc]
+        found = search(target, depth)
+        if found is not None:
+            return [decode(mask) for mask in found]
     return None
 
 

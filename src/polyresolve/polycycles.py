@@ -192,65 +192,42 @@ def _extract_cycle_through(g: Digraph, v: int, out_arcs: list[list[int]], used: 
     """Remove and return a simple directed cycle through v, or consume one loop at v.
 
     Walks unused non-loop arcs (lowest arc id first) until the first return
-    to v; repeated intermediate vertices are shortcut and their arcs returned
-    to the pool.  The cycle comes in walk order from its smallest arc.  If
-    only loops remain at v, one loop is consumed and the empty tuple
-    returned (a degenerate cycle).
+    to v.  When the walk re-enters a vertex of its path, the detour since
+    that vertex is cut from the path; its arcs stay used until the walk
+    reaches v, and only then go back to the pool.  The cycle comes in walk
+    order from its smallest arc.  If only loops remain at v, one loop is
+    consumed and the empty tuple returned (a degenerate cycle).
     """
-    first = None
-    loop = None
-    for a in out_arcs[v]:
-        if used[a]:
-            continue
-        if g.heads[a] == v:
-            if loop is None:
-                loop = a
-        else:
-            first = a
-            break
-    if first is None:
-        if loop is None:
-            raise AssertionError("extraction requires an unused out-arc at v")
-        used[loop] = True
-        return ()
-
-    walk = [first]
-    used[first] = True
-    cur = g.heads[first]
-    while cur != v:
-        step = None
-        for a in out_arcs[cur]:
-            if not used[a] and g.heads[a] != cur:
-                step = a
-                break
+    heads = g.heads
+    path: list[int] = []
+    cut: list[int] = []
+    pos = {v: 0}  # each vertex of the path -> index of the path's arc out of it
+    cur = v
+    while True:
+        step = next((a for a in out_arcs[cur] if not used[a] and heads[a] != cur), None)
         if step is None:
-            raise AssertionError("balanced digraph walk can only halt at its start")
+            if path:
+                raise AssertionError("balanced digraph walk can only halt at its start")
+            loop = next((a for a in out_arcs[v] if not used[a]), None)
+            if loop is None:
+                raise AssertionError("extraction requires an unused out-arc at v")
+            used[loop] = True
+            return ()
         used[step] = True
-        walk.append(step)
-        cur = g.heads[step]
-
-    # Shortcut revisited intermediate vertices so the cycle is simple.
-    verts = [v]
-    pos = {v: 0}
-    reduced: list[int] = []
-    for a in walk:
-        reduced.append(a)
-        h = g.heads[a]
-        if h == v:
+        path.append(step)
+        cur = heads[step]
+        if cur == v:
             break
-        if h in pos:
-            j = pos[h]
-            for b in reduced[j:]:
-                used[b] = False
-            for w in verts[j + 1 :]:
-                del pos[w]
-            del reduced[j:]
-            del verts[j + 1 :]
-        else:
-            pos[h] = len(reduced)
-            verts.append(h)
-    k = reduced.index(min(reduced))
-    return (*reduced[k:], *reduced[:k])
+        j = pos.setdefault(cur, len(path))
+        if j < len(path):
+            for a in path[j:-1]:
+                del pos[heads[a]]
+            cut += path[j:]
+            del path[j:]
+    for a in cut:
+        used[a] = False
+    k = path.index(min(path))
+    return (*path[k:], *path[:k])
 
 
 def _cycles_of(out_arc: list[int], heads) -> tuple[tuple[int, ...], ...]:

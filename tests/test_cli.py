@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from polyresolve.graphs import SimpleGraph, simple_graph
 from polyresolve.jsonio import emit_graph, emit_instance
 from polyresolve.oracles import Report
 from polyresolve.perms import Partition
+from test_docs import _env
 from test_oddcover import _count_calls
 
 
@@ -449,6 +454,51 @@ def test_gen_unknown_family_rejected(capsys):
     with pytest.raises(SystemExit) as err:
         main(["gen", "--family", "nonsense"])
     assert err.value.code == 2
+
+
+# --- failed writes -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dot"])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "full device"])
+def test_a_failed_write_is_an_input_error(tmp_path, capsys, flag, where):
+    target = {"missing directory": tmp_path / "missing" / "g.json", "directory": tmp_path,
+              "full device": Path("/dev/full")}[where]
+    if where == "full device" and not target.exists():
+        pytest.skip("no /dev/full here")
+    assert main(["gen", "--family", "graph", flag, str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize("argv", [["gen"], ["diameter", "--shape", "3,2,2"], ["selftest"]])
+def test_a_closed_stdout_exits_two_without_a_traceback(argv):
+    # The pipe's read end is closed before the CLI writes its few bytes,
+    # so the write fails on the flush.  The acceptance run is stubbed.
+    code = ("import sys; from polyresolve import cli; from polyresolve.oracles import Report; "
+            "cli.run_acceptance = lambda: [Report('check', True, 'ok', 1)]; "
+            f"sys.exit(cli.main({argv!r}))")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-c", code], env=_env(),
+                             stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert run.returncode == 2
+    assert run.stderr == "error: cannot write stdout: Broken pipe\n"
+
+
+def test_stdout_closed_by_the_reader_midway_exits_two_without_a_traceback():
+    # As in `polyresolve gen ... | head -c 20`: the output is a few MB, far
+    # more than a pipe holds, and the reader stops after 20 bytes.
+    argv = ["gen", "--family", "lowerbound", "--shape", "100000,100000,100000,100000"]
+    with subprocess.Popen([sys.executable, "-m", "polyresolve.cli", *argv], env=_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(20) == b'{"m": 400000, "n": 4'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert err == "error: cannot write stdout: Broken pipe\n"
 
 
 # --- parser level errors and selftest ------------------------------------------------

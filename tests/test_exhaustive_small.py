@@ -39,7 +39,7 @@ import pytest
 nx = pytest.importorskip("networkx")
 
 from polyresolve import oracles
-from polyresolve.graphs import degrees, simple_graph
+from polyresolve.graphs import degrees, simple_graph, symmetric_difference
 from polyresolve.oddcover import (
     cycle_odd_cover_delta4,
     linear_forest_decomposition,
@@ -144,6 +144,20 @@ def test_exact_cover_is_the_same_within_the_promised_bound():
             assert found == exact_odd_cover(g, kind, len(cover.parts))
             runs += 1
     assert runs == 1245 + 77
+
+
+def test_exact_cover_parts_are_distinct_past_the_promised_bound():
+    # Two parts over the bound leave room for a repeated pair; the
+    # deepening returns at the smallest part count, where none repeats.
+    runs = 0
+    for atlas in nx.graph_atlas_g():
+        g = simple_graph(atlas.number_of_nodes(), atlas.edges())
+        for kind in ("path", "cycle") if not degrees(g).v_odd else ("path",):
+            found = exact_odd_cover(g, kind, odd_cover_bound(g, kind) + 2)
+            assert len(set(found)) == len(found)
+            assert symmetric_difference(found) == g.edges
+            runs += 1
+    assert runs == 1253 + 85  # every atlas graph, and the even ones again
 
 
 def _even_graphs_on_8():

@@ -243,6 +243,39 @@ def test_transversal_even_intersection_rigid_witness():
     assert edge(u, v2) in tp.m2
 
 
+def test_the_swapped_direct_route_is_needed(monkeypatch):
+    # The one polycycle pair of this 4-regular graph crosses, and the
+    # direct construction fails on all four crossings it tries with h1's
+    # cycles on side 1; with h2's on side 1 it succeeds on its third.
+    g = simple_graph(8, [(0, 1), (0, 4), (0, 5), (0, 7), (1, 3), (1, 6), (1, 7), (2, 3),
+                         (2, 4), (2, 5), (2, 7), (3, 4), (3, 5), (4, 6), (5, 6), (6, 7)])
+    pairs, tries = [], []
+    even_pair, direct = oddcover._even_pair, oddcover._even_case_direct
+
+    def spy_pair(h1, h2, comps1, comps2, crossing):
+        pairs.append((comps1, comps2))
+        return even_pair(h1, h2, comps1, comps2, crossing)
+
+    def spy_direct(side1, *rest):
+        found = direct(side1, *rest)
+        tries.append((side1, found is not None))
+        return found
+
+    monkeypatch.setattr(oddcover, "_even_pair", spy_pair)
+    monkeypatch.setattr(oddcover, "_even_case_direct", spy_direct)
+    cert = cycle_odd_cover_delta4(g)
+    check_cover(cert, g, "cycle", 3)
+    assert sorted(map(sorted, cert.parts)) == [
+        [(0, 1), (0, 7), (1, 4), (2, 5), (2, 6), (3, 4), (3, 5), (6, 7)],
+        [(0, 4), (0, 7), (1, 6), (1, 7), (2, 4), (2, 6)],
+        [(0, 5), (0, 7), (1, 3), (1, 4), (2, 3), (2, 7), (4, 6), (5, 6)],
+    ]
+    [(comps1, comps2)] = pairs
+    sides = [("h1" if side1 is comps1 else "h2" if side1 is comps2 else None, ok)
+             for side1, ok in tries]
+    assert sides == [("h1", False)] * 4 + [("h2", False)] * 2 + [("h2", True)]
+
+
 # --- covers of fixed graphs ---------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from typing import NamedTuple
@@ -18,11 +19,12 @@ from polyresolve.graphs import (
     classify,
     edge,
     edge_components,
+    eulerian_orientation,
     simple_graph,
     symmetric_difference,
 )
 from polyresolve.oddcover import cycle_odd_cover_delta4, path_odd_cover_delta4
-from polyresolve.perms import Partition, Permutation
+from polyresolve.perms import Partition, Permutation, cdg
 from polyresolve.polycycles import (
     PolycycleDecomposition,
     _cycles_of,
@@ -220,6 +222,104 @@ def test_decomposition_equals_the_frozen_reference(g):
             assert firsts == sorted(set(firsts))
             assert sorted(a for cycle in cycles for a in cycle) == sorted(part)
         assert all(len(cycles) <= 1 for cycles in got.components[t:])
+
+
+def _two_pass_extract_cycle_through(g, v, out_arcs, used):
+    """The cycle extraction as it stood when it walked first and then cut
+    the detours out of the finished walk, also returning the walk's length."""
+    first = None
+    loop = None
+    for a in out_arcs[v]:
+        if used[a]:
+            continue
+        if g.heads[a] == v:
+            if loop is None:
+                loop = a
+        else:
+            first = a
+            break
+    if first is None:
+        if loop is None:
+            raise AssertionError("extraction requires an unused out-arc at v")
+        used[loop] = True
+        return (), 1
+
+    walk = [first]
+    used[first] = True
+    cur = g.heads[first]
+    while cur != v:
+        step = None
+        for a in out_arcs[cur]:
+            if not used[a] and g.heads[a] != cur:
+                step = a
+                break
+        if step is None:
+            raise AssertionError("balanced digraph walk can only halt at its start")
+        used[step] = True
+        walk.append(step)
+        cur = g.heads[step]
+
+    verts = [v]
+    pos = {v: 0}
+    reduced: list[int] = []
+    for a in walk:
+        reduced.append(a)
+        h = g.heads[a]
+        if h == v:
+            break
+        if h in pos:
+            j = pos[h]
+            for b in reduced[j:]:
+                used[b] = False
+            for w in verts[j + 1 :]:
+                del pos[w]
+            del reduced[j:]
+            del verts[j + 1 :]
+        else:
+            pos[h] = len(reduced)
+            verts.append(h)
+    k = reduced.index(min(reduced))
+    return (*reduced[k:], *reduced[:k]), len(walk)
+
+
+def _hub_digraphs(rng):
+    """Digraphs with one vertex of out-degree above all others, with that
+    vertex and the second largest out-degree: the cluster digraphs of
+    random pairs with k1 > k2 (loops included), then orientations of
+    Eulerian graphs with d1 > d2, a hub's cycles over a few others."""
+    while True:
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(2, 6))]
+        sizes[0] += max(sizes[1:]) + rng.randint(0, 4)
+        p, q = _shuffled_pair(rng, sizes)
+        yield cdg(p, q), 0, sorted(sizes)[-2]
+        n = rng.randint(4, 12)
+        edges = frozenset()
+        for hub in [True] * rng.randint(2, 5) + [False] * rng.randint(0, 3):
+            cycle = rng.sample(range(1, n), rng.randint(2 if hub else 3, n - 1))
+            cycle = [0, *cycle] if hub else cycle
+            edges ^= {edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+        degs = simple_graph(n, edges).degree_vector()
+        if degs[0] > max(degs[1:]):
+            yield eulerian_orientation(simple_graph(n, edges)), 0, max(degs[1:]) // 2
+
+
+def test_cycle_extraction_equals_the_two_pass_extraction():
+    # Each extraction of the cycle suffix, run as the decomposition runs
+    # it, returns the same cycle and leaves the same arcs used.
+    rng = random.Random(36)
+    calls = detours = 0
+    for g, v, t in itertools.islice(_hub_digraphs(rng), 600):
+        out_arcs = [[] for _ in range(g.n)]
+        for a, u in enumerate(g.tails):
+            out_arcs[u].append(a)
+        used, want_used = [False] * g.m, [False] * g.m
+        for _ in range(g.out_degrees()[v] - t):
+            want, walked = _two_pass_extract_cycle_through(g, v, out_arcs, want_used)
+            assert _extract_cycle_through(g, v, out_arcs, used) == want
+            assert used == want_used
+            calls += 1
+            detours += walked > max(len(want), 1)
+    assert calls > 3000 and detours > 400
 
 
 def _shuffled_pair(rng, sizes):
