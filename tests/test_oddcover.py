@@ -82,6 +82,11 @@ def complete(n):
 H1 = cyc(0, 4, 1, 5) + cyc(2, 6, 3, 7)
 H2 = cyc(0, 2, 1, 3) + cyc(4, 6, 5, 7)
 
+# A 4-regular graph whose cycle cover needs the even-intersection direct
+# route with the two polycycles swapped (``test_the_swapped_direct_route_is_needed``).
+SWAPPED_ROUTE = simple_graph(8, [(0, 1), (0, 4), (0, 5), (0, 7), (1, 3), (1, 6), (1, 7), (2, 3),
+                                 (2, 4), (2, 5), (2, 7), (3, 4), (3, 5), (4, 6), (5, 6), (6, 7)])
+
 
 # --- forest statistics and transversal forests -------------------------------
 
@@ -247,8 +252,7 @@ def test_the_swapped_direct_route_is_needed(monkeypatch):
     # The one polycycle pair of this 4-regular graph crosses, and the
     # direct construction fails on all four crossings it tries with h1's
     # cycles on side 1; with h2's on side 1 it succeeds on its third.
-    g = simple_graph(8, [(0, 1), (0, 4), (0, 5), (0, 7), (1, 3), (1, 6), (1, 7), (2, 3),
-                         (2, 4), (2, 5), (2, 7), (3, 4), (3, 5), (4, 6), (5, 6), (6, 7)])
+    g = SWAPPED_ROUTE
     pairs, tries = [], []
     even_pair, direct = oddcover._even_pair, oddcover._even_case_direct
 
