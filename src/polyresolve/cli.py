@@ -4,6 +4,9 @@ One verb per invocation.  Each construction checks its certificate once,
 with the checker ``verify`` also runs (promised bound included); a failed
 check prints the verification report and exits 1.  Exit codes: 0 success,
 1 verification failure, 2 usage or input error, a failed write included.
+Each job has one route: every path cover is ``path_odd_cover_general``,
+every cycle cover ``odd_cover_eulerian``, and the hard instance is the
+verb ``lowerbound``.  ``--show-loops`` needs ``--dot`` and an instance.
 """
 
 from __future__ import annotations
@@ -51,7 +54,10 @@ from .resolve import gen_lower_bound_instance, gen_pp36_instance, resolve
 
 __all__ = ["main"]
 
-_GEN_FAMILIES = ("random", "k2", "lowerbound", "pp36", "graph", "eulerian", "delta4")
+# Each family's generator, given the seeded rng.
+_GEN_FAMILIES = {"random": random_instance, "k2": random_k2_instance,
+                 "pp36": lambda rng: gen_pp36_instance(), "graph": random_graph,
+                 "eulerian": random_delta4_eulerian_graph, "delta4": random_delta4_graph}
 
 
 @functools.cache
@@ -85,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if flags.get("cap"):
             p.add_argument("--cap", type=int, metavar="N", help="state cap override")
         if flags.get("show_loops"):
-            p.add_argument("--show-loops", action="store_true")
+            p.add_argument("--show-loops", action="store_true", help="draw loops in the --dot rendering")
         return p
 
     add("resolve", "build a verified short resolution for an instance",
@@ -102,8 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
               instance=True, graph=True, out=True)
     ver.add_argument("certificate", metavar="CERT", help="certificate JSON file")
     add("gen", "emit a seeded random instance or graph",
-        shape=True, seed=True, out=True, dot=True, show_loops=True)
-    sub.choices["gen"].add_argument("--family", choices=_GEN_FAMILIES, default="random")
+        seed=True, out=True, dot=True, show_loops=True)
+    sub.choices["gen"].add_argument("--family", choices=tuple(_GEN_FAMILIES), default="random")
     add("selftest", "run the acceptance suite")
     return top
 
@@ -130,11 +136,15 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"cannot read {path}: {exc}")
 
 
+def _partitions(inst) -> tuple:
+    """The two partitions of an instance, with or without a lower bound."""
+    return (inst.p, inst.q) if hasattr(inst, "bound") else inst
+
+
 def _load_instance(path: str | None):
     if not path:
         raise ValueError("--instance is required for this verb")
-    inst = parse_instance(_load_json(path))
-    return (inst.p, inst.q) if hasattr(inst, "bound") else inst
+    return _partitions(parse_instance(_load_json(path)))
 
 
 def _load_graph(path: str | None) -> SimpleGraph:
@@ -187,17 +197,14 @@ def _construct_cover(g: SimpleGraph, kind: str, exact: bool, cap: int | None) ->
     """The constructive cover, or with ``exact`` the smallest cover within
     ``odd_cover_bound``, which the constructive one meets; the search's
     state cap refuses a large graph before any cover is built."""
-    summary = degrees(g)
-    if kind == "cycle" and summary.v_odd:
+    if kind == "cycle" and degrees(g).v_odd:
         raise ValueError("cycle odd-covers need every degree even")
     if exact:
         parts = exact_odd_cover(g, kind, odd_cover_bound(g, kind), cap)
         if parts is None:
             raise AssertionError("the exact search found no cover within the promised bound")
         return _make_cert(kind, parts, g)
-    if not summary.v_odd:
-        return odd_cover_eulerian(g, kind)
-    return path_odd_cover_general(g)
+    return path_odd_cover_general(g) if kind == "path" else odd_cover_eulerian(g, kind)
 
 
 def _run_oddcover(args) -> int:
@@ -218,13 +225,22 @@ def _run_diameter(args) -> int:
     return 0
 
 
-def _run_lowerbound(args) -> int:
-    shape = _parse_shape(args.shape)
-    inst = gen_lower_bound_instance(shape)
-    _write(emit_instance(inst), args.out)
+def _write_generated(obj, args) -> int:
+    """Write a generated graph or instance, and with ``--dot`` its DOT
+    rendering: a graph's own, an instance's cluster difference digraph,
+    whose loops ``--show-loops`` draws.  A graph has no loops to draw."""
+    is_graph = isinstance(obj, SimpleGraph)
+    if is_graph and args.show_loops:
+        raise ValueError("--show-loops has no loops to draw in a graph")
+    _write(emit_graph(obj) if is_graph else emit_instance(obj), args.out)
     if args.dot:
-        _write(emit_dot(cdg(inst.p, inst.q), show_loops=args.show_loops), args.dot)
+        drawn = obj if is_graph else cdg(*_partitions(obj))
+        _write(emit_dot(drawn, show_loops=args.show_loops), args.dot)
     return 0
+
+
+def _run_lowerbound(args) -> int:
+    return _write_generated(gen_lower_bound_instance(_parse_shape(args.shape)), args)
 
 
 def _run_verify(args) -> int:
@@ -250,33 +266,7 @@ def _run_verify(args) -> int:
 
 
 def _run_gen(args) -> int:
-    rng = random.Random(args.seed)
-    family = args.family
-    dot_obj = None
-    if family in ("random", "k2", "lowerbound", "pp36"):
-        if family == "random":
-            inst = random_instance(rng)
-        elif family == "k2":
-            inst = random_k2_instance(rng)
-        elif family == "lowerbound":
-            inst = gen_lower_bound_instance(_parse_shape(args.shape))
-        else:
-            inst = gen_pp36_instance()
-        _write(emit_instance(inst), args.out)
-        pair = (inst.p, inst.q) if hasattr(inst, "bound") else inst
-        dot_obj = cdg(*pair)
-    else:
-        if family == "graph":
-            g = random_graph(rng)
-        elif family == "eulerian":
-            g = random_delta4_eulerian_graph(rng)
-        else:
-            g = random_delta4_graph(rng)
-        _write(emit_graph(g), args.out)
-        dot_obj = g
-    if args.dot:
-        _write(emit_dot(dot_obj, show_loops=args.show_loops), args.dot)
-    return 0
+    return _write_generated(_GEN_FAMILIES[args.family](random.Random(args.seed)), args)
 
 
 def _run_selftest(args) -> int:
@@ -310,6 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "cap", None) is not None and args.cap < 1:
             raise ValueError(f"--cap must be a positive integer, got {args.cap}")
+        if getattr(args, "show_loops", False) and not args.dot:
+            raise ValueError("--show-loops needs --dot, the rendering it draws loops in")
         return _DISPATCH[args.verb](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

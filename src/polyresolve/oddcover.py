@@ -38,7 +38,8 @@ graph's one degree summary, which the graph counts once and keeps for
 the route and the final check: one decomposition orients the graph on
 edge ids and walks each polycycle once, which checks its shape and hands
 out its cycles, and consecutive polycycles go as they are, with their
-cycles, to the pair cores ``_path_pair`` and ``_cycle_pair``.  So no stage
+cycles, to the pair cores ``_path_pair`` and ``_cycle_pair``.  On an
+Eulerian graph the general path cover is that cover, of g itself.  So no stage
 canonicalizes, re-checks or splits a polycycle into components again.
 The parts are normalized once, and ``check_cover`` is the one checker of
 a finished cover; ``oracles.verify_certificate`` calls it too.  It checks
@@ -940,14 +941,15 @@ def path_odd_cover_general(g: SimpleGraph) -> OddCoverCert:
     """Cover any graph with at most v_odd/2 + ceil(3*Delta_e/4) paths.
 
     Pairs the odd-degree vertices into a matching M, covers the Eulerian
-    graph g xor M, and adds each M edge as a one-edge path.
-    ``oracles.tight_path_odd_cover`` meets the tighter bound on small
-    graphs by exhaustive search.
+    graph g xor M, and adds each M edge as a one-edge path.  With no odd
+    vertex M is empty and g is that graph, so this is
+    ``odd_cover_eulerian(g, "path")``.  ``oracles.tight_path_odd_cover``
+    meets the tighter bound on small graphs by exhaustive search.
     """
     summary = degrees(g)
     odd = [u for u, d in enumerate(summary.degrees) if d % 2]
     matching = [edge(odd[i], odd[i + 1]) for i in range(0, len(odd), 2)]
-    flipped = SimpleGraph(g.n, g.edges ^ frozenset(matching))
+    flipped = SimpleGraph(g.n, g.edges ^ frozenset(matching)) if matching else g
     assert degrees(flipped).delta <= summary.delta_e
     # The Eulerian parts cancel among themselves before the matching's
     # one-edge paths join them, which fixes the order of the parts kept.

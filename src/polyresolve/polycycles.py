@@ -33,7 +33,8 @@ Within ``resolve`` on CPython 3.11 (2-vCPU x86-64 VM) the decomposition
 takes about 40% of the time at m = 3000 (1500 clusters of 2) and about
 80% at m = 10^5 (20,000 clusters of 5, three matching rounds).  The
 factorization calls the core ``_directed`` with p's cluster sizes as the
-out-degrees (the in-degrees are q's).
+out-degrees (the in-degrees are q's), and the undirected decomposition
+with half of each degree, its Eulerian orientation's out-degrees.
 
 Checks
 ------
@@ -64,6 +65,7 @@ from .graphs import (
     SimpleGraph,
     SubgraphShape,
     classify,
+    degrees,
     edge,
     edge_components,
     eulerian_orientation,
@@ -317,8 +319,8 @@ def directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecompositi
 
 
 def _directed(g: Digraph, t: int, out) -> PolycycleDecomposition:
-    """``directed_polycycle_decomposition`` of g, whose out-degrees ``out``
-    are checked equal to its in-degrees."""
+    """``directed_polycycle_decomposition`` of g, whose out-degrees are
+    ``out`` and equal to its in-degrees: the callers hold both facts."""
     delta = max(out, default=0)
     if not 0 <= t <= delta:
         raise ValueError(f"threshold must lie in [0, {delta}], got {t}")
@@ -414,7 +416,7 @@ def undirected_polycycle_decomposition(g: SimpleGraph, t: int) -> PolycycleDecom
     so each directed cycle is an undirected cycle of length 3 or more.
     """
     oriented = eulerian_orientation(g)
-    directed = directed_polycycle_decomposition(oriented, t)
+    directed = _directed(oriented, t, [d // 2 for d in degrees(g).degrees])
     tails, heads = oriented.tails, oriented.heads
     edge_of = [(u, w) if u < w else (w, u) for u, w in zip(tails, heads)].__getitem__
     components = tuple(tuple(frozenset(map(edge_of, cycle)) for cycle in cycles)

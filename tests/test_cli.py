@@ -16,8 +16,8 @@ import pytest
 from polyresolve import cli, oddcover
 from polyresolve.cli import main
 from polyresolve.generators import random_delta4_eulerian_graph
-from polyresolve.graphs import SimpleGraph, simple_graph
-from polyresolve.jsonio import emit_graph, emit_instance
+from polyresolve.graphs import Digraph, SimpleGraph, simple_graph
+from polyresolve.jsonio import emit_cover, emit_graph, emit_instance
 from polyresolve.oracles import Report
 from polyresolve.perms import Partition
 from test_docs import _env
@@ -91,6 +91,37 @@ def test_oddcover_paths(tmp_path, capsys):
     cert = json.loads(out.read_text())
     assert cert["kind"] == "path"
     assert len(cert["parts"]) <= 3
+
+
+def test_oddcover_paths_of_an_eulerian_graph_are_its_eulerian_cover(tmp_path, capsys):
+    # Every path cover goes through path_odd_cover_general, which on a
+    # graph with no odd vertex adds no matching edge.
+    g = random_delta4_eulerian_graph(random.Random(2), components=12)
+    assert main(["oddcover", "--graph", write_json(tmp_path / "g.json", emit_graph(g)),
+                 "--kind", "path"]) == 0
+    assert capsys.readouterr().out == json.dumps(emit_cover(oddcover.odd_cover_eulerian(g, "path"))) + "\n"
+
+
+@pytest.mark.parametrize("verb, kind, odd", [
+    ("oddcover", "path", False),
+    ("oddcover", "path", True),
+    ("oddcover", "cycle", False),
+    ("arboricity", None, True),
+])
+def test_a_cli_cover_counts_no_digraph_degrees(tmp_path, capsys, monkeypatch, verb, kind, odd):
+    # An Eulerian orientation has half of each degree as its out-degrees,
+    # so the decomposition does not count them on the digraph again.
+    def refuse(self):
+        raise RuntimeError("a cover counted the degrees of a digraph")
+
+    monkeypatch.setattr(Digraph, "out_degrees", refuse)
+    monkeypatch.setattr(Digraph, "in_degrees", refuse)
+    g = random_delta4_eulerian_graph(random.Random(3), components=12)
+    if odd:
+        g = SimpleGraph(g.n, g.edges - {min(g.edges)})
+    path = write_json(tmp_path / "g.json", emit_graph(g))
+    assert main([verb, "--graph", path] + (["--kind", kind] if kind else [])) == 0
+    assert json.loads(capsys.readouterr().out)["type"] == "odd_cover"
 
 
 def test_oddcover_exact_cycles(tmp_path, capsys):
@@ -295,6 +326,13 @@ def test_lowerbound_emits_instance(tmp_path, capsys):
     assert inst["family"] == "even2cycles"
 
 
+def test_lowerbound_show_loops_without_dot_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "hard.json"
+    assert main(["lowerbound", "--shape", "2,2,2,2", "--show-loops", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --show-loops needs --dot, the rendering it draws loops in\n"
+    assert not out.exists()
+
+
 def test_lowerbound_needs_four_clusters(capsys):
     assert main(["lowerbound", "--shape", "2,2"]) == 2
     assert "need at least 4 clusters" in capsys.readouterr().err
@@ -304,7 +342,6 @@ def test_lowerbound_needs_four_clusters(capsys):
     "argv",
     [
         ["lowerbound", "--shape", "200000000,1,1,1"],
-        ["gen", "--family", "lowerbound", "--shape", "200000000,1,1,1"],
         ["diameter", "--exact", "--shape", "3000000"],
         ["diameter", "--shape", "999999,2"],
     ],
@@ -440,7 +477,6 @@ def test_gen_families(tmp_path, capsys):
         ("random", [], {"p", "p_prime"}),
         ("k2", [], {"p", "p_prime"}),
         ("pp36", [], {"p", "p_prime"}),
-        ("lowerbound", ["--shape", "2,2,2,2"], {"p", "p_prime", "bound", "family"}),
         ("graph", [], {"edges"}),
         ("eulerian", [], {"edges"}),
         ("delta4", [], {"edges"}),
@@ -454,6 +490,38 @@ def test_gen_unknown_family_rejected(capsys):
     with pytest.raises(SystemExit) as err:
         main(["gen", "--family", "nonsense"])
     assert err.value.code == 2
+
+
+def test_gen_has_no_lowerbound_family(capsys):
+    # The hard instance has one verb, ``lowerbound``.
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--family", "lowerbound", "--shape", "2,2,2,2"])
+    assert err.value.code == 2
+    assert "invalid choice: 'lowerbound'" in capsys.readouterr().err
+
+
+def test_gen_takes_no_shape(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--shape", "3,3"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --shape 3,3" in capsys.readouterr().err
+
+
+def test_gen_show_loops_without_dot_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--family", "random", "--show-loops", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --show-loops needs --dot, the rendering it draws loops in\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["graph", "eulerian", "delta4"])
+def test_gen_show_loops_of_a_graph_is_usage_error(tmp_path, capsys, family):
+    # A graph's DOT rendering has no loops to draw.
+    out, dot = tmp_path / "g.json", tmp_path / "g.dot"
+    argv = ["gen", "--family", family, "--out", str(out), "--dot", str(dot), "--show-loops"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --show-loops has no loops to draw in a graph\n"
+    assert not out.exists() and not dot.exists()
 
 
 # --- failed writes -------------------------------------------------------------
@@ -489,9 +557,9 @@ def test_a_closed_stdout_exits_two_without_a_traceback(argv):
 
 
 def test_stdout_closed_by_the_reader_midway_exits_two_without_a_traceback():
-    # As in `polyresolve gen ... | head -c 20`: the output is a few MB, far
-    # more than a pipe holds, and the reader stops after 20 bytes.
-    argv = ["gen", "--family", "lowerbound", "--shape", "100000,100000,100000,100000"]
+    # As in `polyresolve lowerbound ... | head -c 20`: the output is a few
+    # MB, far more than a pipe holds, and the reader stops after 20 bytes.
+    argv = ["lowerbound", "--shape", "100000,100000,100000,100000"]
     with subprocess.Popen([sys.executable, "-m", "polyresolve.cli", *argv], env=_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.read(20) == b'{"m": 400000, "n": 4'

@@ -21,6 +21,7 @@ PACKAGE = Path(polyresolve.__file__).resolve().parent
 # reads a trace of its own.
 KEPT_FOR_PERFBENCH = (
     "balanced_permutation_factorization",
+    "directed_polycycle_decomposition",
     "polycycle_odd_cover",
     "forest_stats",
     "linear_forests_from_transversal",
