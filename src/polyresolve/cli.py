@@ -296,7 +296,11 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (code 2) or the help (code 0).
+        return exc.code
     try:
         if getattr(args, "cap", None) is not None and args.cap < 1:
             raise ValueError(f"--cap must be a positive integer, got {args.cap}")

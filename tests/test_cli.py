@@ -471,23 +471,18 @@ def test_gen_families(tmp_path, capsys):
 
 
 def test_gen_unknown_family_rejected(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["gen", "--family", "nonsense"])
-    assert err.value.code == 2
+    assert main(["gen", "--family", "nonsense"]) == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
 
 def test_gen_has_no_lowerbound_family(capsys):
     # The hard instance has one verb, ``lowerbound``.
-    with pytest.raises(SystemExit) as err:
-        main(["gen", "--family", "lowerbound", "--shape", "2,2,2,2"])
-    assert err.value.code == 2
+    assert main(["gen", "--family", "lowerbound", "--shape", "2,2,2,2"]) == 2
     assert "invalid choice: 'lowerbound'" in capsys.readouterr().err
 
 
 def test_gen_takes_no_shape(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["gen", "--shape", "3,3"])
-    assert err.value.code == 2
+    assert main(["gen", "--shape", "3,3"]) == 2
     assert "unrecognized arguments: --shape 3,3" in capsys.readouterr().err
 
 
@@ -557,9 +552,24 @@ def test_stdout_closed_by_the_reader_midway_exits_two_without_a_traceback():
 
 
 def test_unknown_verb_exits_two(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["frobnicate"])
-    assert err.value.code == 2
+    assert main(["frobnicate"]) == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: verb"),
+    (["gen", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+    (["oddcover", "--graph", "g.json", "--cap", "many"], "argument --cap: invalid int value: 'many'"),
+])
+def test_argparse_usage_errors_return_two(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "-h"]])
+def test_help_returns_zero(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: polyresolve")
 
 
 # The criteria themselves run once each in test_acceptance.py; these tests

@@ -7,14 +7,19 @@ describes a small instance or graph, or far above ``jsonio.MAX_COUNT``, so
 that a count drawn from them is refused before anything is sized by it.
 The verbs that take no file, ``gen``, ``lowerbound`` and ``diameter``, get
 each flag they accept with drawn values: shapes small, empty, negative,
-not integers or above ``MAX_COUNT``, and ``--exact`` always with a
-``--cap`` of at most 1,000, since at the default cap one exact diameter
-of eight clusters takes seconds.
+not integers or above ``MAX_COUNT``; seeds, families and caps that argparse
+refuses; ``--out`` and ``--dot`` in a missing directory or on a directory;
+an unknown flag; and ``POLYRESOLVE_CAP`` valid, below 1 or not an integer,
+set and restored in each example.  ``--exact`` always comes with a cap of
+at most 1,000, by ``--cap`` or ``POLYRESOLVE_CAP``, since at the default
+cap one exact diameter of eight clusters takes seconds.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -84,29 +89,51 @@ shape_texts = (
 )
 
 
+# POLYRESOLVE_CAP values: valid, below 1, not integers, empty (the default).
+small_env_caps = st.integers(-2, 1000).map(str) | st.sampled_from(["abc", "2.5", "1e3"])
+env_caps = st.none() | st.just("") | st.just("100000") | small_env_caps
+
+
 @st.composite
-def argument_lists(draw, dot_path):
+def argument_lists(draw, tmp_path):
+    """An argv and the POLYRESOLVE_CAP to run it under (None: unset)."""
     verb = draw(st.sampled_from(["gen", "lowerbound", "diameter"]))
     argv = [verb]
+    env_cap = draw(env_caps)
     if verb == "gen":
-        argv += ["--family", draw(st.sampled_from(sorted(_GEN_FAMILIES)))]
-        argv.append(f"--seed={draw(st.integers(-(10**20), 10**20))}")
+        argv.append(f"--family={draw(st.sampled_from([*sorted(_GEN_FAMILIES), 'nonsense']))}")
+        argv.append(f"--seed={draw(st.integers(-(10**20), 10**20) | st.sampled_from(['1.5', 'x', '']))}")
     else:
         argv.append(f"--shape={draw(shape_texts)}")
     if verb == "diameter":
+        cap = draw(st.none() | st.integers(-2, 1000) | st.sampled_from(["many", "2.5"]))
+        if cap is not None:
+            argv.append(f"--cap={cap}")
         if draw(st.booleans()):
-            argv += ["--exact", f"--cap={draw(st.integers(-2, 1000))}"]
+            argv.append("--exact")
+            # An exact diameter at the default cap can take seconds.
+            if cap is None:
+                env_cap = draw(small_env_caps)
     else:
-        if draw(st.booleans()):
-            argv += ["--dot", dot_path]
+        # A writable file, a file in a missing directory, or a directory.
+        for flag, name in (("--out", "out.json"), ("--dot", "out.dot")):
+            target = draw(st.sampled_from([None, tmp_path / name, tmp_path / "missing" / name, tmp_path]))
+            if target is not None:
+                argv.append(f"{flag}={target}")
         if draw(st.booleans()):
             argv.append("--show-loops")
-    return argv
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["--frobnicate", "--kind=path", "--shape=3,3", "-x"])))
+    return argv, env_cap
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_exit_codes_on_drawn_arguments(tmp_path, capsys, data):
-    argv = data.draw(argument_lists(str(tmp_path / "out.dot")))
-    assert main(argv) in (0, 1, 2)
+    argv, env_cap = data.draw(argument_lists(tmp_path))
+    with mock.patch.dict(os.environ):
+        os.environ.pop("POLYRESOLVE_CAP", None)
+        if env_cap is not None:
+            os.environ["POLYRESOLVE_CAP"] = env_cap
+        assert main(argv) in (0, 1, 2)
     capsys.readouterr()

@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
-import hashlib
-import random
-
 import pytest
 
 from polyresolve.dot import emit_dot
 from polyresolve.graphs import Digraph, edge, simple_graph
 from polyresolve.oddcover import OddCoverCert
 from polyresolve.perms import CycleSeq, Partition, Resolution, cdg
-from polyresolve.resolve import resolve
-
-PINNED_RESOLUTION_DOT = "5cc01763b9a8bc222748499a5e1a08b19d686310d20a9a678a029c9218b2a3f4"
 
 
 def test_graph_block():
@@ -92,16 +86,3 @@ def test_invalid_resolution_is_not_rendered():
     with pytest.raises(ValueError, match="step 1 revisits a cluster"):
         emit_dot(Resolution(p, (CycleSeq((0, 2)), CycleSeq((1, 2)))))
 
-
-def test_resolution_dot_text_is_pinned():
-    # Seeded walks of 6 x 40 and 30 x 3 items; the digest fixes every line.
-    rng = random.Random(20251018)
-    h = hashlib.sha256()
-    for n, k in ((6, 40), (30, 3)):
-        base = [c for c in range(n) for _ in range(k)]
-        left, right = base[:], base[:]
-        rng.shuffle(left)
-        rng.shuffle(right)
-        p, q = Partition(n, tuple(left)), Partition(n, tuple(right))
-        h.update(emit_dot(resolve(p, q)).encode())
-    assert h.hexdigest() == PINNED_RESOLUTION_DOT
