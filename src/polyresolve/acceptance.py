@@ -50,24 +50,30 @@ from .resolve import gen_lower_bound_instance, gen_pp36_instance, resolve
 __all__ = ["run_acceptance", "CRITERIA"]
 
 
-def _upper_bound_10k() -> str | None:
-    rng = random.Random(101)
-    for i in range(10_000):
-        p, q = random_instance(rng, max_items=30, max_clusters=10)
-        rep = verify_certificate((p, q), resolve(p, q))
-        if not rep.passed:
-            return f"instance {i}: {rep.detail}"
+def _every(seed: int, count: int, draw, *builds) -> str | None:
+    """Verify what each ``(label, build)`` makes of ``count`` inputs drawn
+    by ``draw(rng, i)`` from ``random.Random(seed)``, in turn.  The first
+    failure is named by its label, formatted with the input's index.  Each
+    build looks its construction up when it runs, so a stub set on this
+    module reaches it."""
+    rng = random.Random(seed)
+    for i in range(count):
+        x = draw(rng, i)
+        for label, build in builds:
+            rep = verify_certificate(x, build(x))
+            if not rep.passed:
+                return f"{label.format(i)}: {rep.detail}"
     return None
+
+
+def _upper_bound_10k() -> str | None:
+    return _every(101, 10_000, lambda rng, i: random_instance(rng, max_items=30, max_clusters=10),
+                  ("instance {}", lambda pq: resolve(*pq)))
 
 
 def _k2_bound_2k() -> str | None:
-    rng = random.Random(102)
-    for i in range(2_000):
-        p, q = random_k2_instance(rng)
-        rep = verify_certificate((p, q), resolve(p, q))
-        if not rep.passed:
-            return f"instance {i}: {rep.detail}"
-    return None
+    return _every(102, 2_000, lambda rng, i: random_k2_instance(rng),
+                  ("instance {}", lambda pq: resolve(*pq)))
 
 
 def _exact_diameters() -> str | None:
@@ -113,14 +119,9 @@ def _pp36_diameter() -> str | None:
 
 
 def _delta4_covers() -> str | None:
-    rng = random.Random(106)
-    for i in range(500):
-        g = random_delta4_eulerian_graph(rng, max_n=16)
-        for kind, build in (("path", path_odd_cover_delta4), ("cycle", cycle_odd_cover_delta4)):
-            rep = verify_certificate(g, build(g))
-            if not rep.passed:
-                return f"graph {i} ({kind}): {rep.detail}"
-    return None
+    return _every(106, 500, lambda rng, i: random_delta4_eulerian_graph(rng, max_n=16),
+                  ("graph {} (path)", lambda g: path_odd_cover_delta4(g)),
+                  ("graph {} (cycle)", lambda g: cycle_odd_cover_delta4(g)))
 
 
 def _two_k5s() -> str | None:
@@ -139,14 +140,9 @@ def _two_k5s() -> str | None:
 
 
 def _eulerian_bounds() -> str | None:
-    rng = random.Random(108)
-    for i in range(200):
-        g = random_eulerian_graph(rng, layers=i % 4 + 1, max_n=12)
-        for kind in ("path", "cycle"):
-            rep = verify_certificate(g, odd_cover_eulerian(g, kind))
-            if not rep.passed:
-                return f"graph {i} ({kind}): {rep.detail}"
-    return None
+    return _every(108, 200, lambda rng, i: random_eulerian_graph(rng, layers=i % 4 + 1, max_n=12),
+                  ("graph {} (path)", lambda g: odd_cover_eulerian(g, "path")),
+                  ("graph {} (cycle)", lambda g: odd_cover_eulerian(g, "cycle")))
 
 
 def _general_path_covers() -> str | None:
@@ -171,14 +167,8 @@ def _general_path_covers() -> str | None:
 
 
 def _linear_arboricity() -> str | None:
-    rng = random.Random(110)
-    for i in range(200):
-        g = random_delta4_graph(rng)
-        cert = linear_forest_decomposition(g)
-        rep = verify_certificate(g, cert)
-        if not rep.passed:
-            return f"graph {i}: {rep.detail}"
-    return None
+    return _every(110, 200, lambda rng, i: random_delta4_graph(rng),
+                  ("graph {}", lambda g: linear_forest_decomposition(g)))
 
 
 def _random_partition(rng: random.Random) -> Partition:

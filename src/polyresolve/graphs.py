@@ -3,7 +3,9 @@
 Vertices are dense integers ``0..n-1``.  Undirected edges are canonical
 ``(min, max)`` pairs so that edge sets support exact xor algebra; directed
 edges are indexed positionally (arc id = position in the tail/head arrays)
-and may include loops and parallel arcs.
+and may include loops and parallel arcs.  Every walk of an undirected edge
+set, here and in the cover surgery and the matching colouring, reads the
+neighbour lists that ``_links`` builds.
 """
 
 from __future__ import annotations
@@ -133,18 +135,16 @@ def vertices_of(edges: Iterable[Edge]) -> set[int]:
 def edge_components(edges: Iterable[Edge]) -> list[frozenset[Edge]]:
     """Connected components as edge sets, ordered by smallest vertex.
 
-    One depth-first pass: each edge joins its component when the search
-    pops its first vertex, so the cost is O(E) plus sorting the vertices.
+    One depth-first pass over the neighbour lists (``_links``): each edge
+    joins its component when the search pops its smaller vertex, so the
+    cost is O(E) plus sorting the vertices.
     """
-    incident: dict[int, list[Edge]] = defaultdict(list)
-    for e in edges:
-        incident[e[0]].append(e)
-        incident[e[1]].append(e)
+    adj = _links(edges)
     seen: set[int] = set()
     comps: list[frozenset[Edge]] = []
     # Starts run in increasing order, so each start is the smallest vertex
     # of its component and the list comes out sorted.
-    for start in sorted(incident):
+    for start in sorted(adj):
         if start in seen:
             continue
         seen.add(start)
@@ -152,10 +152,9 @@ def edge_components(edges: Iterable[Edge]) -> list[frozenset[Edge]]:
         comp: list[Edge] = []
         while stack:
             v = stack.pop()
-            for e in incident[v]:
-                if e[0] == v:
-                    comp.append(e)
-                w = e[1] if e[0] == v else e[0]
+            for w in adj[v]:
+                if v < w:
+                    comp.append((v, w))
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -164,7 +163,8 @@ def edge_components(edges: Iterable[Edge]) -> list[frozenset[Edge]]:
 
 
 def _links(edges: Iterable[Edge]) -> dict[int, list[int]]:
-    """Neighbour lists of an edge set, in no particular order."""
+    """Neighbour lists of an edge set, in no particular order: the one
+    builder every walk of an edge set reads."""
     adj: dict[int, list[int]] = defaultdict(list)
     for u, v in edges:
         adj[u].append(v)
@@ -250,17 +250,18 @@ def eulerian_orientation(g: SimpleGraph) -> Digraph:
     Follows a closed trail through each component (Hierholzer), starting
     from the smallest vertex with an unused edge and leaving each vertex
     by its unused edge to the smallest neighbour.  Arc ``i`` is the edge
-    ``sorted(g.edges)[i]``.  A vertex's edge ids, in sorted-list order,
-    run by increasing neighbour, so a pointer per vertex finds its next
-    unused edge and the walk is O(E) after the sort.
+    ``sorted(g.edges)[i]``.  An odd vertex is refused from g's kept degree
+    summary before anything is built.  A vertex's edge ids, in sorted-list
+    order, run by increasing neighbour, so a pointer per vertex finds its
+    next unused edge and the walk is O(E) after the sort.
     """
+    if degrees(g).v_odd:
+        raise ValueError("graph has a vertex of odd degree")
     ordered = sorted(g.edges)
     inc: list[list[int]] = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(ordered):
         inc[u].append(i)
         inc[v].append(i)
-    if any(len(ids) % 2 for ids in inc):
-        raise ValueError("graph has a vertex of odd degree")
     m = len(ordered)
     tails, heads = [-1] * m, [0] * m   # a tail of -1 marks an unused edge
     nxt = [0] * g.n

@@ -76,16 +76,12 @@ def _ints(x: Any, what: str) -> tuple[int, ...]:
 
 def _pairs(x: Any, what: str) -> list | tuple:
     entries = _array(x, what)
-    if (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {2}
+    if not (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {2}
             and set(map(type, chain.from_iterable(entries))) <= {int}):
-        return entries
-    out = []
-    for e in entries:   # names the first offender
-        pair = _ints(e, what)
-        if len(pair) != 2:
-            raise ValueError(f"every entry of {what} must be a pair of integers")
-        out.append(pair)
-    return out
+        for e in entries:   # names the first offender
+            if len(_ints(e, what)) != 2:
+                raise ValueError(f"every entry of {what} must be a pair of integers")
+    return entries
 
 
 def emit_graph(g: SimpleGraph) -> dict:

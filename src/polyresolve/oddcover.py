@@ -33,23 +33,24 @@ joins nothing and builds no endpoint state; ``check_cover`` alone checks
 its forests.
 
 A cover works out each fact of its graph once.  Every path or cycle cover
-of an Eulerian graph runs the unchecked ``_eulerian_cover`` on the
-graph's one degree summary, which the graph counts once and keeps for
-the route and the final check: one decomposition orients the graph on
-edge ids and walks each polycycle once, which checks its shape and hands
-out its cycles, and consecutive polycycles go as they are, with their
-cycles, to the pair cores ``_path_pair`` and ``_cycle_pair``.  On an
-Eulerian graph the general path cover is that cover, of g itself.  So no stage
-canonicalizes, re-checks or splits a polycycle into components again.
-The parts are normalized once, and ``check_cover`` is the one checker of
-a finished cover; ``oracles.verify_certificate`` calls it too.  It checks
-the part shapes, the xor (or, for linear forests, disjointness and
-union) and the part count against ``odd_cover_bound``, which it works out
-from the graph alone.  Each public cover checks its output once with it,
-by an explicit raise that holds under ``python -O``.  Crash guards raise
-explicitly too; the asserts left are the proof's parity, count and
-transversal facts.  The exhaustive cover search, and the tight path cover
-built on it, live in ``oracles``.
+of an Eulerian graph runs the unchecked ``_eulerian_cover`` on the graph's
+one degree summary, which the graph counts once and keeps for the route
+and the final check: one decomposition orients the graph on edge ids, the
+one check that it is Eulerian, and walks each polycycle once, which checks
+its shape and hands out its cycles, and consecutive polycycles go as they
+are, with their cycles, to the pair cores ``_path_pair`` and
+``_cycle_pair``.  On an Eulerian graph the general path cover is that
+cover, of g itself.  So no stage canonicalizes, re-checks or splits a
+polycycle into components again.  The parts are normalized once, and
+``check_cover`` is the one checker of a finished cover;
+``oracles.verify_certificate`` calls it too.  It checks the part shapes,
+the xor (or, for linear forests, disjointness and union) and the part
+count against ``odd_cover_bound``, which it works out from the graph
+alone.  Each public cover checks its output once with it, by an explicit
+raise that holds under ``python -O``.  Crash guards raise explicitly too;
+the asserts left are the proof's parity, count and transversal facts.  The
+exhaustive cover search, and the tight path cover built on it, live in
+``oracles``.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .graphs import (
     Edge,
     SimpleGraph,
     SubgraphShape,
+    _links,
     classify,
     cycle_order,
     degrees,
@@ -208,10 +210,6 @@ def _canon(edges: Iterable[tuple[int, int]]) -> frozenset[Edge]:
 def _span(*edge_sets: Iterable[Edge]) -> int:
     top = max((max(e) for es in edge_sets for e in es), default=0)
     return top + 1
-
-
-def _neighbors(comp: Iterable[Edge], u: int) -> list[int]:
-    return sorted(w for e in comp for w in e if u in e and w != u)
 
 
 def _holding(comps: Iterable[frozenset[Edge]], v: int) -> frozenset[Edge]:
@@ -456,15 +454,15 @@ def _even_case_direct(
     b-neighbor v2 of u, and closes the side-2 matching at even parity.
     Returns (m1, m2, u, v1, v2) or None if no such edge works here.
     """
-    vb, vbp, vap = vertices_of(b), vertices_of(bp), vertices_of(ap)
+    b_links, vbp, vap = _links(b), vertices_of(bp), vertices_of(ap)
     for e in sorted(a):
         for u, v1 in (e, (e[1], e[0])):
-            if u not in vb or v1 in vbp:
+            if u not in b_links or v1 in vbp:
                 continue
-            nbrs = _neighbors(b, u)
+            nbrs = b_links[u]
             outside = [w for w in nbrs if w not in vap]
             if outside:
-                v2 = outside[0]
+                v2 = min(outside)
                 x = min(vap & vbp)
                 walk = cycle_order(ap, start=x)
                 y, z = walk[1], walk[2]
@@ -524,8 +522,8 @@ def _even_case_rigid(
         if not cond:
             raise AssertionError(f"interlocked-overlap validation failed: {msg}")
 
-    v1s, v2s = vertices_of(c1), vertices_of(c2)
-    v1ps, v2ps = vertices_of(c1p), vertices_of(c2p)
+    links1, links2, links1p, links2p = map(_links, (c1, c2, c1p, c2p))
+    v1s, v2s, v1ps, v2ps = links1.keys(), links2.keys(), links1p.keys(), links2p.keys()
     lengths = {len(c1), len(c2), len(c1p), len(c2p)}
     need(lengths == {len(c1)} and len(c1) % 2 == 0, "cycles must share one even length")
 
@@ -552,14 +550,13 @@ def _even_case_rigid(
     need(v1s | v1ps == v2s | v2ps, "both sides must cover the same overlap")
 
     u1 = min(v1s & v2s)
-    c1_nbrs = _neighbors(c1, u1)
-    need(set(c1_nbrs) <= v2ps, "neighbors on c1 must lie on c2'")
-    v1 = c1_nbrs[0]
-    w1, w = _neighbors(c2, u1)
+    need(set(links1[u1]) <= v2ps, "neighbors on c1 must lie on c2'")
+    v1 = min(links1[u1])
+    w1, w = sorted(links2[u1])
     need({w1, w} <= v1ps, "neighbors on c2 must lie on c1'")
-    x1 = _neighbors(c1p, w1)[0]
+    x1 = min(links1p[w1])
     need(x1 in v2ps, "neighbor on c1' must lie on c2'")
-    v = min(ww for ww in _neighbors(c2p, x1) if ww != v1)
+    v = min(ww for ww in links2p[x1] if ww != v1)
 
     m1 = _transversal(comp for comp in comps1 if comp not in (c1, c1p)) | {edge(u1, v1), edge(w1, x1)}
     m2 = _transversal(comp for comp in comps2 if comp not in (c2, c2p)) | {edge(u1, w), edge(v, x1)}
@@ -829,12 +826,11 @@ def _make_cert(kind: str, parts: Iterable[Iterable[tuple[int, int]]], g: SimpleG
 
 
 def _max_degree_up_to_4(g: SimpleGraph) -> SimpleGraph:
-    """g, once checked Eulerian with maximum degree at most 4."""
-    summary = degrees(g)
-    if summary.v_odd:
-        raise ValueError("graph has a vertex of odd degree")
-    if summary.delta > 4:
-        raise ValueError(f"maximum degree must be at most 4, got {summary.delta}")
+    """g, once checked to have maximum degree at most 4.  The orientation
+    checks its parity later, so an odd graph of larger degree gets this."""
+    delta = degrees(g).delta
+    if delta > 4:
+        raise ValueError(f"maximum degree must be at most 4, got {delta}")
     return g
 
 
@@ -918,9 +914,6 @@ def _eulerian_cover(g: SimpleGraph, kind: str) -> list[frozenset[Edge]]:
     if kind not in ("path", "cycle"):
         raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
     summary = degrees(g)
-    if summary.v_odd:
-        raise ValueError("graph has a vertex of odd degree")
-
     # For paths the orientation has maximum out-degree delta/2, so no part
     # is in the cycle suffix.
     t = summary.delta // 2 if kind == "path" else two_largest(summary.degrees)[1] // 2

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .graphs import _links
 from .perms import (
     CycleSeq,
     Partition,
@@ -66,10 +67,7 @@ def _color_matchings(m1, m2) -> dict[int, int]:
     matchings, so it is bipartite.  The smallest cluster of each component
     gets colour 0.  Clusters no edge touches are neither visited nor listed.
     """
-    adj: dict[int, list[int]] = {}
-    for u, v in set(m1 + m2):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    adj = _links(set(m1 + m2))
     color: dict[int, int] = {}
     for start in sorted(adj):
         if start in color:

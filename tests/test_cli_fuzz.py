@@ -1,8 +1,9 @@
 """Fuzz of the command line over arbitrary JSON documents and arguments.
 
 Whatever the input files hold, a verb ends in exit 0 (verified output),
-1 (verification failure) or 2 (usage or input error), never in an
-uncaught exception.  Integers are small, so that a well-formed document
+1 (verification failure, with its ``"pass": false`` report) or 2 (usage or
+input error), never in an uncaught exception; ``gen``, ``lowerbound`` and
+``diameter`` end in 0 or 2.  Integers are small, so that a well-formed document
 describes a small instance or graph, or far above ``jsonio.MAX_COUNT``, so
 that a count drawn from them is refused before anything is sized by it.
 The verbs that take no file, ``gen``, ``lowerbound`` and ``diameter``, get
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
@@ -71,8 +73,14 @@ def test_cli_exit_codes_on_arbitrary_json(tmp_path, capsys, verb, doc, other):
         argv = [verb, "--graph", str(first), "--out", out]
     else:
         argv = ["verify", "--instance", str(second), "--graph", str(second), str(first), "--out", out]
-    assert main(argv) in (0, 1, 2)
-    capsys.readouterr()
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    assert code in (0, 1, 2)
+    if code == 1:
+        # A failed check is reported: ``verify`` writes its report to
+        # --out, a construction its failed check to stdout.
+        report = json.loads(Path(out).read_text() if verb == "verify" else stdout)
+        assert report["pass"] is False
 
 
 def _joined(ks) -> str:
@@ -135,5 +143,6 @@ def test_cli_exit_codes_on_drawn_arguments(tmp_path, capsys, data):
         os.environ.pop("POLYRESOLVE_CAP", None)
         if env_cap is not None:
             os.environ["POLYRESOLVE_CAP"] = env_cap
-        assert main(argv) in (0, 1, 2)
+        # None of these verbs has a check that can fail.
+        assert main(argv) in (0, 2)
     capsys.readouterr()

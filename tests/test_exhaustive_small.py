@@ -32,6 +32,7 @@ x86-64 VM with CPython 3.11, and the one on 8 items about 25 s.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 
 import pytest
@@ -160,8 +161,11 @@ def test_exact_cover_parts_are_distinct_past_the_promised_bound():
     assert runs == 1253 + 85  # every atlas graph, and the even ones again
 
 
-def _even_graphs_on_8():
-    """One graph per isomorphism class of even graphs on 8 vertices."""
+@functools.cache
+def _even_graphs_on_8() -> tuple:
+    """One graph per isomorphism class of even graphs on 8 vertices, found
+    once per process: the output corpus reads them too."""
+    classes = []
     buckets: dict[tuple, list] = {}
     for atlas in nx.graph_atlas_g():
         if atlas.number_of_nodes() != 7:
@@ -173,7 +177,8 @@ def _even_graphs_on_8():
         bucket = buckets.setdefault(key, [])
         if not any(nx.is_isomorphic(h, other) for other in bucket):
             bucket.append(h)
-            yield h
+            classes.append(h)
+    return tuple(classes)
 
 
 def test_covers_on_every_even_graph_on_8_vertices():

@@ -437,6 +437,30 @@ def test_eulerian_cover_rejects_bad_kind():
         odd_cover_eulerian(simple_graph(3, cyc(0, 1, 2)), "forest")
 
 
+EULERIAN_COVERS = [
+    path_odd_cover_delta4,
+    cycle_odd_cover_delta4,
+    lambda g: odd_cover_eulerian(g, "path"),
+    lambda g: odd_cover_eulerian(g, "cycle"),
+]
+
+
+@pytest.mark.parametrize("cover", EULERIAN_COVERS)
+def test_eulerian_covers_refuse_an_odd_vertex(cover):
+    with pytest.raises(ValueError, match="^graph has a vertex of odd degree$"):
+        cover(simple_graph(3, [(0, 1), (1, 2)]))
+
+
+@pytest.mark.parametrize("cover", [path_odd_cover_delta4, cycle_odd_cover_delta4])
+def test_delta4_covers_refuse_a_degree_above_4(cover):
+    with pytest.raises(ValueError, match="^maximum degree must be at most 4, got 6$"):
+        cover(complete(7))
+    # The degree is checked before the parity, which the orientation
+    # checks: a star with six leaves has both faults and gets this refusal.
+    with pytest.raises(ValueError, match="^maximum degree must be at most 4, got 6$"):
+        cover(simple_graph(7, [(0, leaf) for leaf in range(1, 7)]))
+
+
 # --- randomized cover properties ----------------------------------------------
 
 

@@ -137,7 +137,9 @@ def test_names_kept_for_the_benchmark_are_bound_by_it():
 PRIVATE_IMPORTS = {
     ("cli", "oddcover", "_make_cert"),
     ("oracles", "oddcover", "_make_cert"),
+    ("oddcover", "graphs", "_links"),
     ("oddcover", "polycycles", "_polycycle_cover"),
+    ("resolve", "graphs", "_links"),
     ("resolve", "perms", "_walk"),
     ("resolve", "polycycles", "_factorize"),
 }
