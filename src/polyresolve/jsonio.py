@@ -9,6 +9,7 @@ A vertex, item or cluster count above ``MAX_COUNT`` is refused with
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from typing import Any
 
@@ -145,11 +146,17 @@ def parse_cover(d: dict) -> OddCoverCert:
     kind = str(d["kind"])
     if kind not in ("path", "cycle", "linear_forest"):
         raise ValueError(f"unknown cover kind {kind!r}")
-    parts = tuple(
-        frozenset(edge(u, v) for u, v in _pairs(part, "a part"))
-        for part in _array(d["parts"], "parts")
-    )
-    return OddCoverCert(kind, parts)
+    return OddCoverCert(kind, tuple(_part(part) for part in _array(d["parts"], "parts")))
+
+
+def _part(x: Any) -> frozenset:
+    """A part's edges, refusing one listed twice in either orientation."""
+    pairs = _pairs(x, "a part")
+    edges = frozenset(edge(u, v) for u, v in pairs)
+    if len(edges) != len(pairs):
+        u, v = next(e for e, k in Counter(edge(u, v) for u, v in pairs).items() if k > 1)
+        raise ValueError(f"a part lists edge ({u},{v}) twice")
+    return edges
 
 
 def emit_report(r: Report) -> dict:
@@ -158,4 +165,6 @@ def emit_report(r: Report) -> dict:
 
 def parse_report(d: dict) -> Report:
     _require(d, "check", "pass", "detail", "elapsed_ms")
-    return Report(str(d["check"]), bool(d["pass"]), str(d["detail"]), int(d["elapsed_ms"]))
+    if type(d["pass"]) is not bool:
+        raise ValueError(f"pass must be a JSON boolean, got {type(d['pass']).__name__}")
+    return Report(str(d["check"]), d["pass"], str(d["detail"]), _int(d["elapsed_ms"], "elapsed_ms"))

@@ -24,7 +24,14 @@ costs O(E log E).  The cycle closing reads the surgery's own
 shared-endpoint sets.  The public steps check their inputs (a
 ``ValueError`` names the polycycle, transversal or forest at fault), then
 call private cores: ``_odd_pair`` and ``_even_pair`` take each
-polycycle's cycles, and ``_flexible`` one cycle of canonical edges.  The
+polycycle's cycles, and ``_flexible`` one cycle of canonical edges.  Both
+pair cores build their matchings from one anchor step, ``_anchor`` (edge
+x-y or y-z of the walk x, y, z from x, whichever makes the facing cycle
+flexible), and one parity close, ``_close`` (that cycle's even or odd
+edge).  ``_meets`` lists the cycle pairs that meet once per polycycle pair,
+and ``_crossings`` reads the crossings off that one list in the order the
+direct search tries them; ``_cycle_pair`` takes the first.  The even
+pair keeps each cycle's neighbour lists, built on first read.  The
 cores re-check nothing that ``check_cover`` holds.  Where joins run, only
 the endpoint state refuses split forests that are not linear or whose
 ends are unbalanced, with an ``AssertionError``: a fault in a core is a
@@ -57,8 +64,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from heapq import heappop, heappush
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from .graphs import (
     FOREST_SHAPES,
@@ -242,11 +250,6 @@ def forest_stats(f1: Iterable[tuple[int, int]], f2: Iterable[tuple[int, int]],
         raise ValueError(str(exc)) from None
 
 
-def _check_polycycle(h: frozenset[Edge], span: int, name: str) -> None:
-    if classify(h, span) not in (SubgraphShape.EMPTY, SubgraphShape.CYCLE, SubgraphShape.POLYCYCLE):
-        raise ValueError(f"{name} is not a disjoint union of cycles")
-
-
 def _polycycle_pair(h1: Iterable[tuple[int, int]],
                     h2: Iterable[tuple[int, int]]) -> tuple[frozenset[Edge], frozenset[Edge]]:
     """The input check of the public steps on two polycycles: they are
@@ -256,8 +259,9 @@ def _polycycle_pair(h1: Iterable[tuple[int, int]],
     if h1 & h2:
         raise ValueError("the two polycycles share an edge")
     span = _span(h1, h2)
-    _check_polycycle(h1, span, "h1")
-    _check_polycycle(h2, span, "h2")
+    for h, name in ((h1, "h1"), (h2, "h2")):
+        if classify(h, span) not in (SubgraphShape.EMPTY, SubgraphShape.CYCLE, SubgraphShape.POLYCYCLE):
+            raise ValueError(f"{name} is not a disjoint union of cycles")
     return h1, h2
 
 
@@ -411,6 +415,29 @@ def transversal_odd_intersection(
     return _odd_pair(h1, h2, edge_components(h1), edge_components(h2))
 
 
+def _anchor(c_links: dict[int, list[int]], x: int, d: frozenset[Edge],
+            rest: AbstractSet[Edge]) -> tuple[frozenset[Edge], Edge, Edge]:
+    """``rest`` plus edge x-y or y-z of the walk x, y, z from x toward its
+    smaller neighbour on a cycle (``c_links``), whichever makes cycle d
+    flexible (``_flexible``); with d's edges e0 and e1 for ``_close``."""
+    y = min(c_links[x])
+    z = next(w for w in c_links[y] if w != x)
+    base = vertices_of(rest) | {x, y}
+    chosen, e0, e1 = _flexible(d, base, x, z)
+    m1 = frozenset(rest | {edge(x, y) if chosen == base else edge(y, z)})
+    assert vertices_of(m1) == chosen
+    return m1, e0, e1
+
+
+def _close(m1: frozenset[Edge], rest: AbstractSet[Edge], e0: Edge, e1: Edge,
+           parity: int) -> frozenset[Edge]:
+    """The side-2 matching: ``rest`` plus e0, which keeps the parity of
+    |V(m1) & V(rest)|, or e1, which flips it, so that |V(m1) & V(m2)| is
+    ``parity`` mod 2."""
+    kept = len(vertices_of(m1) & vertices_of(rest)) % 2 == parity
+    return frozenset(rest | {e0 if kept else e1})
+
+
 def _odd_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[Edge]],
               comps2: list[frozenset[Edge]]) -> TransversalPair:
     """``transversal_odd_intersection`` on checked polycycles, given their
@@ -418,43 +445,26 @@ def _odd_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[E
     shared = vertices_of(h1) & vertices_of(h2)
     if not shared:
         raise ValueError("the polycycles have no vertex in common")
-
-    x1 = min(shared)
-    c = _holding(comps1, x1)
-    d = _holding(comps2, x1)
-    order = cycle_order(c, start=x1)
-    x2, x3 = order[1], order[2]
-
-    m1_rest = _transversal(comp for comp in comps1 if comp is not c)
-    base = vertices_of(m1_rest) | {x1, x2}
-    chosen, e0, e1 = _flexible(d, base, x1, x3)
-    e = edge(x1, x2) if chosen == base else edge(x2, x3)
-    m1 = frozenset(m1_rest | {e})
-    assert vertices_of(m1) == chosen
-
-    m2_rest = _transversal(comp for comp in comps2 if comp is not d)
-    even_so_far = len(vertices_of(m1) & vertices_of(m2_rest)) % 2 == 0
-    m2 = frozenset(m2_rest | ({e1} if even_so_far else {e0}))
+    x = min(shared)
+    c, d = _holding(comps1, x), _holding(comps2, x)
+    m1, e0, e1 = _anchor(_links(c), x, d, _transversal(comp for comp in comps1 if comp is not c))
+    m2 = _close(m1, _transversal(comp for comp in comps2 if comp is not d), e0, e1, 1)
     assert len(vertices_of(m1) & vertices_of(m2)) % 2 == 1
     return TransversalPair(m1, m2)
 
 
-def _even_case_direct(
-    side1: list[frozenset[Edge]],
-    side2: list[frozenset[Edge]],
-    a: frozenset[Edge],
-    b: frozenset[Edge],
-    ap: frozenset[Edge],
-    bp: frozenset[Edge],
-):
+def _even_case_direct(side1: list[frozenset[Edge]], side2: list[frozenset[Edge]], a: frozenset[Edge],
+                      b: frozenset[Edge], ap: frozenset[Edge], bp: frozenset[Edge],
+                      links: Callable[[frozenset[Edge]], dict[int, list[int]]]):
     """Try the generic overlap construction for one oriented quadruple.
 
-    Looks for an edge u-v1 on a with u on b and v1 off bp, builds the
-    side-1 matching so bp is flexible with respect to it while avoiding a
-    b-neighbor v2 of u, and closes the side-2 matching at even parity.
-    Returns (m1, m2, u, v1, v2) or None if no such edge works here.
+    Looks for an edge u-v1 on a with u on b and v1 off bp, anchors the
+    side-1 matching on ap so bp is flexible with respect to it while
+    avoiding a b-neighbor v2 of u, and closes the side-2 matching at even
+    parity.  ``links`` gives a cycle's neighbour lists.  Returns
+    (m1, m2, u, v1, v2) or None if no such edge works here.
     """
-    b_links, vbp, vap = _links(b), vertices_of(bp), vertices_of(ap)
+    b_links, vbp, vap = links(b), links(bp).keys(), links(ap).keys()
     for e in sorted(a):
         for u, v1 in (e, (e[1], e[0])):
             if u not in b_links or v1 in vbp:
@@ -463,30 +473,17 @@ def _even_case_direct(
             outside = [w for w in nbrs if w not in vap]
             if outside:
                 v2 = min(outside)
-                x = min(vap & vbp)
-                walk = cycle_order(ap, start=x)
-                y, z = walk[1], walk[2]
-                m1_rest = {edge(u, v1)} | _transversal(
-                    (comp for comp in side1 if comp not in (a, ap)), avoid=(v2,))
-                base = vertices_of(m1_rest) | {x, y}
-                chosen, e0, e1 = _flexible(bp, base, x, z)
-                m1 = frozenset(m1_rest | {edge(x, y) if chosen == base else edge(y, z)})
-                assert vertices_of(m1) == chosen
+                m1, e0, e1 = _anchor(links(ap), min(vap & vbp), bp, {edge(u, v1)} | _transversal(
+                    (comp for comp in side1 if comp not in (a, ap)), avoid=(v2,)))
             else:
                 # Both b-neighbors of u land on ap; usable only when every
                 # other side-1 component misses bp, making bp touch the
                 # side-1 matching in exactly one vertex.
-                if any(
-                    comp not in (a, ap) and vertices_of(comp) & vbp
-                    for comp in side1
-                ):
+                if any(comp not in (a, ap) and links(comp).keys() & vbp for comp in side1):
                     continue
-                boundary = sorted(
-                    e2 for e2 in ap if len(set(e2) & vbp) == 1
-                )
-                if not boundary:
+                e2 = min((e2 for e2 in ap if len(set(e2) & vbp) == 1), default=None)
+                if e2 is None:
                     raise AssertionError("ap meets bp but also has vertices outside it")
-                e2 = boundary[0]
                 (x,) = set(e2) & vbp
                 (y,) = set(e2) - {x}
                 v2 = min(w for w in nbrs if w != y)
@@ -496,24 +493,15 @@ def _even_case_direct(
                 e1 = min(e3 for e3 in bp if x in e3)
                 e0 = min(e3 for e3 in bp if x not in e3)
 
-            m2_rest = {edge(u, v2)} | _transversal(
-                (comp for comp in side2 if comp not in (b, bp)), avoid=(v1,))
-            even_so_far = len(vertices_of(m1) & vertices_of(m2_rest)) % 2 == 0
-            m2 = frozenset(m2_rest | ({e0} if even_so_far else {e1}))
+            m2 = _close(m1, {edge(u, v2)} | _transversal(
+                (comp for comp in side2 if comp not in (b, bp)), avoid=(v1,)), e0, e1, 0)
             return m1, m2, u, v1, v2
     return None
 
 
-def _even_case_rigid(
-    h1: frozenset[Edge],
-    h2: frozenset[Edge],
-    comps1: list[frozenset[Edge]],
-    comps2: list[frozenset[Edge]],
-    c1: frozenset[Edge],
-    c2: frozenset[Edge],
-    c1p: frozenset[Edge],
-    c2p: frozenset[Edge],
-):
+def _even_case_rigid(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[Edge]],
+                     comps2: list[frozenset[Edge]], links: Callable[[frozenset[Edge]], dict[int, list[int]]],
+                     c1: frozenset[Edge], c2: frozenset[Edge], c1p: frozenset[Edge], c2p: frozenset[Edge]):
     """Handle the fully interlocked overlap: four equal even cycles whose
     vertices alternate pairwise.  Validates the structure and pins two
     crossing matched edges per side so the intersection is {u1, x1}."""
@@ -522,30 +510,18 @@ def _even_case_rigid(
         if not cond:
             raise AssertionError(f"interlocked-overlap validation failed: {msg}")
 
-    links1, links2, links1p, links2p = map(_links, (c1, c2, c1p, c2p))
+    links1, links2, links1p, links2p = map(links, (c1, c2, c1p, c2p))
     v1s, v2s, v1ps, v2ps = links1.keys(), links2.keys(), links1p.keys(), links2p.keys()
     lengths = {len(c1), len(c2), len(c1p), len(c2p)}
     need(lengths == {len(c1)} and len(c1) % 2 == 0, "cycles must share one even length")
 
-    def check_alt(comp: frozenset[Edge], side_a: set[int], side_b: set[int]) -> None:
-        walk = cycle_order(comp)
-        marks = []
-        for w in walk:
-            if w in side_a and w not in side_b:
-                marks.append(0)
-            elif w in side_b and w not in side_a:
-                marks.append(1)
-            else:
-                need(False, "cycle vertex off both opposite components")
-        need(
-            all(marks[i] != marks[(i + 1) % len(marks)] for i in range(len(marks))),
-            "cycle must alternate between the opposite components",
-        )
-
-    check_alt(c1, v2s, v2ps)
-    check_alt(c1p, v2s, v2ps)
-    check_alt(c2, v1s, v1ps)
-    check_alt(c2p, v1s, v1ps)
+    # A cycle alternates between the two opposite components when each of
+    # its vertices lies on exactly one of them and each edge joins the two.
+    for comp, side_a, side_b in ((c1, v2s, v2ps), (c1p, v2s, v2ps), (c2, v1s, v1ps), (c2p, v1s, v1ps)):
+        need(all((w in side_a) != (w in side_b) for w in links(comp)),
+             "cycle vertex off both opposite components")
+        need(all((u in side_a) != (v in side_a) for u, v in comp),
+             "cycle must alternate between the opposite components")
     need(vertices_of(h1) & vertices_of(h2) == v1s | v1ps, "no overlap outside the four cycles")
     need(v1s | v1ps == v2s | v2ps, "both sides must cover the same overlap")
 
@@ -578,9 +554,7 @@ def transversal_even_intersection(
     v2 off V(m1); the witness forces straddling components downstream.
     """
     h1, h2 = _polycycle_pair(h1, h2)
-    comps1 = edge_components(h1)
-    comps2 = edge_components(h2)
-
+    comps1, comps2 = edge_components(h1), edge_components(h2)
     try:
         (c1_raw, c2_raw), (c1p_raw, c2p_raw) = crossing
         c1, c2, c1p, c2p = (_canon(c) for c in (c1_raw, c2_raw, c1p_raw, c2p_raw))
@@ -592,27 +566,46 @@ def transversal_even_intersection(
         raise ValueError("crossing components must be distinct on each side")
     if not vertices_of(c1) & vertices_of(c2) or not vertices_of(c1p) & vertices_of(c2p):
         raise ValueError("named component pairs must intersect")
-    return _even_pair(h1, h2, comps1, comps2, (c1, c2, c1p, c2p))
+    return _even_pair(h1, h2, comps1, comps2, (c1, c2, c1p, c2p), _meets(comps1, comps2))
+
+
+def _meets(comps1: list[frozenset[Edge]], comps2: list[frozenset[Edge]]) -> list[tuple[int, int]]:
+    """The index pairs (i, j) of a cycle of comps1 and a cycle of comps2
+    that share a vertex, in lexicographic order."""
+    owner = {v: i for i, c in enumerate(comps1) for v in vertices_of(c)}
+    return sorted({(owner[v], j) for j, d in enumerate(comps2) for v in vertices_of(d) if v in owner})
+
+
+def _crossings(meets: list[tuple[int, int]]) -> Iterable[tuple[int, int, int, int]]:
+    """Each two meeting pairs (i, j) and (i', j') that are apart on both
+    sides, as (i, j, i', j'), in lexicographic order."""
+    return ((i, j, i2, j2) for i, j in meets for i2, j2 in meets if i2 != i and j2 != j)
 
 
 def _even_pair(
     h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[Edge]],
     comps2: list[frozenset[Edge]], crossing: tuple[frozenset[Edge], ...],
+    meets: list[tuple[int, int]],
 ) -> tuple[TransversalPair, tuple[int, int, int]]:
     """``transversal_even_intersection`` on checked polycycles, given their
-    cycles in order of smallest vertex and a checked crossing (c1, c2, c1',
-    c2') of them."""
+    cycles in order of smallest vertex, the pairs of them that meet
+    (``_meets``) and a checked crossing (c1, c2, c1', c2') of them, which
+    only the rigid route reads.  The direct construction tries each
+    crossing of ``meets`` (``_crossings``), with h1's cycles on side 1 and
+    then with h2's.  A cycle's neighbour lists are built on first read."""
+    # A plain dict, not ``_links``'s defaultdict: every read shares a cycle's
+    # lists, so a read at a vertex off the cycle raises instead of growing them.
+    links = cache(lambda c: dict(_links(c)))
     for swapped in (False, True):
         side1, side2 = (comps2, comps1) if swapped else (comps1, comps2)
+        pairs = sorted((j, i) for i, j in meets) if swapped else meets
         found = next(filter(None, (
-            _even_case_direct(side1, side2, a, b, ap, bp)
-            for a in side1 for b in side2 if vertices_of(a) & vertices_of(b)
-            for ap in side1 if ap != a
-            for bp in side2 if bp != b and vertices_of(ap) & vertices_of(bp))), None)
+            _even_case_direct(side1, side2, side1[i], side2[j], side1[i2], side2[j2], links)
+            for i, j, i2, j2 in _crossings(pairs))), None)
         if found is not None:
             break
     if found is None:
-        m1, m2, u, v1, v2 = _even_case_rigid(h1, h2, comps1, comps2, *crossing)
+        m1, m2, u, v1, v2 = _even_case_rigid(h1, h2, comps1, comps2, links, *crossing)
     elif swapped:
         m2, m1, u, v2, v1 = found
     else:
@@ -870,12 +863,8 @@ def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset
     forests that close into three cycles; otherwise all but one component
     of one polycycle avoid the other, and the rest covers with two cycles.
     """
-    owner = {v: i for i, c in enumerate(comps1) for v in vertices_of(c)}
-    meets = sorted(
-        {(owner[v], j) for j, d in enumerate(comps2) for v in vertices_of(d) if v in owner}
-    )
-    crossing = next(((comps1[i], comps2[j], comps1[i2], comps2[j2])
-                     for i, j in meets for i2, j2 in meets if i2 != i and j2 != j), None)
+    meets = _meets(comps1, comps2)
+    crossing = next(_crossings(meets), None)
     if crossing is None:
         # No two meeting pairs are apart on both sides, so all share one h1
         # component or all share one h2 component: else, beside meets[0] =
@@ -889,7 +878,8 @@ def _cycle_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset
         rest = sorted((c for c in comps1 + comps2 if c not in apart), key=min)
         return _polycycle_cover((h1 | h2).difference(*apart), rest, "cycle") + apart
 
-    tp, _witness = _even_pair(h1, h2, comps1, comps2, crossing)
+    i, j, i2, j2 = crossing
+    tp, _witness = _even_pair(h1, h2, comps1, comps2, (comps1[i], comps2[j], comps1[i2], comps2[j2]), meets)
     final, r_sets = _reduce_endpoints(_joining_state(h1, h2, tp.m1, tp.m2), for_cycles=True)
     return _close_into_cycles(final, r_sets)
 

@@ -438,6 +438,17 @@ def test_verify_refuses_a_cover_past_its_bound(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["detail"] == "3 paths exceed the bound 2"
 
 
+def test_verify_refuses_a_part_that_lists_an_edge_twice(tmp_path, capsys):
+    # Read as a set, the part was the path 0-1-2 and passed.
+    path = write_json(tmp_path / "path.json", {"n": 3, "edges": [[0, 1], [1, 2]]})
+    parts = [[[0, 1], [1, 2], [0, 1]]]
+    cert = write_json(tmp_path / "cover.json", {"type": "odd_cover", "kind": "path", "parts": parts})
+    assert main(["verify", "--graph", path, cert]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False
+    assert report["detail"] == "malformed certificate: a part lists edge (0,1) twice"
+
+
 def test_verify_unreadable_certificate_exits_two(tmp_path, capsys):
     inst = swap_instance(tmp_path)
     missing = str(tmp_path / "missing.json")

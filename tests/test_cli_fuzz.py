@@ -14,12 +14,20 @@ an unknown flag; and ``POLYRESOLVE_CAP`` valid, below 1 or not an integer,
 set and restored in each example.  ``--exact`` always comes with a cap of
 at most 1,000, by ``--cap`` or ``POLYRESOLVE_CAP``, since at the default
 cap one exact diameter of eight clusters takes seconds.
+
+Arbitrary JSON is almost never a valid graph, instance or certificate, so
+a second fuzz draws documents the package writes itself (a small graph,
+an instance of equal shapes, a certificate built for them) and perturbs
+each at most once, dropping, repeating or swapping one entry: ``verify``
+reaches exit 0 and 1 over its run, and the other file verbs exit 0.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import random
+from collections import defaultdict
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +35,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polyresolve.cli import _GEN_FAMILIES, main
-from polyresolve.jsonio import MAX_COUNT
+from polyresolve.generators import random_delta4_graph, random_graph, random_instance
+from polyresolve.jsonio import MAX_COUNT, emit_cover, emit_graph, emit_instance, emit_resolution
+from polyresolve.oddcover import linear_forest_decomposition, path_odd_cover_general
+from polyresolve.resolve import resolve
 
 WIRE_KEYS = ("n", "m", "edges", "p", "p_prime", "bound", "family", "type", "taus", "kind", "parts")
 WIRE_WORDS = ("resolution", "odd_cover", "path", "cycle", "linear_forest")
@@ -81,6 +92,77 @@ def test_cli_exit_codes_on_arbitrary_json(tmp_path, capsys, verb, doc, other):
         # --out, a construction its failed check to stdout.
         report = json.loads(Path(out).read_text() if verb == "verify" else stdout)
         assert report["pass"] is False
+
+
+def _perturbed(rng: random.Random, doc: dict, keys: tuple[str, ...]) -> dict:
+    """doc, or doc with one entry of one of its lists (under one of
+    ``keys``, or one level below) dropped, repeated or swapped with another."""
+    how = rng.choice(("keep", "drop", "repeat", "swap"))
+    key = rng.choice(keys)
+    entries = doc[key] = list(doc[key])
+    if entries and rng.random() < 0.5 and isinstance(entries[0], list):
+        i = rng.randrange(len(entries))
+        entries[i] = list(entries[i])
+        entries = entries[i]
+    if how == "drop" and entries:
+        del entries[rng.randrange(len(entries))]
+    elif how == "repeat" and entries:
+        i = rng.randrange(len(entries))
+        entries.insert(i, entries[i])
+    elif how == "swap" and len(entries) > 1:
+        i, j = rng.sample(range(len(entries)), 2)
+        entries[i], entries[j] = entries[j], entries[i]
+    return doc
+
+
+@st.composite
+def well_formed_runs(draw, tmp_path):
+    """An argv of a file verb over seeded well-formed documents, each
+    perturbed at most once: a small graph, an instance of equal shapes,
+    and a certificate built for them by the package."""
+    verb = draw(st.sampled_from(["resolve", "oddcover", "arboricity", "verify"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    out = str(tmp_path / "out.json")
+    arboricity = verb == "arboricity" or rng.random() < 0.3
+    g = (random_delta4_graph if arboricity else random_graph)(rng, 9)
+    instance = random_instance(rng, 8, 4)
+    on_instance = verb == "resolve" or verb == "verify" and rng.random() < 0.5
+    target, key = (emit_instance(instance), "--instance") if on_instance else (emit_graph(g), "--graph")
+    cert = None
+    if verb == "verify" and on_instance:
+        cert = emit_resolution(resolve(*instance))
+    elif verb == "verify":
+        cert = emit_cover(linear_forest_decomposition(g) if arboricity else path_odd_cover_general(g))
+    first.write_text(json.dumps(_perturbed(rng, target, ("p", "p_prime") if key == "--instance" else ("edges",))))
+    argv = [verb, key, str(first), "--out", out]
+    if verb == "oddcover":
+        argv.append(f"--kind={draw(st.sampled_from(['path', 'cycle']))}")
+    if cert is not None:
+        second.write_text(json.dumps(_perturbed(rng, cert, ("taus",) if key == "--instance" else ("parts",))))
+        argv.append(str(second))
+    return argv
+
+
+def test_cli_exit_codes_on_perturbed_well_formed_documents(tmp_path, capsys):
+    # Arbitrary JSON reaches only exit 2; documents the package wrote
+    # itself, perturbed at most once, reach each verb's success and
+    # verify's failed check too.
+    reached = defaultdict(set)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def run(data):
+        argv = data.draw(well_formed_runs(tmp_path))
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        reached[argv[0]].add(code)
+
+    run()
+    assert {0, 1} <= reached["verify"], dict(reached)
+    assert all(0 in reached[verb] for verb in ("resolve", "oddcover", "arboricity")), dict(reached)
 
 
 def _joined(ks) -> str:

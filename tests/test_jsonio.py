@@ -168,6 +168,19 @@ def test_report_round_trip():
     assert parse_report(through_json(d)) == r
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("elapsed_ms", None, "elapsed_ms must be an integer, got NoneType"),
+    ("elapsed_ms", [12], "elapsed_ms must be an integer, got list"),
+    ("pass", "yes", "pass must be a JSON boolean, got str"),
+    ("pass", 1, "pass must be a JSON boolean, got int"),
+])
+def test_malformed_reports_are_value_errors(key, value, message):
+    d = {**emit_report(Report("diameter", True, "ok", 12)), key: value}
+    with pytest.raises(ValueError) as exc:
+        parse_report(through_json(d))
+    assert str(exc.value) == message
+
+
 # --- errors ---------------------------------------------------
 
 
@@ -219,6 +232,7 @@ def test_malformed_edges_are_named_byte_for_byte(n, edges, message):
     ([[[0, 1, 2]]], "every entry of a part must be a pair of integers"),
     ([5], "a part must be a JSON array, got int"),
     ({"x": 1}, "parts must be a JSON array, got dict"),
+    ([[[0, 1], [1, 2], [1, 0]]], "a part lists edge (0,1) twice"),
 ])
 def test_malformed_cover_parts_are_named_byte_for_byte(parts, message):
     with pytest.raises(ValueError) as exc:

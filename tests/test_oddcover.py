@@ -256,9 +256,9 @@ def test_the_swapped_direct_route_is_needed(monkeypatch):
     pairs, tries = [], []
     even_pair, direct = oddcover._even_pair, oddcover._even_case_direct
 
-    def spy_pair(h1, h2, comps1, comps2, crossing):
+    def spy_pair(h1, h2, comps1, comps2, *rest):
         pairs.append((comps1, comps2))
-        return even_pair(h1, h2, comps1, comps2, crossing)
+        return even_pair(h1, h2, comps1, comps2, *rest)
 
     def spy_direct(side1, *rest):
         found = direct(side1, *rest)
@@ -278,6 +278,19 @@ def test_the_swapped_direct_route_is_needed(monkeypatch):
     sides = [("h1" if side1 is comps1 else "h2" if side1 is comps2 else None, ok)
              for side1, ok in tries]
     assert sides == [("h1", False)] * 4 + [("h2", False)] * 2 + [("h2", True)]
+
+
+@pytest.mark.parametrize("g", [simple_graph(8, H1 + H2), SWAPPED_ROUTE], ids=["interlocked", "swapped route"])
+def test_the_even_pair_builds_each_cycles_neighbour_lists_once(monkeypatch, g):
+    # The pair search reads a cycle's neighbour lists for its vertex set,
+    # the walk from its anchor and the rigid route's alternation check.
+    # Rebuilt at every read, the interlocked pair took 23 builds, 16 of them
+    # for its four cycles, and the swapped route 14; the other 7 are the
+    # decomposition's, the split's and the final check's.
+    calls = _count_calls(monkeypatch, graphs, ["_links"])
+    cert = cycle_odd_cover_delta4(g)
+    assert calls["_links"] <= 11
+    check_cover(cert, g, "cycle", 3)
 
 
 # --- covers of fixed graphs ---------------------------------------------------

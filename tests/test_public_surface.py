@@ -41,7 +41,6 @@ REACHED_ONLY_FROM_PERFBENCH = (
     "_canon",
     "_span",
     "_check_transversal",
-    "_check_polycycle",
     "_polycycle_pair",
 )
 
