@@ -4,13 +4,12 @@ Vertices are dense integers ``0..n-1``.  Undirected edges are canonical
 ``(min, max)`` pairs so that edge sets support exact xor algebra; directed
 edges are indexed positionally (arc id = position in the tail/head arrays)
 and may include loops and parallel arcs.  Every walk of an undirected edge
-set, here and in the cover surgery and the matching colouring, reads the
-neighbour lists that ``_links`` builds.
+set, here and in the pair search, the cover surgery and the matching
+colouring, reads the plain dict of neighbour lists that ``_links`` builds.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -163,12 +162,12 @@ def edge_components(edges: Iterable[Edge]) -> list[frozenset[Edge]]:
 
 
 def _links(edges: Iterable[Edge]) -> dict[int, list[int]]:
-    """Neighbour lists of an edge set, in no particular order: the one
-    builder every walk of an edge set reads."""
-    adj: dict[int, list[int]] = defaultdict(list)
+    """Neighbour lists of an edge set, in no particular order, in a plain
+    dict: the one builder every walk of an edge set reads."""
+    adj: dict[int, list[int]] = {}
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
     return adj
 
 
@@ -288,25 +287,3 @@ def eulerian_orientation(g: SimpleGraph) -> Digraph:
             v = heads[e] = a + b - v
     return Digraph(g.n, tuple(tails), tuple(heads))
 
-
-def cycle_order(comp: Iterable[Edge], start: int | None = None) -> list[int]:
-    """Vertices of a cycle-shaped component in traversal order.
-
-    Starts at ``start`` (default: smallest vertex) and moves toward its
-    smaller neighbor.
-    """
-    adj = _links(comp)
-    if not adj or any(len(nbrs) != 2 for nbrs in adj.values()):
-        raise ValueError("component is not a single cycle")
-    first = min(adj) if start is None else start
-    if first not in adj:
-        raise ValueError(f"start {start!r} is not on the cycle")
-    nxt = min(adj[first])
-    order, prev = [first], first
-    while nxt != first:
-        order.append(nxt)
-        nbrs = adj[nxt]
-        prev, nxt = nxt, nbrs[nbrs[0] == prev]
-    if len(order) != len(adj):
-        raise ValueError("component is not a single cycle")
-    return order

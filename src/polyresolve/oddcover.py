@@ -30,14 +30,15 @@ x-y or y-z of the walk x, y, z from x, whichever makes the facing cycle
 flexible), and one parity close, ``_close`` (that cycle's even or odd
 edge).  ``_meets`` lists the cycle pairs that meet once per polycycle pair,
 and ``_crossings`` reads the crossings off that one list in the order the
-direct search tries them; ``_cycle_pair`` takes the first.  The even
-pair keeps each cycle's neighbour lists, built on first read.  The
-cores re-check nothing that ``check_cover`` holds.  Where joins run, only
-the endpoint state refuses split forests that are not linear or whose
-ends are unbalanced, with an ``AssertionError``: a fault in a core is a
-failed check (exit 1), not an input error.  A linear-forest decomposition
-joins nothing and builds no endpoint state; ``check_cover`` alone checks
-its forests.
+direct search tries them; ``_cycle_pair`` takes the first.  Each pair
+search keeps one cache of ``graphs._links``, which ``_anchor``,
+``_flexible`` and both even-pair routes read.  The cores re-check
+nothing that ``check_cover`` holds.  Where joins run, only the endpoint
+state refuses split forests that are not linear or whose ends are
+unbalanced, with an ``AssertionError``: a fault in a core is a failed
+check (exit 1), not an input error.  A linear-forest decomposition joins
+nothing and builds no endpoint state; ``check_cover`` alone checks its
+forests.
 
 A cover works out each fact of its graph once.  Every path or cycle cover
 of an Eulerian graph runs the unchecked ``_eulerian_cover`` on the graph's
@@ -75,7 +76,6 @@ from .graphs import (
     SubgraphShape,
     _links,
     classify,
-    cycle_order,
     degrees,
     edge,
     edge_components,
@@ -363,21 +363,21 @@ def flexible_exchange(
         raise ValueError("c must be a single cycle")
     if x not in vset or x not in vertices_of(cedges) or z in vset or x == z:
         raise ValueError("need x in v and on c, z outside v, x != z")
-    return _flexible(cedges, vset, x, z)
+    return _flexible(cedges, vset, x, z, _links)
 
 
-def _flexible(cedges: frozenset[Edge], vset: AbstractSet[int], x: int,
-              z: int) -> tuple[AbstractSet[int], Edge, Edge]:
+def _flexible(cedges: frozenset[Edge], vset: AbstractSet[int], x: int, z: int,
+              links: Callable[[frozenset[Edge]], dict[int, list[int]]]) -> tuple[AbstractSet[int], Edge, Edge]:
     """``flexible_exchange`` on a cycle of canonical edges, a cycle of a
     polycycle in hand, with x in ``vset`` and on the cycle and z outside
-    ``vset``."""
-    evens = sorted(e for e in cedges if len(set(e) & vset) % 2 == 0)
-    odds = sorted(e for e in cedges if len(set(e) & vset) % 2 == 1)
-    if evens and odds:
-        return vset, evens[0], odds[0]
+    ``vset``.  ``links`` gives a cycle's neighbour lists."""
+    e0 = min((e for e in cedges if (e[0] in vset) == (e[1] in vset)), default=None)
+    e1 = min((e for e in cedges if (e[0] in vset) != (e[1] in vset)), default=None)
+    if e0 and e1:
+        return vset, e0, e1
 
     chosen = (vset - {x}) | {z}
-    if not odds:
+    if e1 is None:
         # Every edge is even, so the whole cycle sits inside v; dropping x
         # makes its two incident edges odd while the rest stay even.
         assert vertices_of(cedges) <= vset
@@ -387,7 +387,11 @@ def _flexible(cedges: frozenset[Edge], vset: AbstractSet[int], x: int,
         # Every edge is odd: the cycle alternates in/out of v, with even
         # length.  Dropping x frees one edge at x and keeps one odd edge
         # at the next in-vertex along the cycle.
-        order = cycle_order(cedges, start=x)
+        adj = links(cedges)
+        order = [x, min(adj[x])]
+        while len(order) < len(cedges):
+            nbrs = adj[order[-1]]
+            order.append(nbrs[nbrs[0] == order[-2]])
         if len(order) % 2:
             raise AssertionError("an all-odd cycle alternates, hence is even")
         ins, outs = order[0::2], order[1::2]
@@ -415,15 +419,16 @@ def transversal_odd_intersection(
     return _odd_pair(h1, h2, edge_components(h1), edge_components(h2))
 
 
-def _anchor(c_links: dict[int, list[int]], x: int, d: frozenset[Edge],
-            rest: AbstractSet[Edge]) -> tuple[frozenset[Edge], Edge, Edge]:
+def _anchor(links: Callable[[frozenset[Edge]], dict[int, list[int]]], c: frozenset[Edge], x: int,
+            d: frozenset[Edge], rest: AbstractSet[Edge]) -> tuple[frozenset[Edge], Edge, Edge]:
     """``rest`` plus edge x-y or y-z of the walk x, y, z from x toward its
-    smaller neighbour on a cycle (``c_links``), whichever makes cycle d
+    smaller neighbour on cycle c (``links(c)``), whichever makes cycle d
     flexible (``_flexible``); with d's edges e0 and e1 for ``_close``."""
+    c_links = links(c)
     y = min(c_links[x])
     z = next(w for w in c_links[y] if w != x)
     base = vertices_of(rest) | {x, y}
-    chosen, e0, e1 = _flexible(d, base, x, z)
+    chosen, e0, e1 = _flexible(d, base, x, z, links)
     m1 = frozenset(rest | {edge(x, y) if chosen == base else edge(y, z)})
     assert vertices_of(m1) == chosen
     return m1, e0, e1
@@ -447,7 +452,7 @@ def _odd_pair(h1: frozenset[Edge], h2: frozenset[Edge], comps1: list[frozenset[E
         raise ValueError("the polycycles have no vertex in common")
     x = min(shared)
     c, d = _holding(comps1, x), _holding(comps2, x)
-    m1, e0, e1 = _anchor(_links(c), x, d, _transversal(comp for comp in comps1 if comp is not c))
+    m1, e0, e1 = _anchor(cache(_links), c, x, d, _transversal(comp for comp in comps1 if comp is not c))
     m2 = _close(m1, _transversal(comp for comp in comps2 if comp is not d), e0, e1, 1)
     assert len(vertices_of(m1) & vertices_of(m2)) % 2 == 1
     return TransversalPair(m1, m2)
@@ -473,7 +478,7 @@ def _even_case_direct(side1: list[frozenset[Edge]], side2: list[frozenset[Edge]]
             outside = [w for w in nbrs if w not in vap]
             if outside:
                 v2 = min(outside)
-                m1, e0, e1 = _anchor(links(ap), min(vap & vbp), bp, {edge(u, v1)} | _transversal(
+                m1, e0, e1 = _anchor(links, ap, min(vap & vbp), bp, {edge(u, v1)} | _transversal(
                     (comp for comp in side1 if comp not in (a, ap)), avoid=(v2,)))
             else:
                 # Both b-neighbors of u land on ap; usable only when every
@@ -592,10 +597,9 @@ def _even_pair(
     (``_meets``) and a checked crossing (c1, c2, c1', c2') of them, which
     only the rigid route reads.  The direct construction tries each
     crossing of ``meets`` (``_crossings``), with h1's cycles on side 1 and
-    then with h2's.  A cycle's neighbour lists are built on first read."""
-    # A plain dict, not ``_links``'s defaultdict: every read shares a cycle's
-    # lists, so a read at a vertex off the cycle raises instead of growing them.
-    links = cache(lambda c: dict(_links(c)))
+    then with h2's.  Both routes, ``_anchor`` and ``_flexible`` read one
+    cache of ``_links``, which builds a cycle's lists on first read."""
+    links = cache(_links)
     for swapped in (False, True):
         side1, side2 = (comps2, comps1) if swapped else (comps1, comps2)
         pairs = sorted((j, i) for i, j in meets) if swapped else meets

@@ -19,7 +19,9 @@ Arbitrary JSON is almost never a valid graph, instance or certificate, so
 a second fuzz draws documents the package writes itself (a small graph,
 an instance of equal shapes, a certificate built for them) and perturbs
 each at most once, dropping, repeating or swapping one entry: ``verify``
-reaches exit 0 and 1 over its run, and the other file verbs exit 0.
+reaches exit 0 and 1 over its run, and the other file verbs exit 0.  It
+also draws ``oddcover --exact`` on graphs of at most 7 vertices, which
+reaches exit 0 and 2, and ``--dot`` to a writable file.
 """
 
 from __future__ import annotations
@@ -119,13 +121,17 @@ def _perturbed(rng: random.Random, doc: dict, keys: tuple[str, ...]) -> dict:
 def well_formed_runs(draw, tmp_path):
     """An argv of a file verb over seeded well-formed documents, each
     perturbed at most once: a small graph, an instance of equal shapes,
-    and a certificate built for them by the package."""
+    and a certificate built for them by the package.  ``oddcover`` may
+    search exactly, on a graph of at most 7 vertices, with ``--cap``
+    unset, in 1..10**6 or below 1; the construction verbs may also write
+    ``--dot`` to a writable file."""
     verb = draw(st.sampled_from(["resolve", "oddcover", "arboricity", "verify"]))
+    exact = verb == "oddcover" and draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     out = str(tmp_path / "out.json")
     arboricity = verb == "arboricity" or rng.random() < 0.3
-    g = (random_delta4_graph if arboricity else random_graph)(rng, 9)
+    g = (random_delta4_graph if arboricity else random_graph)(rng, 7 if exact else 9)
     instance = random_instance(rng, 8, 4)
     on_instance = verb == "resolve" or verb == "verify" and rng.random() < 0.5
     target, key = (emit_instance(instance), "--instance") if on_instance else (emit_graph(g), "--graph")
@@ -138,6 +144,13 @@ def well_formed_runs(draw, tmp_path):
     argv = [verb, key, str(first), "--out", out]
     if verb == "oddcover":
         argv.append(f"--kind={draw(st.sampled_from(['path', 'cycle']))}")
+    if exact:
+        argv.append("--exact")
+        cap = draw(st.none() | st.integers(1, 10**6) | st.integers(-2, 0))
+        if cap is not None:
+            argv.append(f"--cap={cap}")
+    if verb != "verify" and draw(st.booleans()):
+        argv.append(f"--dot={tmp_path / 'out.dot'}")
     if cert is not None:
         second.write_text(json.dumps(_perturbed(rng, cert, ("taus",) if key == "--instance" else ("parts",))))
         argv.append(str(second))
@@ -147,7 +160,8 @@ def well_formed_runs(draw, tmp_path):
 def test_cli_exit_codes_on_perturbed_well_formed_documents(tmp_path, capsys):
     # Arbitrary JSON reaches only exit 2; documents the package wrote
     # itself, perturbed at most once, reach each verb's success and
-    # verify's failed check too.
+    # verify's failed check too, and the exact cover both its success and
+    # a refusal, of the cap or of an odd graph's cycle cover.
     reached = defaultdict(set)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -159,9 +173,12 @@ def test_cli_exit_codes_on_perturbed_well_formed_documents(tmp_path, capsys):
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         reached[argv[0]].add(code)
+        if "--exact" in argv:
+            reached["oddcover --exact"].add(code)
 
     run()
     assert {0, 1} <= reached["verify"], dict(reached)
+    assert {0, 2} <= reached["oddcover --exact"], dict(reached)
     assert all(0 in reached[verb] for verb in ("resolve", "oddcover", "arboricity")), dict(reached)
 
 

@@ -14,8 +14,8 @@ from polyresolve.generators import random_eulerian_graph
 from polyresolve.graphs import (
     Digraph,
     SubgraphShape,
+    _links,
     classify,
-    cycle_order,
     degrees,
     edge,
     edge_components,
@@ -205,16 +205,9 @@ def test_symmetric_difference_cancels_duplicates():
     assert symmetric_difference([a, b]) == frozenset({edge(0, 1), edge(2, 3)})
 
 
-def test_cycle_order_walks_the_cycle():
-    comp = [edge(0, 1), edge(1, 2), edge(2, 3), edge(0, 3)]
-    assert cycle_order(comp) == [0, 1, 2, 3]
-
-
-def test_cycle_order_names_what_is_not_a_cycle():
-    with pytest.raises(ValueError, match="^component is not a single cycle$"):
-        cycle_order([])
-    with pytest.raises(ValueError, match="^start 5 is not on the cycle$"):
-        cycle_order([edge(0, 1), edge(1, 2), edge(0, 2)], start=5)
+def test_links_raise_off_the_edge_set():
+    with pytest.raises(KeyError):
+        _links([edge(0, 1), edge(1, 2)])[5]
 
 
 def test_digraph_checks_lengths_and_range():

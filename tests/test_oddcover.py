@@ -15,8 +15,8 @@ import pytest
 from polyresolve.graphs import (
     SimpleGraph,
     SubgraphShape,
+    _links,
     classify,
-    cycle_order,
     degrees,
     edge,
     edge_components,
@@ -86,6 +86,10 @@ H2 = cyc(0, 2, 1, 3) + cyc(4, 6, 5, 7)
 # route with the two polycycles swapped (``test_the_swapped_direct_route_is_needed``).
 SWAPPED_ROUTE = simple_graph(8, [(0, 1), (0, 4), (0, 5), (0, 7), (1, 3), (1, 6), (1, 7), (2, 3),
                                  (2, 4), (2, 5), (2, 7), (3, 4), (3, 5), (4, 6), (5, 6), (6, 7)])
+
+# Twelve stacked Delta-4 components, the shape of the Delta-4 benchmark's
+# covers.
+TWELVE_COMPONENTS = random_delta4_eulerian_graph(random.Random(7), max_n=16, components=12)
 
 
 # --- forest statistics and transversal forests -------------------------------
@@ -280,17 +284,64 @@ def test_the_swapped_direct_route_is_needed(monkeypatch):
     assert sides == [("h1", False)] * 4 + [("h2", False)] * 2 + [("h2", True)]
 
 
-@pytest.mark.parametrize("g", [simple_graph(8, H1 + H2), SWAPPED_ROUTE], ids=["interlocked", "swapped route"])
-def test_the_even_pair_builds_each_cycles_neighbour_lists_once(monkeypatch, g):
+@pytest.mark.parametrize("cover, g, builds", [
+    (cycle_odd_cover_delta4, simple_graph(8, H1 + H2), 11),
+    (cycle_odd_cover_delta4, SWAPPED_ROUTE, 11),
+    (path_odd_cover_delta4, simple_graph(8, H1 + H2), 8),
+    (path_odd_cover_delta4, SWAPPED_ROUTE, 8),
+    (path_odd_cover_general, TWELVE_COMPONENTS, 8),
+    (lambda g: odd_cover_eulerian(g, "cycle"), TWELVE_COMPONENTS, 10),
+    (linear_forest_decomposition, TWELVE_COMPONENTS, 4),
+], ids=["interlocked", "swapped route", "interlocked paths", "swapped route paths",
+        "12 components paths", "12 components cycles", "12 components forests"])
+def test_the_even_pair_builds_each_cycles_neighbour_lists_once(monkeypatch, cover, g, builds):
     # The pair search reads a cycle's neighbour lists for its vertex set,
     # the walk from its anchor and the rigid route's alternation check.
     # Rebuilt at every read, the interlocked pair took 23 builds, 16 of them
     # for its four cycles, and the swapped route 14; the other 7 are the
     # decomposition's, the split's and the final check's.
     calls = _count_calls(monkeypatch, graphs, ["_links"])
-    cert = cycle_odd_cover_delta4(g)
-    assert calls["_links"] <= 11
-    check_cover(cert, g, "cycle", 3)
+    cert = cover(g)
+    assert calls["_links"] == builds
+    assert oddcover.check_cover(g, cert) is None
+
+
+def test_no_pair_search_builds_a_cycles_neighbour_lists_twice(monkeypatch):
+    # Each transversal-pair search keeps one cache of neighbour lists, which
+    # its anchor step, its flexible exchange and both even-pair routes read.
+    # When the exchange walked an all-odd cycle through lists of its own,
+    # stacks 102, 127 and 173 built one cycle's lists twice.
+    searches, active = [], []
+    links = graphs._links
+
+    def spy_links(edges):
+        if active:
+            searches[-1].append(frozenset(edges))
+        return links(edges)
+
+    def searching(core):
+        def spy(*args):
+            searches.append([])
+            active.append(True)
+            try:
+                return core(*args)
+            finally:
+                active.pop()
+        return spy
+
+    for module in (graphs, oddcover):
+        monkeypatch.setattr(module, "_links", spy_links)
+    for core in ("_odd_pair", "_even_pair"):
+        monkeypatch.setattr(oddcover, core, searching(getattr(oddcover, core)))
+    rng, repeated = random.Random(1), []
+    for k in range(200):
+        g = random_delta4_eulerian_graph(rng, max_n=16, components=rng.randint(1, 12))
+        del searches[:]
+        odd_cover_eulerian(g, "cycle")
+        path_odd_cover_general(g)
+        if any(len(set(built)) < len(built) for built in searches):
+            repeated.append(k)
+    assert repeated == []
 
 
 # --- covers of fixed graphs ---------------------------------------------------
@@ -692,7 +743,10 @@ def _one_more(kind, parts):
             e = next(e for e in sorted(part) if 1 in (ends[e[0]], ends[e[1]]))
             split = [part - {e}, frozenset({e})]
         elif kind == "cycle" and len(part) >= 4:
-            a, b, c = cycle_order(part)[:3]
+            links = _links(part)
+            a = min(links)
+            b = min(links[a])
+            c = next(w for w in links[b] if w != a)
             arc = {edge(a, b), edge(b, c)}
             split = [frozenset(arc | {edge(a, c)}), (part - arc) | {edge(a, c)}]
         else:

@@ -159,7 +159,7 @@ def test_output_guards_fire_under_python_O():
 BOUNDS_SCRIPT = """
 from collections import Counter
 from polyresolve import oddcover, oracles
-from polyresolve.graphs import cycle_order, edge, simple_graph
+from polyresolve.graphs import _links, edge, simple_graph
 
 def refusal(check):
     try:
@@ -181,7 +181,10 @@ def one_more(kind, parts):
             e = next(e for e in sorted(part) if 1 in (ends[e[0]], ends[e[1]]))
             split = [part - {e}, frozenset({e})]
         elif kind == "cycle" and len(part) >= 4:
-            a, b, c = cycle_order(part)[:3]
+            links = _links(part)
+            a = min(links)
+            b = min(links[a])
+            c = next(w for w in links[b] if w != a)
             arc = {edge(a, b), edge(b, c)}
             split = [frozenset(arc | {edge(a, c)}), (part - arc) | {edge(a, c)}]
         else:
