@@ -81,10 +81,10 @@ EVEN8_EXCESS = {
 
 # Tables where resolve is longer than the distance, the excess summed over
 # them, and the largest excess.
-RESOLVE_EXCESS = (569, 570, 2)
+RESOLVE_EXCESS = (169, 169, 1)
 
 # The same on the 57,447 tables of 8 items, in the large tier (about 25 s).
-RESOLVE8_EXCESS = (5337, 5356, 2)
+RESOLVE8_EXCESS = (2543, 2543, 1)
 
 
 def _checked(g, cert, optimum: int) -> int:

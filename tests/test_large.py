@@ -102,8 +102,8 @@ def test_resolve_many_small_clusters(n, digest):
 @pytest.mark.parametrize(
     "n, k, budget_s, digest",
     [
-        # m = 30,000 and 4,068 steps
-        (10, 3000, 10.0, "7a10a9cb37e16350a887f718a0a0a29120b0da9c35ab0993cf93a880cab22f24"),
+        # m = 30,000 and 3,876 steps
+        (10, 3000, 10.0, "ede515bff08a3d27adf39c9407a09a7c696c0d07c3d6bb6e38b0335c96a6984f"),
         # m = 100,000 and 8 steps
         (20000, 5, 30.0, "465bdea003c0571b707cfb815970daf6d07c22a6b0e9e1ca85a899a4a6f89637"),
     ],

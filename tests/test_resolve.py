@@ -20,7 +20,10 @@ from polyresolve.perms import (
     CycleSeq,
     Partition,
     Permutation,
+    Resolution,
+    _walk,
     cdg,
+    check_resolution,
     cycle_is_p_cycle,
     is_p_balanced,
     resolution_from_decomposition,
@@ -219,6 +222,18 @@ def test_resolve_refuses_a_wrong_pair_split(monkeypatch, tmp_path, capsys):
     assert (report["pass"], report["detail"]) == (False, "final partition differs from the target")
 
 
+@pytest.mark.parametrize("first, detail", [((0, 1), "step 0 revisits a cluster"),
+                                           ((0, 6), "step 0 names an unknown item")],
+                         ids=["revisit", "unknown"])
+def test_the_shortcut_merges_no_faulty_step(monkeypatch, first, detail):
+    # A pair split whose first cycle is no cycle of p keeps its three
+    # cycles, so the shortcut sees it; the one check still refuses step 0.
+    split = resolve_module._pair
+    monkeypatch.setattr(resolve_module, "_pair", lambda *args: [first, *split(*args)[1:]])
+    with pytest.raises(AssertionError, match=f"^{detail}$"):
+        resolve(Partition(2, (0, 0, 0, 1, 1, 1)), Partition(2, (1, 1, 1, 0, 0, 0)))
+
+
 def test_pcycles_from_pair_rejects_shared_support():
     p = Partition(4, (0, 1, 2, 3))
     pi = Permutation((1, 0, 2, 3))
@@ -313,6 +328,45 @@ def _frozen_walk(p, sigmas):
     return tuple(taus)
 
 
+def _exchange(s, t):
+    """The one exchange that takes partition s to t: empty when they are
+    equal, None when they are not adjacent.  They are adjacent when the
+    non-loop arcs of their difference digraph form one simple cycle; item
+    j then moves to the cluster of the item whose arc starts at j's head."""
+    d = cdg(s, t)
+    arcs = {j: (u, v) for j, (u, v) in enumerate(zip(d.tails, d.heads)) if u != v}
+    by_tail = {u: j for j, (u, _) in arcs.items()}
+    if len(by_tail) != len(arcs):
+        return None
+    cycle = []
+    j = min(arcs, default=None)
+    while j is not None and j not in cycle:
+        cycle.append(j)
+        j = by_tail.get(arcs[j][1])
+    return CycleSeq(tuple(cycle)) if len(cycle) == len(arcs) else None
+
+
+def _frozen_shortcut(p, taus):
+    """The shortcut as its rule reads, on replayed partitions: left to
+    right, a step and the one after it become the one exchange between
+    the state before the first and the state after the second, or go
+    when those states are equal; a merged step is tried against the
+    next."""
+    kept = []   # (step, the state before it)
+    state = p
+    for tau in taus:
+        after = state.apply(tau)
+        step = _exchange(kept[-1][1], after) if kept else None
+        if step is None:
+            kept.append((tau, state))
+        else:
+            before = kept.pop()[1]
+            if step.items:
+                kept.append((step, before))
+        state = after
+    return tuple(step for step, _ in kept)
+
+
 def _composition(p, q, factorize, pair, balanced, walk):
     """The steps of ``resolve`` as the composition of its three steps."""
     sigmas, pis = factorize(p, q)
@@ -325,13 +379,18 @@ def _composition(p, q, factorize, pair, balanced, walk):
     return walk(p, parts)
 
 
+def _public_walk(p, q):
+    """The walk of the public steps, before the shortcut."""
+    return _composition(p, q, balanced_permutation_factorization, pcycles_from_pair,
+                        pcycles_from_balanced,
+                        lambda p, parts: resolution_from_decomposition(p, parts).taus)
+
+
 def _assert_same_taus(p, q):
     taus = resolve(p, q).taus
-    assert taus == _composition(p, q, _frozen_factorize, _frozen_pair, _frozen_balanced,
-                                _frozen_walk)
-    assert taus == _composition(p, q, balanced_permutation_factorization, pcycles_from_pair,
-                                pcycles_from_balanced,
-                                lambda p, parts: resolution_from_decomposition(p, parts).taus)
+    frozen = _composition(p, q, _frozen_factorize, _frozen_pair, _frozen_balanced, _frozen_walk)
+    assert taus == _frozen_shortcut(p, frozen)
+    assert taus == _frozen_shortcut(p, _public_walk(p, q))
 
 
 @st.composite
@@ -346,6 +405,40 @@ def _equal_shape_pairs(draw):
 @given(_equal_shape_pairs())
 def test_resolve_matches_the_frozen_composition(pair):
     _assert_same_taus(*pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_equal_shape_pairs())
+def test_the_shortcut_leaves_no_two_steps_that_make_one_exchange(pair):
+    p, q = pair
+    taus = resolve(p, q).taus
+    assert len(taus) <= len(_public_walk(p, q))
+    assert check_resolution(p, q, taus) is None
+    states = Resolution(p, taus).replay()
+    assert [i for i in range(len(taus) - 1) if _exchange(states[i], states[i + 2])] == []
+
+
+def test_the_shortcut_merges_a_pair_splits_first_two_steps():
+    # Two items swap each way between two clusters.  The first two steps
+    # move item 0 to cluster 0 and item 3 to cluster 1, and item 2 comes
+    # back, which one swap does.
+    p = Partition(2, (1, 1, 0, 0))
+    q = Partition(2, (0, 0, 1, 1))
+    assert [tau.items for tau in _public_walk(p, q)] == [(0, 2), (2, 3), (1, 2)]
+    assert [tau.items for tau in resolve(p, q).taus] == [(0, 3), (1, 2)]
+
+
+def test_the_shortcut_conjugates_a_merge_of_the_last_two_steps():
+    # In resolve the last two cycles merge only when the merge names no
+    # item of the first; on three other cycles of p the merged step is
+    # the exchange conjugated by the first cycle, as the rule gives it.
+    p = Partition(3, (0, 1, 2, 0, 1, 2))
+    parts = [(0, 1), (2, 3), (1, 2)]
+    taus = _walk(parts)
+    assert [tau.items for tau in taus] == [(0, 1), (2, 3), (0, 3)]
+    merged = resolve_module._shortcut(p, parts, taus, [0])
+    assert [tau.items for tau in merged] == [(0, 1), (0, 2, 3)]
+    assert merged == _frozen_shortcut(p, taus)
 
 
 # The pairs of m <= 6 items up to symmetry, one per contingency table.
