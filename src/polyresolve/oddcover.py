@@ -823,8 +823,9 @@ def _make_cert(kind: str, parts: Iterable[Iterable[tuple[int, int]]], g: SimpleG
 
 
 def _max_degree_up_to_4(g: SimpleGraph) -> SimpleGraph:
-    """g, once checked to have maximum degree at most 4.  The orientation
-    checks its parity later, so an odd graph of larger degree gets this."""
+    """g, once checked to have maximum degree at most 4, for the delta4
+    covers and the linear forests.  The orientation checks a cover's parity
+    later, so an odd graph of larger degree gets this."""
     delta = degrees(g).delta
     if delta > 4:
         raise ValueError(f"maximum degree must be at most 4, got {delta}")
@@ -954,13 +955,9 @@ def linear_forest_decomposition(g: SimpleGraph) -> OddCoverCert:
     forests back to the original edges.  No join runs, so no endpoint
     state is built: ``check_cover`` alone checks the forests.
     """
-    summary = degrees(g)
-    if summary.delta > 4:
-        raise ValueError(f"maximum degree must be at most 4, got {summary.delta}")
-
-    n = g.n
+    n = _max_degree_up_to_4(g).n
     patch: set[Edge] = set()
-    odd = [u for u, d in enumerate(summary.degrees) if d % 2]
+    odd = [u for u, d in enumerate(degrees(g).degrees) if d % 2]
     for i in range(0, len(odd), 2):
         u, v = odd[i], odd[i + 1]
         if edge(u, v) not in g.edges:

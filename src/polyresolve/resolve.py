@@ -2,24 +2,23 @@
 
 ``resolve`` certifies that two equal-shape partitions are at most
 k1 + ceil(k2/2) moves apart (k1 >= k2 the two largest cluster sizes) in
-five stages: factorization -> pair split -> walk -> shortcut -> one check.
-The cluster difference digraph factors into balanced permutations and
-p-cycles, balanced permutations split pairwise into at most three p-cycles
-each, the cycle list converts into an explicit edge walk, the shortcut
-merges each two adjacent steps that make one exchange, and ``resolve``
-checks the walk once with ``perms.check_resolution``.  Each stage is a
-private core on item tuples that its public name wraps:
-``polycycles._factorize`` hands each balanced permutation to the pair
-split ``_pair`` as its cycles, ``perms._walk`` turns the p-cycles into
-steps and ``_shortcut`` reads the clusters of a step's items off its
-p-cycle, so ``resolve`` builds no ``Permutation`` and replays no state.
-None of these stages checks its output.  A factor that is no p-cycle
-shows as a step that revisits a cluster (conjugation keeps each item's
-cluster), and a wrong product as a walk that misses q; the shortcut
-merges only cycles of p and keeps each walk's endpoints, so the one check
-refuses both, as a failed verification.  The asserts left are the proof's
-colouring facts, and in ``pcycles_from_pair`` that each returned cycle is
-a p-cycle.
+four stages: factorization -> pair split (with its merge) -> walk -> one
+check.  The cluster difference digraph factors into balanced permutations
+and p-cycles, balanced permutations split pairwise into at most three
+p-cycles each, of which two adjacent ones that make one exchange merge,
+the cycle list converts into an explicit edge walk, and ``resolve`` checks
+the walk once with ``perms.check_resolution``.  Each stage is a private
+core on item tuples that its public name wraps: ``polycycles._factorize``
+hands each balanced permutation to the pair split ``_pair`` as its
+cycles, ``_merged`` reads clusters only through the step rule
+``perms._fault``, and ``perms._walk`` turns the p-cycles into steps, so
+``resolve`` builds no ``Permutation`` and replays no state.  None of these
+stages checks its output.  A factor that is no p-cycle shows as a step
+that revisits a cluster (conjugation keeps each item's cluster), and a
+wrong product as a walk that misses q; the merge joins only cycles of p
+and keeps each walk's endpoints, so the one check refuses both, as a
+failed verification.  The asserts left are the proof's colouring facts,
+and in ``pcycles_from_pair`` that each returned cycle is a p-cycle.
 
 The module also builds the matching lower-bound family: instances whose
 difference digraph is a disjoint union of doubled 2-cycles (plus one tripled
@@ -37,6 +36,7 @@ from .perms import (
     Partition,
     Permutation,
     Resolution,
+    _fault,
     _walk,
     check_resolution,
     cycle_is_p_cycle,
@@ -183,92 +183,69 @@ def _pair(assign, cs: list[tuple[int, ...]], ds: list[tuple[int, ...]]) -> list[
     return [sigma1, sigma2, sigma3]
 
 
-def _shortcut(p: Partition, parts, taus, starts) -> tuple[CycleSeq, ...]:
-    """Replace two adjacent steps of the walk ``taus`` of ``parts`` by one
-    exchange where the state before the first and the state after the
-    second are adjacent, left to right.
+def _merged(n: int, assign, split: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """``split`` with its first two adjacent cycles a, b that make one
+    exchange of p replaced by that exchange.
 
-    Steps of different factors share no item, so only the steps of a pair
-    split into three cycles can merge (``parts[i:i + 3]``, i in
-    ``starts``; a balanced composite's two cycles make no one exchange).
-    With S the product of the cycles before s_i, steps i and i+1 join
-    ``p @ S`` to ``p @ (s_{i+1} s_i S)``.  Those are adjacent exactly when
-    ``p`` and ``p @ (s_{i+1} s_i)`` are, and the merged step is that
-    exchange conjugated by S, so no state is replayed.  Two cycles that
-    share one item z compose to one cycle: z, the rest of s_i, the rest of
-    s_{i+1}.  It is an exchange of p when its clusters are distinct.  When
-    the one repeat is s_i's item before z and s_{i+1}'s item after z, the
-    former returns to its cluster and drops out.
-
-    In a pair split the first two cycles share one item.  The last two
-    share one item per cycle of pi2, and each cycle of pi2 but the last
-    stays a cycle of their product, so they merge only when pi2 is one
-    cycle.  The three act as pi2 pi1, which is no one exchange, so a
-    merged step never merges with the third, and no two steps cancel.  A
-    merge names every item of both cycles and checks their clusters, so
-    only two cycles of p merge, and a faulty step reaches the check as
-    the walk made it.
+    Sharing one item z, they compose to b a = (z, the rest of a, the rest
+    of b), an exchange when ``_fault`` passes it.  When the one repeat is
+    a's item before z and b's after z, b a is that swap after the cycle
+    without a's item; p cannot tell the swap from doing nothing, so the
+    cycles after the merge are relabelled by it and every state the walk
+    keeps is the same.  In a pair split the first two cycles share one
+    item, and the last two one per cycle of pi2, so those merge only when
+    pi2 is one cycle; the three act as pi2 pi1, no one exchange, so a
+    merged cycle never merges with the third.  A balanced composite's two
+    cycles share the leader of each of its cycles.
     """
-    n, assign = p.n, p.assign
-    taus = list(taus)
-    for i in reversed(starts):   # a merge moves no split still to come
-        for k in (0, 1):
-            a, b = parts[i + k], parts[i + k + 1]
-            # Sharing one item, they move at least len(a) + len(b) - 2
-            # items, and one exchange moves one item out of each cluster.
-            if len(a) + len(b) - 2 > n:
+    for k in range(len(split) - 1):
+        a, b = split[k], split[k + 1]
+        # Sharing one item, they move at least len(a) + len(b) - 2 items,
+        # and one exchange moves one item out of each cluster.
+        if len(a) + len(b) - 2 > n:
+            continue
+        shared = set(b).intersection(a)
+        if len(shared) != 1:
+            continue
+        (z,) = shared
+        j, h = a.index(z), b.index(z)
+        rest, tail = a[j + 1:] + a[:j], b[h + 1:] + b[:h]
+        rho, swap = (z, *rest, *tail), {}
+        if _fault(assign, rho) is not None:
+            # Only a known item in tail[0]'s cluster may drop out.
+            if _fault(assign, (rest[-1], tail[0])) != "revisits a cluster":
                 continue
-            shared = set(b).intersection(a)
-            if len(shared) != 1:
+            rho, swap = (z, *rest[:-1], *tail), {rest[-1]: tail[0], tail[0]: rest[-1]}
+            if _fault(assign, rho) is not None:
                 continue
-            (z,) = shared
-            j, h = a.index(z), b.index(z)
-            rest, tail = a[j + 1:] + a[:j], b[h + 1:] + b[:h]
-            rho = (z, *rest, *tail)
-            if min(rho) < 0 or max(rho) >= len(assign):
-                continue   # an unknown item, which the check names
-            clusters = len(set(map(assign.__getitem__, rho)))
-            if clusters == len(rho) - 1 and assign[rest[-1]] == assign[tail[0]]:
-                rho = (z, *rest[:-1], *tail)
-            elif clusters != len(rho):
-                continue
-            if k:   # conjugate by s1: each item of s1 to its predecessor
-                s1 = parts[i]
-                inv = dict(zip(s1[1:] + s1[:1], s1))
-                rho = tuple(map(inv.get, rho, rho))
-            taus[i + k:i + k + 2] = [CycleSeq(rho)]
-            break
-    return tuple(taus)
+        return [*split[:k], rho, *[tuple([swap.get(x, x) for x in c]) for c in split[k + 2:]]]
+    return split
 
 
 def resolve(p: Partition, q: Partition) -> Resolution:
     """Build a resolution from p to q of length <= k1 + ceil(k2/2), checked
     once by ``perms.check_resolution``.
 
-    The stages: factorization -> pair split -> walk -> shortcut -> one
-    check.  The factorization runs one matching round per balanced
+    The stages: factorization -> pair split (with its merge) -> walk ->
+    one check.  The factorization runs one matching round per balanced
     permutation but the last two, which it splits off a residual of degree
     2 along its cycles, so a pair whose second-largest cluster holds at
-    most two items runs no matcher at all.  The shortcut merges two
-    adjacent steps of one pair split where they make one exchange, so the
-    walk is never longer than the walk of the split's cycles.
+    most two items runs no matcher at all.  Each pair split merges two
+    adjacent cycles where they make one exchange, so the walk is never
+    longer than the walk of the split's cycles.
     """
     if p.sizes() != q.sizes():
         raise ValueError("p and q must have equal per-cluster sizes")
     sigmas, classes = _factorize(p, q)
     assign = p.assign
     parts: list[tuple[int, ...]] = []
-    starts = []   # where each pair split into three cycles starts
     for i in range(0, len(classes) - 1, 2):
-        split = _pair(assign, classes[i], classes[i + 1])
-        if len(split) == 3:
-            starts.append(len(parts))
-        parts += split
+        parts += _merged(p.n, assign, _pair(assign, classes[i], classes[i + 1]))
     if len(classes) % 2:
         parts += [s for s in _split_balanced(classes[-1]) if len(s) > 1]
     parts += sigmas
 
-    taus = _shortcut(p, parts, _walk(parts), starts)
+    taus = _walk(parts)
     detail = check_resolution(p, q, taus)
     if detail is not None:
         raise AssertionError(detail)

@@ -37,13 +37,13 @@ g = simple_graph(3, [(0, 1), (1, 2)])
 print("cover shape:", fires(lambda: _make_cert("cycle", [[(0, 1), (1, 2)]], g)))
 print("cover xor:", fires(lambda: _make_cert("path", [[(0, 1)]], g)))
 
-# A one-swap pair has the bound 2; repeat the walk's steps past it after
-# the shortcut, the last stage before the one check.
+# A one-swap pair has the bound 2; the walk, the last stage before the
+# one check, repeats its steps past it.
 rs = importlib.import_module("polyresolve.resolve")
-shortcut = rs._shortcut
-rs._shortcut = lambda *args: shortcut(*args) * 3
+walk = rs._walk
+rs._walk = lambda *args: walk(*args) * 3
 print("length bound:", fires(lambda: rs.resolve(Partition(2, (0, 1)), Partition(2, (1, 0)))))
-rs._shortcut = shortcut
+rs._walk = walk
 
 # A valid walk of three swaps, one step past the bound 2 of the shape (1, 1).
 walk = Resolution(Partition(2, (0, 1)), (CycleSeq((0, 1)),) * 3)

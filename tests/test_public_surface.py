@@ -139,6 +139,7 @@ PRIVATE_IMPORTS = {
     ("oddcover", "graphs", "_links"),
     ("oddcover", "polycycles", "_polycycle_cover"),
     ("resolve", "graphs", "_links"),
+    ("resolve", "perms", "_fault"),
     ("resolve", "perms", "_walk"),
     ("resolve", "polycycles", "_factorize"),
 }

@@ -222,16 +222,27 @@ def test_resolve_refuses_a_wrong_pair_split(monkeypatch, tmp_path, capsys):
     assert (report["pass"], report["detail"]) == (False, "final partition differs from the target")
 
 
-@pytest.mark.parametrize("first, detail", [((0, 1), "step 0 revisits a cluster"),
-                                           ((0, 6), "step 0 names an unknown item")],
-                         ids=["revisit", "unknown"])
-def test_the_shortcut_merges_no_faulty_step(monkeypatch, first, detail):
-    # A pair split whose first cycle is no cycle of p keeps its three
-    # cycles, so the shortcut sees it; the one check still refuses step 0.
+@pytest.mark.parametrize("assign, k, cycle, detail", [
+    ((0, 0, 0, 1, 1, 1), 0, (0, 1), "step 0 revisits a cluster"),
+    ((0, 0, 0, 1, 1, 1), 0, (0, 6), "step 0 names an unknown item"),
+    ((0, 0, 1, 1), 2, (3, 1, 5), "step 1 names an unknown item"),
+    ((0, 0, 1, 1), 2, (3, 2), "step 1 revisits a cluster"),
+], ids=["revisit", "unknown", "third unknown", "third revisit"])
+def test_the_shortcut_merges_no_faulty_step(monkeypatch, assign, k, cycle, detail):
+    # A faulty first cycle keeps a pair split's three cycles.  On
+    # (0, 0, 1, 1) the first two merge with a swap, which relabels a
+    # faulty third cycle into one as faulty.  The one check still refuses
+    # the step the faulty cycle makes.
     split = resolve_module._pair
-    monkeypatch.setattr(resolve_module, "_pair", lambda *args: [first, *split(*args)[1:]])
+
+    def with_fault(*args):
+        cycles = split(*args)
+        cycles[k] = cycle
+        return cycles
+
+    monkeypatch.setattr(resolve_module, "_pair", with_fault)
     with pytest.raises(AssertionError, match=f"^{detail}$"):
-        resolve(Partition(2, (0, 0, 0, 1, 1, 1)), Partition(2, (1, 1, 1, 0, 0, 0)))
+        resolve(Partition(2, assign), Partition(2, tuple(1 - c for c in assign)))
 
 
 def test_pcycles_from_pair_rejects_shared_support():
@@ -428,17 +439,19 @@ def test_the_shortcut_merges_a_pair_splits_first_two_steps():
     assert [tau.items for tau in resolve(p, q).taus] == [(0, 3), (1, 2)]
 
 
-def test_the_shortcut_conjugates_a_merge_of_the_last_two_steps():
-    # In resolve the last two cycles merge only when the merge names no
-    # item of the first; on three other cycles of p the merged step is
-    # the exchange conjugated by the first cycle, as the rule gives it.
-    p = Partition(3, (0, 1, 2, 0, 1, 2))
-    parts = [(0, 1), (2, 3), (1, 2)]
-    taus = _walk(parts)
-    assert [tau.items for tau in taus] == [(0, 1), (2, 3), (0, 3)]
-    merged = resolve_module._shortcut(p, parts, taus, [0])
-    assert [tau.items for tau in merged] == [(0, 1), (0, 2, 3)]
-    assert merged == _frozen_shortcut(p, taus)
+@pytest.mark.parametrize("n, assign, split, merged", [
+    (3, (2, 0, 1, 0, 1), [(4, 1), (0, 4), (0, 2)], [(4, 1, 0), (0, 2)]),
+    (2, (0, 0, 1, 1), [(0, 2), (3, 0), (3, 1)], [(0, 3), (2, 1)]),
+    (3, (2, 0, 0, 2, 1), [(0, 1, 4), (2, 0), (2, 3)], [(0, 1, 4), (2, 3)]),
+    (3, (0, 1, 2, 0, 1, 2), [(0, 1), (2, 3), (1, 2)], [(0, 1), (2, 3, 1)]),
+], ids=["first two", "swap", "last two", "conjugated"])
+def test_a_merge_walks_as_the_shortcut_of_the_splits_walk(n, assign, split, merged):
+    # The swap case drops item 2, which returns to its cluster, and
+    # relabels the third cycle by the swap of items 2 and 3.  The walk
+    # conjugates a merge of the last two by the first cycle.
+    p = Partition(n, assign)
+    assert resolve_module._merged(n, assign, split) == merged
+    assert _walk(merged) == _frozen_shortcut(p, _walk(split))
 
 
 # The pairs of m <= 6 items up to symmetry, one per contingency table.
