@@ -148,9 +148,11 @@ def _fault(assign, items: tuple[int, ...]) -> str | None:
 
 def _replay(assign: list[int], taus) -> Iterator[tuple[CycleSeq, list[int]]]:
     """Walk ``taus`` from ``assign``, changing that list in place.  Step
-    ``i`` is checked before it is handed out, raising ``ValueError("step i
-    <fault>")``, and applied when the caller asks for the next step."""
+    ``i``, a ``CycleSeq``, is checked before it is handed out, raising
+    ``ValueError("step i <fault>")``, and applied when the next is asked for."""
     for i, tau in enumerate(taus):
+        if not isinstance(tau, CycleSeq):
+            raise ValueError(f"step {i} is not a cycle")
         items = tau.items
         fault = _fault(assign, items)
         if fault is not None:
@@ -191,6 +193,8 @@ class Partition:
     assign: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 0:   # bool is no count either
+            raise ValueError(f"cluster count must be a non-negative integer, got {self.n!r}")
         assign = self.assign
         if assign and not 0 <= min(assign) <= max(assign) < self.n:
             for c in assign:   # names the first offender

@@ -31,27 +31,27 @@ a set per part (``parts`` is built on first use, by the covers only).
 All but the matcher is near-linear in m + n t on m arcs and n vertices.
 Within ``resolve`` on CPython 3.11 (2-vCPU x86-64 VM) the decomposition
 takes about 40% of the time at m = 3000 (1500 clusters of 2) and about
-80% at m = 10^5 (20,000 clusters of 5, three matching rounds).  The
-factorization calls the core ``_directed`` with p's cluster sizes as the
-out-degrees (the in-degrees are q's), and the undirected decomposition
-with half of each degree, its Eulerian orientation's out-degrees.
+80% at m = 10^5 (20,000 clusters of 5, three matching rounds).
+``_directed`` takes tail and head arrays, no ``Digraph``: p's and q's
+assignments from the factorization, with p's sizes as out-degrees, and an
+orientation's arcs from the undirected decomposition.
 
 Checks
 ------
-A part's walk raises when it stalls at a tail with no arc or enters a
-head twice: with one arc out of each tail, the in = out = 1 test.  It, a
-failed matching round, a walk on the residual of degree 2 that does not
-close and a stalled cycle extraction are explicit raises.  With one slot
-per tail and part, and each arc popped or slotted once, the parts are
-disjoint and hold exactly the non-loop arcs by construction.  The
-undirected polycycle shape needs no check of its own: an orientation of
-a simple graph has no loop and no antiparallel pair, so each directed
-cycle of a part is an undirected cycle of length 3 or more.  The factorization checks nothing
-more; ``resolve`` checks its walk once, with ``perms.check_resolution``.
-The cores ``_directed`` and ``_polycycle_cover`` skip their public
-names' input checks, whose facts their callers hold already, and
-``_polycycle_cover`` checks nothing of its two parts: the covers check
-their output once, with ``oddcover.check_cover``.
+A part's walk raises when it stalls at a tail with no arc or enters a head
+twice: with one arc out of each tail, the in = out = 1 test.  It, a failed
+matching round, a walk on the residual of degree 2 that does not close and
+a stalled cycle extraction are explicit raises.  With one slot per tail
+and part, and each arc popped or slotted once, the parts are disjoint and
+hold exactly the non-loop arcs by construction.  The undirected polycycle
+shape needs no check of its own: an orientation of a simple graph has no
+loop and no antiparallel pair, so each directed cycle of a part is an
+undirected cycle of length 3 or more.  The factorization checks nothing
+more, not even a label (``Partition`` did), and ``resolve`` its walk once,
+with ``perms.check_resolution``.  The cores ``_directed`` and
+``_polycycle_cover`` skip their public names' input checks, whose facts
+their callers hold, and ``_polycycle_cover`` checks nothing of its two
+parts: the covers check their output once, with ``oddcover.check_cover``.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from .perms import (
     CycleSeq,
     Partition,
     Permutation,
-    cdg,
     two_largest,
 )
 
@@ -190,7 +189,7 @@ def _hopcroft_karp(n_left: int, n_right: int, adj: list[list[int]]) -> list[int]
     return match_l
 
 
-def _extract_cycle_through(g: Digraph, v: int, out_arcs: list[list[int]], used: list[bool]) -> tuple[int, ...]:
+def _extract_cycle_through(heads, v: int, out_arcs: list[list[int]], used: list[bool]) -> tuple[int, ...]:
     """Remove and return a simple directed cycle through v, or consume one loop at v.
 
     Walks unused non-loop arcs (lowest arc id first) until the first return
@@ -200,7 +199,6 @@ def _extract_cycle_through(g: Digraph, v: int, out_arcs: list[list[int]], used: 
     order from its smallest arc.  If only loops remain at v, one loop is
     consumed and the empty tuple returned (a degenerate cycle).
     """
-    heads = g.heads
     path: list[int] = []
     cut: list[int] = []
     pos = {v: 0}  # each vertex of the path -> index of the path's arc out of it
@@ -315,16 +313,17 @@ def directed_polycycle_decomposition(g: Digraph, t: int) -> PolycycleDecompositi
     out = g.out_degrees()
     if out != g.in_degrees():
         raise ValueError("every vertex needs equal in- and out-degree")
-    return _directed(g, t, out)
+    return _directed(g.n, g.tails, g.heads, t, out)
 
 
-def _directed(g: Digraph, t: int, out) -> PolycycleDecomposition:
-    """``directed_polycycle_decomposition`` of g, whose out-degrees are
-    ``out`` and equal to its in-degrees: the callers hold both facts."""
+def _directed(n: int, tails, heads, t: int, out) -> PolycycleDecomposition:
+    """``directed_polycycle_decomposition`` of the digraph on n vertices
+    with arcs ``tails[a] -> heads[a]`` and out-degrees ``out``, equal to its
+    in-degrees: the callers hold these facts and those a ``Digraph`` checks."""
     delta = max(out, default=0)
     if not 0 <= t <= delta:
         raise ValueError(f"threshold must lie in [0, {delta}], got {t}")
-    n, m, tails, heads = g.n, g.m, g.tails, g.heads
+    m = len(tails)
 
     used = [False] * m
     suffix: list[tuple[tuple[int, ...], ...]] = []
@@ -339,7 +338,7 @@ def _directed(g: Digraph, t: int, out) -> PolycycleDecomposition:
             out_arcs[u].append(a)
         v = high[0]
         for _ in range(delta - t):
-            cycle = _extract_cycle_through(g, v, out_arcs, used)
+            cycle = _extract_cycle_through(heads, v, out_arcs, used)
             suffix.append((cycle,) if cycle else ())
 
     components: list[tuple[tuple[int, ...], ...]] = []
@@ -416,8 +415,8 @@ def undirected_polycycle_decomposition(g: SimpleGraph, t: int) -> PolycycleDecom
     so each directed cycle is an undirected cycle of length 3 or more.
     """
     oriented = eulerian_orientation(g)
-    directed = _directed(oriented, t, [d // 2 for d in degrees(g).degrees])
     tails, heads = oriented.tails, oriented.heads
+    directed = _directed(oriented.n, tails, heads, t, [d // 2 for d in degrees(g).degrees])
     edge_of = [(u, w) if u < w else (w, u) for u, w in zip(tails, heads)].__getitem__
     components = tuple(tuple(frozenset(map(edge_of, cycle)) for cycle in cycles)
                        for cycles in directed.components)
@@ -449,9 +448,8 @@ def _factorize(p: Partition, q: Partition):
         return [], []
     sizes = p.sizes()
     _, k2 = two_largest(sizes)
-    d = cdg(p, q)
-    # The cdg's out-degrees are p's cluster sizes and its in-degrees q's.
-    decomp = _directed(d, k2, sizes)
+    # Arc j runs p(j) -> q(j): the out-degrees are p's sizes, the in-degrees q's.
+    decomp = _directed(p.n, p.assign, q.assign, k2, sizes)
     split = len(decomp) - decomp.cycle_suffix_len
     classes = [cycles for cycles in decomp.components[:split] if cycles]
     sigmas = [cycles[0] for cycles in decomp.components[split:] if cycles]

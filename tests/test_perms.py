@@ -135,6 +135,12 @@ def test_replay_rejects_bad_step_and_names_it():
         bad.replay()
 
 
+@pytest.mark.parametrize("n", [-1, True, 2.0])
+def test_partition_refuses_a_bad_cluster_count(n):
+    with pytest.raises(ValueError, match="cluster count must be a non-negative integer"):
+        Partition(n, ())
+
+
 def test_check_resolution_reports_each_failure_mode():
     p = Partition(2, (0, 0, 1, 1))
     q = Partition(2, (1, 1, 0, 0))
@@ -143,6 +149,8 @@ def test_check_resolution_reports_each_failure_mode():
     assert check_resolution(p, q, (CycleSeq((0, 7)),)) == "step 0 names an unknown item"
     assert check_resolution(p, q, (CycleSeq((0, 1)),)) == "step 0 revisits a cluster"
     assert check_resolution(p, q, ()) == "final partition differs from the target"
+    assert check_resolution(p, q, [(0, 1)]) == "step 0 is not a cycle"
+    assert not verify_resolution(p, q, [(0, 1)])
     good = (CycleSeq((0, 2)), CycleSeq((1, 3)))
     assert check_resolution(p, q, good) is None
     assert verify_resolution(p, q, good)

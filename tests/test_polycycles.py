@@ -137,7 +137,7 @@ def _reference_directed_polycycle_decomposition(g: Digraph, t: int) -> _Referenc
         if len(high) > 1:
             raise ValueError("more than one vertex above the threshold")
         for _ in range(delta - t):
-            cycles.append(frozenset(_extract_cycle_through(g, high[0], out_arcs, used)))
+            cycles.append(frozenset(_extract_cycle_through(g.heads, high[0], out_arcs, used)))
     remaining = [a for a in range(g.m) if not used[a]]
     res_out = [0] * g.n
     for a in remaining:
@@ -315,7 +315,7 @@ def test_cycle_extraction_equals_the_two_pass_extraction():
         used, want_used = [False] * g.m, [False] * g.m
         for _ in range(g.out_degrees()[v] - t):
             want, walked = _two_pass_extract_cycle_through(g, v, out_arcs, want_used)
-            assert _extract_cycle_through(g, v, out_arcs, used) == want
+            assert _extract_cycle_through(g.heads, v, out_arcs, used) == want
             assert used == want_used
             calls += 1
             detours += walked > max(len(want), 1)

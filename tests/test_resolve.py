@@ -525,6 +525,29 @@ def test_resolve_builds_no_permutation_and_counts_no_degrees(monkeypatch):
     assert calls == {"__post_init__": 1}
 
 
+def test_resolve_builds_no_digraph(monkeypatch):
+    # The factorization hands p's and q's assignments to the decomposition
+    # as its arcs, so no label is checked again past ``Partition``'s check.
+    # Clusters of 2 run no matcher, of 50 the matcher rounds, and (3,2,2,1)
+    # the extraction of a cycle through its one cluster above k2.
+    rng = random.Random(31)
+    pairs = []
+    for sizes in ([2] * 1500, [50] * 10, [3, 2, 2, 1]):
+        base = [c for c, k in enumerate(sizes) for _ in range(k)]
+        left, right = base[:], base[:]
+        rng.shuffle(left)
+        rng.shuffle(right)
+        pairs.append((Partition(len(sizes), tuple(left)), Partition(len(sizes), tuple(right))))
+    assert all(p != q for p, q in pairs)
+    want = [resolve(p, q).taus for p, q in pairs]
+
+    def refuse(self):
+        raise AssertionError("resolve built a Digraph")
+
+    monkeypatch.setattr(Digraph, "__post_init__", refuse)
+    assert [resolve(p, q).taus for p, q in pairs] == want
+
+
 def test_resolve_counts_each_partitions_sizes_once(monkeypatch):
     # The shape check counts p's and q's sizes, and check_resolution's
     # length bound reads p's again from the same partition.
